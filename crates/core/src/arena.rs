@@ -684,9 +684,14 @@ impl LineageArena {
         ((h.finish() >> 60) as u32 & self.stripe_mask) as usize
     }
 
+    /// Whether `r`'s segment still holds its storage (open or sealed, not
+    /// retired) — O(1), no lock, no node read. It is the test
+    /// [`LineageArena::intern`] applies to a dedup hit, so interning a
+    /// node again returns a memoised handle of it iff that handle is live
+    /// (a node has at most one live copy; retirement is permanent).
     #[inline]
-    fn segment_live(&self, id: u32) -> bool {
-        self.segment_if_opened(id)
+    pub fn is_live(&self, r: LineageRef) -> bool {
+        self.segment_if_opened(r.segment().0)
             .is_some_and(|s| s.state.load(Ordering::Acquire) != STATE_RETIRED)
     }
 
@@ -702,7 +707,7 @@ impl LineageArena {
         {
             let stripe = self.stripes[sid].read().expect("arena stripe poisoned");
             if let Some(&r) = stripe.get(&node) {
-                if self.segment_live(r.segment().0) {
+                if self.is_live(r) {
                     return r;
                 }
             }
@@ -713,7 +718,7 @@ impl LineageArena {
         let meta = self.build_meta(node);
         let mut stripe = self.stripes[sid].write().expect("arena stripe poisoned");
         if let Some(&r) = stripe.get(&node) {
-            if self.segment_live(r.segment().0) {
+            if self.is_live(r) {
                 return r; // raced with another writer
             }
         }
@@ -867,7 +872,7 @@ impl LineageArena {
         self.stripes[sweep]
             .write()
             .expect("arena stripe poisoned")
-            .retain(|_, r| self.segment_live(r.segment().0));
+            .retain(|_, r| self.is_live(*r));
         if arena_obs::enabled() {
             let h = arena_obs::handles();
             h.retires.inc();
@@ -1524,6 +1529,26 @@ mod tests {
             .expect_err("reading a retired node must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("use-after-retire"), "got: {msg}");
+    }
+
+    #[test]
+    fn is_live_flips_on_retire() {
+        let arena = LineageArena::with_shards(2);
+        let a = arena.intern(LineageNode::Var(TupleId(7)));
+        assert!(arena.is_live(a), "open segment");
+        let seg = arena.seal().unwrap();
+        assert!(arena.is_live(a), "sealed segments stay readable");
+        let b = arena.intern(LineageNode::Var(TupleId(8)));
+        arena.retire(seg).unwrap();
+        assert!(!arena.is_live(a), "retired");
+        assert!(arena.is_live(b), "a later segment is unaffected");
+        // A live handle is what `intern` returns again; a dead one is not.
+        assert_eq!(arena.intern(LineageNode::Var(TupleId(8))), b);
+        let a2 = arena.intern(LineageNode::Var(TupleId(7)));
+        assert_ne!(a2, a);
+        assert!(arena.is_live(a2));
+        // A ref into a segment this arena never opened is not live.
+        assert!(!arena.is_live(LineageRef::encode(999, 0)));
     }
 
     #[test]

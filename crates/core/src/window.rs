@@ -57,8 +57,10 @@ pub struct Lawa<'a> {
     s_valid: Option<&'a TpTuple>,
     /// Right boundary of the previous window (`prevWinTe`).
     prev_win_te: TimePoint,
-    /// The fact currently being processed (`currFact`).
-    curr_fact: Option<Fact>,
+    /// The fact currently being processed (`currFact`), borrowed from the
+    /// input slices: the window's owned `fact` is the only `Arc` bump per
+    /// `next()`.
+    curr_fact: Option<&'a Fact>,
 }
 
 impl<'a> Lawa<'a> {
@@ -111,16 +113,16 @@ impl<'a> Iterator for Lawa<'a> {
                 // Both relations fully scanned: no further window.
                 (None, None) => return None,
                 (Some(r), None) => {
-                    self.curr_fact = Some(r.fact.clone());
+                    self.curr_fact = Some(&r.fact);
                     r.interval.start()
                 }
                 (None, Some(s)) => {
-                    self.curr_fact = Some(s.fact.clone());
+                    self.curr_fact = Some(&s.fact);
                     s.interval.start()
                 }
                 (Some(r), Some(s)) => {
-                    let r_cont = self.curr_fact.as_ref() == Some(&r.fact);
-                    let s_cont = self.curr_fact.as_ref() == Some(&s.fact);
+                    let r_cont = self.curr_fact == Some(&r.fact);
+                    let s_cont = self.curr_fact == Some(&s.fact);
                     if r_cont && !s_cont {
                         // The current fact continues in r only (lines 9-10).
                         r.interval.start()
@@ -132,10 +134,10 @@ impl<'a> Iterator for Lawa<'a> {
                         // new fact begins: follow the global (F, Ts) order
                         // (lines 13-15, made explicit; deviation 3).
                         if (&r.fact, r.interval.start()) <= (&s.fact, s.interval.start()) {
-                            self.curr_fact = Some(r.fact.clone());
+                            self.curr_fact = Some(&r.fact);
                             r.interval.start()
                         } else {
-                            self.curr_fact = Some(s.fact.clone());
+                            self.curr_fact = Some(&s.fact);
                             s.interval.start()
                         }
                     }
@@ -149,19 +151,18 @@ impl<'a> Iterator for Lawa<'a> {
 
         let curr_fact = self
             .curr_fact
-            .clone()
             .expect("curr_fact is set before any window is produced");
 
         // --- Admit tuples opening exactly at winTs (lines 17-20). ---
         if let Some(r) = self.r_head() {
-            if r.fact == curr_fact && r.interval.start() == win_ts {
+            if r.fact == *curr_fact && r.interval.start() == win_ts {
                 debug_assert!(self.r_valid.is_none(), "duplicate-free input violated");
                 self.r_valid = Some(r);
                 self.ri += 1;
             }
         }
         if let Some(s) = self.s_head() {
-            if s.fact == curr_fact && s.interval.start() == win_ts {
+            if s.fact == *curr_fact && s.interval.start() == win_ts {
                 debug_assert!(self.s_valid.is_none(), "duplicate-free input violated");
                 self.s_valid = Some(s);
                 self.si += 1;
@@ -178,12 +179,12 @@ impl<'a> Iterator for Lawa<'a> {
             win_te = win_te.min(t.interval.end());
         }
         if let Some(r) = self.r_head() {
-            if r.fact == curr_fact {
+            if r.fact == *curr_fact {
                 win_te = win_te.min(r.interval.start());
             }
         }
         if let Some(s) = self.s_head() {
-            if s.fact == curr_fact {
+            if s.fact == *curr_fact {
                 win_te = win_te.min(s.interval.start());
             }
         }
@@ -194,7 +195,7 @@ impl<'a> Iterator for Lawa<'a> {
 
         // --- Emit the window (lines 22-25). ---
         let window = LineageAwareWindow {
-            fact: curr_fact,
+            fact: curr_fact.clone(),
             interval: Interval::at(win_ts, win_te),
             lambda_r: self.r_valid.map(|t| t.lineage),
             lambda_s: self.s_valid.map(|t| t.lineage),
@@ -253,20 +254,33 @@ pub fn split_at_watermark(
     let mut closed = Vec::new();
     let mut residual = Vec::new();
     for t in tuples {
-        if t.interval.end() <= w {
-            closed.push(t);
-        } else if t.interval.start() >= w {
-            residual.push(t);
-        } else {
-            let mut head = t.clone();
-            head.interval = Interval::at(t.interval.start(), w);
-            closed.push(head);
-            let mut tail = t;
-            tail.interval = Interval::at(w, tail.interval.end());
-            residual.push(tail);
-        }
+        split_tuple_at_watermark(t, w, &mut closed, &mut residual);
     }
     (closed, residual)
+}
+
+/// [`split_at_watermark`] for one tuple, appending to caller-owned lists:
+/// the tuple moves into `closed` or `residual` whole, or — crossing `w` —
+/// leaves its head `[Ts, w)` in `closed` and moves on, clipped to
+/// `[w, Te)`, into `residual` (same fact, same lineage handle). The
+/// streaming engine splits its carried residuals through this, into lists
+/// it keeps across advances.
+pub fn split_tuple_at_watermark(
+    mut t: TpTuple,
+    w: TimePoint,
+    closed: &mut Vec<TpTuple>,
+    residual: &mut Vec<TpTuple>,
+) {
+    if t.interval.end() <= w {
+        closed.push(t);
+    } else if t.interval.start() >= w {
+        residual.push(t);
+    } else {
+        let head = Interval::at(t.interval.start(), w);
+        closed.push(TpTuple::new(t.fact.clone(), t.lineage, head));
+        t.interval = Interval::at(w, t.interval.end());
+        residual.push(t);
+    }
 }
 
 /// A plan of `N` strictly increasing time cuts partitioning a closed sweep

@@ -19,16 +19,33 @@
 //! [`StreamEngine::advance`] finalizes the region `[prev_w, w)`:
 //!
 //! 1. tuples with `Ts < w` are released from the ingest buffers;
-//! 2. tuples crossing `w` are split by
+//! 2. tuples crossing `w` are split where they stand, by the rule of
 //!    [`tp_core::window::split_at_watermark`] — the prefix joins this
 //!    sweep, the residual (same lineage handle) re-enters the next one;
 //! 3. one [`Lawa`] sweep runs over the released prefix, and each window is
 //!    fed through the λ-filter/λ-function of **all three** operations
 //!    (Alg. 2–4) at once — three result streams for the price of one sweep;
-//! 4. output tuples adjacent to the previous advance's final tuple of the
-//!    same fact with the *identical* lineage handle (an O(1) compare, the
-//!    arena's gift) are emitted as [`Delta::Extend`], everything else as
-//!    [`Delta::Insert`].
+//! 4. every window goes through its fact's **open-window record**: the
+//!    `(λr, λs)` pair of the fact's latest window, the output lineages the
+//!    λ-functions derived from it, and where each op's latest output tuple
+//!    ends. The output lineages are a function of the pair alone, so a
+//!    window that repeats the pair takes them from the record and interns
+//!    nothing — by change preservation (Def. 2) a genuine window boundary
+//!    changes at least one of the two handles, so these are exactly the
+//!    windows a watermark cut out of a longer one. Any other window runs
+//!    the λ-functions and refreshes the record. An output adjacent to the
+//!    op's previous tuple of the fact with the *identical* lineage handle
+//!    (an O(1) compare, the arena's gift) is emitted as
+//!    [`Delta::Extend`], everything else as [`Delta::Insert`].
+//!
+//! A recorded lineage is reused only while interning the same node would
+//! still return it, i.e. while every handle the derivation touches sits in
+//! a live segment ([`LineageArena::is_live`], O(1)): once reclamation
+//! retired one, the window derives afresh and is emitted as it would be
+//! without the record, so delta logs do not depend on it. The record makes
+//! a re-swept piece cheap; it does not stop a long-lived tuple from being
+//! released, split and swept once per advance it spans
+//! (`released_per_arrival` is unchanged).
 //!
 //! With [`EngineConfig::parallel`] a single advance's sweep is **sharded
 //! over worker threads by timeline region**: the closed span is cut at
@@ -37,8 +54,11 @@
 //! and the coordinating thread stitches the streams back — byte-identical
 //! to the sequential sweep by construction (the artificial cuts re-join on
 //! an O(1) λ-handle compare, the same argument as step 2's watermark
-//! split). Steps 1, 4 and all seal/retire bookkeeping stay on the
-//! coordinating thread.
+//! split). Workers cannot see the open-window records, so they derive
+//! every window's lineages themselves; the coordinating thread feeds the
+//! stitched stream through step 4 with those lineages, which refreshes the
+//! records a later sequential advance continues from. Steps 1, 4 and all
+//! seal/retire bookkeeping stay on the coordinating thread.
 //!
 //! With [`EngineConfig::verify_batch`] the engine additionally re-runs
 //! batch LAWA over the entire closed region after every advance and asserts
@@ -67,7 +87,9 @@ use tp_core::lineage::Lineage;
 use tp_core::ops::{self, SetOp};
 use tp_core::relation::{TpRelation, VarEpoch, VarTable};
 use tp_core::tuple::TpTuple;
-use tp_core::window::{split_at_watermark, Lawa, LineageAwareWindow, RegionPlan};
+use tp_core::window::{
+    split_at_watermark, split_tuple_at_watermark, Lawa, LineageAwareWindow, RegionPlan,
+};
 
 use crate::delta::{op_index, CollectingSink, Delta, StreamSink};
 use crate::gapped::{merge_by_sort_key, GappedBuffer, IndexEpochStats};
@@ -324,6 +346,10 @@ pub struct AdvanceStats {
     pub watermark: TimePoint,
     /// LAWA windows swept in this advance.
     pub windows: usize,
+    /// Of those, windows whose output lineages were served from the fact's
+    /// open-window record — the window repeated the record's `(λr, λs)`
+    /// pair, so nothing was interned. The rest ran the λ-functions.
+    pub continued_windows: usize,
     /// `Insert` deltas emitted (all ops).
     pub inserts: u64,
     /// `Extend` deltas emitted (all ops).
@@ -452,10 +478,128 @@ impl IngestBuffer {
     }
 }
 
-/// The open right edge of the latest output tuple of one fact (per op).
-struct Tail {
-    end: TimePoint,
-    lineage: Lineage,
+/// Capacity of per-op arrays ([`SetOp`] has three members), indexed by
+/// [`op_index`].
+const OP_SLOTS: usize = 3;
+
+/// Everything the λ-filters/λ-functions of Algorithms 2–4 derive from one
+/// window's `(λr, λs)` pair.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Derived {
+    /// The output lineage per op ([`op_index`] order); `None` where the
+    /// op's λ-filter rejects the window or the op is not maintained.
+    ops: [Option<Lineage>; OP_SLOTS],
+    /// `¬λs`, the intermediate node Table I's `andNot` interns — the one
+    /// handle a derivation touches that is not itself an output.
+    not_s: Option<Lineage>,
+}
+
+impl Derived {
+    /// Runs the λ-functions (Table I `or` / `and` / `andNot`) of `ops`
+    /// over one pair — the single implementation of the per-op semantics,
+    /// shared by the sequential sweep and the region workers.
+    fn of(ops: &[SetOp], lr: Option<&Lineage>, ls: Option<&Lineage>) -> Derived {
+        let mut d = Derived::default();
+        for &op in ops {
+            d.ops[op_index(op)] = match op {
+                SetOp::Union => Lineage::or_opt(lr, ls),
+                SetOp::Intersect => lr.zip(ls).map(|(lr, ls)| Lineage::and(lr, ls)),
+                // `Lineage::and_not`, keeping hold of the negation.
+                SetOp::Except => lr.map(|lr| match ls {
+                    None => *lr,
+                    Some(ls) => Lineage::and(lr, d.not_s.insert(ls.negate())),
+                }),
+            };
+        }
+        d
+    }
+
+    /// Whether re-running [`Derived::of`] on the same pair would return
+    /// exactly these handles: interning answers a dedup hit with the stored
+    /// handle iff its segment is live ([`LineageArena::is_live`]), so that
+    /// must hold for every node the derivation touches.
+    fn still_current(&self, arena: &LineageArena) -> bool {
+        // Handles derived together usually share a segment: probe each
+        // segment once.
+        let mut live = None;
+        self.ops.iter().chain([&self.not_s]).flatten().all(|l| {
+            let r = l.node_ref();
+            live == Some(r.segment()) || {
+                live = Some(r.segment());
+                arena.is_live(r)
+            }
+        })
+    }
+}
+
+/// The open-window record of one fact: its latest window's `(λr, λs)`
+/// pair, what the maintained ops derived from it, and where each op's
+/// latest output tuple ends. One lookup per window answers both "are the
+/// output lineages already known?" (the window repeats the pair — it was
+/// only cut by a watermark, Def. 2) and "does the output continue the
+/// previous tuple?" (`Extend` vs `Insert`).
+struct OpenWindow {
+    lambda_r: Option<Lineage>,
+    lambda_s: Option<Lineage>,
+    derived: Derived,
+    /// Per op: the right edge of its latest output tuple. An edge equal to
+    /// the next window's start was written by the record's own window
+    /// (windows of a fact never overlap), so that tuple's lineage is
+    /// `derived.ops[op]` — no separate tail handle is kept.
+    ends: [TimePoint; OP_SLOTS],
+}
+
+/// What [`OpenWindow::step`] resolved for one window.
+struct WindowStep {
+    /// Per op ([`op_index`] order): the output lineage and whether the
+    /// output extends the op's previous output tuple of the fact; `None`
+    /// where the op emits nothing for the window.
+    outputs: [Option<(Lineage, bool)>; OP_SLOTS],
+    /// The lineages came from the record (nothing was interned).
+    memo_hit: bool,
+}
+
+impl OpenWindow {
+    /// The record of a fact not seen yet: no real window has the
+    /// `(null, null)` pair, so the first one always derives.
+    fn new() -> OpenWindow {
+        OpenWindow {
+            lambda_r: None,
+            lambda_s: None,
+            derived: Derived::default(),
+            ends: [TimePoint::MIN; OP_SLOTS],
+        }
+    }
+
+    /// Moves the record to window `w`. `swept` carries lineages a region
+    /// worker already derived for `w` (workers cannot see the record);
+    /// without it the record's own are reused when `w` repeats the pair
+    /// and they are [`Derived::still_current`], else derived afresh.
+    fn step(
+        &mut self,
+        w: &LineageAwareWindow,
+        ops: &[SetOp],
+        swept: Option<Derived>,
+    ) -> WindowStep {
+        let previous = self.derived;
+        let memo_hit = swept.is_none()
+            && self.lambda_r == w.lambda_r
+            && self.lambda_s == w.lambda_s
+            && LineageArena::with_current(|a| previous.still_current(a));
+        if !memo_hit {
+            self.lambda_r = w.lambda_r;
+            self.lambda_s = w.lambda_s;
+            self.derived =
+                swept.unwrap_or_else(|| Derived::of(ops, w.lambda_r.as_ref(), w.lambda_s.as_ref()));
+        }
+        let outputs = std::array::from_fn(|i| {
+            let lineage = self.derived.ops[i]?;
+            let continues = self.ends[i] == w.interval.start() && previous.ops[i] == Some(lineage);
+            self.ends[i] = w.interval.end();
+            Some((lineage, continues))
+        });
+        WindowStep { outputs, memo_hit }
+    }
 }
 
 /// The continuous engine. See the module docs for the model.
@@ -469,14 +613,21 @@ pub struct StreamEngine {
     /// Residuals of tuples split at the previous watermark (start ==
     /// watermark, original lineage).
     carry: [Vec<TpTuple>; 2],
+    /// The emptied carry list of the side released last: the next release
+    /// writes its residuals here and the two swap, so a steady stream
+    /// reallocates neither.
+    carry_spare: Vec<TpTuple>,
+    /// The closed pieces of the running advance (cleared, not
+    /// reallocated, between advances).
+    ready: [Vec<TpTuple>; 2],
     late: [u64; 2],
-    /// Per op: the extendable right edge per fact.
-    tails: [FastMap<Fact, Tail>; 3],
-    /// Prune the tail maps (drop entries provably dead under the
-    /// watermark) when their combined size crosses this mark — amortized
-    /// O(1) per emitted tuple, bounding memory by *live* facts instead of
-    /// all facts ever seen.
-    tails_prune_at: usize,
+    /// The open-window record per fact; see [`OpenWindow`].
+    open: FastMap<Fact, OpenWindow>,
+    /// Prune the record map (drop entries provably dead under the
+    /// watermark) when its size crosses this mark — amortized O(1) per
+    /// window, bounding memory by *live* facts instead of all facts ever
+    /// seen.
+    open_prune_at: usize,
     /// Accepted originals, kept only under `verify_batch`.
     accepted: [Vec<TpTuple>; 2],
     /// A real [`CollectingSink`] shadowing every delta under
@@ -538,9 +689,11 @@ impl StreamEngine {
             event_high: TimePoint::MIN,
             pending,
             carry: [Vec::new(), Vec::new()],
+            carry_spare: Vec::new(),
+            ready: [Vec::new(), Vec::new()],
             late: [0, 0],
-            tails: Default::default(),
-            tails_prune_at: 1024,
+            open: FastMap::default(),
+            open_prune_at: 1024,
             accepted: [Vec::new(), Vec::new()],
             verify_mirror,
             arena,
@@ -710,7 +863,10 @@ impl StreamEngine {
     /// In reclaim mode the tuple's lineage is translated into the engine's
     /// private arena (refs are arena-relative): the formula is read in the
     /// caller's arena and re-interned inside — O(|λ|), which is O(1) for
-    /// the atomic lineage of base tuples.
+    /// the atomic lineage of base tuples. A caller already inside the
+    /// engine's arena ([`StreamEngine::enter_arena`], the
+    /// `StreamServer::push_row` discipline) hands over the engine's own
+    /// handle, and nothing is translated.
     pub fn push(&mut self, side: Side, tuple: TpTuple) -> IngestOutcome {
         if tuple.interval.start() < self.watermark {
             self.late[side.idx()] += 1;
@@ -720,12 +876,14 @@ impl StreamEngine {
             return IngestOutcome::Late;
         }
         let tuple = match &self.arena {
-            Some(arena) => {
+            Some(arena)
+                if !LineageArena::with_current(|cur| std::ptr::eq(cur, Arc::as_ptr(arena))) =>
+            {
                 let tree = tuple.lineage.to_tree(); // caller's arena
                 let _scope = LineageArena::enter(arena);
                 TpTuple::new(tuple.fact, Lineage::from_tree(&tree), tuple.interval)
             }
-            None => tuple,
+            _ => tuple,
         };
         self.event_high = self.event_high.max(tuple.interval.start());
         if self.cfg.verify_batch {
@@ -795,33 +953,39 @@ impl StreamEngine {
         // neither sweep path sorts at all. The drain also hands back the
         // ts-ordered start points, which the planner turns into exact
         // balanced cuts (no sampling pass).
+        //
+        // Either way a released tuple is split where it stands
+        // ([`split_tuple_at_watermark`]): it moves into `ready` or,
+        // clipped, into the next carry list — no intermediate
+        // closed/residual lists.
         let prev_w = self.watermark;
-        let mut ready: [Vec<TpTuple>; 2] = [Vec::new(), Vec::new()];
-        // Ts-sorted start points of the closed pieces (index mode only),
-        // for exact region planning.
+        let mut ready = std::mem::take(&mut self.ready);
+        // Ts-sorted start points of the closed pieces (index mode, and
+        // only when a region planner will read them).
         let mut cut_starts: Option<[Vec<TimePoint>; 2]> = None;
         match self.cfg.buffer {
             BufferKind::Legacy => {
-                for (side, ready_slot) in ready.iter_mut().enumerate() {
-                    let mut released: Vec<TpTuple> = std::mem::take(&mut self.carry[side]);
+                for (side, ready) in ready.iter_mut().enumerate() {
+                    let mut carry = std::mem::take(&mut self.carry_spare);
+                    stats.released[side] = self.carry[side].len();
+                    for t in self.carry[side].drain(..) {
+                        split_tuple_at_watermark(t, to, ready, &mut carry);
+                    }
                     let IngestBuffer::Legacy(pending) = &mut self.pending[side] else {
                         unreachable!("legacy engines hold legacy buffers");
                     };
-                    let pending = std::mem::take(pending);
                     let mut keep = Vec::with_capacity(pending.len());
-                    for t in pending {
+                    for t in pending.drain(..) {
                         if t.interval.start() < to {
-                            released.push(t);
+                            stats.released[side] += 1;
+                            split_tuple_at_watermark(t, to, ready, &mut carry);
                         } else {
                             keep.push(t);
                         }
                     }
-                    self.pending[side] = IngestBuffer::Legacy(keep);
-                    stats.released[side] = released.len();
-                    let (closed, residual) = split_at_watermark(released, to);
-                    stats.carried[side] = residual.len();
-                    self.carry[side] = residual;
-                    *ready_slot = closed;
+                    *pending = keep;
+                    stats.carried[side] = carry.len();
+                    self.carry_spare = std::mem::replace(&mut self.carry[side], carry);
                 }
             }
             BufferKind::Sorted => {
@@ -829,8 +993,12 @@ impl StreamEngine {
                 let (occ, _) = self.index_stats();
                 stats.gap_occupancy_permille = occ;
                 let mut epoch = IndexEpochStats::default();
-                let mut starts: [Vec<TimePoint>; 2] = [Vec::new(), Vec::new()];
-                for (side, ready_slot) in ready.iter_mut().enumerate() {
+                let mut starts = self
+                    .cfg
+                    .parallel
+                    .is_some()
+                    .then(|| [Vec::new(), Vec::new()]);
+                for (side, ready) in ready.iter_mut().enumerate() {
                     let IngestBuffer::Sorted(buf) = &mut self.pending[side] else {
                         unreachable!("index engines hold gapped buffers");
                     };
@@ -839,24 +1007,27 @@ impl StreamEngine {
                     // Carried residuals all start exactly at the previous
                     // watermark (they are split residuals of drained
                     // pieces), so they precede every drained start.
-                    let carry_prev = std::mem::take(&mut self.carry[side]);
-                    stats.released[side] = carry_prev.len() + drained.tuples.len();
-                    starts[side] = Vec::with_capacity(carry_prev.len() + drained.starts.len());
-                    starts[side].extend(std::iter::repeat_n(prev_w, carry_prev.len()));
-                    starts[side].extend_from_slice(&drained.starts);
-                    let (carry_closed, carry_res) = split_at_watermark(carry_prev, to);
-                    let (drain_closed, drain_res) = split_at_watermark(drained.tuples, to);
-                    stats.carried[side] = carry_res.len() + drain_res.len();
-                    // Both residual lists are `(F, Ts)`-sorted (order-
-                    // preserving split of sorted inputs); the merge keeps
-                    // the carry invariant for the next advance.
-                    self.carry[side] = merge_by_sort_key(carry_res, drain_res);
-                    *ready_slot = merge_by_sort_key(carry_closed, drain_closed);
+                    let carried = self.carry[side].len();
+                    stats.released[side] = carried + drained.tuples.len();
+                    if let Some(starts) = starts.as_mut() {
+                        starts[side] = Vec::with_capacity(stats.released[side]);
+                        starts[side].extend(std::iter::repeat_n(prev_w, carried));
+                        starts[side].extend_from_slice(&drained.starts);
+                    }
+                    // Both inputs are `(F, Ts)`-sorted and the split keeps
+                    // their merged order, so `ready` needs no sort and the
+                    // carry invariant holds for the next advance.
+                    let mut carry = std::mem::take(&mut self.carry_spare);
+                    for t in merge_by_sort_key(self.carry[side].drain(..), drained.tuples) {
+                        split_tuple_at_watermark(t, to, ready, &mut carry);
+                    }
+                    stats.carried[side] = carry.len();
+                    self.carry_spare = std::mem::replace(&mut self.carry[side], carry);
                 }
                 stats.index_retrains = epoch.retrains;
                 stats.index_model_misses = epoch.model_misses;
                 stats.shift_distance_p99 = epoch.shift_p99();
-                cut_starts = Some(starts);
+                cut_starts = starts;
             }
         }
         let presorted = self.cfg.buffer == BufferKind::Sorted;
@@ -865,8 +1036,7 @@ impl StreamEngine {
         // One sweep, all ops. The sweep is either sequential or sharded
         // over worker threads by timeline region (`ParallelConfig`); both
         // feed the same window stream — stitched back to byte-identity in
-        // the parallel case — through the same per-op emit stage below
-        // (indexed loops: `emit` needs `&mut self`).
+        // the parallel case — through the same `emit_window` below.
         let plan = self.region_plan(&ready, cut_starts.as_ref());
         stages.stage(
             STAGE_PLAN,
@@ -887,14 +1057,7 @@ impl StreamEngine {
                 stats.region_max_tuples = stats.region_tuples;
                 let [ready_r, ready_s] = &ready;
                 for w in Lawa::new(ready_r, ready_s) {
-                    stats.windows += 1;
-                    for oi in 0..self.cfg.ops.len() {
-                        let op = self.cfg.ops[oi];
-                        if let Some(lineage) = op_lineage(op, &w) {
-                            let t = TpTuple::new(w.fact.clone(), lineage, w.interval);
-                            self.emit(op, t, sink, &mut stats);
-                        }
-                    }
+                    self.emit_window(w, None, sink, &mut stats);
                 }
             }
             Some(plan) => {
@@ -909,16 +1072,8 @@ impl StreamEngine {
                     obs.as_deref(),
                 );
                 let emit_t0 = obs.as_ref().map(|_| crate::obs::now_ns());
-                for (w, lineages) in swept {
-                    stats.windows += 1;
-                    let slots = lineages.into_iter().take(self.cfg.ops.len());
-                    for (oi, lineage) in slots.enumerate() {
-                        if let Some(lineage) = lineage {
-                            let op = self.cfg.ops[oi];
-                            let t = TpTuple::new(w.fact.clone(), lineage, w.interval);
-                            self.emit(op, t, sink, &mut stats);
-                        }
-                    }
+                for (w, derived) in swept {
+                    self.emit_window(w, Some(derived), sink, &mut stats);
                 }
                 if let (Some(o), Some(t0)) = (obs.as_deref(), emit_t0) {
                     o.sub_span(
@@ -930,21 +1085,24 @@ impl StreamEngine {
                 }
             }
         }
+        for side in ready.iter_mut() {
+            side.clear();
+        }
+        self.ready = ready;
         stages.stage(STAGE_SWEEP, stats.region_tuples as u64);
 
         self.watermark = to;
-        // A tail can only be matched by a future output starting exactly
-        // at its end, and every future output lies at or above the
-        // watermark: entries ending below it are dead. Prune with
-        // doubling amortization so the maps track *live* facts, not every
-        // fact ever emitted.
-        let total: usize = self.tails.iter().map(|m| m.len()).sum();
-        if total > self.tails_prune_at {
-            for m in &mut self.tails {
-                m.retain(|_, tail| tail.end >= to);
-            }
-            let live: usize = self.tails.iter().map(|m| m.len()).sum();
-            self.tails_prune_at = (2 * live).max(1024);
+        // A record can only be matched by a future window starting exactly
+        // at one of its edges, and every future window lies at or above
+        // the watermark: records whose every edge is below it are dead
+        // (the newest edge is the record's window end whenever an op
+        // emitted, so a memo a cut window could reuse is never dropped).
+        // Prune with doubling amortization so the map tracks *live*
+        // facts, not every fact ever emitted.
+        if self.open.len() > self.open_prune_at {
+            self.open
+                .retain(|_, rec| rec.ends.iter().any(|&end| end >= to));
+            self.open_prune_at = (2 * self.open.len()).max(1024);
         }
         // One propagation pass of the standing pipeline, still inside the
         // arena scope and before the sink observes the watermark, so a
@@ -991,10 +1149,10 @@ impl StreamEngine {
     /// **wherever they sit** in the seal order — a long-lived fact pins
     /// its own segments only, not every later one; `interior: false`
     /// restores the prefix-ordered schedule (retirement stops at the
-    /// first kept segment). Tail entries are deliberately *not* part of
-    /// the frontier: they are only ever ref-compared, never dereferenced,
-    /// and a tail whose segment died cannot be continued anyway (its
-    /// residual would have kept the segment alive).
+    /// first kept segment). The open-window records are deliberately
+    /// *not* part of the frontier: their handles are only ever
+    /// ref-compared and liveness-probed, never dereferenced, and a record
+    /// whose segment died derives afresh ([`Derived::still_current`]).
     fn reclaim_dead_segments(&mut self, sink: &mut impl StreamSink, stats: &mut AdvanceStats) {
         let rc = self.cfg.reclaim.clone().expect("reclaim mode");
         let arena = Arc::clone(self.arena.as_ref().expect("reclaim implies arena"));
@@ -1105,11 +1263,6 @@ impl StreamEngine {
         starts: Option<&[Vec<TimePoint>; 2]>,
     ) -> Option<RegionPlan> {
         let pc = self.cfg.parallel.as_ref()?;
-        // The per-window lineage array is fixed-size (SetOp has three
-        // members); exotic op lists fall back to the sequential sweep.
-        if self.cfg.ops.len() > OP_SLOTS {
-            return None;
-        }
         if let Some(cuts) = &pc.cuts {
             return Some(RegionPlan::from_cuts(cuts.clone()));
         }
@@ -1177,48 +1330,55 @@ impl StreamEngine {
         }
     }
 
-    /// Emits one output tuple as an `Extend` (when it continues the fact's
-    /// previous output tuple with the identical lineage handle — the
-    /// artificial watermark cut) or as an `Insert`.
-    fn emit(
+    /// Emits one window's output tuples, per maintained op, through the
+    /// fact's open-window record ([`OpenWindow::step`]): an `Extend` when
+    /// the tuple continues the op's previous output tuple of the fact with
+    /// the identical lineage handle — the artificial watermark cut — or an
+    /// `Insert`. The one emission path of both sweeps: `swept` is `None`
+    /// from the sequential loop and the worker-derived lineages from the
+    /// region-parallel coordinator.
+    fn emit_window(
         &mut self,
-        op: SetOp,
-        t: TpTuple,
+        w: LineageAwareWindow,
+        swept: Option<Derived>,
         sink: &mut impl StreamSink,
         stats: &mut AdvanceStats,
     ) {
-        let idx = op_index(op);
-        let delta = match self.tails[idx].get_mut(&t.fact) {
-            Some(tail) if tail.end == t.interval.start() && tail.lineage == t.lineage => {
-                let from = tail.end;
-                tail.end = t.interval.end();
-                stats.extends += 1;
-                Delta::Extend {
-                    fact: t.fact.clone(),
-                    lineage: t.lineage,
-                    from,
-                    to: t.interval.end(),
-                }
-            }
-            _ => {
-                self.tails[idx].insert(
-                    t.fact.clone(),
-                    Tail {
-                        end: t.interval.end(),
-                        lineage: t.lineage,
-                    },
-                );
-                stats.inserts += 1;
-                Delta::Insert(t)
+        let step = match self.open.get_mut(&w.fact) {
+            Some(rec) => rec.step(&w, &self.cfg.ops, swept),
+            None => {
+                let mut rec = OpenWindow::new();
+                let step = rec.step(&w, &self.cfg.ops, swept);
+                self.open.insert(w.fact.clone(), rec);
+                step
             }
         };
-        if let Some(mirror) = self.verify_mirror.as_mut() {
-            mirror.on_delta(op, &delta);
+        stats.windows += 1;
+        stats.continued_windows += usize::from(step.memo_hit);
+        for &op in &self.cfg.ops {
+            let Some((lineage, continues)) = step.outputs[op_index(op)] else {
+                continue;
+            };
+            let delta = if continues {
+                stats.extends += 1;
+                Delta::Extend {
+                    fact: w.fact.clone(),
+                    lineage,
+                    from: w.interval.start(),
+                    to: w.interval.end(),
+                }
+            } else {
+                stats.inserts += 1;
+                Delta::Insert(TpTuple::new(w.fact.clone(), lineage, w.interval))
+            };
+            if let Some(mirror) = self.verify_mirror.as_mut() {
+                mirror.on_delta(op, &delta);
+            }
+            if let Some(p) = self.pipeline.as_mut() {
+                p.offer(op, &delta);
+            }
+            sink.on_delta(op, &delta);
         }
-        if let Some(p) = self.pipeline.as_mut() {
-            p.offer(op, &delta);
-        }
-        sink.on_delta(op, &delta);
     }
 
     /// Batch cross-check: for every maintained op, batch LAWA over all
@@ -1248,32 +1408,9 @@ impl StreamEngine {
     }
 }
 
-/// Capacity of the per-window op-lineage array ([`SetOp`] has three
-/// members).
-const OP_SLOTS: usize = 3;
-
-/// Per-window op lineages, aligned with `EngineConfig::ops`.
-type OpLineages = [Option<Lineage>; OP_SLOTS];
 /// One region's annotated window stream, as produced by a sub-sweep and
 /// consumed by the pairwise stitch reduction.
-type RegionStream = Vec<(LineageAwareWindow, OpLineages)>;
-
-/// The λ-filter/λ-function of Algorithms 2–4 for one window — shared by
-/// the sequential sweep loop and the region workers, so there is exactly
-/// one implementation of the per-op semantics.
-fn op_lineage(op: SetOp, w: &LineageAwareWindow) -> Option<Lineage> {
-    match op {
-        SetOp::Union => Lineage::or_opt(w.lambda_r.as_ref(), w.lambda_s.as_ref()),
-        SetOp::Intersect => match (&w.lambda_r, &w.lambda_s) {
-            (Some(lr), Some(ls)) => Some(Lineage::and(lr, ls)),
-            _ => None,
-        },
-        SetOp::Except => w
-            .lambda_r
-            .as_ref()
-            .map(|lr| Lineage::and_not(lr, w.lambda_s.as_ref())),
-    }
-}
+type RegionStream = Vec<(LineageAwareWindow, Derived)>;
 
 /// Fans the per-region LAWA sub-sweeps over at most `workers` scoped
 /// threads (contiguous region blocks, so a pinned plan with more regions
@@ -1298,7 +1435,7 @@ fn sweep_regions(
     presorted: bool,
     stats: &mut AdvanceStats,
     obs: Option<&EngineObs>,
-) -> Vec<(LineageAwareWindow, OpLineages)> {
+) -> RegionStream {
     let r_regions = plan.partition(&ready[0]);
     let s_regions = plan.partition(&ready[1]);
     stats.regions_used = plan.regions();
@@ -1325,7 +1462,7 @@ fn sweep_regions(
     // propagate it so every op lineage lands in the engine's arena.
     let arena = LineageArena::current_shared();
     let span_ctx = obs.map(|o| o.ctx);
-    let per_region: Vec<Vec<(LineageAwareWindow, OpLineages)>> = std::thread::scope(|scope| {
+    let per_region: Vec<RegionStream> = std::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
             .map(|block| {
@@ -1343,11 +1480,9 @@ fn sweep_regions(
                             }
                             Lawa::new(&r_i, &s_i)
                                 .map(|w| {
-                                    let mut lineages: OpLineages = [None; OP_SLOTS];
-                                    for (oi, &op) in ops.iter().enumerate() {
-                                        lineages[oi] = op_lineage(op, &w);
-                                    }
-                                    (w, lineages)
+                                    let derived =
+                                        Derived::of(ops, w.lambda_r.as_ref(), w.lambda_s.as_ref());
+                                    (w, derived)
                                 })
                                 .collect::<Vec<_>>()
                         })

@@ -761,33 +761,20 @@ fn regroup_fact_major(ts_order: Vec<TpTuple>) -> Vec<TpTuple> {
     out
 }
 
-/// Merges two `(F, Ts)` sort-key-ordered tuple lists into one. The engine
-/// uses it to join the carried residuals (fact-ordered, all starting at
-/// the previous watermark) with a drained prefix — O(n), no sort.
-pub(crate) fn merge_by_sort_key(a: Vec<TpTuple>, b: Vec<TpTuple>) -> Vec<TpTuple> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if x.sort_key() <= y.sort_key() {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
+/// Merges two `(F, Ts)` sort-key-ordered tuple streams into one (ties take
+/// `a` first). The engine uses it to join the carried residuals
+/// (fact-ordered, all starting at the previous watermark) with a drained
+/// prefix — O(n), no sort, no intermediate list.
+pub(crate) fn merge_by_sort_key(
+    a: impl IntoIterator<Item = TpTuple>,
+    b: impl IntoIterator<Item = TpTuple>,
+) -> impl Iterator<Item = TpTuple> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x.sort_key() <= y.sort_key() => a.next(),
+        (Some(_), None) => a.next(),
+        _ => b.next(),
+    })
 }
 
 #[cfg(test)]
@@ -962,7 +949,7 @@ mod tests {
         let mut vars = VarTable::new();
         let a = vec![tuple(&mut vars, 1, 0, 2), tuple(&mut vars, 3, 5, 6)];
         let b = vec![tuple(&mut vars, 1, 3, 4), tuple(&mut vars, 2, 0, 1)];
-        let merged = merge_by_sort_key(a.clone(), b.clone());
+        let merged: Vec<TpTuple> = merge_by_sort_key(a.clone(), b.clone()).collect();
         let mut reference = [a, b].concat();
         reference.sort_by(|x, y| x.sort_key().cmp(&y.sort_key()));
         assert_eq!(merged, reference);

@@ -13,7 +13,7 @@
 //! | `drain`      | buffer release, watermark split, carry merge |
 //! | `plan`       | region planning ([`RegionPlan`](tp_core::window::RegionPlan)) |
 //! | `sweep`      | the LAWA sweep (sequential or region-sharded) + delta emission |
-//! | `finalize`   | watermark publication, tail pruning, `on_watermark` |
+//! | `finalize`   | watermark publication, record pruning, `on_watermark` |
 //! | `seal_retire`| arena seal + dead-segment retirement (reclaim mode) |
 //! | `verify`     | the batch cross-check (`verify_batch` only) |
 //!
@@ -124,6 +124,7 @@ pub(crate) struct EngineObs {
     pub ctx: u32,
     advances: Arc<Counter>,
     windows: Arc<Counter>,
+    continuations: Arc<Counter>,
     inserts: Arc<Counter>,
     extends: Arc<Counter>,
     released: Arc<Counter>,
@@ -162,6 +163,7 @@ impl EngineObs {
             ctx: ctx_id(tenant.unwrap_or("engine")),
             advances: reg.counter("tp_advances_total", &labels),
             windows: reg.counter("tp_windows_total", &labels),
+            continuations: reg.counter("tp_window_continuations_total", &labels),
             inserts: reg.counter("tp_deltas_insert_total", &labels),
             extends: reg.counter("tp_deltas_extend_total", &labels),
             released: reg.counter("tp_released_tuples_total", &labels),
@@ -238,6 +240,7 @@ impl<'a> StageCursor<'a> {
         obs.advance_ns.record(dur);
         obs.advances.inc();
         obs.windows.add(stats.windows as u64);
+        obs.continuations.add(stats.continued_windows as u64);
         obs.inserts.add(stats.inserts);
         obs.extends.add(stats.extends);
         obs.released
@@ -278,7 +281,10 @@ pub fn valuate_batch(
 /// (each used to hand-format its own subset).
 pub fn advance_section(stats: &AdvanceStats) -> Section {
     Section::new(format!("advance → {}", stats.watermark))
-        .row("windows", stats.windows)
+        .row(
+            "windows",
+            format!("{} ({} continued)", stats.windows, stats.continued_windows),
+        )
         .row(
             "deltas",
             format!("{} inserts + {} extends", stats.inserts, stats.extends),

@@ -241,7 +241,74 @@ fn instrumented_replay_is_byte_identical_to_uninstrumented() {
                 > 0,
             "[{mode}] no advances counted in the private registry"
         );
+        // Continuations are a subset of the windows swept.
+        let counter = |name: &str| registry.counter(name, &[("tenant", tenant.as_str())]).get();
+        assert!(
+            counter("tp_window_continuations_total") <= counter("tp_windows_total"),
+            "[{mode}] more continuations than windows"
+        );
     }
+}
+
+/// Every window is either served from its fact's open-window record (a
+/// continuation) or runs the λ-functions: per advance and in the registry,
+/// hits + misses = windows. A long tuple swept by many watermarks is one
+/// miss followed by hits only.
+#[test]
+fn window_continuations_and_derivations_add_up_to_windows() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let tenant = "obs-test-continuations";
+    let mut vars = VarTable::new();
+    let mut engine = tp_stream::StreamEngine::new(EngineConfig {
+        obs: ObsConfig {
+            enabled: true,
+            tenant: Some(tenant.to_string()),
+            registry: Some(Arc::clone(&registry)),
+        },
+        ..Default::default()
+    });
+    let mut sink = MaterializingSink::new();
+    for (side, name) in [(Side::Left, "r"), (Side::Right, "s")] {
+        let id = vars.register(name, 0.5).unwrap();
+        engine.push(
+            side,
+            TpTuple::new("long", Lineage::var(id), Interval::at(0, 100)),
+        );
+    }
+    let (mut windows, mut hits, mut misses) = (0u64, 0u64, 0u64);
+    for w in (10..=100).step_by(10) {
+        // A short-lived fact per advance: always derived, never continued.
+        let id = vars.register(format!("short{w}"), 0.5).unwrap();
+        engine.push(
+            Side::Left,
+            TpTuple::new(
+                Fact::single(w),
+                Lineage::var(id),
+                Interval::at(w - 5, w - 2),
+            ),
+        );
+        let stats = engine.advance(w, &mut sink).unwrap();
+        assert!(stats.continued_windows <= stats.windows);
+        windows += stats.windows as u64;
+        hits += stats.continued_windows as u64;
+        misses += (stats.windows - stats.continued_windows) as u64;
+    }
+    assert_eq!(windows, 20, "the long fact and one short fact per advance");
+    assert_eq!(
+        (hits, misses),
+        (9, 11),
+        "first sight derives, cuts continue"
+    );
+    let counter = |name: &str| registry.counter(name, &[("tenant", tenant)]).get();
+    assert_eq!(counter("tp_windows_total"), windows);
+    assert_eq!(counter("tp_window_continuations_total"), hits);
+    assert_eq!(hits + misses, counter("tp_windows_total"));
+    // Continued windows are exactly the ones emitted as Extends here.
+    let extends = sink.deltas.iter().filter(|d| !d.insert).count() as u64;
+    assert_eq!(extends, hits * SetOp::ALL.len() as u64);
+    assert!(registry
+        .prometheus_text()
+        .contains("tp_window_continuations_total"));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ use common::{arb_raw_relation, build_relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tp_core::arena::{LineageArena, SegmentState};
+use std::collections::hash_map::Entry;
+use tp_core::arena::{FastMap, LineageArena, SegmentState};
+use tp_core::lineage::LineageTree;
 use tp_stream::{
     EngineConfig, MaterializingSink, ParallelConfig, ReclaimConfig, ReplayConfig, ReplayEvent,
     StreamEngine, StreamScript,
@@ -562,4 +564,231 @@ fn arena_stats_reflect_interior_holes() {
     // Retiring the prefix afterwards is NOT interior.
     let freed = arena.retire(SegmentId(0)).unwrap();
     assert!(!freed.interior, "segment 0 was the resident prefix");
+}
+
+// ---------------------------------------------------------------------------
+// The open-window record under reclamation: a memoised handle is served
+// only while interning would still return it.
+// ---------------------------------------------------------------------------
+
+/// A reference model of the engine's emission rule, run as a sink (so
+/// inside the engine's arena scope, at the moment each delta is emitted):
+///
+/// * the delta's lineage must be **exactly the handle the λ-function
+///   returns right now** — re-deriving it here from the input tuples valid
+///   over the window is a dedup hit on a correct engine (no arena state
+///   changes), and appends a fresh node — hence a mismatch — if the engine
+///   served a memoised handle whose segment was retired;
+/// * the delta is an `Extend` iff the previous output tuple of the same
+///   op and fact ends where this one starts and carries that same handle
+///   (one tail per op and fact, as the engine kept before the record).
+///
+/// Wraps a [`MaterializingSink`], which additionally expands every
+/// delta's lineage — a use-after-retire panics there.
+struct EmissionRuleSink {
+    /// Per side: fact → the base tuples' `(interval, variable)`.
+    inputs: [FastMap<Fact, Vec<(Interval, TupleId)>>; 2],
+    /// Per op and fact: the latest output tuple's end, handle and formula.
+    tails: FastMap<(SetOp, Fact), (TimePoint, Lineage, LineageTree)>,
+    log: MaterializingSink,
+    /// Inserts adjacent to their predecessor with the same *formula* but a
+    /// new handle: the continuation was re-derived after its segment
+    /// retired.
+    rederived_continuations: usize,
+}
+
+impl EmissionRuleSink {
+    fn new(w: &StreamWorkload) -> Self {
+        let index = |rel: &TpRelation| {
+            let mut by_fact: FastMap<Fact, Vec<(Interval, TupleId)>> = FastMap::default();
+            for t in rel.iter() {
+                let id = t.lineage.as_var().expect("base relation");
+                by_fact
+                    .entry(t.fact.clone())
+                    .or_default()
+                    .push((t.interval, id));
+            }
+            by_fact
+        };
+        EmissionRuleSink {
+            inputs: [index(&w.r), index(&w.s)],
+            tails: FastMap::default(),
+            log: MaterializingSink::new(),
+            rederived_continuations: 0,
+        }
+    }
+
+    /// The input lineage of `side` valid at `at`, interned in the current
+    /// (the engine's) arena — a dedup hit: the tuple is still buffered.
+    fn lambda(&self, side: usize, fact: &Fact, at: TimePoint) -> Option<Lineage> {
+        self.inputs[side]
+            .get(fact)?
+            .iter()
+            .find(|(iv, _)| iv.start() <= at && at < iv.end())
+            .map(|(_, id)| Lineage::var(*id))
+    }
+}
+
+impl tp_stream::StreamSink for EmissionRuleSink {
+    fn on_delta(&mut self, op: SetOp, delta: &tp_stream::Delta) {
+        let (fact, lineage, from, to, is_insert) = match delta {
+            tp_stream::Delta::Insert(t) => (
+                &t.fact,
+                t.lineage,
+                t.interval.start(),
+                t.interval.end(),
+                true,
+            ),
+            tp_stream::Delta::Extend {
+                fact,
+                lineage,
+                from,
+                to,
+            } => (fact, *lineage, *from, *to, false),
+        };
+        let (lr, ls) = (self.lambda(0, fact, from), self.lambda(1, fact, from));
+        let derived = match op {
+            SetOp::Union => Lineage::or_opt(lr.as_ref(), ls.as_ref()),
+            SetOp::Intersect => lr.zip(ls).map(|(lr, ls)| Lineage::and(&lr, &ls)),
+            SetOp::Except => lr.map(|lr| Lineage::and_not(&lr, ls.as_ref())),
+        };
+        assert_eq!(
+            Some(lineage),
+            derived,
+            "{op} {fact} [{from},{to}): emitted handle is not what the λ-function returns now"
+        );
+        let tail = self.tails.entry((op, fact.clone()));
+        let continues =
+            matches!(&tail, Entry::Occupied(t) if (t.get().0, t.get().1) == (from, lineage));
+        assert_eq!(
+            !is_insert, continues,
+            "{op} {fact} [{from},{to}): Extend iff the tail ends here with the same handle"
+        );
+        match tail {
+            Entry::Occupied(mut t) if continues => t.get_mut().0 = to,
+            Entry::Occupied(mut t) => {
+                let tree = lineage.to_tree();
+                if t.get().0 == from && t.get().2 == tree {
+                    self.rederived_continuations += 1;
+                }
+                t.insert((to, lineage, tree));
+            }
+            Entry::Vacant(v) => {
+                v.insert((to, lineage, lineage.to_tree()));
+            }
+        }
+        self.log.on_delta(op, delta);
+    }
+
+    fn on_retire(&mut self, seg: tp_core::arena::SegmentId) {
+        self.log.on_retire(seg);
+    }
+}
+
+/// Long-lived facts through a reclaiming engine, `interior` on and off,
+/// for many times `keep_epochs` advances: every continuation is either
+/// served from the open-window record or — once the memoised handle's
+/// segment retired — re-derived and emitted as the engine always did
+/// ([`EmissionRuleSink`]); nothing dereferences retired storage; the
+/// result equals batch; and live nodes plateau under interior
+/// reclamation.
+#[test]
+fn open_window_memo_never_outlives_its_segment() {
+    const KEEP_EPOCHS: usize = 2;
+    let mut vars = VarTable::new();
+    let immortal = immortal_facts_stream(
+        &ImmortalConfig {
+            epochs: 40,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    // WebKit-shaped: every file alive at every watermark, revisions back
+    // to back; arrivals run ahead of the watermark, so a tuple's first
+    // sweep interns its outputs in a later segment than its own variable.
+    let webkit = webkit_stream(
+        &WebkitConfig {
+            files: 24,
+            tuples: 600,
+            max_commit_size: 6,
+            max_commit_gap: 40,
+            seed: 11,
+        },
+        25,
+        &ReplayConfig {
+            lateness: 120,
+            advance_every: 12,
+            seed: 11,
+        },
+        &mut vars,
+    );
+    for (name, w) in [("immortal", &immortal), ("webkit", &webkit)] {
+        for interior in [true, false] {
+            let ctx = format!("{name}, interior={interior}");
+            let mut engine = StreamEngine::new(EngineConfig {
+                reclaim: Some(ReclaimConfig {
+                    keep_epochs: KEEP_EPOCHS,
+                    interior,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            });
+            let mut sink = EmissionRuleSink::new(w);
+            let mut live_nodes = Vec::new();
+            let (mut windows, mut continued) = (0usize, 0usize);
+            for event in &w.script.events {
+                match event {
+                    ReplayEvent::Arrive(side, t) => {
+                        engine.push(*side, t.clone());
+                    }
+                    ReplayEvent::Advance(wm) => {
+                        let stats = engine.advance(*wm, &mut sink).unwrap();
+                        windows += stats.windows;
+                        continued += stats.continued_windows;
+                        live_nodes.push(stats.arena_live_nodes as usize);
+                    }
+                }
+            }
+            engine.finish(&mut sink).unwrap();
+            assert!(
+                live_nodes.len() >= 3 * KEEP_EPOCHS,
+                "{ctx}: only {} advances",
+                live_nodes.len()
+            );
+            assert!(
+                continued > 0 && continued < windows,
+                "{ctx}: {continued} of {windows} windows continued — the run must mix hits and misses"
+            );
+            // A re-derived continuation leaves the output tuple split at
+            // that watermark: two adjacent pieces carrying one formula, a
+            // Def. 2 coalesce away from batch. Nothing else may differ,
+            // and every split is one the sink saw being re-derived.
+            let streamed = sink.log.replay();
+            let mut splits = 0;
+            for op in SetOp::ALL {
+                let pieces = streamed.relation(op);
+                let coalesced = pieces.coalesce();
+                splits += pieces.len() - coalesced.len();
+                common::oracle::assert_relation_equivalence(
+                    &coalesced,
+                    &apply(op, &w.r, &w.s),
+                    &vars,
+                    &format!("{ctx}: {op}"),
+                );
+            }
+            assert_eq!(splits, sink.rederived_continuations, "{ctx}");
+            if interior {
+                assert!(engine.reclaimed().0 > 0, "{ctx}: nothing retired");
+                // The first third covers the ramp-up (arrivals run
+                // `lateness` ahead before the first tuple is released).
+                common::oracle::assert_plateau(&live_nodes, live_nodes.len() / 3, 2.0, &ctx);
+            }
+            if name == "webkit" && interior {
+                assert!(
+                    sink.rederived_continuations > 0,
+                    "{ctx}: no memoised handle ever lost its segment — the stale-memo path is untested"
+                );
+            }
+        }
+    }
 }

@@ -425,3 +425,118 @@ fn index_cuts_dominate_sampled_cuts_on_skewed_stream() {
         avg(&legacy_bal)
     );
 }
+
+/// Advances that straddle `ParallelConfig::min_tuples`: thin advances
+/// sweep sequentially, fat ones shard by region, alternating on
+/// **long-lived facts** whose windows continue across every watermark.
+/// Both sweeps go through the same per-fact open-window record, so the
+/// delta log must be byte-identical to an all-sequential engine: a record
+/// the region-parallel coordinator failed to refresh would turn the next
+/// sequential advance's `Extend`s into `Insert`s (and vice versa).
+#[test]
+fn mixed_sequential_and_parallel_advances_share_the_open_window_record() {
+    const LONG_FACTS: i64 = 12;
+    const ADVANCES: i64 = 24;
+    const STRIDE: i64 = 20;
+    const MIN_TUPLES: usize = 40;
+    let mut vars = VarTable::new();
+    let mut var = |name: String| Lineage::var(vars.register(name, 0.5).unwrap());
+    // Long-lived facts: both sides alive at every watermark, the left side
+    // replaced once mid-run so the (λr, λs) pair changes under a
+    // continuing right tuple.
+    let horizon = ADVANCES * STRIDE;
+    let mut events: Vec<(i64, Side, TpTuple)> = Vec::new();
+    for f in 0..LONG_FACTS {
+        let fact = Fact::single(f);
+        let mid = horizon / 2 + f;
+        for (side, from, to) in [
+            (Side::Left, 0, mid),
+            (Side::Left, mid, horizon),
+            (Side::Right, 1, horizon + 1),
+        ] {
+            let lineage = var(format!("long{f}_{from}"));
+            events.push((
+                from,
+                side,
+                TpTuple::new(fact.clone(), lineage, Interval::at(from, to)),
+            ));
+        }
+    }
+    // A burst of short tuples inside every other stride makes that
+    // advance fat; the strides in between release only the carried
+    // residuals of the long-lived facts.
+    for a in (0..ADVANCES).step_by(2) {
+        for k in 0..30i64 {
+            let start = a * STRIDE + (k % (STRIDE - 4));
+            for (side, off) in [(Side::Left, 0), (Side::Right, 1)] {
+                let lineage = var(format!("burst{a}_{k}_{off}"));
+                let t = TpTuple::new(
+                    Fact::single(1_000 + k),
+                    lineage,
+                    Interval::at(start + off, start + off + 3),
+                );
+                events.push((start + off, side, t));
+            }
+        }
+    }
+    events.sort_by_key(|(start, ..)| *start);
+
+    let run = |parallel: Option<ParallelConfig>, reclaim: bool| {
+        let mut engine = StreamEngine::new(EngineConfig {
+            parallel,
+            reclaim: reclaim.then(|| ReclaimConfig {
+                keep_epochs: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        });
+        let mut sink = MaterializingSink::new();
+        let mut regions = Vec::new();
+        let mut pending = events.iter().peekable();
+        for a in 1..=ADVANCES {
+            let w = a * STRIDE;
+            while let Some((_, side, t)) = pending.next_if(|(start, ..)| *start < w) {
+                engine.push(*side, t.clone());
+            }
+            regions.push(engine.advance(w, &mut sink).unwrap().regions_used);
+        }
+        engine.finish(&mut sink).unwrap();
+        (sink, regions)
+    };
+    for reclaim in [false, true] {
+        let (sequential, seq_regions) = run(None, reclaim);
+        assert!(seq_regions.iter().all(|&r| r == 1));
+        let (mixed, regions) = run(
+            Some(ParallelConfig {
+                workers: 3,
+                min_tuples: MIN_TUPLES,
+                cuts: None,
+            }),
+            reclaim,
+        );
+        // The schedule really alternates between the two sweeps.
+        let switches = regions
+            .windows(2)
+            .filter(|p| (p[0] > 1) != (p[1] > 1))
+            .count();
+        assert!(
+            switches >= ADVANCES as usize / 2,
+            "advances did not straddle min_tuples: regions {regions:?}"
+        );
+        assert_delta_logs_identical(
+            &mixed,
+            &sequential,
+            &format!("mixed paths, reclaim={reclaim}"),
+        );
+        // Long-lived facts continue across the path switches: one Insert
+        // per genuine lineage change, everything else an Extend.
+        let long_union_inserts = mixed
+            .deltas
+            .iter()
+            .filter(|d| d.op == SetOp::Union && d.fact == Fact::single(0) && d.insert)
+            .count();
+        if !reclaim {
+            assert_eq!(long_union_inserts, 4, "r | r∨s | r'∨s | s");
+        }
+    }
+}
