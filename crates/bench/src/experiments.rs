@@ -2513,7 +2513,7 @@ pub fn adaptive_pipeline_bench(
     let val_pipeline = val_engine.pipeline().expect("plans attached");
     let lineages: Vec<Lineage> = (0..chains.len())
         .flat_map(|v| val_pipeline.materialized_lineage_view(v))
-        .map(|(_, tree)| Lineage::from_tree(&tree))
+        .map(|(_, l)| l)
         .collect();
     let rounds = rounds.max(1);
     let (memoized_cold_ms, scalar) = crate::runner::time_ms(|| {

@@ -62,6 +62,6 @@ pub use obs::{
     advance_section, arena_section, metrics_json, metrics_text, render_all, set_obs_enabled,
     trace_json, ObsConfig, Section, STAGES,
 };
-pub use pipeline::{encode_relation, encode_row, PipeTuple, Pipeline, PipelineError};
+pub use pipeline::{encode_relation, encode_row, Pipeline, PipelineError};
 pub use replay::{ReplayConfig, ReplayEvent, ReplayTotals, StreamScript};
 pub use server::{ServerConfig, StreamServer, TenantId};

@@ -23,12 +23,19 @@
 //! The whole DAG shares the engine's clock: sources buffer deltas as the
 //! sweep emits them, and the engine runs exactly one propagation pass per
 //! advance (inside its arena scope), so every operator observes the same
-//! watermark frontier. Operator state stores each tuple's lineage as an
-//! owned [`LineageTree`] — expanded at the source, inside the arena scope,
-//! exactly like [`crate::MaterializingSink`] records deltas — so standing
-//! state never holds arena references and segment retirement in reclaim
-//! mode can never invalidate it. Derived lineage (join conjunctions,
-//! distinct/aggregate disjunction folds) is built over those owned trees.
+//! watermark frontier. Standing state never holds arena references: a
+//! source expands each tuple's lineage once, inside the arena scope, into
+//! an owned [`LineageTree`] — exactly like [`crate::MaterializingSink`]
+//! records deltas — so segment retirement in reclaim mode can never
+//! invalidate it. Everything derived from those trees is a shared,
+//! immutable node over them: a join output is one Table I `and` node over
+//! its two inputs, a distinct/aggregate output the left-deep `or` fold of
+//! its group's members. Handing an instance to the next operator, a view
+//! or the re-optimizer's replay log is therefore a reference-count bump,
+//! not a tree copy, and a group that only gained members extends its
+//! published fold by one `or` per new member. Readers get lineage back as
+//! handles interned into their current arena
+//! ([`Pipeline::materialized_lineage`]).
 //!
 //! ## Source encoding
 //!
@@ -44,12 +51,13 @@
 //! **plateaus** no matter how long the stream runs.
 
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use tp_core::arena::FastMap;
 use tp_core::fact::Fact;
 use tp_core::interval::Interval;
-use tp_core::lineage::LineageTree;
+use tp_core::lineage::{Lineage, LineageTree, TupleId};
 use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::value::Value;
@@ -113,17 +121,231 @@ impl From<LowerError> for PipelineError {
     }
 }
 
-/// One standing tuple instance: a flat row plus its (owned) lineage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipeTuple {
+/// Lineage of a standing tuple instance: shared, immutable and
+/// arena-independent. Cloning is a reference-count bump. Equality is
+/// tree-semantic (a `Leaf` holding `a ∧ b` equals an `And` of leaves `a`
+/// and `b`) and short-circuits on shared nodes, so a retraction finds the
+/// instance it inserted by pointer. Drop, equality and import are
+/// iterative: a fold is as deep as its group.
+#[derive(Clone)]
+struct SharedLineage(Arc<LineageNode>);
+
+enum LineageNode {
+    /// A tap tuple's lineage, expanded once at the source.
+    Leaf(LineageTree),
+    /// A join output: both inputs' lineages.
+    And(SharedLineage, SharedLineage),
+    /// One step of a group fold: the fold so far, then the next member.
+    Or(SharedLineage, SharedLineage),
+}
+
+impl SharedLineage {
+    fn leaf(tree: LineageTree) -> Self {
+        SharedLineage(Arc::new(LineageNode::Leaf(tree)))
+    }
+
+    fn and(l: &Self, r: &Self) -> Self {
+        SharedLineage(Arc::new(LineageNode::And(l.clone(), r.clone())))
+    }
+
+    fn cursor(&self) -> Cursor<'_> {
+        Cursor::Shared(self)
+    }
+}
+
+/// Left-associative ∨-fold of `members` onto `acc`, in stored order — the
+/// deterministic lineage of a support-counted output row. Folding a
+/// group's appended members onto its previous fold gives the same formula
+/// as folding every member from scratch.
+fn or_fold<'a>(
+    acc: Option<SharedLineage>,
+    members: impl IntoIterator<Item = &'a SharedLineage>,
+) -> SharedLineage {
+    members
+        .into_iter()
+        .fold(acc, |acc, m| {
+            Some(match acc {
+                None => m.clone(),
+                Some(acc) => SharedLineage(Arc::new(LineageNode::Or(acc, m.clone()))),
+            })
+        })
+        .expect("folds run over non-empty groups")
+}
+
+/// Moves a uniquely owned `And`/`Or` node out of `l`, leaving a childless
+/// placeholder behind, so its children can be released without recursion.
+fn take_derived(l: &mut SharedLineage) -> Option<LineageNode> {
+    let node = Arc::get_mut(&mut l.0)?;
+    if matches!(node, LineageNode::Leaf(_)) {
+        return None;
+    }
+    Some(std::mem::replace(
+        node,
+        LineageNode::Leaf(LineageTree::Var(TupleId(0))),
+    ))
+}
+
+impl Drop for SharedLineage {
+    fn drop(&mut self) {
+        // Descend the left spine (where folds grow) in a loop and park
+        // right children on a worklist, which stays short: a fold's
+        // members are usually still owned by their group.
+        let mut pending = Vec::new();
+        let mut next = take_derived(self);
+        while let Some(node) = next.take().or_else(|| pending.pop()) {
+            if let LineageNode::And(mut a, mut b) | LineageNode::Or(mut a, mut b) = node {
+                pending.extend(take_derived(&mut b));
+                next = take_derived(&mut a);
+            }
+        }
+    }
+}
+
+impl PartialEq for SharedLineage {
+    fn eq(&self, other: &Self) -> bool {
+        let mut pending = Vec::new();
+        let mut pair = (self.cursor(), other.cursor());
+        loop {
+            let (a, b) = pair;
+            if !a.same(b) {
+                match (a.level(), b.level()) {
+                    (Level::Var(x), Level::Var(y)) if x == y => {}
+                    (Level::Not(x), Level::Not(y)) => {
+                        pair = (x, y);
+                        continue;
+                    }
+                    (Level::And(a1, a2), Level::And(b1, b2))
+                    | (Level::Or(a1, a2), Level::Or(b1, b2)) => {
+                        if !a2.same(b2) {
+                            pending.push((a2, b2));
+                        }
+                        pair = (a1, b1);
+                        continue;
+                    }
+                    _ => return false,
+                }
+            }
+            match pending.pop() {
+                Some(next) => pair = next,
+                None => return true,
+            }
+        }
+    }
+}
+
+/// A position in a shared lineage under tree semantics: a derived node,
+/// or a subtree of a leaf's owned tree.
+#[derive(Clone, Copy)]
+enum Cursor<'a> {
+    Shared(&'a SharedLineage),
+    Tree(&'a LineageTree),
+}
+
+/// One level of the formula below a [`Cursor`].
+enum Level<'a> {
+    Var(TupleId),
+    Not(Cursor<'a>),
+    And(Cursor<'a>, Cursor<'a>),
+    Or(Cursor<'a>, Cursor<'a>),
+}
+
+impl<'a> Cursor<'a> {
+    /// Whether both cursors stand on the very same node.
+    fn same(self, other: Cursor<'_>) -> bool {
+        match (self, other) {
+            (Cursor::Shared(a), Cursor::Shared(b)) => Arc::ptr_eq(&a.0, &b.0),
+            (Cursor::Tree(a), Cursor::Tree(b)) => std::ptr::eq(a, b),
+            _ => false,
+        }
+    }
+
+    fn level(self) -> Level<'a> {
+        match self {
+            Cursor::Shared(s) => match &*s.0 {
+                LineageNode::Leaf(t) => Cursor::Tree(t).level(),
+                LineageNode::And(a, b) => Level::And(a.cursor(), b.cursor()),
+                LineageNode::Or(a, b) => Level::Or(a.cursor(), b.cursor()),
+            },
+            Cursor::Tree(t) => match t {
+                LineageTree::Var(id) => Level::Var(*id),
+                LineageTree::Not(c) => Level::Not(Cursor::Tree(c)),
+                LineageTree::And(a, b) => Level::And(Cursor::Tree(a), Cursor::Tree(b)),
+                LineageTree::Or(a, b) => Level::Or(Cursor::Tree(a), Cursor::Tree(b)),
+            },
+        }
+    }
+}
+
+/// Interns shared lineages into the caller's current arena by an
+/// iterative post-order walk, each shared node once per importer. The memo
+/// is keyed by node address, so an importer must not outlive the lineages
+/// it imported.
+#[derive(Default)]
+struct Importer {
+    memo: FastMap<*const LineageNode, Lineage>,
+}
+
+impl Importer {
+    fn import(&mut self, root: &SharedLineage) -> Lineage {
+        fn pop(done: &mut Vec<Lineage>) -> Lineage {
+            done.pop()
+                .expect("children are imported before their parent")
+        }
+        let mut todo = vec![(root.cursor(), false)];
+        let mut done: Vec<Lineage> = Vec::new();
+        while let Some((at, children_done)) = todo.pop() {
+            let key = match at {
+                Cursor::Shared(s) => Some(Arc::as_ptr(&s.0)),
+                Cursor::Tree(_) => None,
+            };
+            if !children_done {
+                if let Some(&l) = key.and_then(|k| self.memo.get(&k)) {
+                    done.push(l);
+                    continue;
+                }
+                todo.push((at, true));
+                match at.level() {
+                    Level::Var(_) => {}
+                    Level::Not(c) => todo.push((c, false)),
+                    Level::And(a, b) | Level::Or(a, b) => {
+                        todo.push((b, false));
+                        todo.push((a, false));
+                    }
+                }
+                continue;
+            }
+            let l = match at.level() {
+                Level::Var(id) => Lineage::var(id),
+                Level::Not(_) => pop(&mut done).negate(),
+                Level::And(..) => {
+                    let r = pop(&mut done);
+                    Lineage::and(&pop(&mut done), &r)
+                }
+                Level::Or(..) => {
+                    let r = pop(&mut done);
+                    Lineage::or(&pop(&mut done), &r)
+                }
+            };
+            if let Some(k) = key {
+                self.memo.insert(k, l);
+            }
+            done.push(l);
+        }
+        pop(&mut done)
+    }
+}
+
+/// One standing tuple instance: a flat row plus its shared lineage.
+#[derive(Clone, PartialEq)]
+struct PipeTuple {
     /// The encoded row.
-    pub row: Row,
+    row: Row,
     /// Lineage of the instance, arena-independent.
-    pub lineage: LineageTree,
+    lineage: SharedLineage,
 }
 
 /// An internal change notification between operators.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum PipeDelta {
     Ins(PipeTuple),
     Del(PipeTuple),
@@ -133,6 +355,14 @@ impl PipeDelta {
     fn tuple(&self) -> &PipeTuple {
         match self {
             PipeDelta::Ins(t) | PipeDelta::Del(t) => t,
+        }
+    }
+
+    /// `(is_insert, tuple)`.
+    fn into_parts(self) -> (bool, PipeTuple) {
+        match self {
+            PipeDelta::Ins(t) => (true, t),
+            PipeDelta::Del(t) => (false, t),
         }
     }
 }
@@ -178,9 +408,9 @@ enum OpState {
     /// Hash join: per-side instances bucketed by join key.
     HashJoin([FastMap<Vec<Value>, Vec<PipeTuple>>; 2]),
     /// Distinct: instance lineages per distinct row (support counting).
-    Distinct(FastMap<Row, Vec<LineageTree>>),
+    Distinct(FastMap<Row, Group<SharedLineage>>),
     /// Aggregate: member instances per group key, in arrival order.
-    Aggregate(FastMap<Vec<Value>, Vec<PipeTuple>>),
+    Aggregate(FastMap<Vec<Value>, Group<PipeTuple>>),
 }
 
 impl OpState {
@@ -205,20 +435,134 @@ impl OpState {
                 .iter()
                 .map(|m| m.values().map(Vec::len).sum::<usize>())
                 .sum(),
-            OpState::Distinct(m) => m.values().map(Vec::len).sum(),
-            OpState::Aggregate(m) => m.values().map(Vec::len).sum(),
+            OpState::Distinct(m) => m.values().map(|g| g.members.len()).sum(),
+            OpState::Aggregate(m) => m.values().map(|g| g.members.len()).sum(),
         }
     }
 }
 
-/// Left-associative ∨-fold of instance lineages, in stored order — the
-/// deterministic lineage of a support-counted output row.
-fn or_fold(trees: &[LineageTree]) -> LineageTree {
-    let mut it = trees.iter();
-    let first = it.next().expect("folds run over non-empty groups").clone();
-    it.fold(first, |acc, t| {
-        LineageTree::Or(Box::new(acc), Box::new(t.clone()))
-    })
+/// One group of a support-counted operator: its members in arrival order
+/// and the output it published at the end of the last batch, whose lineage
+/// is the stored-order [`or_fold`] of the members.
+struct Group<M> {
+    members: Vec<M>,
+    /// `None` only while the batch that created the group runs.
+    published: Option<PipeTuple>,
+}
+
+/// A group member: a distinct row's instance lineage, or an aggregate's
+/// whole input tuple.
+trait Member: PartialEq {
+    fn lineage(&self) -> &SharedLineage;
+}
+
+impl Member for SharedLineage {
+    fn lineage(&self) -> &SharedLineage {
+        self
+    }
+}
+
+impl Member for PipeTuple {
+    fn lineage(&self) -> &SharedLineage {
+        &self.lineage
+    }
+}
+
+/// What one batch did to a dirty group.
+struct Touch {
+    /// The output published before the batch.
+    old: Option<PipeTuple>,
+    /// How many members the group had before the batch, while the batch
+    /// only appended; `None` once it retracted one.
+    kept: Option<usize>,
+}
+
+/// Applies one advance's worth of `(is_insert, key, member)` changes to a
+/// support-counted operator with **dirty-key recompute**: member lists are
+/// updated first, then every dirty group is republished exactly once —
+/// one `Del` of its pre-batch output, one `Ins` of its post-batch output,
+/// nothing when the batch left the output unchanged (rows compare first,
+/// so the lineage comparison only runs when they agree). The pre-batch
+/// output is the group's published one, so snapshotting it is a clone of
+/// shared handles; a group the batch only appended to extends its
+/// published fold by one `or` per new member, one that lost a member
+/// refolds.
+fn apply_batch<K, M>(
+    groups: &mut FastMap<K, Group<M>>,
+    changes: impl Iterator<Item = (bool, K, M)>,
+    row_of: impl Fn(&K, &[M]) -> Row,
+    out: &mut Vec<PipeDelta>,
+) where
+    K: Hash + Eq + Clone,
+    M: Member,
+{
+    let mut dirty: Vec<K> = Vec::new();
+    let mut touched: FastMap<K, Touch> = FastMap::default();
+    for (insert, key, member) in changes {
+        if !touched.contains_key(&key) {
+            let group = groups.get(&key);
+            touched.insert(
+                key.clone(),
+                Touch {
+                    old: group.and_then(|g| g.published.clone()),
+                    kept: Some(group.map_or(0, |g| g.members.len())),
+                },
+            );
+            dirty.push(key.clone());
+        }
+        if insert {
+            groups
+                .entry(key)
+                .or_insert_with(|| Group {
+                    members: Vec::new(),
+                    published: None,
+                })
+                .members
+                .push(member);
+        } else {
+            let members = &mut groups
+                .get_mut(&key)
+                .expect("Del retracts a standing group member")
+                .members;
+            let at = members
+                .iter()
+                .position(|x| *x == member)
+                .expect("Del retracts a standing group member");
+            members.remove(at);
+            if members.is_empty() {
+                groups.remove(&key);
+            }
+            touched.get_mut(&key).expect("touched above").kept = None;
+        }
+    }
+    // Republish changed groups, in first-touch order.
+    for key in dirty {
+        let touch = touched.remove(&key).expect("touched in the first pass");
+        let Some(group) = groups.get_mut(&key) else {
+            out.extend(touch.old.map(PipeDelta::Del));
+            continue;
+        };
+        let lineage = match (touch.kept, &touch.old) {
+            (Some(kept), Some(old)) => or_fold(
+                Some(old.lineage.clone()),
+                group.members[kept..].iter().map(M::lineage),
+            ),
+            _ => or_fold(None, group.members.iter().map(M::lineage)),
+        };
+        let new = PipeTuple {
+            row: row_of(&key, &group.members),
+            lineage,
+        };
+        match touch.old {
+            // Unchanged: keep publishing the handles consumers already hold.
+            Some(old) if old == new => group.published = Some(old),
+            old => {
+                out.extend(old.map(PipeDelta::Del));
+                out.push(PipeDelta::Ins(new.clone()));
+                group.published = Some(new);
+            }
+        }
+    }
 }
 
 fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
@@ -226,7 +570,7 @@ fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
     row.extend(r.row.iter().cloned());
     PipeTuple {
         row,
-        lineage: LineageTree::And(Box::new(l.lineage.clone()), Box::new(r.lineage.clone())),
+        lineage: SharedLineage::and(&l.lineage, &r.lineage),
     }
 }
 
@@ -359,138 +703,35 @@ impl Node {
     }
 
     /// Applies one advance's worth of deltas to a support-counted operator
-    /// (distinct, aggregate) with **dirty-key recompute**: member lists are
-    /// updated first, then every dirty group is republished exactly once —
-    /// one `Del` of its pre-batch output, one `Ins` of its post-batch
-    /// output. A group hit by many deltas in one advance (the
-    /// retract-and-regrow traffic of `Extend`-dominated streams) pays one
-    /// lineage refold instead of one per delta, and groups whose output is
-    /// net-unchanged emit nothing.
+    /// (distinct, aggregate) through [`apply_batch`]. A group hit by many
+    /// deltas in one advance (the retract-and-regrow traffic of
+    /// `Extend`-dominated streams) pays one lineage fold instead of one per
+    /// delta, and groups whose output is net-unchanged emit nothing.
     fn apply_grouped(&mut self, inbox: Vec<(usize, PipeDelta)>, out: &mut Vec<PipeDelta>) {
+        let changes = inbox.into_iter().map(|(_port, delta)| delta.into_parts());
         match (&self.op, &mut self.state) {
-            (LoweredOp::Distinct, OpState::Distinct(groups)) => {
-                // Phase 1: update supports, snapshotting each row's
-                // pre-batch output the first time it is touched.
-                let mut dirty: Vec<Row> = Vec::new();
-                let mut old: FastMap<Row, Option<LineageTree>> = FastMap::default();
-                for (_port, delta) in inbox {
-                    match delta {
-                        PipeDelta::Ins(t) => {
-                            let instances = groups.entry(t.row.clone()).or_default();
-                            old.entry(t.row.clone()).or_insert_with(|| {
-                                dirty.push(t.row.clone());
-                                (!instances.is_empty()).then(|| or_fold(instances))
-                            });
-                            instances.push(t.lineage);
-                        }
-                        PipeDelta::Del(t) => {
-                            let instances = groups
-                                .get_mut(&t.row)
-                                .expect("Del retracts a standing distinct instance");
-                            old.entry(t.row.clone()).or_insert_with(|| {
-                                dirty.push(t.row.clone());
-                                Some(or_fold(instances))
-                            });
-                            let at = instances
-                                .iter()
-                                .position(|x| *x == t.lineage)
-                                .expect("Del retracts a standing distinct instance");
-                            instances.remove(at);
-                            if instances.is_empty() {
-                                groups.remove(&t.row);
-                            }
-                        }
-                    }
-                }
-                // Phase 2: republish changed rows, in first-touch order.
-                for row in dirty {
-                    let old_fold = old.remove(&row).expect("snapshotted in phase 1");
-                    let new_fold = groups.get(&row).map(|instances| or_fold(instances));
-                    push_republish(
-                        out,
-                        old_fold.map(|lineage| PipeTuple {
-                            row: row.clone(),
-                            lineage,
-                        }),
-                        new_fold.map(|lineage| PipeTuple { row, lineage }),
-                    );
-                }
-            }
-            (LoweredOp::Aggregate { keys, aggs }, OpState::Aggregate(groups)) => {
-                let output = |key: &[Value], members: &[PipeTuple]| {
+            (LoweredOp::Distinct, OpState::Distinct(groups)) => apply_batch(
+                groups,
+                changes.map(|(insert, t)| (insert, t.row, t.lineage)),
+                |row, _| row.clone(),
+                out,
+            ),
+            (LoweredOp::Aggregate { keys, aggs }, OpState::Aggregate(groups)) => apply_batch(
+                groups,
+                changes.map(|(insert, t)| {
+                    let key: Vec<Value> = keys.iter().map(|&k| t.row[k].clone()).collect();
+                    (insert, key, t)
+                }),
+                |key, members| {
                     let rows: Vec<&Row> = members.iter().map(|m| &m.row).collect();
-                    let mut row: Row = key.to_vec();
+                    let mut row: Row = key.clone();
                     row.extend(aggs.iter().map(|a| a.finish(&rows)));
-                    let mut it = members.iter();
-                    let first = it
-                        .next()
-                        .expect("folds run over non-empty groups")
-                        .lineage
-                        .clone();
-                    let lineage = it.fold(first, |acc, m| {
-                        LineageTree::Or(Box::new(acc), Box::new(m.lineage.clone()))
-                    });
-                    PipeTuple { row, lineage }
-                };
-                let mut dirty: Vec<Vec<Value>> = Vec::new();
-                let mut old: FastMap<Vec<Value>, Option<PipeTuple>> = FastMap::default();
-                for (_port, delta) in inbox {
-                    let key: Vec<Value> =
-                        keys.iter().map(|&k| delta.tuple().row[k].clone()).collect();
-                    match delta {
-                        PipeDelta::Ins(t) => {
-                            let members = groups.entry(key.clone()).or_default();
-                            old.entry(key.clone()).or_insert_with(|| {
-                                dirty.push(key.clone());
-                                (!members.is_empty()).then(|| output(&key, members))
-                            });
-                            members.push(t);
-                        }
-                        PipeDelta::Del(t) => {
-                            let members = groups
-                                .get_mut(&key)
-                                .expect("Del retracts a standing group member");
-                            old.entry(key.clone()).or_insert_with(|| {
-                                dirty.push(key.clone());
-                                Some(output(&key, members))
-                            });
-                            let at = members
-                                .iter()
-                                .position(|x| *x == t)
-                                .expect("Del retracts a standing group member");
-                            members.remove(at);
-                            if members.is_empty() {
-                                groups.remove(&key);
-                            }
-                        }
-                    }
-                }
-                for key in dirty {
-                    let old_out = old.remove(&key).expect("snapshotted in phase 1");
-                    let new_out = groups.get(&key).map(|members| output(&key, members));
-                    push_republish(out, old_out, new_out);
-                }
-            }
+                    row
+                },
+                out,
+            ),
             _ => unreachable!("apply_grouped only drains distinct/aggregate"),
         }
-    }
-}
-
-/// Emits the republication deltas of one dirty group: retract the
-/// pre-batch output, insert the post-batch one, and emit nothing when the
-/// batch left the output unchanged (row-compare first, so the deep lineage
-/// comparison only runs when the rows already agree).
-fn push_republish(out: &mut Vec<PipeDelta>, old: Option<PipeTuple>, new: Option<PipeTuple>) {
-    match (old, new) {
-        (None, Some(new)) => out.push(PipeDelta::Ins(new)),
-        (Some(old), None) => out.push(PipeDelta::Del(old)),
-        (Some(old), Some(new)) => {
-            if old != new {
-                out.push(PipeDelta::Del(old));
-                out.push(PipeDelta::Ins(new));
-            }
-        }
-        (None, None) => {}
     }
 }
 
@@ -506,7 +747,7 @@ struct PipelineObs {
 /// per output row, plus the plan's root schema.
 struct RootView {
     schema: Schema,
-    rows: FastMap<Row, Vec<LineageTree>>,
+    rows: FastMap<Row, Vec<SharedLineage>>,
     /// Total instances (multiplicity sum).
     len: usize,
 }
@@ -539,7 +780,7 @@ pub struct Pipeline {
     /// hold several disjoint-interval rows; `last_run` keeps only the
     /// latest). This is the replay source [`Pipeline::reoptimize`] rebuilds
     /// a swapped DAG's operator state from.
-    standing: Vec<FastMap<Row, Vec<LineageTree>>>,
+    standing: Vec<FastMap<Row, Vec<SharedLineage>>>,
     /// Per physical source: deltas buffered since the last advance.
     source_offered: Vec<u64>,
     /// Per physical source: EWMA deltas per advance.
@@ -768,7 +1009,7 @@ impl Pipeline {
                     );
                     let pt = PipeTuple {
                         row: encode_row(&t.fact, t.interval),
-                        lineage: t.lineage.to_tree(),
+                        lineage: SharedLineage::leaf(t.lineage.to_tree()),
                     };
                     self.last_run[s].insert(t.fact.clone(), pt.clone());
                     self.standing[s]
@@ -787,7 +1028,7 @@ impl Pipeline {
                         // The contract: an Extend grows the fact's latest
                         // output tuple and keeps its lineage handle, so
                         // the standing encoding is retracted and regrown
-                        // with the identical lineage tree.
+                        // sharing the identical lineage.
                         let mut grown = prev.clone();
                         let te = grown.row.len() - 1;
                         debug_assert_eq!(grown.row[te], Value::int(*from), "Extend boundary");
@@ -818,7 +1059,7 @@ impl Pipeline {
                         );
                         let pt = PipeTuple {
                             row: encode_row(fact, Interval::at(*from, *to)),
-                            lineage: lineage.to_tree(),
+                            lineage: SharedLineage::leaf(lineage.to_tree()),
                         };
                         self.last_run[s].insert(fact.clone(), pt.clone());
                         self.standing[s]
@@ -974,19 +1215,30 @@ impl Pipeline {
     }
 
     /// The first plan's distinct output rows with their ∨-folded lineage,
-    /// sorted by row — the hook alert rules valuate (re-intern the tree
-    /// inside an arena scope, then [`crate::obs::valuate_batch`]).
-    pub fn materialized_lineage(&self) -> Vec<(Row, LineageTree)> {
+    /// sorted by row — the hook alert rules valuate (e.g. with
+    /// [`crate::obs::valuate_batch`]). The lineage is interned into the
+    /// caller's *current* arena: call it inside the scope whose variables
+    /// the valuation reads. The walk is iterative, so group folds of any
+    /// depth import without recursion.
+    pub fn materialized_lineage(&self) -> Vec<(Row, Lineage)> {
         self.materialized_lineage_view(0)
     }
 
     /// Plan `p`'s distinct output rows with their ∨-folded lineage, sorted
     /// by row (see [`Pipeline::materialized_lineage`]).
-    pub fn materialized_lineage_view(&self, p: usize) -> Vec<(Row, LineageTree)> {
-        let mut out: Vec<(Row, LineageTree)> = self.views[p]
+    pub fn materialized_lineage_view(&self, p: usize) -> Vec<(Row, Lineage)> {
+        let mut importer = Importer::default();
+        let mut out: Vec<(Row, Lineage)> = self.views[p]
             .rows
             .iter()
-            .map(|(row, instances)| (row.clone(), or_fold(instances)))
+            .map(|(row, instances)| {
+                let fold = instances
+                    .iter()
+                    .map(|l| importer.import(l))
+                    .reduce(|acc, l| Lineage::or(&acc, &l))
+                    .expect("view rows hold at least one instance");
+                (row.clone(), fold)
+            })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -1224,7 +1476,8 @@ mod tests {
     use super::*;
     use crate::delta::CollectingSink;
     use crate::engine::{EngineConfig, Side, StreamEngine};
-    use tp_core::lineage::{Lineage, TupleId};
+    use tp_core::arena::LineageArena;
+    use tp_core::lineage::LineageKind;
     use tp_core::tuple::TpTuple;
     use tp_relalg::aggregate::AggFn;
     use tp_relalg::incremental::bind_sources;
@@ -1370,9 +1623,131 @@ mod tests {
         let (row, lineage) = &out[0];
         assert_eq!(row[0], Value::str("b"));
         assert!(
-            matches!(lineage, LineageTree::And(_, _)),
+            matches!(lineage.kind(), LineageKind::And(_, _)),
             "join output lineage must be a conjunction, got {lineage:?}"
         );
+    }
+
+    fn var_leaf(i: u64) -> SharedLineage {
+        SharedLineage::leaf(LineageTree::Var(TupleId(i)))
+    }
+
+    fn grouped(op: LoweredOp) -> Node {
+        Node {
+            state: OpState::for_op(&op),
+            op,
+            inbox: Vec::new(),
+            emitted: 0,
+            rate: 0.0,
+            shared_by: 1,
+        }
+    }
+
+    /// Every group's published lineage exports to the same tree as a
+    /// from-scratch stored-order fold over its current members.
+    fn assert_published_folds_are_fresh<K, M: Member>(groups: &FastMap<K, Group<M>>) {
+        assert!(!groups.is_empty(), "vacuous: no groups");
+        for g in groups.values() {
+            let published = g.published.as_ref().expect("every group publishes");
+            let fresh = or_fold(None, g.members.iter().map(M::lineage));
+            assert_eq!(
+                Importer::default().import(&published.lineage).to_tree(),
+                Importer::default().import(&fresh).to_tree()
+            );
+        }
+    }
+
+    #[test]
+    fn incremental_group_folds_keep_the_stored_order_shape() {
+        let l: Vec<SharedLineage> = (0..8).map(var_leaf).collect();
+        // A join output as a member.
+        let j = SharedLineage::and(&l[6], &l[7]);
+        let t = |k: i64, te: i64, lineage: &SharedLineage| PipeTuple {
+            row: vec![Value::int(k), Value::int(0), Value::int(te)],
+            lineage: lineage.clone(),
+        };
+        let ins = |k, te, lineage| PipeDelta::Ins(t(k, te, lineage));
+        let del = |k, te, lineage| PipeDelta::Del(t(k, te, lineage));
+        let batches = [
+            // New groups.
+            vec![ins(0, 1, &l[0]), ins(0, 2, &l[1]), ins(1, 1, &l[2])],
+            // Append-only: one `or` onto each published fold.
+            vec![ins(0, 3, &l[3]), ins(1, 2, &j)],
+            // Same-lineage regrow (an `Extend`): the member moves last.
+            vec![del(0, 2, &l[1]), ins(0, 4, &l[1])],
+            // Append and retract in one batch.
+            vec![ins(1, 3, &l[4]), del(0, 1, &l[0])],
+            // A group emptied and recreated within the batch.
+            vec![
+                del(1, 1, &l[2]),
+                del(1, 2, &j),
+                del(1, 3, &l[4]),
+                ins(1, 5, &l[5]),
+            ],
+            vec![ins(0, 6, &j), ins(0, 7, &l[2])],
+        ];
+        let mut aggregate = grouped(LoweredOp::Aggregate {
+            keys: vec![0],
+            aggs: vec![AggFn::Count],
+        });
+        // Distinct over the key column alone, so rows hold several
+        // instances.
+        let mut distinct = grouped(LoweredOp::Distinct);
+        for (b, batch) in batches.into_iter().enumerate() {
+            let published_before = match &aggregate.state {
+                OpState::Aggregate(groups) => groups
+                    .get(&vec![Value::int(0)])
+                    .and_then(|g| g.published.clone()),
+                _ => unreachable!(),
+            };
+            let keyed = batch
+                .iter()
+                .map(|d| {
+                    let mut d = d.clone();
+                    let (PipeDelta::Ins(t) | PipeDelta::Del(t)) = &mut d;
+                    t.row.truncate(1);
+                    (0, d)
+                })
+                .collect();
+            distinct.apply_grouped(keyed, &mut Vec::new());
+            aggregate.apply_grouped(batch.into_iter().map(|d| (0, d)).collect(), &mut Vec::new());
+            let (OpState::Aggregate(agg_groups), OpState::Distinct(distinct_groups)) =
+                (&aggregate.state, &distinct.state)
+            else {
+                unreachable!()
+            };
+            assert_published_folds_are_fresh(agg_groups);
+            assert_published_folds_are_fresh(distinct_groups);
+            if b == 1 {
+                let old = published_before.expect("group 0 published in batch 0");
+                let new = &agg_groups[&vec![Value::int(0)]].published;
+                assert!(
+                    matches!(&*new.as_ref().unwrap().lineage.0,
+                        LineageNode::Or(prev, _) if Arc::ptr_eq(&prev.0, &old.lineage.0)),
+                    "an append-only batch must extend the published fold"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deep_folds_compare_import_and_drop_iteratively() {
+        // Far deeper than a recursive walk survives on a test thread.
+        let leaves: Vec<SharedLineage> = (0..100_000).map(var_leaf).collect();
+        let a = or_fold(None, &leaves);
+        let b = or_fold(None, &leaves);
+        let mut swapped = leaves.clone();
+        swapped.swap(0, 1);
+        let c = or_fold(None, &swapped);
+        assert!(a == b, "separately built folds of one member list");
+        assert!(a != c, "folds differing only at the bottom");
+        let arena = LineageArena::shared(1);
+        let _scope = LineageArena::enter(&arena);
+        let mut importer = Importer::default();
+        assert_eq!(importer.import(&a), importer.import(&b));
+        assert_ne!(importer.import(&a), importer.import(&c));
+        drop(leaves);
+        drop(swapped);
     }
 
     #[test]

@@ -266,10 +266,7 @@ fn shared_views_valuate_through_batch_kernel_within_1e12() {
     for view in 0..plans.len() {
         let out = p.materialized_lineage_view(view);
         assert!(!out.is_empty(), "view #{view} vacuous: no standing lineage");
-        let lineages: Vec<Lineage> = out
-            .iter()
-            .map(|(_, tree)| Lineage::from_tree(tree))
-            .collect();
+        let lineages: Vec<Lineage> = out.into_iter().map(|(_, l)| l).collect();
         kernel_roots += lineages
             .iter()
             .filter(|l| l.is_one_occurrence_form())

@@ -110,17 +110,16 @@ fn batch_rows(plan: &Plan, sink: &CollectingSink, taps: &[SetOp]) -> Vec<Row> {
     rows
 }
 
-/// Replays a script through an engine with the plan attached and returns
-/// `(materialized pipeline rows, batch twin rows, advances)`.
-fn run_case(
+/// Replays a script to completion through an engine with the plan
+/// attached.
+fn replay(
     plan: &Plan,
     taps: &[SetOp],
     script: &StreamScript,
     cfg: EngineConfig,
-) -> (Vec<Row>, Vec<Row>, usize) {
+) -> (StreamEngine, CollectingSink) {
     let mut engine = StreamEngine::with_plan(cfg, plan, taps).expect("plan compiles");
     let mut sink = CollectingSink::new();
-    let mut advances = 0usize;
     for event in &script.events {
         match event {
             ReplayEvent::Arrive(side, t) => {
@@ -128,15 +127,26 @@ fn run_case(
             }
             ReplayEvent::Advance(wm) => {
                 engine.advance(*wm, &mut sink).unwrap();
-                advances += 1;
             }
         }
     }
     engine.finish(&mut sink).unwrap();
     assert_eq!(engine.late_dropped(), [0, 0], "scripts never drop");
+    (engine, sink)
+}
+
+/// Replays a script through an engine with the plan attached and returns
+/// `(materialized pipeline rows, batch twin rows)`.
+fn run_case(
+    plan: &Plan,
+    taps: &[SetOp],
+    script: &StreamScript,
+    cfg: EngineConfig,
+) -> (Vec<Row>, Vec<Row>) {
+    let (engine, sink) = replay(plan, taps, script, cfg);
     let got = engine.pipeline().unwrap().materialized().rows;
     let expect = batch_rows(plan, &sink, taps);
-    (got, expect, advances)
+    (got, expect)
 }
 
 #[test]
@@ -167,7 +177,7 @@ fn pipelines_match_batch_across_plans_and_engine_matrix() {
                         seed: 70 + case as u64,
                     },
                 );
-                let (got, expect, _) =
+                let (got, expect) =
                     run_case(&plan, &taps, &script, engine_config(parallel, reclaim));
                 assert_eq!(
                     got, expect,
@@ -197,7 +207,7 @@ fn arrival_permutations_and_watermark_schedules_are_invisible() {
                 seed: perm_seed,
             },
         );
-        let (got, expect, _) = run_case(&plan, &taps, &script, engine_config(false, false));
+        let (got, expect) = run_case(&plan, &taps, &script, engine_config(false, false));
         assert_eq!(
             got, expect,
             "{name}: schedule ({perm_seed},{advance_every})"
@@ -253,6 +263,51 @@ fn reclaiming_pipeline_state_plateaus_on_extend_dominated_streams() {
     let expect = batch_rows(&plan, &sink, &taps);
     assert!(!expect.is_empty());
     assert_eq!(got, expect, "reclaiming pipeline != batch");
+}
+
+/// Runs the alert rule `leaf ⋈(k) leaf → aggregate(k; count, max te)` on
+/// the union and intersect streams over Zipf-keyed facts: a hot key's
+/// group folds every join output of that key into one lineage, as deep as
+/// the group is large. The view must equal the batch plan and every row's
+/// lineage must import, with nothing on the way recursing per fold level.
+fn zipf_alerts_match_batch(synth: &SynthConfig) {
+    let plan = leaf()
+        .hash_join(leaf(), vec![0], vec![0])
+        .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
+    let taps = [SetOp::Union, SetOp::Intersect];
+    let mut vars = VarTable::new();
+    let (r, s) = tp_workloads::synth::generate(synth, &mut vars);
+    let script = StreamScript::from_pair(
+        &r,
+        &s,
+        &ReplayConfig {
+            lateness: 6,
+            advance_every: 48,
+            seed: 7,
+        },
+    );
+    let (engine, sink) = replay(&plan, &taps, &script, EngineConfig::default());
+    let pipeline = engine.pipeline().unwrap();
+    let got = pipeline.materialized().rows;
+    let expect = batch_rows(&plan, &sink, &taps);
+    assert!(!expect.is_empty(), "vacuous: batch output is empty");
+    assert_eq!(got, expect, "Zipf-keyed alert view != batch");
+    let lineage = pipeline.materialized_lineage_view(0);
+    assert_eq!(lineage.len(), got.len(), "one lineage per aggregate row");
+    assert!(lineage.iter().map(|(row, _)| row).eq(got.iter()));
+}
+
+#[test]
+fn zipf_keyed_alert_plan_completes_and_matches_batch() {
+    zipf_alerts_match_batch(&SynthConfig::with_zipf_facts(1_000, 50, 1.0, 7));
+}
+
+/// Soak at the scale that overflowed the stack with owned lineage trees;
+/// run with `cargo test --release --test streaming_plans -- --ignored zipf`.
+#[test]
+#[ignore]
+fn zipf_keyed_alert_plan_soak() {
+    zipf_alerts_match_batch(&SynthConfig::with_zipf_facts(4_000, 400, 0.9, 7));
 }
 
 #[test]
