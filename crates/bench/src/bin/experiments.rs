@@ -9,9 +9,8 @@
 //!
 //! Available experiment names: `table2`, `table3`, `table4`, `fig7`, `fig8`,
 //! `fig9a`, `fig9b`, `fig10`, `fig11`, `bench_lawa`, `bench_stream`,
-//! `bench_memory`, `bench_tenants`, `bench_parallel_advance`,
-//! `bench_ingest`, `bench_observability`, `bench_raw_speed`,
-//! `bench_pipeline`, `bench_adaptive`. With
+//! `bench_memory`, `bench_tenants`, `bench_observability`,
+//! `bench_raw_speed`, `bench_pipeline`, `bench_adaptive`. With
 //! `--csv`, each figure is also written to `experiments_csv/<id>.csv` for
 //! external plotting. `bench_lawa` additionally writes `BENCH_lawa.json`
 //! (memoized valuation + op throughput + arena contention + streaming) to
@@ -107,25 +106,8 @@ fn main() {
                 tp_bench::scaled(120).max(24),
                 4,
             ),
-            parallel: experiments::parallel_advance_bench(
-                tp_bench::scaled(1_500).max(1_024),
-                tp_bench::scaled(24).max(12),
-                &[1, 2, 4, 8],
-            ),
-            ingest: experiments::ingest_index_bench(&[
-                tp_bench::scaled(2_000).max(512),
-                tp_bench::scaled(8_000).max(1_024),
-                tp_bench::scaled(24_000).max(2_048),
-            ]),
             observability: experiments::observability_bench(tuples, (2 * tuples / 64).max(1), 3),
-            raw_speed: experiments::raw_speed_bench(
-                tuples,
-                32,
-                3,
-                tp_bench::scaled(1_500).max(1_024),
-                tp_bench::scaled(96).max(48),
-                &[1, 2, 4, 8],
-            ),
+            raw_speed: experiments::raw_speed_bench(tuples, 32, 3, tp_bench::scaled(96).max(48)),
             pipeline: experiments::pipeline_bench(
                 tp_bench::scaled(800).max(240),
                 tp_bench::scaled(64).max(24),
@@ -240,116 +222,6 @@ fn main() {
             "ok: bounded memory over {} advances (plateau ratio {:.2} ≤ 2), batch-identical",
             b.advances,
             b.plateau_ratio()
-        );
-    }
-    if names.iter().any(|a| *a == "bench_parallel_advance") {
-        // CI parallel-advance-smoke job: one fat tenant (plus the Zipf-hot
-        // skewed stream) swept at 1/2/4/8 region workers. Hard gate:
-        // streamed ≡ batch at EVERY worker count on both workloads — the
-        // byte-identity contract of the region-parallel sweep. The wall
-        // speedup gate (≥ 2× at 4 workers) applies only when the machine
-        // has ≥ 4 hardware threads; scaling is meaningless on fewer.
-        let b = experiments::parallel_advance_bench(
-            tp_bench::scaled(1_500).max(1_024),
-            tp_bench::scaled(24).max(12),
-            &[1, 2, 4, 8],
-        );
-        println!(
-            "parallel advance: {} tuples/side, {} advances, {} hardware threads",
-            b.tuples_per_side, b.advances, b.hardware_threads,
-        );
-        for (name, points) in [("fat tenant", &b.fat), ("skewed", &b.skewed)] {
-            for p in points {
-                println!(
-                    "  {name}: {} workers, {:.1} ms ({:.1} krows/s), regions<={}, balance {:.2}, batch_equal={}",
-                    p.workers, p.wall_ms, p.krows_per_s, p.regions_max, p.balance_worst, p.batch_equal,
-                );
-            }
-        }
-        if b.advances < 8 {
-            eprintln!("FAIL: only {} advances (gate: >= 8)", b.advances);
-            std::process::exit(1);
-        }
-        for p in b.fat.iter().chain(&b.skewed) {
-            if !p.batch_equal {
-                eprintln!(
-                    "FAIL: region-parallel stream diverges from batch LAWA at {} workers",
-                    p.workers
-                );
-                std::process::exit(1);
-            }
-        }
-        // The wall speedup is hardware-dependent (the same treatment as
-        // arena_contention): it needs real cores, and shared CI runners
-        // are noisy — so it is reported loudly, never hard-gated. The
-        // hard gates above (byte-identity at every worker count) are the
-        // correctness contract.
-        let speedup = b.speedup_at(4);
-        if b.hardware_threads >= 4 && speedup < 2.0 {
-            eprintln!(
-                "WARN: only {speedup:.2}x at 4 workers on {} hardware threads (target: 2x; \
-                 informational — wall scaling is hardware-dependent)",
-                b.hardware_threads
-            );
-        }
-        println!(
-            "ok: batch-identical at every worker count ({speedup:.2}x at 4 workers on {} \
-             hardware thread(s))",
-            b.hardware_threads
-        );
-    }
-    if names.iter().any(|a| *a == "bench_ingest") {
-        // CI ingest-index-smoke job: the sort-vs-index ingestion curve at
-        // three sizes × three arrival orders (in-order, bounded-lateness
-        // shuffle, adversarial reverse). Hard gates: every point streams
-        // batch-identically on BOTH buffer kinds, and the index's gap
-        // occupancy stays plausible (0 < occ ≤ 1000‰ — zero means the
-        // index never held data, above 1000 means broken accounting). The
-        // wall speedup is hardware- and size-dependent and is reported
-        // informationally, like the other scaling benches.
-        let b = experiments::ingest_index_bench(&[
-            tp_bench::scaled(2_000).max(512),
-            tp_bench::scaled(8_000).max(1_024),
-            tp_bench::scaled(24_000).max(2_048),
-        ]);
-        println!("ingestion index: sort vs gapped learned index");
-        for p in &b.points {
-            println!(
-                "  {:<9} {:>8} tuples/side  legacy {:>8.1} ms  index {:>8.1} ms  ({:.2}x)  occ {:>4} permille  retrains {:<4} shift-p99 {:<3} batch_equal={}",
-                p.order,
-                p.tuples,
-                p.legacy_ms,
-                p.index_ms,
-                p.speedup(),
-                p.gap_occupancy_permille,
-                p.retrains,
-                p.shift_p99,
-                p.batch_equal,
-            );
-        }
-        if !b.batch_equal() {
-            eprintln!("FAIL: an ingest point diverges from batch LAWA");
-            std::process::exit(1);
-        }
-        for p in &b.points {
-            if p.gap_occupancy_permille == 0 || p.gap_occupancy_permille > 1000 {
-                eprintln!(
-                    "FAIL: implausible gap occupancy {} permille at {} ({} tuples/side)",
-                    p.gap_occupancy_permille, p.order, p.tuples
-                );
-                std::process::exit(1);
-            }
-        }
-        let speedup = b.speedup_at_largest();
-        if speedup < 1.0 {
-            eprintln!(
-                "WARN: index only {speedup:.2}x over sort-on-advance at the largest size \
-                 (informational — wall ratio is hardware- and size-dependent)"
-            );
-        }
-        println!(
-            "ok: batch-identical on both buffer kinds at every point, occupancy sane \
-             ({speedup:.2}x at largest size)"
         );
     }
     if names.iter().any(|a| *a == "bench_observability") {
@@ -650,23 +522,15 @@ fn main() {
         );
     }
     if names.iter().any(|a| *a == "bench_raw_speed") {
-        // CI raw-speed-smoke job: the three raw-speed claims, hard-gated
-        // on correctness only. (a) columnar marginal kernel ≡ per-root
-        // memoized walk to 1e-12 on a shared-subformula workload; (b) the
-        // pairwise stitch reduction is batch-identical at every worker
-        // count; (c) interior-segment reclamation actually fires under an
+        // CI raw-speed-smoke job: the two raw-speed claims, hard-gated on
+        // correctness only. (a) columnar marginal kernel ≡ per-root
+        // memoized walk to 1e-12 on a shared-subformula workload; (b)
+        // interior-segment reclamation actually fires under an
         // immortal-facts stream and its steady-state residency sits
         // strictly below the prefix-ordered baseline, batch-identically.
         // Wall speedups are informational (1-core CI cannot gate them).
         let tuples = tp_bench::scaled(20_000);
-        let b = experiments::raw_speed_bench(
-            tuples,
-            32,
-            3,
-            tp_bench::scaled(1_500).max(1_024),
-            tp_bench::scaled(96).max(48),
-            &[1, 2, 4, 8],
-        );
+        let b = experiments::raw_speed_bench(tuples, 32, 3, tp_bench::scaled(96).max(48));
         println!(
             "raw speed: columnar {:.1} ms vs cold walk {:.1} ms ({:.2}×, {} tuples, max Δ {:.2e})",
             b.columnar_ms,
@@ -675,12 +539,6 @@ fn main() {
             b.output_tuples,
             b.max_delta,
         );
-        for p in &b.stitch {
-            println!(
-                "  stitch: {} workers, {:.1} ms, depth<={}, batch_equal={}",
-                p.workers, p.wall_ms, p.depth_max, p.batch_equal,
-            );
-        }
         println!(
             "  immortal facts: interior {} B vs prefix {} B steady-state ({:.2}×), {} interior retires, batch_equal={}",
             b.interior_steady_bytes,
@@ -700,10 +558,6 @@ fn main() {
                 "FAIL: columnar kernel diverges from the per-root walk (max Δ {:.2e}, gate: 1e-12)",
                 b.max_delta
             );
-            std::process::exit(1);
-        }
-        if !b.stitch_equal() {
-            eprintln!("FAIL: stitch reduction diverges from batch LAWA at some worker count");
             std::process::exit(1);
         }
         if !b.immortal_batch_equal {
@@ -737,8 +591,7 @@ fn main() {
             );
         }
         println!(
-            "ok: kernel ≡ walk to {:.2e}, stitch batch-identical at every worker count, \
-             interior residency {:.2}x of prefix with {} interior retires",
+            "ok: kernel ≡ walk to {:.2e}, interior residency {:.2}x of prefix with {} interior retires",
             b.max_delta,
             b.residency_ratio(),
             b.interior_retired_segments,

@@ -20,9 +20,8 @@ pub mod runner;
 
 pub use experiments::{
     arena_contention_bench, fig10_meteo, fig11_webkit, fig7_small_synthetic, fig8_large_synthetic,
-    fig9a_overlap, fig9b_facts, ingest_index_bench, lawa_op_throughput, lawa_valuation_bench,
-    streaming_bench, table2_support, table3_datasets, table4_datasets, BenchReport,
-    ContentionBench, ExperimentResult, IngestBench, IngestPoint, LawaValuationBench, OpThroughput,
-    Series, StreamingBench,
+    fig9a_overlap, fig9b_facts, lawa_op_throughput, lawa_valuation_bench, streaming_bench,
+    table2_support, table3_datasets, table4_datasets, BenchReport, ContentionBench,
+    ExperimentResult, LawaValuationBench, OpThroughput, Series, StreamingBench,
 };
 pub use runner::{scale, scaled, time_ms};

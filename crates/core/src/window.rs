@@ -283,336 +283,6 @@ pub fn split_tuple_at_watermark(
     }
 }
 
-/// A plan of `N` strictly increasing time cuts partitioning a closed sweep
-/// span into `N + 1` **regions**: region `i` covers `[cuts[i-1], cuts[i])`
-/// (the first region is unbounded below, the last unbounded above).
-///
-/// This is the N-cut generalization of [`split_at_watermark`]: a tuple
-/// crossing a cut contributes one clipped piece per region it touches, each
-/// carrying the *same* lineage handle, so the per-region LAWA sub-sweeps
-/// produce exactly the sequential window stream cut at the plan's
-/// boundaries — and [`stitch_windows`] re-joins those artificial cuts by an
-/// O(1) handle compare, the same argument the streaming engine's `Extend`
-/// deltas rest on. Regions are therefore *independently sweepable*: workers
-/// can process them in parallel and the stitched result is byte-identical
-/// to the sequential sweep by construction (see
-/// [`region_windows`]; `tests/region_parallel.rs` proves it for arbitrary
-/// plans).
-///
-/// Degenerate plans are legal and harmless: duplicate cuts collapse, cuts
-/// outside the data span yield empty regions, and the empty plan is the
-/// sequential sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionPlan {
-    /// Strictly increasing cut positions.
-    cuts: Vec<TimePoint>,
-}
-
-impl RegionPlan {
-    /// The trivial plan: one region, no cuts — the sequential sweep.
-    pub fn sequential() -> RegionPlan {
-        RegionPlan { cuts: Vec::new() }
-    }
-
-    /// A plan with the given cut positions. Cuts are sorted and
-    /// deduplicated; any positions are legal (out-of-span cuts just
-    /// produce empty regions).
-    pub fn from_cuts(mut cuts: Vec<TimePoint>) -> RegionPlan {
-        cuts.sort_unstable();
-        cuts.dedup();
-        RegionPlan { cuts }
-    }
-
-    /// A plan of up to `regions` regions balanced by tuple count: cuts are
-    /// chosen at count-quantiles of the merged start-point stream of both
-    /// inputs (sampled above `MAX_PLAN_SAMPLES` tuples — the plan steers
-    /// load balance, it never affects the result). Inputs need not be
-    /// sorted. Collapses toward [`RegionPlan::sequential`] when the data
-    /// cannot fill the requested regions (few tuples, duplicate
-    /// timestamps).
-    pub fn balanced(r: &[TpTuple], s: &[TpTuple], regions: usize) -> RegionPlan {
-        const MAX_PLAN_SAMPLES: usize = 2048;
-        let regions = regions.max(1);
-        let total = r.len() + s.len();
-        if regions == 1 || total < regions {
-            return RegionPlan::sequential();
-        }
-        let step = (total / MAX_PLAN_SAMPLES.min(total)).max(1);
-        let mut starts: Vec<TimePoint> = r
-            .iter()
-            .chain(s.iter())
-            .step_by(step)
-            .map(|t| t.interval.start())
-            .collect();
-        starts.sort_unstable();
-        let n = starts.len();
-        let mut cuts = Vec::with_capacity(regions - 1);
-        for k in 1..regions {
-            let cut = starts[(k * n / regions).min(n - 1)];
-            // A cut at the smallest start can only produce an empty
-            // leading region — skip it (heavy start-point duplication).
-            if cut > starts[0] {
-                cuts.push(cut);
-            }
-        }
-        // Dedup collapses quantiles that landed on the same timestamp
-        // (heavily duplicated start points): fewer, still-valid regions.
-        RegionPlan::from_cuts(cuts)
-    }
-
-    /// A plan of up to `regions` regions with **exact** tuple-count
-    /// quantile cuts, read off two timestamp-sorted start-point arrays —
-    /// the streaming engine's gapped ingestion index hands them over for
-    /// free at drain time. The k-th cut is the `⌊k·n/regions⌋`-th smallest
-    /// merged start: the selection [`RegionPlan::balanced`] approximates by
-    /// sampling (and can get adversarially wrong when the arrival order
-    /// aliases with its sampling stride — see
-    /// `tests/region_parallel.rs`), computed here by one linear merge walk
-    /// with no sampling, no sort, no bias. Same degenerate-plan behavior
-    /// as [`RegionPlan::balanced`].
-    pub fn balanced_from_index(
-        r_starts: &[TimePoint],
-        s_starts: &[TimePoint],
-        regions: usize,
-    ) -> RegionPlan {
-        let regions = regions.max(1);
-        let total = r_starts.len() + s_starts.len();
-        if regions == 1 || total < regions {
-            return RegionPlan::sequential();
-        }
-        debug_assert!(r_starts.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(s_starts.windows(2).all(|w| w[0] <= w[1]));
-        // One merge walk over the two sorted arrays, collecting the start
-        // at each quantile rank. Ranks are strictly increasing (total ≥
-        // regions), so a single forward pass visits them all.
-        let mut targets = (1..regions).map(|k| (k * total / regions).min(total - 1));
-        let mut next_target = targets.next();
-        let mut cuts = Vec::with_capacity(regions - 1);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut min_start: Option<TimePoint> = None;
-        for rank in 0..total {
-            let take_r = match (r_starts.get(i), s_starts.get(j)) {
-                (Some(&a), Some(&b)) => a <= b,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let v = if take_r {
-                i += 1;
-                r_starts[i - 1]
-            } else {
-                j += 1;
-                s_starts[j - 1]
-            };
-            min_start.get_or_insert(v);
-            if next_target == Some(rank) {
-                // A cut at the smallest start can only produce an empty
-                // leading region — skip it (same suppression as the
-                // sampling planner).
-                if Some(v) > min_start {
-                    cuts.push(v);
-                }
-                next_target = targets.next();
-                if next_target.is_none() {
-                    break;
-                }
-            }
-        }
-        RegionPlan::from_cuts(cuts)
-    }
-
-    /// The cut positions, strictly increasing.
-    pub fn cuts(&self) -> &[TimePoint] {
-        &self.cuts
-    }
-
-    /// Number of regions (`cuts + 1`).
-    pub fn regions(&self) -> usize {
-        self.cuts.len() + 1
-    }
-
-    /// Splits `tuples` into one piece list per region, clipping tuples at
-    /// every cut they cross (same fact, same lineage handle — exactly like
-    /// [`split_at_watermark`], applied at each cut). Relative input order
-    /// is preserved within each region, so `(F, Ts)`-sorted input stays
-    /// sorted per region; unsorted input must be sorted per region before
-    /// sweeping.
-    pub fn partition(&self, tuples: &[TpTuple]) -> Vec<Vec<TpTuple>> {
-        let mut out: Vec<Vec<TpTuple>> = (0..self.regions()).map(|_| Vec::new()).collect();
-        for t in tuples {
-            let mut piece = t.clone();
-            // First cut strictly inside the piece; cuts at the start do
-            // not clip (the piece belongs to the region at or above them).
-            let mut i = self.cuts.partition_point(|&c| c <= piece.interval.start());
-            while i < self.cuts.len() && self.cuts[i] < piece.interval.end() {
-                let mut head = piece.clone();
-                head.interval = Interval::at(piece.interval.start(), self.cuts[i]);
-                out[i].push(head);
-                piece.interval = Interval::at(self.cuts[i], piece.interval.end());
-                i += 1;
-            }
-            out[i].push(piece);
-        }
-        out
-    }
-}
-
-/// Merges per-region window streams (region/timeline order, each stream in
-/// the sweep's `(F, winTs)` order) back into the **sequential** window
-/// stream: a pairwise tree reduction of two-way merges by `(fact, winTs)`
-/// ([`stitch_pair`]) re-establishes the global
-/// order, and adjacent same-fact windows with *identical* λ handles on both
-/// sides — which, for inputs in the model's standard regime, occur exactly
-/// at the plan's artificial cuts — are re-joined into one window.
-///
-/// The precondition is the same one batch coalescing and the streaming
-/// `Extend` deltas already require (duplicate-free inputs with
-/// change-preserving lineage, Def. 2): at a *genuine* window boundary some
-/// valid tuple opens or closes, so at least one λ handle changes; only the
-/// artificial cuts leave both unchanged.
-pub fn stitch_windows(regions: Vec<Vec<LineageAwareWindow>>) -> Vec<LineageAwareWindow> {
-    stitch_annotated(
-        regions
-            .into_iter()
-            .map(|r| r.into_iter().map(|w| (w, ())).collect())
-            .collect(),
-    )
-    .into_iter()
-    .map(|(w, ())| w)
-    .collect()
-}
-
-/// [`stitch_windows`], generalized to windows annotated with an arbitrary
-/// payload (e.g. the per-op output lineages a parallel sweep precomputed).
-/// This is the single implementation of the merge: there is exactly one
-/// place the `(fact, winTs)` comparator and the cut-re-join condition
-/// live ([`stitch_pair`]). The payloads of a re-joined cut pair must agree
-/// — identical λ inputs derive identical data — and debug builds assert
-/// it.
-///
-/// The merge is a **pairwise tree reduction**: rounds of adjacent-pair
-/// two-way merges ([`stitch_pair`]), `⌈log₂ k⌉` deep ([`stitch_depth`]),
-/// instead of the old serial k-way scan. The output is byte-identical to
-/// the k-way merge for any plan, by two facts. First, the `(fact, winTs)`
-/// comparator is a *strict* total order across regions — a window's start
-/// determines its region (region spans partition the timeline), so two
-/// windows of the same fact in different regions never share a start —
-/// and any merge discipline produces the same sorted sequence. Second,
-/// the cut re-join is confluent: a joined window keeps the fact, λ
-/// handles, and right edge of its last constituent, so joinability of the
-/// next window is unchanged by earlier joins, and no window of a third
-/// region can sort *between* a joinable pair (it would have to start
-/// inside the left half's interval, hence inside the left half's region).
-/// Hierarchical greedy coalescing therefore equals one flat left-to-right
-/// pass. The rounds are independent per pair, which is what lets the
-/// engine fan them over workers (`tp-stream`); this function is the
-/// deterministic single-threaded reduction.
-pub fn stitch_annotated<T: PartialEq + std::fmt::Debug>(
-    regions: Vec<Vec<(LineageAwareWindow, T)>>,
-) -> Vec<(LineageAwareWindow, T)> {
-    let mut layer = regions;
-    if layer.len() == 1 {
-        // Single region: still run the coalesce pass (the k-way merge
-        // applied the re-join check to consecutive outputs even within
-        // one region).
-        return stitch_pair(layer.pop().expect("len checked"), Vec::new());
-    }
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        let mut it = layer.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(stitch_pair(a, b)),
-                None => next.push(a),
-            }
-        }
-        layer = next;
-    }
-    layer.pop().unwrap_or_default()
-}
-
-/// The number of pairwise-reduction rounds [`stitch_annotated`] runs over
-/// `regions` region streams: `⌈log₂ regions⌉` (0 for a single region).
-pub fn stitch_depth(regions: usize) -> usize {
-    let mut rounds = 0;
-    let mut n = regions.max(1);
-    while n > 1 {
-        n = n.div_ceil(2);
-        rounds += 1;
-    }
-    rounds
-}
-
-/// Merges two window streams (each in `(F, winTs)` order) into one,
-/// re-joining adjacent same-fact windows with identical λ handles on both
-/// sides — the artificial region cuts. This is the two-way step of the
-/// tree reduction and the single home of the comparator and the re-join
-/// condition. Every window moves exactly once (streams are reversed and
-/// popped from their tails), so a full reduction moves each window once
-/// per round.
-pub fn stitch_pair<T: PartialEq + std::fmt::Debug>(
-    mut a: Vec<(LineageAwareWindow, T)>,
-    mut b: Vec<(LineageAwareWindow, T)>,
-) -> Vec<(LineageAwareWindow, T)> {
-    let mut out: Vec<(LineageAwareWindow, T)> = Vec::with_capacity(a.len() + b.len());
-    a.reverse(); // pop() now yields windows in stream order
-    b.reverse();
-    loop {
-        let take_a = match (a.last(), b.last()) {
-            (Some((wa, _)), Some((wb, _))) => {
-                (&wa.fact, wa.interval.start()) < (&wb.fact, wb.interval.start())
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let (w, payload) = if take_a { &mut a } else { &mut b }
-            .pop()
-            .expect("head just probed");
-        if let Some((last, last_payload)) = out.last_mut() {
-            if last.fact == w.fact
-                && last.interval.end() == w.interval.start()
-                && last.lambda_r == w.lambda_r
-                && last.lambda_s == w.lambda_s
-            {
-                // An artificial region cut: both halves carry identical λ
-                // handles (O(1) compare) — re-join them.
-                debug_assert_eq!(
-                    *last_payload, payload,
-                    "cut halves must agree on the derived payload"
-                );
-                last.interval = Interval::at(last.interval.start(), w.interval.end());
-                continue;
-            }
-        }
-        out.push((w, payload));
-    }
-    out
-}
-
-/// The region-partitioned sweep: partitions both inputs by `plan`, sweeps
-/// every region independently (sorting each region's pieces), and stitches
-/// the per-region streams. **Byte-identical to [`all_windows`] on the
-/// sorted inputs, for any plan** — the sequential sweep is the empty plan.
-/// Inputs need not be sorted (each region sorts its own pieces).
-///
-/// This is the single-threaded reference composition; the streaming
-/// engine's parallel advance (`tp-stream`) runs the same three steps with
-/// the per-region sweeps fanned over scoped workers.
-pub fn region_windows(r: &[TpTuple], s: &[TpTuple], plan: &RegionPlan) -> Vec<LineageAwareWindow> {
-    let r_regions = plan.partition(r);
-    let s_regions = plan.partition(s);
-    let per_region: Vec<Vec<LineageAwareWindow>> = r_regions
-        .into_iter()
-        .zip(s_regions)
-        .map(|(mut r_i, mut s_i)| {
-            r_i.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-            s_i.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-            all_windows(&r_i, &s_i)
-        })
-        .collect();
-    stitch_windows(per_region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,141 +517,6 @@ mod tests {
             merged.push(w);
         }
         assert_eq!(merged, batch);
-    }
-
-    #[test]
-    fn region_plan_from_cuts_sorts_and_dedups() {
-        let plan = RegionPlan::from_cuts(vec![7, 3, 7, 3, 11]);
-        assert_eq!(plan.cuts(), &[3, 7, 11]);
-        assert_eq!(plan.regions(), 4);
-        assert_eq!(RegionPlan::sequential().regions(), 1);
-    }
-
-    #[test]
-    fn partition_clips_at_every_crossed_cut_and_preserves_lineage() {
-        let plan = RegionPlan::from_cuts(vec![4, 8]);
-        let tuples = vec![
-            tup("a", 1, 3, 0),  // region 0 only
-            tup("a", 3, 10, 1), // crosses both cuts: three pieces
-            tup("b", 4, 8, 2),  // exactly region 1 (cut at start is no clip)
-            tup("b", 9, 12, 3), // region 2 only
-            tup("c", 6, 9, 4),  // crosses the second cut
-        ];
-        let regions = plan.partition(&tuples);
-        assert_eq!(regions.len(), 3);
-        let ivals = |ts: &[TpTuple]| -> Vec<(i64, i64)> {
-            ts.iter()
-                .map(|t| (t.interval.start(), t.interval.end()))
-                .collect()
-        };
-        assert_eq!(ivals(&regions[0]), vec![(1, 3), (3, 4)]);
-        assert_eq!(ivals(&regions[1]), vec![(4, 8), (4, 8), (6, 8)]);
-        assert_eq!(ivals(&regions[2]), vec![(8, 10), (9, 12), (8, 9)]);
-        // Every piece of the crossing tuple carries the original handle.
-        for region in &regions {
-            for piece in region.iter().filter(|p| p.fact == Fact::single("a")) {
-                assert!(piece.lineage == v(0) || piece.lineage == v(1));
-            }
-        }
-        // Piece multiset covers the originals exactly (per-fact spans).
-        let total_len: i64 = regions
-            .iter()
-            .flatten()
-            .map(|t| t.interval.end() - t.interval.start())
-            .sum();
-        let orig_len: i64 = tuples
-            .iter()
-            .map(|t| t.interval.end() - t.interval.start())
-            .sum();
-        assert_eq!(total_len, orig_len);
-    }
-
-    #[test]
-    fn balanced_plans_split_the_start_stream_by_count() {
-        // 4 tuples before t=100, 4 after: a 2-region plan must cut between.
-        let mut tuples = Vec::new();
-        for k in 0..4i64 {
-            tuples.push(tup("x", k * 2, k * 2 + 1, k as u64));
-            tuples.push(tup("y", 100 + k * 2, 100 + k * 2 + 1, 10 + k as u64));
-        }
-        let plan = RegionPlan::balanced(&tuples, &[], 2);
-        assert_eq!(plan.regions(), 2);
-        let c = plan.cuts()[0];
-        assert!((7..=100).contains(&c), "cut {c} not between the clusters");
-        // Degenerate inputs collapse to the sequential plan.
-        assert_eq!(RegionPlan::balanced(&[], &[], 8), RegionPlan::sequential());
-        assert_eq!(
-            RegionPlan::balanced(&tuples[..1], &[], 8),
-            RegionPlan::sequential()
-        );
-        // All-identical start points dedup to one region.
-        let same: Vec<TpTuple> = (0..6)
-            .map(|k| tup(k.to_string().as_str(), 5, 9, k))
-            .collect();
-        assert_eq!(RegionPlan::balanced(&same, &[], 4).regions(), 1);
-    }
-
-    #[test]
-    fn region_windows_equal_sequential_windows_for_any_plan() {
-        let (c, a) = example3();
-        let mut c_sorted = c.clone();
-        c_sorted.sort_by(|x, y| x.sort_key().cmp(&y.sort_key()));
-        let mut a_sorted = a.clone();
-        a_sorted.sort_by(|x, y| x.sort_key().cmp(&y.sort_key()));
-        let batch = all_windows(&c_sorted, &a_sorted);
-        for cuts in [
-            vec![],
-            vec![5],
-            vec![2, 5, 7],
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9],
-            vec![-100, 5, 500], // out-of-span cuts: empty edge regions
-            vec![6, 6, 6],      // duplicate cuts collapse
-            vec![1, 10],        // cuts at the data extremes
-        ] {
-            let plan = RegionPlan::from_cuts(cuts.clone());
-            let got = region_windows(&c, &a, &plan);
-            assert_eq!(got, batch, "plan {cuts:?}");
-        }
-    }
-
-    #[test]
-    fn stitch_merges_only_identical_lambda_pairs() {
-        // Two adjacent windows with different λr must NOT merge even when
-        // adjacent — only artificial cuts (identical pairs) re-join.
-        let w = |s: i64, e: i64, lr: Option<Lineage>, ls: Option<Lineage>| LineageAwareWindow {
-            fact: Fact::single("f"),
-            interval: Interval::at(s, e),
-            lambda_r: lr,
-            lambda_s: ls,
-        };
-        let stitched = stitch_windows(vec![
-            vec![w(0, 4, Some(v(1)), None)],
-            vec![w(4, 8, Some(v(1)), None), w(8, 12, Some(v(2)), None)],
-        ]);
-        assert_eq!(
-            stitched,
-            vec![w(0, 12, None, None)]
-                .into_iter()
-                .map(|mut x| {
-                    x.lambda_r = Some(v(1));
-                    x.interval = Interval::at(0, 8);
-                    x
-                })
-                .chain(std::iter::once(w(8, 12, Some(v(2)), None)))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn stitch_restores_global_fact_major_order() {
-        // Fact "a" spans both regions, fact "b" lives only in region 0:
-        // region order is (a,b | a) but the sequential order is a,a,b.
-        let r = vec![tup("a", 0, 10, 0), tup("b", 1, 3, 1)];
-        let plan = RegionPlan::from_cuts(vec![5]);
-        let got = region_windows(&r, &[], &plan);
-        assert_eq!(got, all_windows(&r, &[]));
-        let facts: Vec<_> = got.iter().map(|w| w.fact.clone()).collect();
-        assert_eq!(facts, vec![Fact::single("a"), Fact::single("b")]);
     }
 
     #[test]

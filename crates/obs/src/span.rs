@@ -11,11 +11,11 @@
 //! * rings are **bounded** ([`DEFAULT_RING_CAP`] events): a long soak
 //!   keeps the most recent window of spans instead of growing without
 //!   limit;
-//! * the engine spawns short-lived scoped worker threads on every
-//!   region-parallel advance, so rings of exited threads are parked in a
-//!   free pool and handed to the next new thread (events survive until
-//!   overwritten — each event stores the recording thread's `tid`, so a
-//!   reused ring still attributes old events correctly).
+//! * server waves run tenants on short-lived scoped worker threads, so
+//!   rings of exited threads are parked in a free pool and handed to the
+//!   next new thread (events survive until overwritten — each event
+//!   stores the recording thread's `tid`, so a reused ring still
+//!   attributes old events correctly).
 //!
 //! Timestamps come from a process-wide monotonic epoch ([`now_ns`]), which
 //! makes spans from different threads directly comparable on one timeline.

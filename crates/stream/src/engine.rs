@@ -18,7 +18,9 @@
 //!
 //! [`StreamEngine::advance`] finalizes the region `[prev_w, w)`:
 //!
-//! 1. tuples with `Ts < w` are released from the ingest buffers;
+//! 1. tuples with `Ts < w` are released from the ingest buffers: the new
+//!    arrivals are sorted by `(F, Ts)` and merged linearly with the carried
+//!    residuals, which stay sorted across advances;
 //! 2. tuples crossing `w` are split where they stand, by the rule of
 //!    [`tp_core::window::split_at_watermark`] — the prefix joins this
 //!    sweep, the residual (same lineage handle) re-enters the next one;
@@ -47,19 +49,6 @@
 //! released, split and swept once per advance it spans
 //! (`released_per_arrival` is unchanged).
 //!
-//! With [`EngineConfig::parallel`] a single advance's sweep is **sharded
-//! over worker threads by timeline region**: the closed span is cut at
-//! tuple-count-balanced positions ([`tp_core::window::RegionPlan`]), each
-//! worker sorts + sweeps its region and interns the per-op window lineages,
-//! and the coordinating thread stitches the streams back — byte-identical
-//! to the sequential sweep by construction (the artificial cuts re-join on
-//! an O(1) λ-handle compare, the same argument as step 2's watermark
-//! split). Workers cannot see the open-window records, so they derive
-//! every window's lineages themselves; the coordinating thread feeds the
-//! stitched stream through step 4 with those lineages, which refreshes the
-//! records a later sequential advance continues from. Steps 1, 4 and all
-//! seal/retire bookkeeping stay on the coordinating thread.
-//!
 //! With [`EngineConfig::verify_batch`] the engine additionally re-runs
 //! batch LAWA over the entire closed region after every advance and asserts
 //! tuple-for-tuple equality — the cross-check used by the test-suite
@@ -87,15 +76,12 @@ use tp_core::lineage::Lineage;
 use tp_core::ops::{self, SetOp};
 use tp_core::relation::{TpRelation, VarEpoch, VarTable};
 use tp_core::tuple::TpTuple;
-use tp_core::window::{
-    split_at_watermark, split_tuple_at_watermark, Lawa, LineageAwareWindow, RegionPlan,
-};
+use tp_core::window::{split_at_watermark, split_tuple_at_watermark, Lawa, LineageAwareWindow};
 
 use crate::delta::{op_index, CollectingSink, Delta, StreamSink};
-use crate::gapped::{merge_by_sort_key, GappedBuffer, IndexEpochStats};
 use crate::obs::{
-    EngineObs, ObsConfig, StageCursor, STAGE_DRAIN, STAGE_FINALIZE, STAGE_PLAN, STAGE_SEAL_RETIRE,
-    STAGE_SWEEP, STAGE_VERIFY,
+    EngineObs, ObsConfig, StageCursor, STAGE_DRAIN, STAGE_FINALIZE, STAGE_SEAL_RETIRE, STAGE_SWEEP,
+    STAGE_VERIFY,
 };
 use crate::pipeline::{Pipeline, PipelineError};
 
@@ -141,24 +127,6 @@ pub enum WatermarkPolicy {
     /// time points; [`StreamEngine::poll`] advances to that bound. A tuple
     /// may arrive out of order by up to `lateness` without being dropped.
     BoundedLateness(i64),
-}
-
-/// Which ingest-buffer implementation backs [`StreamEngine::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BufferKind {
-    /// The gapped learned timestamp index ([`GappedBuffer`]): out-of-order
-    /// pushes land near their model-predicted slot in O(1) amortized, and
-    /// every advance drains an already-sorted closed prefix — the
-    /// per-advance comparison sort disappears from both the sequential and
-    /// the region-parallel sweep path, and the region planner reads exact
-    /// balanced cuts off the index. The default.
-    #[default]
-    Sorted,
-    /// The unsorted `Vec` with a per-advance comparison sort — kept for
-    /// differential testing against [`BufferKind::Sorted`] and for stream
-    /// shapes where a sort still wins (see `docs/streaming.md`,
-    /// "when the legacy buffer wins").
-    Legacy,
 }
 
 /// Bounded-memory operation: the engine hosts its lineage in a **private
@@ -220,49 +188,6 @@ impl Default for ReclaimConfig {
     }
 }
 
-/// Region-parallel advance: one watermark advance is sharded over scoped
-/// worker threads by **timeline region** ([`tp_core::window::RegionPlan`]).
-/// The planner cuts the closed span at tuple-count-balanced positions, each
-/// worker sorts + sweeps its region and computes the per-op window lineages
-/// (interning into the propagated current arena — the engine's private
-/// arena in reclaim mode), and the coordinating thread stitches the
-/// per-region streams back into the sequential window stream before the
-/// delta-emission stage. The emitted deltas are **byte-identical** to the
-/// sequential advance for any plan — the stitch re-joins exactly the
-/// artificial cuts (identical λ handles on both sides, an O(1) compare),
-/// which is the [`tp_core::window::split_at_watermark`] argument applied at
-/// every cut. Seal/retire and var-cohort bookkeeping stay on the
-/// coordinating thread, so the reclaim contract is untouched.
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Worker budget for one advance: the planner cuts the closed span
-    /// into at most this many balanced regions, one scoped thread each
-    /// (1 = sequential). The `StreamServer` scheduler rescales this per
-    /// wave ([`StreamEngine::set_region_workers`]).
-    pub workers: usize,
-    /// Advances releasing fewer tuple pieces than this run sequentially:
-    /// region fan-out has fixed costs (partition, spawn, stitch) that only
-    /// pay off on fat advances.
-    pub min_tuples: usize,
-    /// Pinned cut positions overriding balanced planning (differential
-    /// tests and diagnostics). Any positions are legal — duplicates
-    /// collapse, out-of-span cuts yield empty regions. `None` (the
-    /// default) plans per advance.
-    pub cuts: Option<Vec<TimePoint>>,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            min_tuples: 512,
-            cuts: None,
-        }
-    }
-}
-
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -278,12 +203,6 @@ pub struct EngineConfig {
     /// Bounded-memory mode; see [`ReclaimConfig`]. `None` (the default)
     /// interns into the thread's current arena and never reclaims.
     pub reclaim: Option<ReclaimConfig>,
-    /// Region-parallel advance; see [`ParallelConfig`]. `None` (the
-    /// default) sweeps every advance sequentially.
-    pub parallel: Option<ParallelConfig>,
-    /// Ingest-buffer implementation; see [`BufferKind`]. Defaults to the
-    /// gapped learned index ([`BufferKind::Sorted`]).
-    pub buffer: BufferKind,
     /// Observability: stage spans + metrics per advance; see
     /// [`ObsConfig`]. On by default — recording never changes results
     /// (instrumented and uninstrumented runs emit byte-identical delta
@@ -306,8 +225,6 @@ impl Default for EngineConfig {
             policy: WatermarkPolicy::Manual,
             verify_batch: false,
             reclaim: None,
-            parallel: None,
-            buffer: BufferKind::default(),
             obs: ObsConfig::default(),
             reopt_every: None,
         }
@@ -369,36 +286,6 @@ pub struct AdvanceStats {
     /// Variables released from the attached sliding var registry
     /// ([`ReclaimConfig::vars`]) by this advance.
     pub released_vars: u64,
-    /// Timeline regions the sweep stage used: 1 = the sequential sweep
-    /// (every [`StreamEngine::advance`] runs the sweep stage, even over
-    /// zero released tuples), > 1 = sharded over workers. 0 only on
-    /// [`StreamEngine::finish`] no-op results, which never reach the
-    /// sweep.
-    pub regions_used: usize,
-    /// Tuple pieces handed to the fattest region (equals
-    /// [`AdvanceStats::region_tuples`] for a sequential sweep).
-    pub region_max_tuples: usize,
-    /// Tuple pieces across all regions — the closed pieces of the advance,
-    /// including the extra clippings the plan's cuts introduced.
-    pub region_tuples: usize,
-    /// Pairwise-reduction rounds the stitch of a sharded sweep ran
-    /// (`⌈log₂ regions⌉`; 0 for a sequential sweep).
-    pub stitch_depth: usize,
-    /// Gap occupancy of the ingestion index at the start of the advance,
-    /// in permille of allocated slots (0 with [`BufferKind::Legacy`] or
-    /// empty buffers). Healthy steady state sits between the post-rebuild
-    /// floor (500‰ at `GAP_FACTOR` 2) and the rebuild ceiling (875‰).
-    pub gap_occupancy_permille: u32,
-    /// Ingestion-index rebuilds (layout re-spacing + model retrain) since
-    /// the previous advance.
-    pub index_retrains: u64,
-    /// Inserts whose model-predicted ε-window missed, falling back to a
-    /// full binary search, since the previous advance.
-    pub index_model_misses: u64,
-    /// 99th-percentile slot-shift distance of inserts since the previous
-    /// advance (0 = virtually all inserts landed in a free gap without
-    /// displacing neighbors).
-    pub shift_distance_p99: u32,
     /// Live nodes of the engine's **private** arena after this advance
     /// (reclaim mode only; 0 when the engine shares the thread's current
     /// arena, whose totals would depend on unrelated work).
@@ -413,78 +300,13 @@ pub struct AdvanceStats {
     pub pipeline_deltas: u64,
 }
 
-impl AdvanceStats {
-    /// Region balance of the sweep: max over mean tuple pieces per region
-    /// (1.0 = perfectly balanced; higher = one hot region dominated; 0.0
-    /// when nothing was swept). The gauge the skewed-stream workloads
-    /// stress.
-    pub fn region_balance(&self) -> f64 {
-        if self.regions_used == 0 || self.region_tuples == 0 {
-            return 0.0;
-        }
-        let mean = self.region_tuples as f64 / self.regions_used as f64;
-        self.region_max_tuples as f64 / mean
-    }
-}
-
-/// One side's ingest buffer — the [`BufferKind`] dispatch point. The
-/// size gap between the variants is fine: exactly two instances exist
-/// per engine.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-enum IngestBuffer {
-    Legacy(Vec<TpTuple>),
-    Sorted(GappedBuffer),
-}
-
-impl IngestBuffer {
-    fn new(kind: BufferKind) -> Self {
-        match kind {
-            BufferKind::Legacy => IngestBuffer::Legacy(Vec::new()),
-            BufferKind::Sorted => IngestBuffer::Sorted(GappedBuffer::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            IngestBuffer::Legacy(v) => v.len(),
-            IngestBuffer::Sorted(b) => b.len(),
-        }
-    }
-
-    fn push(&mut self, tuple: TpTuple) {
-        match self {
-            IngestBuffer::Legacy(v) => v.push(tuple),
-            IngestBuffer::Sorted(b) => b.push(tuple),
-        }
-    }
-
-    /// Visits every buffered tuple (arbitrary order) — the reclaim
-    /// frontier probe.
-    fn for_each(&self, mut f: impl FnMut(&TpTuple)) {
-        match self {
-            IngestBuffer::Legacy(v) => v.iter().for_each(f),
-            IngestBuffer::Sorted(b) => b.iter().for_each(&mut f),
-        }
-    }
-
-    /// The highest interval end among buffered tuples — the
-    /// [`StreamEngine::finish`] target.
-    fn max_interval_end(&self) -> Option<TimePoint> {
-        match self {
-            IngestBuffer::Legacy(v) => v.iter().map(|t| t.interval.end()).max(),
-            IngestBuffer::Sorted(b) => b.max_interval_end(),
-        }
-    }
-}
-
 /// Capacity of per-op arrays ([`SetOp`] has three members), indexed by
 /// [`op_index`].
 const OP_SLOTS: usize = 3;
 
 /// Everything the λ-filters/λ-functions of Algorithms 2–4 derive from one
 /// window's `(λr, λs)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Derived {
     /// The output lineage per op ([`op_index`] order); `None` where the
     /// op's λ-filter rejects the window or the op is not maintained.
@@ -496,8 +318,7 @@ struct Derived {
 
 impl Derived {
     /// Runs the λ-functions (Table I `or` / `and` / `andNot`) of `ops`
-    /// over one pair — the single implementation of the per-op semantics,
-    /// shared by the sequential sweep and the region workers.
+    /// over one pair — the single implementation of the per-op semantics.
     fn of(ops: &[SetOp], lr: Option<&Lineage>, ls: Option<&Lineage>) -> Derived {
         let mut d = Derived::default();
         for &op in ops {
@@ -571,26 +392,18 @@ impl OpenWindow {
         }
     }
 
-    /// Moves the record to window `w`. `swept` carries lineages a region
-    /// worker already derived for `w` (workers cannot see the record);
-    /// without it the record's own are reused when `w` repeats the pair
-    /// and they are [`Derived::still_current`], else derived afresh.
-    fn step(
-        &mut self,
-        w: &LineageAwareWindow,
-        ops: &[SetOp],
-        swept: Option<Derived>,
-    ) -> WindowStep {
+    /// Moves the record to window `w`: the record's lineages are reused
+    /// when `w` repeats the pair and they are [`Derived::still_current`],
+    /// else derived afresh.
+    fn step(&mut self, w: &LineageAwareWindow, ops: &[SetOp]) -> WindowStep {
         let previous = self.derived;
-        let memo_hit = swept.is_none()
-            && self.lambda_r == w.lambda_r
+        let memo_hit = self.lambda_r == w.lambda_r
             && self.lambda_s == w.lambda_s
             && LineageArena::with_current(|a| previous.still_current(a));
         if !memo_hit {
             self.lambda_r = w.lambda_r;
             self.lambda_s = w.lambda_s;
-            self.derived =
-                swept.unwrap_or_else(|| Derived::of(ops, w.lambda_r.as_ref(), w.lambda_s.as_ref()));
+            self.derived = Derived::of(ops, w.lambda_r.as_ref(), w.lambda_s.as_ref());
         }
         let outputs = std::array::from_fn(|i| {
             let lineage = self.derived.ops[i]?;
@@ -608,10 +421,10 @@ pub struct StreamEngine {
     watermark: TimePoint,
     /// Highest tuple start seen, for [`WatermarkPolicy::BoundedLateness`].
     event_high: TimePoint,
-    /// Out-of-order ingest buffers; see [`BufferKind`].
-    pending: [IngestBuffer; 2],
+    /// Out-of-order ingest buffers, in arrival order.
+    pending: [Vec<TpTuple>; 2],
     /// Residuals of tuples split at the previous watermark (start ==
-    /// watermark, original lineage).
+    /// watermark, original lineage), kept `(F, Ts)`-sorted across advances.
     carry: [Vec<TpTuple>; 2],
     /// The emptied carry list of the side released last: the next release
     /// writes its residuals here and the two swap, so a steady stream
@@ -681,13 +494,12 @@ impl StreamEngine {
             .reclaim
             .as_ref()
             .map(|rc| LineageArena::shared(rc.shards));
-        let pending = [IngestBuffer::new(cfg.buffer), IngestBuffer::new(cfg.buffer)];
         let obs = EngineObs::from_config(&cfg.obs);
         StreamEngine {
             cfg,
             watermark: TimePoint::MIN,
             event_high: TimePoint::MIN,
-            pending,
+            pending: [Vec::new(), Vec::new()],
             carry: [Vec::new(), Vec::new()],
             carry_spare: Vec::new(),
             ready: [Vec::new(), Vec::new()],
@@ -821,42 +633,6 @@ impl StreamEngine {
         ]
     }
 
-    /// Estimated tuples an `advance(to)` would release, both sides
-    /// combined — the load gauge the `StreamServer`'s two-level scheduler
-    /// reads per tenant before a watermark wave. With the gapped index
-    /// ([`BufferKind::Sorted`]) this is `rank_below(to)` — an O(log n)
-    /// occupancy-scaled boundary estimate of tuples starting below `to`,
-    /// deterministic but approximate (gap slack); with the legacy buffer it
-    /// falls back to the total buffered count. Scheduling only — never
-    /// affects results.
-    pub fn buffered_load(&self, to: TimePoint) -> usize {
-        (0..2)
-            .map(|side| {
-                self.carry[side].len()
-                    + match &self.pending[side] {
-                        IngestBuffer::Legacy(v) => v.len(),
-                        IngestBuffer::Sorted(b) => b.rank_below(to),
-                    }
-            })
-            .sum()
-    }
-
-    /// Ingestion-index posture `(gap_occupancy_permille, lifetime
-    /// retrains)` across both sides — `(0, 0)` with
-    /// [`BufferKind::Legacy`]. The repl's `\index` gauge.
-    pub fn index_stats(&self) -> (u32, u64) {
-        let (mut len, mut slots, mut retrains) = (0usize, 0usize, 0u64);
-        for side in 0..2 {
-            if let IngestBuffer::Sorted(b) = &self.pending[side] {
-                len += b.len();
-                slots += b.slot_count();
-                retrains += b.retrains_total();
-            }
-        }
-        let occ = (len * 1000).checked_div(slots).unwrap_or(0) as u32;
-        (occ, retrains)
-    }
-
     /// Ingests one tuple. Order of pushes is arbitrary; only the bounded-
     /// lateness promise matters (`tuple.interval.start() >= watermark`).
     ///
@@ -939,157 +715,43 @@ impl StreamEngine {
 
         // Release: carried residuals + pending tuples starting below `to`,
         // split at the new watermark (prefix sweeps now, residual waits).
-        //
-        // Legacy buffer: the closed pieces stay unsorted here — the
-        // sequential path sorts once below, the region-parallel path sorts
-        // per region inside workers.
-        //
-        // Gapped index: `drain_below` yields the closed prefix already in
-        // timestamp order; a hash regroup puts it in `(F, Ts)` order
-        // without comparison-sorting the bulk, and the carry — itself kept
-        // `(F, Ts)`-sorted across advances — merges in linearly. `ready`
-        // is then fully sorted and *stays sorted through region
-        // partitioning* ([`RegionPlan::partition`] preserves order), so
-        // neither sweep path sorts at all. The drain also hands back the
-        // ts-ordered start points, which the planner turns into exact
-        // balanced cuts (no sampling pass).
-        //
-        // Either way a released tuple is split where it stands
+        // Only the new arrivals are sorted — stably, so tuples with equal
+        // `(F, Ts)` keep their arrival order. The carry is `(F, Ts)`-sorted
+        // already and merges in linearly, and a split keeps the merged
+        // order, so `ready` is sorted for the sweep and the next carry
+        // stays sorted. A released tuple is split where it stands
         // ([`split_tuple_at_watermark`]): it moves into `ready` or,
-        // clipped, into the next carry list — no intermediate
-        // closed/residual lists.
-        let prev_w = self.watermark;
+        // clipped, into the next carry list.
         let mut ready = std::mem::take(&mut self.ready);
-        // Ts-sorted start points of the closed pieces (index mode, and
-        // only when a region planner will read them).
-        let mut cut_starts: Option<[Vec<TimePoint>; 2]> = None;
-        match self.cfg.buffer {
-            BufferKind::Legacy => {
-                for (side, ready) in ready.iter_mut().enumerate() {
-                    let mut carry = std::mem::take(&mut self.carry_spare);
-                    stats.released[side] = self.carry[side].len();
-                    for t in self.carry[side].drain(..) {
-                        split_tuple_at_watermark(t, to, ready, &mut carry);
-                    }
-                    let IngestBuffer::Legacy(pending) = &mut self.pending[side] else {
-                        unreachable!("legacy engines hold legacy buffers");
-                    };
-                    let mut keep = Vec::with_capacity(pending.len());
-                    for t in pending.drain(..) {
-                        if t.interval.start() < to {
-                            stats.released[side] += 1;
-                            split_tuple_at_watermark(t, to, ready, &mut carry);
-                        } else {
-                            keep.push(t);
-                        }
-                    }
-                    *pending = keep;
-                    stats.carried[side] = carry.len();
-                    self.carry_spare = std::mem::replace(&mut self.carry[side], carry);
-                }
+        for (side, ready) in ready.iter_mut().enumerate() {
+            let mut released: Vec<TpTuple> = self.pending[side]
+                .extract_if(.., |t| t.interval.start() < to)
+                .collect();
+            released.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+            stats.released[side] = self.carry[side].len() + released.len();
+            let mut carry = std::mem::take(&mut self.carry_spare);
+            for t in merge_by_sort_key(self.carry[side].drain(..), released) {
+                split_tuple_at_watermark(t, to, ready, &mut carry);
             }
-            BufferKind::Sorted => {
-                // Index gauges, measured before the drain perturbs layout.
-                let (occ, _) = self.index_stats();
-                stats.gap_occupancy_permille = occ;
-                let mut epoch = IndexEpochStats::default();
-                let mut starts = self
-                    .cfg
-                    .parallel
-                    .is_some()
-                    .then(|| [Vec::new(), Vec::new()]);
-                for (side, ready) in ready.iter_mut().enumerate() {
-                    let IngestBuffer::Sorted(buf) = &mut self.pending[side] else {
-                        unreachable!("index engines hold gapped buffers");
-                    };
-                    let drained = buf.drain_below(to);
-                    epoch.absorb(&buf.take_epoch_stats());
-                    // Carried residuals all start exactly at the previous
-                    // watermark (they are split residuals of drained
-                    // pieces), so they precede every drained start.
-                    let carried = self.carry[side].len();
-                    stats.released[side] = carried + drained.tuples.len();
-                    if let Some(starts) = starts.as_mut() {
-                        starts[side] = Vec::with_capacity(stats.released[side]);
-                        starts[side].extend(std::iter::repeat_n(prev_w, carried));
-                        starts[side].extend_from_slice(&drained.starts);
-                    }
-                    // Both inputs are `(F, Ts)`-sorted and the split keeps
-                    // their merged order, so `ready` needs no sort and the
-                    // carry invariant holds for the next advance.
-                    let mut carry = std::mem::take(&mut self.carry_spare);
-                    for t in merge_by_sort_key(self.carry[side].drain(..), drained.tuples) {
-                        split_tuple_at_watermark(t, to, ready, &mut carry);
-                    }
-                    stats.carried[side] = carry.len();
-                    self.carry_spare = std::mem::replace(&mut self.carry[side], carry);
-                }
-                stats.index_retrains = epoch.retrains;
-                stats.index_model_misses = epoch.model_misses;
-                stats.shift_distance_p99 = epoch.shift_p99();
-                cut_starts = starts;
-            }
+            stats.carried[side] = carry.len();
+            self.carry_spare = std::mem::replace(&mut self.carry[side], carry);
         }
-        let presorted = self.cfg.buffer == BufferKind::Sorted;
-        stages.stage(STAGE_DRAIN, (stats.released[0] + stats.released[1]) as u64);
+        let pieces = (stats.released[0] + stats.released[1]) as u64;
+        stages.stage(STAGE_DRAIN, pieces);
 
-        // One sweep, all ops. The sweep is either sequential or sharded
-        // over worker threads by timeline region (`ParallelConfig`); both
-        // feed the same window stream — stitched back to byte-identity in
-        // the parallel case — through the same `emit_window` below.
-        let plan = self.region_plan(&ready, cut_starts.as_ref());
-        stages.stage(
-            STAGE_PLAN,
-            plan.as_ref().map(|p| p.regions() as u64).unwrap_or(1),
-        );
-        match plan {
-            None => {
-                if !presorted {
-                    for side in ready.iter_mut() {
-                        side.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-                    }
-                }
-                debug_assert!(ready
-                    .iter()
-                    .all(|side| side.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key())));
-                stats.regions_used = 1;
-                stats.region_tuples = ready[0].len() + ready[1].len();
-                stats.region_max_tuples = stats.region_tuples;
-                let [ready_r, ready_s] = &ready;
-                for w in Lawa::new(ready_r, ready_s) {
-                    self.emit_window(w, None, sink, &mut stats);
-                }
-            }
-            Some(plan) => {
-                let workers = self.region_workers();
-                let swept = sweep_regions(
-                    &ready,
-                    &plan,
-                    &self.cfg.ops,
-                    workers,
-                    presorted,
-                    &mut stats,
-                    obs.as_deref(),
-                );
-                let emit_t0 = obs.as_ref().map(|_| crate::obs::now_ns());
-                for (w, derived) in swept {
-                    self.emit_window(w, Some(derived), sink, &mut stats);
-                }
-                if let (Some(o), Some(t0)) = (obs.as_deref(), emit_t0) {
-                    o.sub_span(
-                        "emit",
-                        t0,
-                        crate::obs::now_ns() - t0,
-                        stats.inserts + stats.extends,
-                    );
-                }
-            }
+        // One sweep, all ops.
+        debug_assert!(ready
+            .iter()
+            .all(|side| side.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key())));
+        let [ready_r, ready_s] = &ready;
+        for w in Lawa::new(ready_r, ready_s) {
+            self.emit_window(w, sink, &mut stats);
         }
         for side in ready.iter_mut() {
             side.clear();
         }
         self.ready = ready;
-        stages.stage(STAGE_SWEEP, stats.region_tuples as u64);
+        stages.stage(STAGE_SWEEP, pieces);
 
         self.watermark = to;
         // A record can only be matched by a future window starting exactly
@@ -1184,14 +846,14 @@ impl StreamEngine {
                 let r = l.node_ref();
                 ranges.push((arena.min_segment(r).0, r.segment().0));
             };
-            for side in 0..2 {
-                self.pending[side].for_each(|t| probe(&t.lineage));
-                for t in &self.carry[side] {
-                    probe(&t.lineage);
-                }
-                for t in &self.accepted[side] {
-                    probe(&t.lineage);
-                }
+            for t in self
+                .pending
+                .iter()
+                .chain(&self.carry)
+                .chain(&self.accepted)
+                .flatten()
+            {
+                probe(&t.lineage);
             }
         }
         ranges.sort_unstable();
@@ -1249,73 +911,28 @@ impl StreamEngine {
         self.sealed = kept;
     }
 
-    /// Decides whether this advance's sweep is sharded by timeline region:
-    /// `None` is the sequential sweep. Pinned cuts always shard (the
-    /// differential-test hook); balanced planning requires a worker budget
-    /// above one and at least `min_tuples` closed pieces. With the gapped
-    /// index, `starts` holds the ts-sorted start points the drain handed
-    /// back and the cuts are **exact** tuple-count quantiles
-    /// ([`RegionPlan::balanced_from_index`]); the legacy buffer keeps the
-    /// 2048-sample approximation.
-    fn region_plan(
-        &self,
-        ready: &[Vec<TpTuple>; 2],
-        starts: Option<&[Vec<TimePoint>; 2]>,
-    ) -> Option<RegionPlan> {
-        let pc = self.cfg.parallel.as_ref()?;
-        if let Some(cuts) = &pc.cuts {
-            return Some(RegionPlan::from_cuts(cuts.clone()));
-        }
-        let total = ready[0].len() + ready[1].len();
-        if pc.workers <= 1 || total < pc.min_tuples.max(2) {
-            return None;
-        }
-        let plan = match starts {
-            Some(st) => RegionPlan::balanced_from_index(&st[0], &st[1], pc.workers),
-            None => RegionPlan::balanced(&ready[0], &ready[1], pc.workers),
-        };
-        (plan.regions() > 1).then_some(plan)
-    }
-
-    /// Rescales the region-parallel worker budget for subsequent advances
-    /// (no-op without [`EngineConfig::parallel`]). The `StreamServer`'s
-    /// two-level scheduler calls this before every watermark wave.
-    pub fn set_region_workers(&mut self, workers: usize) {
-        if let Some(pc) = self.cfg.parallel.as_mut() {
-            pc.workers = workers.max(1);
-        }
-    }
-
-    /// The current region-parallel worker budget (1 without
-    /// [`EngineConfig::parallel`]).
-    pub fn region_workers(&self) -> usize {
-        self.cfg.parallel.as_ref().map(|pc| pc.workers).unwrap_or(1)
-    }
-
     /// Releases everything still buffered by advancing the watermark past
     /// the last buffered end point. No-op (zero stats) when nothing is
     /// buffered.
     ///
-    /// Routes through [`StreamEngine::advance`] — the same (possibly
-    /// region-parallel) path as every mid-stream advance, so the final
-    /// flush shards over workers too and there is exactly one sweep
-    /// implementation to maintain.
+    /// Routes through [`StreamEngine::advance`], so there is exactly one
+    /// sweep implementation to maintain.
     pub fn finish(&mut self, sink: &mut impl StreamSink) -> Result<AdvanceStats, StreamError> {
         let hi = self
             .pending
             .iter()
-            .filter_map(IngestBuffer::max_interval_end)
-            .chain(self.carry.iter().flatten().map(|t| t.interval.end()))
+            .chain(&self.carry)
+            .flatten()
+            .map(|t| t.interval.end())
             .max();
         match hi {
             Some(hi) if hi > self.watermark => self.advance(hi, sink),
             _ => {
                 // No-op finish: nothing to sweep, but the posture gauges
-                // (index occupancy, carried residue, arena residency) are
-                // still live state — report them instead of zeros.
+                // (carried residue, arena residency) are still live state —
+                // report them instead of zeros.
                 let mut stats = AdvanceStats {
                     watermark: self.watermark,
-                    gap_occupancy_permille: self.index_stats().0,
                     ..Default::default()
                 };
                 for side in 0..2 {
@@ -1334,21 +951,18 @@ impl StreamEngine {
     /// fact's open-window record ([`OpenWindow::step`]): an `Extend` when
     /// the tuple continues the op's previous output tuple of the fact with
     /// the identical lineage handle — the artificial watermark cut — or an
-    /// `Insert`. The one emission path of both sweeps: `swept` is `None`
-    /// from the sequential loop and the worker-derived lineages from the
-    /// region-parallel coordinator.
+    /// `Insert`.
     fn emit_window(
         &mut self,
         w: LineageAwareWindow,
-        swept: Option<Derived>,
         sink: &mut impl StreamSink,
         stats: &mut AdvanceStats,
     ) {
         let step = match self.open.get_mut(&w.fact) {
-            Some(rec) => rec.step(&w, &self.cfg.ops, swept),
+            Some(rec) => rec.step(&w, &self.cfg.ops),
             None => {
                 let mut rec = OpenWindow::new();
-                let step = rec.step(&w, &self.cfg.ops, swept);
+                let step = rec.step(&w, &self.cfg.ops);
                 self.open.insert(w.fact.clone(), rec);
                 step
             }
@@ -1408,160 +1022,19 @@ impl StreamEngine {
     }
 }
 
-/// One region's annotated window stream, as produced by a sub-sweep and
-/// consumed by the pairwise stitch reduction.
-type RegionStream = Vec<(LineageAwareWindow, Derived)>;
-
-/// Fans the per-region LAWA sub-sweeps over at most `workers` scoped
-/// threads (contiguous region blocks, so a pinned plan with more regions
-/// than budget — the differential-test hook — never over-spawns): each
-/// worker sweeps its regions' pieces and computes the per-op window
-/// lineages — interning into the propagated current arena, which is the
-/// engine's private arena in reclaim mode (the append path is lock-free,
-/// so workers never contend on node storage). With `presorted` (the gapped
-/// ingestion index: `ready` is `(F, Ts)`-sorted, and
-/// [`RegionPlan::partition`] preserves that order within each region) the
-/// per-worker sorts are skipped entirely — the serial fraction PR 5 left
-/// inside each worker disappears. The stitched stream equals the
-/// sequential sweep's byte for byte; the stitch runs as a pairwise tree
-/// reduction over [`tp_core::window::stitch_pair`] (the same primitive
-/// [`tp_core::window::stitch_annotated`] is built from), so merge work no
-/// longer serializes at high worker counts.
-fn sweep_regions(
-    ready: &[Vec<TpTuple>; 2],
-    plan: &RegionPlan,
-    ops: &[SetOp],
-    workers: usize,
-    presorted: bool,
-    stats: &mut AdvanceStats,
-    obs: Option<&EngineObs>,
-) -> RegionStream {
-    let r_regions = plan.partition(&ready[0]);
-    let s_regions = plan.partition(&ready[1]);
-    stats.regions_used = plan.regions();
-    stats.region_max_tuples = 0;
-    stats.region_tuples = 0;
-    for (r_i, s_i) in r_regions.iter().zip(&s_regions) {
-        let pieces = r_i.len() + s_i.len();
-        stats.region_max_tuples = stats.region_max_tuples.max(pieces);
-        stats.region_tuples += pieces;
-    }
-    // Chunk the regions into one contiguous block per worker thread.
-    let threads = workers.clamp(1, plan.regions());
-    let per_thread = plan.regions().div_ceil(threads);
-    let mut blocks: Vec<Vec<(Vec<TpTuple>, Vec<TpTuple>)>> = Vec::with_capacity(threads);
-    let mut paired = r_regions.into_iter().zip(s_regions);
-    loop {
-        let block: Vec<_> = paired.by_ref().take(per_thread).collect();
-        if block.is_empty() {
-            break;
-        }
-        blocks.push(block);
-    }
-    // Workers do not inherit the caller's thread-local arena scope:
-    // propagate it so every op lineage lands in the engine's arena.
-    let arena = LineageArena::current_shared();
-    let span_ctx = obs.map(|o| o.ctx);
-    let per_region: Vec<RegionStream> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .into_iter()
-            .map(|block| {
-                let arena = arena.clone();
-                scope.spawn(move || {
-                    let _scope = arena.as_ref().map(LineageArena::enter);
-                    let worker_t0 = span_ctx.map(|_| crate::obs::now_ns());
-                    let pieces: u64 = block.iter().map(|(r, s)| (r.len() + s.len()) as u64).sum();
-                    let out = block
-                        .into_iter()
-                        .map(|(mut r_i, mut s_i)| {
-                            if !presorted {
-                                r_i.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-                                s_i.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-                            }
-                            Lawa::new(&r_i, &s_i)
-                                .map(|w| {
-                                    let derived =
-                                        Derived::of(ops, w.lambda_r.as_ref(), w.lambda_s.as_ref());
-                                    (w, derived)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect::<Vec<_>>();
-                    if let (Some(ctx), Some(t0)) = (span_ctx, worker_t0) {
-                        let dur = crate::obs::now_ns() - t0;
-                        crate::obs::record_sub_span("region", t0, dur, ctx, pieces);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("region worker panicked"))
-            .collect()
-    });
-    // Pairwise tree reduction replaces the coordinator's serial k-way
-    // merge: each round halves the stream count and merges its pairs
-    // concurrently, so ⌈log₂ k⌉ rounds remain where a k-stream merge
-    // serialized. `stitch_pair` only compares lineage *handles* (O(1),
-    // no dereference), so the reduction threads skip the arena scope.
-    let mut layer = per_region;
-    let mut depth = 0usize;
-    if layer.len() == 1 {
-        // Single-region plans (a pinned cut set) still get the coalesce
-        // pass the merge applies within one stream.
-        let round_t0 = span_ctx.map(|_| crate::obs::now_ns());
-        let only = tp_core::window::stitch_pair(layer.pop().expect("len checked"), Vec::new());
-        if let (Some(ctx), Some(t0)) = (span_ctx, round_t0) {
-            let dur = crate::obs::now_ns() - t0;
-            crate::obs::record_sub_span("stitch_reduce", t0, dur, ctx, only.len() as u64);
-        }
-        layer = vec![only];
-    }
-    while layer.len() > 1 {
-        depth += 1;
-        let round_t0 = span_ctx.map(|_| crate::obs::now_ns());
-        let mut pairs: Vec<(RegionStream, Option<RegionStream>)> =
-            Vec::with_capacity(layer.len().div_ceil(2));
-        let mut it = layer.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        let reduce = |(a, b): (RegionStream, Option<RegionStream>)| match b {
-            Some(b) => tp_core::window::stitch_pair(a, b),
-            None => a,
-        };
-        layer = if pairs.len() > 1 && workers > 1 {
-            let threads = workers.clamp(1, pairs.len());
-            let per_thread = pairs.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let mut chunks = Vec::with_capacity(threads);
-                let mut it = pairs.into_iter();
-                loop {
-                    let chunk: Vec<_> = it.by_ref().take(per_thread).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    chunks.push(
-                        scope.spawn(move || chunk.into_iter().map(reduce).collect::<Vec<_>>()),
-                    );
-                }
-                chunks
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("stitch worker panicked"))
-                    .collect()
-            })
-        } else {
-            pairs.into_iter().map(reduce).collect()
-        };
-        if let (Some(ctx), Some(t0)) = (span_ctx, round_t0) {
-            let dur = crate::obs::now_ns() - t0;
-            let merged: u64 = layer.iter().map(|l| l.len() as u64).sum();
-            crate::obs::record_sub_span("stitch_reduce", t0, dur, ctx, merged);
-        }
-    }
-    stats.stitch_depth = depth;
-    layer.pop().unwrap_or_default()
+/// Merges two `(F, Ts)` sort-key-ordered tuple streams into one (ties take
+/// `a` first). The drain joins the carried residuals with the sorted new
+/// arrivals through it — O(n), no sort, no intermediate list.
+fn merge_by_sort_key(
+    a: impl IntoIterator<Item = TpTuple>,
+    b: impl IntoIterator<Item = TpTuple>,
+) -> impl Iterator<Item = TpTuple> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x.sort_key() <= y.sort_key() => a.next(),
+        (Some(_), None) => a.next(),
+        _ => b.next(),
+    })
 }
 
 #[cfg(test)]
@@ -1916,178 +1389,19 @@ mod tests {
         assert!(stats.nodes > 0, "lineage was not translated into the arena");
     }
 
-    /// Replays `events` through an engine with the given parallel config,
-    /// returning the materialized delta log (advance every `every` points).
-    fn replay_with(
-        parallel: Option<ParallelConfig>,
-        events: &[(Side, TpTuple)],
-        every: i64,
-    ) -> crate::delta::MaterializingSink {
-        let mut engine = StreamEngine::new(EngineConfig {
-            parallel,
-            ..Default::default()
-        });
-        let mut sink = crate::delta::MaterializingSink::new();
-        let mut w = i64::MIN;
-        for (side, t) in events {
-            engine.push(*side, t.clone());
-            let target = t.interval.start() - 1;
-            if target > w && target % every == 0 {
-                w = target;
-                engine.advance(w, &mut sink).unwrap();
-            }
-        }
-        engine.finish(&mut sink).unwrap();
-        sink
-    }
-
-    fn parallel_cfg(workers: usize) -> ParallelConfig {
-        ParallelConfig {
-            workers,
-            min_tuples: 0,
-            cuts: None,
-        }
-    }
-
     #[test]
-    fn region_parallel_advance_is_byte_identical_to_sequential() {
+    fn merge_by_sort_key_is_a_stable_sorted_merge() {
         let mut vars = VarTable::new();
-        let mut events = Vec::new();
-        for e in 0..40i64 {
-            for f in 0..4i64 {
-                for (side, off) in [(Side::Left, 0), (Side::Right, 3)] {
-                    let id = vars.register(format!("v{e}_{f}_{off}"), 0.5).unwrap();
-                    events.push((
-                        side,
-                        TpTuple::new(
-                            Fact::single(f),
-                            Lineage::var(id),
-                            Interval::at(10 * e + off, 10 * e + off + 8),
-                        ),
-                    ));
-                }
-            }
-        }
-        let sequential = replay_with(None, &events, 30);
-        for workers in [2, 3, 8] {
-            let parallel = replay_with(Some(parallel_cfg(workers)), &events, 30);
-            assert_eq!(
-                parallel.deltas, sequential.deltas,
-                "{workers} workers: delta log diverged"
-            );
-        }
-        // Pinned cuts — including duplicates and out-of-span positions —
-        // are equally byte-identical.
-        for cuts in [vec![], vec![55, 55, 200], vec![-5, 17, 17, 1_000_000]] {
-            let pinned = replay_with(
-                Some(ParallelConfig {
-                    workers: 4,
-                    min_tuples: 0,
-                    cuts: Some(cuts.clone()),
-                }),
-                &events,
-                30,
-            );
-            assert_eq!(pinned.deltas, sequential.deltas, "cuts {cuts:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_advance_reports_region_gauges() {
-        let mut vars = VarTable::new();
-        let mut engine = StreamEngine::new(EngineConfig {
-            parallel: Some(parallel_cfg(4)),
-            ..Default::default()
-        });
-        let mut sink = CountingSink::new();
-        for k in 0..64i64 {
-            let id = vars.register("v", 0.5).unwrap();
-            engine.push(
-                Side::Left,
-                TpTuple::new(
-                    Fact::single(k % 8),
-                    Lineage::var(id),
-                    Interval::at(k, k + 1),
-                ),
-            );
-        }
-        let stats = engine.advance(100, &mut sink).unwrap();
-        assert!(stats.regions_used > 1, "fat advance stayed sequential");
-        assert!(stats.regions_used <= 4);
-        assert_eq!(stats.region_tuples, 64);
-        assert!(stats.region_max_tuples >= 64 / stats.regions_used);
-        assert!(stats.region_balance() >= 1.0);
-        // A sequential engine reports one region covering everything.
-        let mut seq = StreamEngine::default();
-        let id = vars.register("v", 0.5).unwrap();
-        seq.push(
-            Side::Left,
-            TpTuple::new("f", Lineage::var(id), Interval::at(0, 5)),
-        );
-        let stats = seq.advance(10, &mut sink).unwrap();
-        assert_eq!(stats.regions_used, 1);
-        assert_eq!(stats.region_tuples, 1);
-        assert!((stats.region_balance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn small_advances_stay_sequential_under_min_tuples() {
-        let mut vars = VarTable::new();
-        let id = vars.register("v", 0.5).unwrap();
-        let mut engine = StreamEngine::new(EngineConfig {
-            parallel: Some(ParallelConfig {
-                workers: 8,
-                min_tuples: 1_000,
-                cuts: None,
-            }),
-            ..Default::default()
-        });
-        let mut sink = CountingSink::new();
-        engine.push(
-            Side::Left,
-            TpTuple::new("f", Lineage::var(id), Interval::at(0, 5)),
-        );
-        let stats = engine.advance(10, &mut sink).unwrap();
-        assert_eq!(stats.regions_used, 1, "tiny advance must not fan out");
-        assert_eq!(engine.region_workers(), 8);
-        engine.set_region_workers(2);
-        assert_eq!(engine.region_workers(), 2);
-    }
-
-    #[test]
-    fn reclaiming_parallel_engine_matches_sequential_reclaim() {
-        // Region workers intern op lineage into the engine's PRIVATE arena
-        // (the propagated scope); the delta log and the reclamation
-        // schedule must match the sequential reclaiming engine.
-        let run = |parallel: Option<ParallelConfig>| {
-            let mut vars = VarTable::new();
-            let events = sliding_tuples(&mut vars, 30, 8, 16);
-            let mut engine = StreamEngine::new(EngineConfig {
-                reclaim: Some(ReclaimConfig {
-                    keep_epochs: 2,
-                    ..Default::default()
-                }),
-                parallel,
-                ..Default::default()
-            });
-            let mut sink = crate::delta::MaterializingSink::new();
-            let mut w = 0i64;
-            for (side, t) in &events {
-                engine.push(*side, t.clone());
-                let hi = t.interval.start();
-                if hi - 24 > w {
-                    w = hi - 24;
-                    engine.advance(w, &mut sink).unwrap();
-                }
-            }
-            engine.finish(&mut sink).unwrap();
-            (sink.deltas, engine.reclaimed())
+        let mut tuple = |fact: i64, s: i64, e: i64| {
+            let id = vars.register(format!("v{fact}_{s}"), 0.5).unwrap();
+            TpTuple::new(Fact::single(fact), Lineage::var(id), Interval::at(s, e))
         };
-        let (seq_deltas, seq_reclaimed) = run(None);
-        let (par_deltas, par_reclaimed) = run(Some(parallel_cfg(3)));
-        assert_eq!(par_deltas, seq_deltas);
-        assert_eq!(par_reclaimed, seq_reclaimed);
-        assert!(seq_reclaimed.0 > 0, "nothing retired — test is vacuous");
+        let a = vec![tuple(1, 0, 2), tuple(3, 5, 6)];
+        let b = vec![tuple(1, 3, 4), tuple(2, 0, 1)];
+        let merged: Vec<TpTuple> = merge_by_sort_key(a.clone(), b.clone()).collect();
+        let mut reference = [a, b].concat();
+        reference.sort_by(|x, y| x.sort_key().cmp(&y.sort_key()));
+        assert_eq!(merged, reference);
     }
 
     #[test]

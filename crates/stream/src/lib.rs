@@ -23,8 +23,7 @@
 //!
 //! | module | content |
 //! |---|---|
-//! | [`engine`] | [`StreamEngine`]: ingestion, watermarks, incremental sweep (optionally sharded over workers by timeline region, byte-identical), delta emission |
-//! | [`gapped`] | [`GappedBuffer`]: the gapped learned timestamp index behind sort-free ingestion |
+//! | [`engine`] | [`StreamEngine`]: ingestion, watermarks, incremental sweep, delta emission |
 //! | [`delta`] | [`Delta`], the [`StreamSink`] trait, collecting/counting sinks |
 //! | [`epoch`] | timeline-partitioned parallel executor + arena cache/storage release scopes |
 //! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
@@ -42,7 +41,6 @@
 pub mod delta;
 pub mod engine;
 pub mod epoch;
-pub mod gapped;
 pub mod obs;
 pub mod pipeline;
 pub mod replay;
@@ -53,11 +51,10 @@ pub use delta::{
     StreamSink, ValuatedDelta, ValuatingSink,
 };
 pub use engine::{
-    AdvanceStats, BufferKind, EngineConfig, IngestOutcome, ParallelConfig, ReclaimConfig, Side,
-    StreamEngine, StreamError, WatermarkPolicy,
+    AdvanceStats, EngineConfig, IngestOutcome, ReclaimConfig, Side, StreamEngine, StreamError,
+    WatermarkPolicy,
 };
 pub use epoch::{apply_epoched, EpochConfig, EpochScope, ReleasedStorage};
-pub use gapped::{Drained, GappedBuffer, IndexEpochStats};
 pub use obs::{
     advance_section, arena_section, metrics_json, metrics_text, render_all, set_obs_enabled,
     trace_json, ObsConfig, Section, STAGES,

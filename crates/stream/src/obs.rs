@@ -10,21 +10,18 @@
 //!
 //! | stage        | covers |
 //! |--------------|--------|
-//! | `drain`      | buffer release, watermark split, carry merge |
-//! | `plan`       | region planning ([`RegionPlan`](tp_core::window::RegionPlan)) |
-//! | `sweep`      | the LAWA sweep (sequential or region-sharded) + delta emission |
+//! | `drain`      | buffer release, arrival sort, watermark split, carry merge |
+//! | `sweep`      | the LAWA sweep + delta emission |
 //! | `finalize`   | watermark publication, record pruning, `on_watermark` |
 //! | `seal_retire`| arena seal + dead-segment retirement (reclaim mode) |
 //! | `verify`     | the batch cross-check (`verify_batch` only) |
 //!
 //! **Sub-spans** (category `"sub"`) overlap their parent stage and are
-//! excluded from the tiling sum: `region` (one per worker block of a
-//! parallel sweep, recorded on the worker's own thread), `stitch_reduce`
-//! (one per round of the pairwise stitch reduction), `emit` (the
-//! delta-emission loop of a parallel advance), `retrain` (a gapped-index
-//! rebuild, recorded in [`crate::gapped`]), and `valuate_batch` (the
-//! columnar marginal kernel, recorded by [`valuate_batch`]). A
-//! whole-advance span (category `"advance"`) wraps the stages. All spans of one engine share an interned context label
+//! excluded from the tiling sum: one per standing-pipeline operator pass,
+//! and `valuate_batch` (the columnar marginal kernel, recorded by
+//! [`valuate_batch`]). A whole-advance span (category `"advance"`, payload:
+//! the released pieces) wraps the stages. All spans of one engine share an
+//! interned context label
 //! ([`tp_obs::ctx_id`]) — the tenant name under a [`StreamServer`]
 //! (crate::StreamServer), `"engine"` otherwise — so exports and tests can
 //! filter one run out of the process-wide ring buffers.
@@ -41,33 +38,24 @@ pub use tp_obs::{
     chrome_trace_json, ctx_label, global, now_ns, render_all, snapshot_spans, MetricsRegistry,
     Section, SpanEvent,
 };
-use tp_obs::{ctx_id, record_span, Counter, Gauge, Histogram};
+use tp_obs::{ctx_id, record_span, Counter, Histogram};
 
 use crate::engine::AdvanceStats;
 
 /// Partition-stage names, in pipeline order. Indices are the `stage`
 /// argument of [`StageCursor::stage`].
-pub const STAGES: [&str; 6] = [
-    "drain",
-    "plan",
-    "sweep",
-    "finalize",
-    "seal_retire",
-    "verify",
-];
+pub const STAGES: [&str; 5] = ["drain", "sweep", "finalize", "seal_retire", "verify"];
 
 /// Index of the `drain` stage.
 pub(crate) const STAGE_DRAIN: usize = 0;
-/// Index of the `plan` stage.
-pub(crate) const STAGE_PLAN: usize = 1;
 /// Index of the `sweep` stage.
-pub(crate) const STAGE_SWEEP: usize = 2;
+pub(crate) const STAGE_SWEEP: usize = 1;
 /// Index of the `finalize` stage.
-pub(crate) const STAGE_FINALIZE: usize = 3;
+pub(crate) const STAGE_FINALIZE: usize = 2;
 /// Index of the `seal_retire` stage.
-pub(crate) const STAGE_SEAL_RETIRE: usize = 4;
+pub(crate) const STAGE_SEAL_RETIRE: usize = 3;
 /// Index of the `verify` stage.
-pub(crate) const STAGE_VERIFY: usize = 5;
+pub(crate) const STAGE_VERIFY: usize = 4;
 
 /// Observability configuration of one engine.
 #[derive(Clone)]
@@ -107,14 +95,12 @@ impl std::fmt::Debug for ObsConfig {
     }
 }
 
-/// Master switch for the *global-flag* instrumentation layers that sit
-/// below the engine — the arena (tp-core) and the gapped index — which an
-/// [`ObsConfig`] cannot reach per instance. Benchmarks flip this off
-/// together with `ObsConfig::enabled` to measure a genuinely
-/// uninstrumented baseline.
+/// Master switch for the *global-flag* instrumentation layer that sits
+/// below the engine — the arena (tp-core) — which an [`ObsConfig`] cannot
+/// reach per instance. Benchmarks flip this off together with
+/// `ObsConfig::enabled` to measure a genuinely uninstrumented baseline.
 pub fn set_obs_enabled(on: bool) {
     tp_core::arena::set_obs_enabled(on);
-    crate::gapped::set_obs_enabled(on);
 }
 
 /// Cached registry handles + span context of one instrumented engine.
@@ -131,9 +117,6 @@ pub(crate) struct EngineObs {
     late: Arc<Counter>,
     advance_ns: Arc<Histogram>,
     stage_ns: Vec<Arc<Histogram>>,
-    /// Pairwise-reduction rounds of the latest sharded stitch (0 while
-    /// the engine sweeps sequentially).
-    stitch_depth: Arc<Gauge>,
 }
 
 impl EngineObs {
@@ -170,7 +153,6 @@ impl EngineObs {
             late: reg.counter("tp_late_dropped_total", &labels),
             advance_ns: reg.histogram("tp_advance_ns", &labels),
             stage_ns,
-            stitch_depth: reg.gauge("tp_stitch_depth", &labels),
         }))
     }
 
@@ -183,13 +165,6 @@ impl EngineObs {
     pub fn sub_span(&self, name: &'static str, ts_ns: u64, dur_ns: u64, arg: u64) {
         record_span(name, "sub", ts_ns, dur_ns, self.ctx, arg);
     }
-}
-
-/// Records a `cat: "sub"` span from a raw context id — the region workers
-/// only carry the `Copy` ctx across the thread boundary, not the
-/// [`EngineObs`] handle, so the span lands on the *worker's* ring.
-pub(crate) fn record_sub_span(name: &'static str, ts_ns: u64, dur_ns: u64, ctx: u32, arg: u64) {
-    record_span(name, "sub", ts_ns, dur_ns, ctx, arg);
 }
 
 /// The per-advance stage clock: each [`StageCursor::stage`] call closes
@@ -235,7 +210,7 @@ impl<'a> StageCursor<'a> {
             self.t0,
             dur,
             obs.ctx,
-            stats.region_tuples as u64,
+            (stats.released[0] + stats.released[1]) as u64,
         );
         obs.advance_ns.record(dur);
         obs.advances.inc();
@@ -245,7 +220,6 @@ impl<'a> StageCursor<'a> {
         obs.extends.add(stats.extends);
         obs.released
             .add((stats.released[0] + stats.released[1]) as u64);
-        obs.stitch_depth.set(stats.stitch_depth as i64);
     }
 }
 
@@ -296,30 +270,6 @@ pub fn advance_section(stats: &AdvanceStats) -> Section {
         .row(
             "carried [l, r]",
             format!("[{}, {}]", stats.carried[0], stats.carried[1]),
-        )
-        .row(
-            "regions",
-            format!(
-                "{} ({} pieces, balance {:.2})",
-                stats.regions_used,
-                stats.region_tuples,
-                stats.region_balance()
-            ),
-        )
-        .row_opt(
-            "stitch depth",
-            (stats.stitch_depth > 0).then(|| format!("{} rounds", stats.stitch_depth)),
-        )
-        .row(
-            "gap occupancy",
-            format!("{}‰", stats.gap_occupancy_permille),
-        )
-        .row(
-            "index",
-            format!(
-                "{} rebuilds, {} model misses, shift p99 {}",
-                stats.index_retrains, stats.index_model_misses, stats.shift_distance_p99
-            ),
         )
         .row_opt(
             "retired",
@@ -451,9 +401,6 @@ mod tests {
             windows: 3,
             inserts: 2,
             extends: 1,
-            regions_used: 1,
-            region_tuples: 5,
-            region_max_tuples: 5,
             ..Default::default()
         };
         let out = advance_section(&stats).render();

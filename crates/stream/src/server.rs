@@ -35,12 +35,12 @@ use tp_core::tuple::TpTuple;
 
 use crate::delta::StreamSink;
 use crate::engine::{
-    AdvanceStats, BufferKind, EngineConfig, IngestOutcome, ParallelConfig, ReclaimConfig, Side,
-    StreamEngine, StreamError, WatermarkPolicy,
+    AdvanceStats, EngineConfig, IngestOutcome, ReclaimConfig, Side, StreamEngine, StreamError,
+    WatermarkPolicy,
 };
 use crate::obs::ObsConfig;
 use crate::pipeline::PipelineError;
-use tp_obs::{Gauge, Histogram, MetricsRegistry};
+use tp_obs::{Histogram, MetricsRegistry};
 
 /// Identifier of one tenant stream within a [`StreamServer`]. Dense per
 /// server, assigned by [`StreamServer::add_tenant`].
@@ -61,26 +61,9 @@ pub struct ServerConfig {
     /// Dedup stripes of each tenant's private arena
     /// ([`ReclaimConfig::shards`]).
     pub shards: usize,
-    /// Total worker budget of one watermark wave. The two-level scheduler
-    /// splits it between **tenant shards** (how many tenants advance
-    /// concurrently) and **intra-tenant regions** (how many workers one
-    /// tenant's advance shards its timeline over): every tenant gets one
-    /// region worker, and the budget left over after the tenant shards is
-    /// handed out proportionally to buffered load — so a single hot
-    /// tenant soaks up the spare budget instead of stalling the wave on
-    /// one core. 1 = fully serial.
+    /// Tenant shards of one watermark wave: how many tenants advance
+    /// concurrently, each on its own scoped thread. 1 = fully serial.
     pub workers: usize,
-    /// Per-advance floor for intra-tenant region parallelism
-    /// ([`ParallelConfig::min_tuples`]): a tenant's advance only fans out
-    /// when it releases at least this many tuple pieces.
-    pub region_min_tuples: usize,
-    /// Ingest-buffer implementation of every tenant engine
-    /// ([`EngineConfig::buffer`]). With the default gapped index, the wave
-    /// scheduler additionally reads each tenant's *releasable* load for
-    /// the upcoming watermark straight off the index
-    /// ([`StreamEngine::buffered_load`]) instead of the total buffered
-    /// count.
-    pub buffer: BufferKind,
     /// Observability template applied to every tenant engine: `enabled`
     /// and `registry` carry over per tenant; the `tenant` label is always
     /// overwritten with the tenant's name, so each tenant's metrics and
@@ -95,7 +78,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         let reclaim = ReclaimConfig::default();
-        let parallel = ParallelConfig::default();
         ServerConfig {
             ops: SetOp::ALL.to_vec(),
             keep_epochs: reclaim.keep_epochs,
@@ -103,8 +85,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            region_min_tuples: parallel.min_tuples,
-            buffer: BufferKind::default(),
             obs: ObsConfig::default(),
             reopt_every: None,
         }
@@ -127,9 +107,6 @@ struct Tenant<S> {
     /// Wave-latency histogram (`tp_wave_advance_ns{tenant=…}`); `None`
     /// when observability is off.
     wave_ns: Option<Arc<Histogram>>,
-    /// Region-worker budget decisions of the two-level scheduler
-    /// (`tp_region_workers{tenant=…}`).
-    workers_gauge: Option<Arc<Gauge>>,
 }
 
 impl<S: StreamSink> Tenant<S> {
@@ -218,8 +195,7 @@ impl<S: StreamSink + Send> StreamServer<S> {
     }
 
     /// The per-tenant engine configuration: fresh private arena + sliding
-    /// var registry, manual watermarks, one region worker until the wave
-    /// scheduler hands out the spare budget (`schedule_region_workers`).
+    /// var registry, manual watermarks.
     fn tenant_engine_config(&self, name: &str) -> (EngineConfig, Arc<VarTable>) {
         let vars = Arc::new(VarTable::new());
         let obs = ObsConfig {
@@ -236,12 +212,6 @@ impl<S: StreamSink + Send> StreamServer<S> {
                 vars: Some(Arc::clone(&vars)),
                 interior: true,
             }),
-            parallel: Some(ParallelConfig {
-                workers: 1,
-                min_tuples: self.cfg.region_min_tuples,
-                cuts: None,
-            }),
-            buffer: self.cfg.buffer,
             obs,
             reopt_every: self.cfg.reopt_every,
         };
@@ -255,19 +225,13 @@ impl<S: StreamSink + Send> StreamServer<S> {
         vars: Arc<VarTable>,
         make_sink: impl FnOnce(&Arc<VarTable>) -> S,
     ) -> TenantId {
-        let (wave_ns, workers_gauge) = if self.cfg.obs.enabled {
+        let wave_ns = self.cfg.obs.enabled.then(|| {
             let reg: &MetricsRegistry = match &self.cfg.obs.registry {
                 Some(r) => r,
                 None => tp_obs::global(),
             };
-            let labels = [("tenant", name.as_str())];
-            (
-                Some(reg.histogram("tp_wave_advance_ns", &labels)),
-                Some(reg.gauge("tp_region_workers", &labels)),
-            )
-        } else {
-            (None, None)
-        };
+            reg.histogram("tp_wave_advance_ns", &[("tenant", name.as_str())])
+        });
         let sink = make_sink(&vars);
         self.tenants.push(Tenant {
             name,
@@ -278,7 +242,6 @@ impl<S: StreamSink + Send> StreamServer<S> {
             pushed: 0,
             late_rejected: 0,
             wave_ns,
-            workers_gauge,
         });
         TenantId(self.tenants.len() - 1)
     }
@@ -367,61 +330,17 @@ impl<S: StreamSink + Send> StreamServer<S> {
         })
     }
 
-    /// The two-level scheduler: splits the wave's worker budget between
-    /// tenant shards and intra-tenant regions. Every tenant keeps one
-    /// region worker; the budget left after the tenant shards
-    /// (`workers − min(workers, tenants)`) is distributed proportionally
-    /// to each tenant's buffered load, so a hot tenant's advance shards
-    /// its own timeline instead of pinning the whole wave to one core.
-    ///
-    /// The load gauge is watermark-aware when the wave target is known and
-    /// the tenant runs the gapped ingestion index: `buffered_load(to)`
-    /// estimates the tuples the advance will actually *release* with one
-    /// O(log n) index probe per side, so a tenant sitting on a mountain of
-    /// far-future arrivals no longer soaks up budget it cannot use this
-    /// wave. Legacy-buffer tenants (and `finish_all`, which has no single
-    /// target) fall back to the total buffered count.
-    ///
-    /// Deterministic: the assignment never changes results (region
-    /// parallelism is byte-identical by construction), only wall time.
-    /// The budget is a soft cap — a tenant shard and its region workers
-    /// overlap briefly, so momentary thread count can exceed it.
-    fn schedule_region_workers(&mut self, to: Option<TimePoint>) {
-        let budget = self.cfg.workers.max(1);
-        let outer = budget.min(self.tenants.len().max(1));
-        let spare = budget - outer;
-        let loads: Vec<usize> = self
-            .tenants
-            .iter()
-            .map(|t| match to {
-                Some(w) => t.engine.buffered_load(w),
-                None => t.engine.buffered().iter().sum(),
-            })
-            .collect();
-        let total: usize = loads.iter().sum::<usize>().max(1);
-        for (tenant, load) in self.tenants.iter_mut().zip(loads) {
-            let w = 1 + spare * load / total;
-            tenant.engine.set_region_workers(w);
-            if let Some(g) = &tenant.workers_gauge {
-                g.set(w as i64);
-            }
-        }
-    }
-
     /// Advances every tenant's watermark to `to`, sharding the live
-    /// advances across the worker pool ([`ServerConfig::workers`]) with
-    /// the two-level budget split ([`ServerConfig::workers`] docs).
+    /// advances across the worker pool ([`ServerConfig::workers`]).
     /// Returns per-tenant results in tenant order; each tenant's outcome
     /// is identical to a serial [`StreamServer::advance`] call.
     pub fn advance_all(&mut self, to: TimePoint) -> Vec<Result<AdvanceStats, StreamError>> {
-        self.schedule_region_workers(Some(to));
         self.for_each_tenant(|t| t.advance(to))
     }
 
-    /// Flushes every tenant ([`StreamEngine::finish`]), sharded and
-    /// budget-split like [`StreamServer::advance_all`].
+    /// Flushes every tenant ([`StreamEngine::finish`]), sharded like
+    /// [`StreamServer::advance_all`].
     pub fn finish_all(&mut self) -> Vec<Result<AdvanceStats, StreamError>> {
-        self.schedule_region_workers(None);
         self.for_each_tenant(|t| {
             let stats = t.engine.finish(&mut t.sink)?;
             t.last = stats;
@@ -585,81 +504,6 @@ mod tests {
                 .unwrap(),
             IngestOutcome::Accepted
         );
-    }
-
-    #[test]
-    fn hot_tenant_gets_the_spare_region_budget_and_stays_byte_identical() {
-        // One hot tenant (many rows per wave) next to two cold ones. The
-        // two-level scheduler must hand the spare worker budget to the hot
-        // tenant — and the resulting delta log must equal a fully serial
-        // run byte for byte.
-        let run = |workers: usize| {
-            let mut server: StreamServer<MaterializingSink> = StreamServer::new(ServerConfig {
-                workers,
-                region_min_tuples: 16,
-                ..Default::default()
-            });
-            let hot = server.add_tenant("hot", MaterializingSink::new());
-            let cold: Vec<TenantId> = (0..2)
-                .map(|i| server.add_tenant(format!("cold{i}"), MaterializingSink::new()))
-                .collect();
-            for e in 0..10i64 {
-                for k in 0..60i64 {
-                    // Same-fact rows (k and k+8, …) stay disjoint: span 7
-                    // inside stride-8 slots — duplicate-free by shape.
-                    server
-                        .push_row(
-                            hot,
-                            Side::Left,
-                            Fact::single(k % 8),
-                            Interval::at(100 * e + k, 100 * e + k + 7),
-                            0.4,
-                        )
-                        .unwrap();
-                }
-                for &tid in &cold {
-                    server
-                        .push_row(
-                            tid,
-                            Side::Left,
-                            Fact::single("x"),
-                            Interval::at(100 * e, 100 * e + 5),
-                            0.5,
-                        )
-                        .unwrap();
-                }
-                for result in server.advance_all(100 * e + 90) {
-                    result.unwrap();
-                }
-            }
-            // Captured before finish_all: the final flush releases nothing
-            // (zero load), so it resets the wave's budget split and
-            // returns watermark-only stats.
-            let hot_regions = server.last_stats(hot).regions_used;
-            let hot_workers = server.engine(hot).region_workers();
-            server.finish_all();
-            let logs: Vec<Vec<crate::delta::MaterializedDelta>> = [hot]
-                .iter()
-                .chain(&cold)
-                .map(|&tid| server.sink(tid).deltas.clone())
-                .collect();
-            // The scheduler handed the hot tenant more than one worker
-            // when the budget allows (3 tenants, budget 6 → 3 spare, all
-            // to the ~95%-load tenant).
-            (hot_regions, hot_workers, logs)
-        };
-        let (_, serial_workers, serial_logs) = run(1);
-        assert_eq!(serial_workers, 1);
-        let (hot_regions, hot_workers, wave_logs) = run(6);
-        assert!(
-            hot_workers > 1,
-            "scheduler never gave the hot tenant spare budget"
-        );
-        assert!(
-            hot_regions > 1,
-            "hot tenant's advance never sharded by region"
-        );
-        assert_eq!(wave_logs, serial_logs, "delta logs diverged");
     }
 
     #[test]

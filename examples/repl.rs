@@ -10,10 +10,6 @@
 //! tp> \d a            -- show a relation
 //! tp> \load r file    -- load a base relation from a file
 //! tp> \arena          -- lineage-arena statistics (segments, nodes, bytes)
-//! tp> \parallel a c 4 -- region-parallel streamed sweep of two relations,
-//!                        with per-advance region/balance gauges
-//! tp> \index a c      -- streamed sweep on the gapped learned timestamp
-//!                        index, with per-advance occupancy/retrain gauges
 //! tp> \plan a c       -- stream two relations through a tenant's standing
 //!                        plans (a shared join under two alert rules) and
 //!                        print the lowered DAG: per-operator state rows,
@@ -93,24 +89,6 @@ fn handle_command(db: &mut Database, line: &str) -> Result<bool> {
                 );
                 println!("{}", section.render());
             }
-            Some("parallel") => {
-                let (Some(left), Some(right)) = (parts.next(), parts.next()) else {
-                    println!("usage: \\parallel <left> <right> [workers]");
-                    return Ok(true);
-                };
-                let workers = parts
-                    .next()
-                    .and_then(|w| w.parse::<usize>().ok())
-                    .unwrap_or(4);
-                show_parallel_sweep(db, left, right, workers)?;
-            }
-            Some("index") => {
-                let (Some(left), Some(right)) = (parts.next(), parts.next()) else {
-                    println!("usage: \\index <left> <right>");
-                    return Ok(true);
-                };
-                show_index_sweep(db, left, right)?;
-            }
             Some("plan") => {
                 let (Some(left), Some(right)) = (parts.next(), parts.next()) else {
                     println!("usage: \\plan <left> <right>");
@@ -136,8 +114,8 @@ fn handle_command(db: &mut Database, line: &str) -> Result<bool> {
             }
             Some(other) => {
                 println!(
-                    "unknown command \\{other} (try \\d, \\load, \\arena, \\parallel, \\index, \
-                     \\plan, \\metrics, \\trace, \\q)"
+                    "unknown command \\{other} (try \\d, \\load, \\arena, \\plan, \\metrics, \
+                     \\trace, \\q)"
                 )
             }
             None => {}
@@ -151,126 +129,6 @@ fn handle_command(db: &mut Database, line: &str) -> Result<bool> {
     }
     println!("{}", result.canonicalized().render(db.vars()));
     Ok(true)
-}
-
-/// Streams `left op right` through a region-parallel engine (advances at
-/// the quartiles of the time hull) and prints the per-advance sharding
-/// gauges — the streaming twin of `\arena`'s introspection. The result is
-/// byte-identical to the sequential sweep by construction; this command
-/// shows *how* the advance was sharded.
-fn show_parallel_sweep(db: &Database, left: &str, right: &str, workers: usize) -> Result<()> {
-    use tp_stream::{CollectingSink, EngineConfig, ParallelConfig, Side, StreamEngine};
-
-    let r = db.relation(left)?;
-    let s = db.relation(right)?;
-    let hull = match (r.time_range(), s.time_range()) {
-        (Some(a), Some(b)) => a.hull(&b),
-        (Some(h), None) | (None, Some(h)) => h,
-        (None, None) => {
-            println!("both relations are empty — nothing to sweep");
-            return Ok(());
-        }
-    };
-    let mut engine = StreamEngine::new(EngineConfig {
-        parallel: Some(ParallelConfig {
-            workers: workers.max(1),
-            min_tuples: 0, // demo-sized relations should still shard
-            cuts: None,
-        }),
-        ..Default::default()
-    });
-    let mut sink = CollectingSink::new();
-    for t in r.iter() {
-        engine.push(Side::Left, t.clone());
-    }
-    for t in s.iter() {
-        engine.push(Side::Right, t.clone());
-    }
-    println!(
-        "region-parallel sweep of {left} op {right} over [{}, {}), budget {} workers:",
-        hull.start(),
-        hull.end(),
-        workers.max(1),
-    );
-    let span = (hull.end() - hull.start()).max(4);
-    for q in 1..=4i64 {
-        let w = hull.start() + span * q / 4 + i64::from(q == 4);
-        if w <= engine.watermark() {
-            continue;
-        }
-        let stats = engine
-            .advance(w, &mut sink)
-            .expect("quartile watermarks are monotone");
-        println!("{}", tp_stream::advance_section(&stats).render());
-    }
-    engine
-        .finish(&mut sink)
-        .expect("finish never regresses the watermark");
-    for op in [SetOp::Union, SetOp::Intersect, SetOp::Except] {
-        println!("-- {op}: {} result tuples", sink.len(op));
-    }
-    Ok(())
-}
-
-/// Streams `left`/`right` through an engine on the gapped learned
-/// timestamp index (advances at the quartiles of the time hull) and prints
-/// the ingestion-index gauges of every advance — gap occupancy, rebuilds,
-/// model misses and shift distances — plus the final index posture. The
-/// index twin of `\parallel`'s sharding gauges.
-fn show_index_sweep(db: &Database, left: &str, right: &str) -> Result<()> {
-    use tp_stream::{BufferKind, CollectingSink, EngineConfig, Side, StreamEngine};
-
-    let r = db.relation(left)?;
-    let s = db.relation(right)?;
-    let hull = match (r.time_range(), s.time_range()) {
-        (Some(a), Some(b)) => a.hull(&b),
-        (Some(h), None) | (None, Some(h)) => h,
-        (None, None) => {
-            println!("both relations are empty — nothing to sweep");
-            return Ok(());
-        }
-    };
-    let mut engine = StreamEngine::new(EngineConfig {
-        buffer: BufferKind::Sorted,
-        ..Default::default()
-    });
-    let mut sink = CollectingSink::new();
-    for t in r.iter() {
-        engine.push(Side::Left, t.clone());
-    }
-    for t in s.iter() {
-        engine.push(Side::Right, t.clone());
-    }
-    let (occ, _) = engine.index_stats();
-    println!(
-        "ingestion index over {left}/{right}: {} + {} tuples buffered, {} permille occupied:",
-        r.len(),
-        s.len(),
-        occ,
-    );
-    let span = (hull.end() - hull.start()).max(4);
-    for q in 1..=4i64 {
-        let w = hull.start() + span * q / 4 + i64::from(q == 4);
-        if w <= engine.watermark() {
-            continue;
-        }
-        let stats = engine
-            .advance(w, &mut sink)
-            .expect("quartile watermarks are monotone");
-        println!("{}", tp_stream::advance_section(&stats).render());
-    }
-    engine
-        .finish(&mut sink)
-        .expect("finish never regresses the watermark");
-    let (occ, retrains) = engine.index_stats();
-    println!(
-        "  final posture: {} permille occupied, {} lifetime rebuilds",
-        occ, retrains,
-    );
-    for op in [SetOp::Union, SetOp::Intersect, SetOp::Except] {
-        println!("-- {op}: {} result tuples", sink.len(op));
-    }
-    Ok(())
 }
 
 /// Streams `left`/`right` through an engine carrying **two standing

@@ -17,8 +17,8 @@
 //! ```
 
 use tp_stream::{
-    Delta, EngineConfig, ParallelConfig, ReclaimConfig, ReplayConfig, ReplayEvent, StreamEngine,
-    StreamSink, ValuatingSink,
+    Delta, EngineConfig, ReclaimConfig, ReplayConfig, ReplayEvent, StreamEngine, StreamSink,
+    ValuatingSink,
 };
 use tp_workloads::{meteo_stream, MeteoConfig};
 use tpdb::prelude::*;
@@ -98,27 +98,15 @@ fn main() -> Result<()> {
         top.truncate(5);
     };
     // Reclaim mode: private arena, one sealed segment per advance,
-    // retirement once the live window moves past a segment. Fat advances
-    // additionally shard their sweep over region workers (byte-identical
-    // output; wall-time win on multi-core hardware).
+    // retirement once the live window moves past a segment.
     let mut engine = StreamEngine::new(EngineConfig {
         reclaim: Some(ReclaimConfig::default()),
-        // A fixed demo budget (not available_parallelism): the gauges
-        // below should show sharding even on small machines — the output
-        // is byte-identical either way.
-        parallel: Some(ParallelConfig {
-            workers: 4,
-            min_tuples: 128,
-            cuts: None,
-        }),
         ..Default::default()
     });
     let t0 = std::time::Instant::now();
     let mut peak_nodes = 0usize;
     let (mut windows, mut inserts, mut extends) = (0usize, 0u64, 0u64);
-    let (mut max_regions, mut worst_balance) = (0usize, 0.0f64);
-    let (mut max_stitch_depth, mut interior_retired) = (0usize, 0u64);
-    let (mut peak_occupancy, mut retrains, mut worst_shift_p99) = (0u32, 0u64, 0u32);
+    let mut interior_retired = 0u64;
     for event in &workload.script.events {
         match event {
             ReplayEvent::Arrive(side, t) => {
@@ -130,13 +118,7 @@ fn main() -> Result<()> {
                 windows += stats.windows;
                 inserts += stats.inserts;
                 extends += stats.extends;
-                max_regions = max_regions.max(stats.regions_used);
-                worst_balance = worst_balance.max(stats.region_balance());
-                max_stitch_depth = max_stitch_depth.max(stats.stitch_depth);
                 interior_retired += stats.interior_retired_segments;
-                peak_occupancy = peak_occupancy.max(stats.gap_occupancy_permille);
-                retrains += stats.index_retrains;
-                worst_shift_p99 = worst_shift_p99.max(stats.shift_distance_p99);
                 peak_nodes = peak_nodes.max(engine.arena_stats().expect("reclaim mode").nodes);
             }
         }
@@ -170,18 +152,6 @@ fn main() -> Result<()> {
                 "interior retires",
                 format!("{interior_retired} segments freed behind the live frontier"),
             ),
-        tp_stream::Section::new("region-parallel advance")
-            .row("max regions per sweep", max_regions)
-            .row("worker budget", engine.region_workers())
-            .row("worst balance", format!("{worst_balance:.2} (1.0 = even)"))
-            .row(
-                "stitch depth",
-                format!("{max_stitch_depth} reduction rounds at the widest sweep"),
-            ),
-        tp_stream::Section::new("ingestion index")
-            .row("peak gap occupancy", format!("{peak_occupancy}‰"))
-            .row("rebuilds", retrains)
-            .row("worst shift p99", format!("{worst_shift_p99} slots")),
         tp_stream::Section::new("advance latency (tp_advance_ns)")
             .row("advances", advance_ns.count())
             .row("p50", format!("{} µs", advance_ns.p50() / 1_000))

@@ -4,7 +4,7 @@
 //!
 //! * **Plan swap** — an engine re-optimizing mid-run must emit a delta log
 //!   **byte-identical** to the frozen engine's, and its standing view must
-//!   match the batch twin, across sequential/parallel × reclaim on/off.
+//!   match the batch twin, with reclaim mode on and off.
 //!   The swap itself is proven to have happened (the keyed nested-loop
 //!   join becomes a hash join, `reopts() ≥ 1`).
 //! * **State sharing** — a shared multi-plan pipeline must materialize
@@ -25,8 +25,8 @@ use std::collections::HashSet;
 use common::oracle::assert_delta_logs_identical;
 use tp_relalg::{bind_sources, AggFn, Plan, Predicate, Relation, Row, Schema};
 use tp_stream::{
-    encode_relation, CollectingSink, Delta, EngineConfig, MaterializingSink, ParallelConfig,
-    ReclaimConfig, ReplayConfig, ReplayEvent, StreamEngine, StreamScript, StreamSink,
+    encode_relation, CollectingSink, Delta, EngineConfig, MaterializingSink, ReclaimConfig,
+    ReplayConfig, ReplayEvent, StreamEngine, StreamScript, StreamSink,
 };
 use tp_workloads::{skewed_synth_stream, SkewedConfig, SynthConfig};
 use tpdb::prelude::*;
@@ -39,13 +39,8 @@ fn leaf() -> Plan {
     Plan::values(Relation::empty(source_schema()))
 }
 
-fn engine_config(parallel: bool, reclaim: bool) -> EngineConfig {
+fn engine_config(reclaim: bool) -> EngineConfig {
     EngineConfig {
-        parallel: parallel.then_some(ParallelConfig {
-            workers: 3,
-            min_tuples: 8,
-            cuts: None,
-        }),
         reclaim: reclaim.then(|| ReclaimConfig {
             keep_epochs: 2,
             ..Default::default()
@@ -90,77 +85,74 @@ fn swap_bait_plan() -> (Plan, Vec<SetOp>) {
 
 #[test]
 fn plan_swap_is_invisible_in_delta_log_and_view_across_engine_matrix() {
-    for parallel in [false, true] {
-        for reclaim in [false, true] {
-            let mut vars = VarTable::new();
-            let w = tp_workloads::synth_stream(
-                &SynthConfig::with_facts(140, 9, 4242),
-                &ReplayConfig {
-                    lateness: 6,
-                    advance_every: 24,
-                    seed: 11,
-                },
-                &mut vars,
-            );
-            let (plan, taps) = swap_bait_plan();
-            let ctx = format!("parallel={parallel}, reclaim={reclaim}");
+    for reclaim in [false, true] {
+        let mut vars = VarTable::new();
+        let w = tp_workloads::synth_stream(
+            &SynthConfig::with_facts(140, 9, 4242),
+            &ReplayConfig {
+                lateness: 6,
+                advance_every: 24,
+                seed: 11,
+            },
+            &mut vars,
+        );
+        let (plan, taps) = swap_bait_plan();
+        let ctx = format!("reclaim={reclaim}");
 
-            let mut frozen =
-                StreamEngine::with_plan(engine_config(parallel, reclaim), &plan, &taps).unwrap();
-            let mut frozen_sink = MaterializingSink::new();
-            drive(&mut frozen, &w.script, &mut frozen_sink);
+        let mut frozen = StreamEngine::with_plan(engine_config(reclaim), &plan, &taps).unwrap();
+        let mut frozen_sink = MaterializingSink::new();
+        drive(&mut frozen, &w.script, &mut frozen_sink);
 
-            let adaptive_cfg = EngineConfig {
+        let adaptive_cfg = EngineConfig {
+            reopt_every: Some(3),
+            ..engine_config(reclaim)
+        };
+        let mut adaptive = StreamEngine::with_plan(adaptive_cfg, &plan, &taps).unwrap();
+        let mut adaptive_sink = MaterializingSink::new();
+        drive(&mut adaptive, &w.script, &mut adaptive_sink);
+
+        // The swap actually happened and installed the hash join.
+        let p = adaptive.pipeline().unwrap();
+        assert!(p.reopts() >= 1, "{ctx}: re-optimization never fired");
+        assert!(
+            p.operator_deltas().iter().any(|(n, _)| *n == "hash_join"),
+            "{ctx}: swapped pipeline still runs the nested-loop join"
+        );
+        assert!(
+            frozen
+                .pipeline()
+                .unwrap()
+                .operator_deltas()
+                .iter()
+                .any(|(n, _)| *n == "nl_join"),
+            "{ctx}: frozen engine should keep the nested-loop join"
+        );
+
+        // Byte-identical delta logs and row-identical views.
+        assert_delta_logs_identical(&frozen_sink, &adaptive_sink, &ctx);
+        let frozen_view = frozen.pipeline().unwrap().materialized().rows;
+        let adaptive_view = p.materialized().rows;
+        assert!(!frozen_view.is_empty(), "{ctx}: vacuous");
+        assert_eq!(adaptive_view, frozen_view, "{ctx}: views diverged");
+
+        // And both match the batch twin over the closed region.
+        let mut check = StreamEngine::with_plan(
+            EngineConfig {
                 reopt_every: Some(3),
-                ..engine_config(parallel, reclaim)
-            };
-            let mut adaptive = StreamEngine::with_plan(adaptive_cfg, &plan, &taps).unwrap();
-            let mut adaptive_sink = MaterializingSink::new();
-            drive(&mut adaptive, &w.script, &mut adaptive_sink);
-
-            // The swap actually happened and installed the hash join.
-            let p = adaptive.pipeline().unwrap();
-            assert!(p.reopts() >= 1, "{ctx}: re-optimization never fired");
-            assert!(
-                p.operator_deltas().iter().any(|(n, _)| *n == "hash_join"),
-                "{ctx}: swapped pipeline still runs the nested-loop join"
-            );
-            assert!(
-                frozen
-                    .pipeline()
-                    .unwrap()
-                    .operator_deltas()
-                    .iter()
-                    .any(|(n, _)| *n == "nl_join"),
-                "{ctx}: frozen engine should keep the nested-loop join"
-            );
-
-            // Byte-identical delta logs and row-identical views.
-            assert_delta_logs_identical(&frozen_sink, &adaptive_sink, &ctx);
-            let frozen_view = frozen.pipeline().unwrap().materialized().rows;
-            let adaptive_view = p.materialized().rows;
-            assert!(!frozen_view.is_empty(), "{ctx}: vacuous");
-            assert_eq!(adaptive_view, frozen_view, "{ctx}: views diverged");
-
-            // And both match the batch twin over the closed region.
-            let mut check = StreamEngine::with_plan(
-                EngineConfig {
-                    reopt_every: Some(3),
-                    ..engine_config(parallel, reclaim)
-                },
-                &plan,
-                &taps,
-            )
-            .unwrap();
-            let mut collecting = CollectingSink::new();
-            drive(&mut check, &w.script, &mut collecting);
-            let expect = batch_rows(&plan, &collecting, &taps);
-            assert_eq!(
-                check.pipeline().unwrap().materialized().rows,
-                expect,
-                "{ctx}: adaptive pipeline != batch"
-            );
-        }
+                ..engine_config(reclaim)
+            },
+            &plan,
+            &taps,
+        )
+        .unwrap();
+        let mut collecting = CollectingSink::new();
+        drive(&mut check, &w.script, &mut collecting);
+        let expect = batch_rows(&plan, &collecting, &taps);
+        assert_eq!(
+            check.pipeline().unwrap().materialized().rows,
+            expect,
+            "{ctx}: adaptive pipeline != batch"
+        );
     }
 }
 
@@ -178,53 +170,48 @@ fn shared_rules() -> (Vec<Plan>, Vec<Vec<SetOp>>) {
 
 #[test]
 fn shared_pipeline_matches_solo_engines_and_batch_with_subadditive_state() {
-    for parallel in [false, true] {
-        for reclaim in [false, true] {
-            let mut vars = VarTable::new();
-            let w = tp_workloads::synth_stream(
-                &SynthConfig::with_facts(150, 10, 515),
-                &ReplayConfig {
-                    lateness: 5,
-                    advance_every: 32,
-                    seed: 12,
-                },
-                &mut vars,
-            );
-            let (plans, taps) = shared_rules();
-            let ctx = format!("parallel={parallel}, reclaim={reclaim}");
+    for reclaim in [false, true] {
+        let mut vars = VarTable::new();
+        let w = tp_workloads::synth_stream(
+            &SynthConfig::with_facts(150, 10, 515),
+            &ReplayConfig {
+                lateness: 5,
+                advance_every: 32,
+                seed: 12,
+            },
+            &mut vars,
+        );
+        let (plans, taps) = shared_rules();
+        let ctx = format!("reclaim={reclaim}");
 
-            let mut shared =
-                StreamEngine::with_plans(engine_config(parallel, reclaim), &plans, &taps).unwrap();
-            let mut sink = CollectingSink::new();
-            drive(&mut shared, &w.script, &mut sink);
+        let mut shared = StreamEngine::with_plans(engine_config(reclaim), &plans, &taps).unwrap();
+        let mut sink = CollectingSink::new();
+        drive(&mut shared, &w.script, &mut sink);
 
-            let mut solo_state = 0usize;
-            for (i, plan) in plans.iter().enumerate() {
-                let mut solo =
-                    StreamEngine::with_plan(engine_config(parallel, reclaim), plan, &taps[i])
-                        .unwrap();
-                let mut solo_sink = CollectingSink::new();
-                drive(&mut solo, &w.script, &mut solo_sink);
-                let expect = batch_rows(plan, &solo_sink, &taps[i]);
-                assert!(!expect.is_empty(), "{ctx}: plan #{i} vacuous");
-                let solo_view = solo.pipeline().unwrap().materialized().rows;
-                let shared_view = shared.pipeline().unwrap().materialized_view(i).rows;
-                assert_eq!(shared_view, expect, "{ctx}: shared view #{i} != batch");
-                assert_eq!(shared_view, solo_view, "{ctx}: shared view #{i} != solo");
-                solo_state += solo.pipeline().unwrap().state_rows();
-            }
-            let sp = shared.pipeline().unwrap();
-            assert!(
-                sp.shared_operators() >= 3,
-                "{ctx}: join + sources should be shared, got {}",
-                sp.shared_operators()
-            );
-            assert!(
-                sp.state_rows() < solo_state,
-                "{ctx}: shared state {} not sub-additive vs duplicated {solo_state}",
-                sp.state_rows()
-            );
+        let mut solo_state = 0usize;
+        for (i, plan) in plans.iter().enumerate() {
+            let mut solo = StreamEngine::with_plan(engine_config(reclaim), plan, &taps[i]).unwrap();
+            let mut solo_sink = CollectingSink::new();
+            drive(&mut solo, &w.script, &mut solo_sink);
+            let expect = batch_rows(plan, &solo_sink, &taps[i]);
+            assert!(!expect.is_empty(), "{ctx}: plan #{i} vacuous");
+            let solo_view = solo.pipeline().unwrap().materialized().rows;
+            let shared_view = shared.pipeline().unwrap().materialized_view(i).rows;
+            assert_eq!(shared_view, expect, "{ctx}: shared view #{i} != batch");
+            assert_eq!(shared_view, solo_view, "{ctx}: shared view #{i} != solo");
+            solo_state += solo.pipeline().unwrap().state_rows();
         }
+        let sp = shared.pipeline().unwrap();
+        assert!(
+            sp.shared_operators() >= 3,
+            "{ctx}: join + sources should be shared, got {}",
+            sp.shared_operators()
+        );
+        assert!(
+            sp.state_rows() < solo_state,
+            "{ctx}: shared state {} not sub-additive vs duplicated {solo_state}",
+            sp.state_rows()
+        );
     }
 }
 
@@ -253,7 +240,7 @@ fn shared_views_valuate_through_batch_kernel_within_1e12() {
         prefix().project(vec![0, 1]).distinct(),
     ];
     let taps = vec![vec![SetOp::Union]; 3];
-    let mut engine = StreamEngine::with_plans(engine_config(false, false), &plans, &taps).unwrap();
+    let mut engine = StreamEngine::with_plans(engine_config(false), &plans, &taps).unwrap();
     let mut sink = CollectingSink::new();
     drive(&mut engine, &w.script, &mut sink);
     let p = engine.pipeline().unwrap();
@@ -345,7 +332,7 @@ fn skewed_keys_republish_at_most_touched_groups_per_advance() {
         .hash_join(leaf(), vec![0], vec![0])
         .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
     let taps = [SetOp::Union, SetOp::Intersect];
-    let mut engine = StreamEngine::with_plan(engine_config(false, false), &plan, &taps).unwrap();
+    let mut engine = StreamEngine::with_plan(engine_config(false), &plan, &taps).unwrap();
     let mut sink = TouchCountingSink::new(&taps);
     let agg_emitted = |engine: &StreamEngine| -> u64 {
         engine

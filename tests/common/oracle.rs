@@ -105,8 +105,7 @@ pub fn assert_formula_matches_control(
 /// boundaries, delta kind, lineage (as arena-independent trees) — and the
 /// same order. This is the strongest stream-equivalence statement the
 /// suite makes: the two engines *behaved* identically, not merely
-/// converged to the same relation. The region-parallel differential tests
-/// use it to pin a sharded advance to the sequential one.
+/// converged to the same relation.
 pub fn assert_delta_logs_identical(a: &MaterializingSink, b: &MaterializingSink, ctx: &str) {
     for (i, (da, db)) in a.deltas.iter().zip(&b.deltas).enumerate() {
         assert_eq!(da, db, "{ctx}: delta #{i} diverged");

@@ -17,8 +17,8 @@ use tp_obs::{
     TraceRing,
 };
 use tp_stream::{
-    EngineConfig, MaterializingSink, ObsConfig, ParallelConfig, ReclaimConfig, ReplayConfig,
-    ServerConfig, Side, StreamScript, StreamServer,
+    EngineConfig, MaterializingSink, ObsConfig, ReclaimConfig, ReplayConfig, ServerConfig, Side,
+    StreamScript, StreamServer,
 };
 use tp_workloads::{sliding_synth_stream, SlidingConfig};
 use tpdb::prelude::*;
@@ -167,34 +167,12 @@ fn trace_ring_is_bounded_under_concurrent_writers() {
 #[test]
 fn instrumented_replay_is_byte_identical_to_uninstrumented() {
     let script = sliding_script();
-    let parallel = || {
-        Some(ParallelConfig {
-            workers: 4,
-            min_tuples: 64,
-            cuts: None,
-        })
-    };
     let modes: Vec<(&str, EngineConfig)> = vec![
         ("sequential", EngineConfig::default()),
-        (
-            "parallel",
-            EngineConfig {
-                parallel: parallel(),
-                ..Default::default()
-            },
-        ),
         (
             "reclaim",
             EngineConfig {
                 reclaim: Some(ReclaimConfig::default()),
-                ..Default::default()
-            },
-        ),
-        (
-            "reclaim+parallel",
-            EngineConfig {
-                reclaim: Some(ReclaimConfig::default()),
-                parallel: parallel(),
                 ..Default::default()
             },
         ),
@@ -213,7 +191,7 @@ fn instrumented_replay_is_byte_identical_to_uninstrumented() {
                 ..cfg.clone()
             },
         );
-        // Force every layer dark for the baseline — engine, arena, index —
+        // Force every layer dark for the baseline — engine and arena —
         // then restore the default so concurrent tests keep their signals.
         tp_stream::set_obs_enabled(false);
         let baseline = run(
@@ -326,11 +304,6 @@ fn stage_spans_tile_every_advance() {
         &script,
         EngineConfig {
             reclaim: Some(ReclaimConfig::default()),
-            parallel: Some(ParallelConfig {
-                workers: 4,
-                min_tuples: 64,
-                cuts: None,
-            }),
             obs: ObsConfig {
                 enabled: true,
                 tenant: Some(label.to_string()),
@@ -529,8 +502,8 @@ fn finish_on_drained_engine_reports_live_posture() {
     // Drain everything in one advance just past the data — the freshly
     // sealed segment is still inside the keep window, so the arena holds
     // live nodes — then finish on the now-empty engine: the empty path
-    // must still report the watermark, carried counts, index occupancy,
-    // and live arena posture instead of a default struct.
+    // must still report the watermark, carried counts and live arena
+    // posture instead of a default struct.
     engine.advance(170, &mut sink).unwrap();
     let stats = engine.finish(&mut sink).unwrap();
     assert_eq!(stats.watermark, 170, "empty finish lost the watermark");

@@ -1,23 +1,19 @@
-//! The raw-speed pass differentials (PR 8): the three fast paths must be
+//! The raw-speed pass differentials (PR 8): the fast paths must be
 //! invisible except in wall time.
 //!
 //! * **Columnar marginal kernel** — `prob::marginal_batch` must match the
 //!   memoized per-root evaluator to 1e-12 on the output of every workload
 //!   generator the harness owns.
-//! * **Tree-reduction stitch** — a region-parallel engine at 1/2/4/8
-//!   workers with arbitrary pinned region plans must emit a delta log
-//!   byte-identical to the sequential engine.
 //! * **Interior-segment reclamation** — random interior retire
 //!   interleavings never invalidate live refs and post-retire marginals
 //!   equal a never-retired control; at the engine layer, interior mode is
-//!   delta-identical to prefix mode and no-reclaim across sequential ×
-//!   parallel, while its steady-state residency under the immortal-facts
-//!   workload stays strictly below the prefix-retire baseline.
+//!   delta-identical to prefix mode, while its steady-state residency
+//!   under the immortal-facts workload stays strictly below the
+//!   prefix-retire baseline.
 
 mod common;
 
 use common::oracle::{assert_delta_logs_identical, assert_formula_matches_control};
-use common::{arb_raw_relation, build_relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -25,8 +21,7 @@ use std::collections::hash_map::Entry;
 use tp_core::arena::{FastMap, LineageArena, SegmentState};
 use tp_core::lineage::LineageTree;
 use tp_stream::{
-    EngineConfig, MaterializingSink, ParallelConfig, ReclaimConfig, ReplayConfig, ReplayEvent,
-    StreamEngine, StreamScript,
+    EngineConfig, MaterializingSink, ReclaimConfig, ReplayConfig, ReplayEvent, StreamEngine,
 };
 use tp_workloads::{
     immortal_facts_stream, meteo_stream, skewed_synth_stream, sliding_synth_stream, synth_stream,
@@ -151,76 +146,16 @@ fn columnar_marginals_match_memoized_on_every_generator() {
     }
 }
 
-/// Strategy for arbitrary cut vectors (same domain as the generated
-/// relations' starts, plus out-of-span cuts).
-fn arb_cuts() -> impl Strategy<Value = Vec<i64>> {
-    prop::collection::vec(-10i64..60, 0..=9)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn stitch_reduction_is_delta_identical_at_every_worker_count(
-        raw_r in arb_raw_relation(20),
-        raw_s in arb_raw_relation(20),
-        cuts in arb_cuts(),
-        advance_every in 1usize..32,
-    ) {
-        let mut vars = VarTable::new();
-        let r = build_relation("r", &raw_r, &mut vars);
-        let s = build_relation("s", &raw_s, &mut vars);
-        let script = StreamScript::from_pair(
-            &r,
-            &s,
-            &ReplayConfig {
-                lateness: 3,
-                advance_every,
-                seed: 0xD00DAD,
-            },
-        );
-        let run = |parallel: Option<ParallelConfig>| {
-            let mut sink = MaterializingSink::new();
-            script.run_into(
-                EngineConfig {
-                    parallel,
-                    ..Default::default()
-                },
-                &mut sink,
-            );
-            sink
-        };
-        let sequential = run(None);
-        for workers in [1usize, 2, 4, 8] {
-            let sharded = run(Some(ParallelConfig {
-                workers,
-                min_tuples: 0,
-                cuts: Some(cuts.clone()),
-            }));
-            assert_delta_logs_identical(
-                &sharded,
-                &sequential,
-                &format!("{workers} workers, cuts {cuts:?}"),
-            );
-        }
-    }
-}
-
 /// One reclaiming replay of the immortal-facts workload; returns the delta
 /// log, per-advance resident-byte samples, and the (total, interior)
 /// retired-segment counts accumulated from `AdvanceStats`.
-fn run_immortal(
-    w: &StreamWorkload,
-    interior: bool,
-    parallel: Option<ParallelConfig>,
-) -> (MaterializingSink, Vec<usize>, (u64, u64)) {
+fn run_immortal(w: &StreamWorkload, interior: bool) -> (MaterializingSink, Vec<usize>, (u64, u64)) {
     let mut engine = StreamEngine::new(EngineConfig {
         reclaim: Some(ReclaimConfig {
             keep_epochs: 2,
             interior,
             ..Default::default()
         }),
-        parallel,
         ..Default::default()
     });
     let mut sink = MaterializingSink::new();
@@ -258,27 +193,12 @@ fn interior_reclaim_is_delta_identical_and_beats_prefix_residency() {
         },
         &mut vars,
     );
-    let parallel = Some(ParallelConfig {
-        workers: 4,
-        min_tuples: 0,
-        cuts: None,
-    });
-    let (seq_interior, interior_resident, (retired, interior_retired)) =
-        run_immortal(&w, true, None);
-    let (seq_prefix, prefix_resident, (prefix_retired, prefix_interior)) =
-        run_immortal(&w, false, None);
-    let (par_interior, ..) = run_immortal(&w, true, parallel.clone());
-    let (par_prefix, ..) = run_immortal(&w, false, parallel);
-    // Retirement scheduling must never change behavior: all four delta
-    // logs byte-identical.
-    assert_delta_logs_identical(
-        &seq_prefix,
-        &seq_interior,
-        "prefix vs interior (sequential)",
-    );
-    assert_delta_logs_identical(&par_interior, &seq_interior, "parallel interior");
-    assert_delta_logs_identical(&par_prefix, &seq_interior, "parallel prefix");
-    common::oracle::assert_materialized_matches_batch(&seq_interior, &w.r, &w.s, &vars);
+    let (interior_log, interior_resident, (retired, interior_retired)) = run_immortal(&w, true);
+    let (prefix_log, prefix_resident, (prefix_retired, prefix_interior)) = run_immortal(&w, false);
+    // Retirement scheduling must never change behavior: both delta logs
+    // byte-identical.
+    assert_delta_logs_identical(&prefix_log, &interior_log, "prefix vs interior");
+    common::oracle::assert_materialized_matches_batch(&interior_log, &w.r, &w.s, &vars);
     // The immortal cohort pins the first sealed segment. Prefix mode
     // therefore retires nothing until the final flush consumes the
     // immortal residuals (one end-of-run burst); interior mode reclaims

@@ -9,15 +9,214 @@
 
 mod common;
 
-use common::oracle::{assert_plateau, assert_stream_matches_batch};
+use common::oracle::{
+    assert_materialized_matches_batch, assert_plateau, assert_stream_matches_batch,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tp_stream::{
-    apply_epoched, CollectingSink, EngineConfig, EpochConfig, ReplayConfig, ReplayEvent, Side,
-    StreamEngine, StreamScript,
+    apply_epoched, CollectingSink, EngineConfig, EpochConfig, MaterializingSink, ReclaimConfig,
+    ReplayConfig, ReplayEvent, Side, StreamEngine, StreamScript,
 };
-use tp_workloads::SynthConfig;
+use tp_workloads::{
+    immortal_facts_stream, skewed_synth_stream, sliding_synth_stream, ImmortalConfig, SkewedConfig,
+    SlidingConfig, SynthConfig,
+};
 use tpdb::prelude::*;
+
+/// Replays `script` through a plain engine and through a reclaiming one,
+/// and checks both against batch LAWA on `(r, s)`.
+fn assert_script_matches_batch(
+    script: &StreamScript,
+    r: &TpRelation,
+    s: &TpRelation,
+    vars: &VarTable,
+) {
+    let (sink, totals) = script.run(EngineConfig::default());
+    assert_eq!(totals.late, [0, 0], "scripts never drop");
+    assert_stream_matches_batch(&sink, r, s, vars);
+    let mut sink = MaterializingSink::new();
+    script.run_into(
+        EngineConfig {
+            reclaim: Some(ReclaimConfig::default()),
+            ..Default::default()
+        },
+        &mut sink,
+    );
+    assert_materialized_matches_batch(&sink, r, s, vars);
+}
+
+/// `script` with every batch of arrivals between two advances reversed:
+/// the newest tuple of a batch arrives first.
+fn newest_first(script: &StreamScript) -> StreamScript {
+    let mut events = Vec::with_capacity(script.events.len());
+    let mut batch = Vec::new();
+    for ev in &script.events {
+        match ev {
+            ReplayEvent::Arrive(..) => batch.push(ev.clone()),
+            ReplayEvent::Advance(_) => {
+                events.extend(batch.drain(..).rev());
+                events.push(ev.clone());
+            }
+        }
+    }
+    events.extend(batch.drain(..).rev());
+    StreamScript { events }
+}
+
+#[test]
+fn sliding_stream_arrival_orders_match_batch() {
+    let mut vars = VarTable::new();
+    let w = sliding_synth_stream(
+        &SlidingConfig {
+            epochs: 24,
+            per_epoch: 40,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    // The workload's own bounded-lateness shuffle, in-order arrival, and
+    // heavier shuffles with watermarks slicing mid-tuple.
+    assert_script_matches_batch(&w.script, &w.r, &w.s, &vars);
+    for (lateness, advance_every, seed) in [(0, 64, 1), (48, 32, 2), (160, 7, 3)] {
+        let script = StreamScript::from_pair(
+            &w.r,
+            &w.s,
+            &ReplayConfig {
+                lateness,
+                advance_every,
+                seed,
+            },
+        );
+        assert_script_matches_batch(&script, &w.r, &w.s, &vars);
+    }
+}
+
+#[test]
+fn newest_first_arrival_batches_match_batch() {
+    // Every batch between two advances arrives reversed, so each push
+    // lands in front of everything already buffered.
+    let mut vars = VarTable::new();
+    let w = sliding_synth_stream(
+        &SlidingConfig {
+            epochs: 12,
+            per_epoch: 32,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    assert_script_matches_batch(&newest_first(&w.script), &w.r, &w.s, &vars);
+}
+
+#[test]
+fn reclaiming_engine_run_matches_batch_oracle() {
+    let mut vars = VarTable::new();
+    let w = sliding_synth_stream(
+        &SlidingConfig {
+            epochs: 20,
+            per_epoch: 24,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    let mut sink = MaterializingSink::new();
+    w.script.run_into(
+        EngineConfig {
+            reclaim: Some(ReclaimConfig::default()),
+            ..Default::default()
+        },
+        &mut sink,
+    );
+    assert_materialized_matches_batch(&sink, &w.r, &w.s, &vars);
+}
+
+#[test]
+fn skewed_stream_arrival_orders_match_batch() {
+    // Zipf-hot slots: many facts pile up on a few start points per advance.
+    let mut vars = VarTable::new();
+    let w = skewed_synth_stream(
+        &SkewedConfig {
+            epochs: 16,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    assert_script_matches_batch(&w.script, &w.r, &w.s, &vars);
+    let shuffled = StreamScript::from_pair(
+        &w.r,
+        &w.s,
+        &ReplayConfig {
+            lateness: 96,
+            advance_every: 48,
+            seed: 11,
+        },
+    );
+    assert_script_matches_batch(&shuffled, &w.r, &w.s, &vars);
+    assert_script_matches_batch(&newest_first(&shuffled), &w.r, &w.s, &vars);
+}
+
+#[test]
+fn drain_merges_carried_residuals_with_equal_start_arrivals() {
+    // Long-lived facts keep residuals in the carry across every advance.
+    // Negated fact ids sort that cohort after the short-lived body, so
+    // every advance releases new arrivals whose facts precede the carried
+    // ones. The watermark steps through every distinct start point and the
+    // tuples starting there arrive right after it, shuffled: each advance
+    // releases carried residuals and new arrivals that share one start
+    // point, so only a merge by `(F, Ts)` keeps the sweep input sorted.
+    let mut vars = VarTable::new();
+    let w = immortal_facts_stream(
+        &ImmortalConfig {
+            epochs: 16,
+            ..Default::default()
+        },
+        &mut vars,
+    );
+    let negated = |rel: &TpRelation| -> TpRelation {
+        rel.iter()
+            .map(|t| {
+                let id = t
+                    .fact
+                    .get(0)
+                    .and_then(Value::as_int)
+                    .expect("integer facts");
+                TpTuple::new(Fact::single(-id), t.lineage, t.interval)
+            })
+            .collect()
+    };
+    let (r, s) = (negated(&w.r), negated(&w.s));
+    let mut rng = StdRng::seed_from_u64(0x57AE_A404);
+    let mut arrivals: Vec<(Side, TpTuple)> = r
+        .iter()
+        .map(|t| (Side::Left, t.clone()))
+        .chain(s.iter().map(|t| (Side::Right, t.clone())))
+        .collect();
+    for i in (1..arrivals.len()).rev() {
+        let j = rng.random_range(0..=i);
+        arrivals.swap(i, j);
+    }
+    // Stable: equal start points keep their shuffled order.
+    arrivals.sort_by_key(|(_, t)| t.interval.start());
+    let mut engine = StreamEngine::default();
+    let mut sink = CollectingSink::new();
+    let mut carried = [0usize; 2];
+    let mut mixed_advances = 0usize;
+    for (side, t) in arrivals {
+        let start = t.interval.start();
+        if start > engine.watermark() {
+            let stats = engine.advance(start, &mut sink).unwrap();
+            // A side released both carried residuals and new arrivals.
+            if (0..2).any(|i| carried[i] > 0 && stats.released[i] > carried[i]) {
+                mixed_advances += 1;
+            }
+            carried = stats.carried;
+        }
+        engine.push(side, t);
+    }
+    engine.finish(&mut sink).unwrap();
+    assert!(mixed_advances > 10, "only {mixed_advances} mixed advances");
+    assert_stream_matches_batch(&sink, &r, &s, &vars);
+}
 
 #[test]
 fn random_synth_streams_match_batch_for_all_ops() {

@@ -4,9 +4,9 @@
 //! **row-identical** to executing the batch plan over the closed region —
 //! for every plan shape (select/project/join/union/distinct/aggregate),
 //! every arrival permutation within the lateness bound, every watermark
-//! schedule, sequential and region-parallel sweeps, reclaim mode on and
-//! off. In reclaim mode, operator state must additionally **plateau**
-//! under extend-dominated workloads (the bounded-memory claim).
+//! schedule, reclaim mode on and off. In reclaim mode, operator state
+//! must additionally **plateau** under extend-dominated workloads (the
+//! bounded-memory claim).
 //!
 //! The batch twin is constructed with `encode_relation` over the closed
 //! output of a `CollectingSink` (the proven delta-apply semantics) and
@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tp_relalg::{bind_sources, AggFn, CmpOp, Plan, Predicate, Relation, Row, Schema};
 use tp_stream::{
-    encode_relation, CollectingSink, EngineConfig, ParallelConfig, ReclaimConfig, ReplayConfig,
-    ReplayEvent, Side, StreamEngine, StreamScript,
+    encode_relation, CollectingSink, EngineConfig, ReclaimConfig, ReplayConfig, ReplayEvent, Side,
+    StreamEngine, StreamScript,
 };
 use tp_workloads::SynthConfig;
 use tpdb::prelude::*;
@@ -36,14 +36,9 @@ fn leaf() -> Plan {
     Plan::values(Relation::empty(source_schema()))
 }
 
-/// The four engine configurations of the sweep matrix.
-fn engine_config(parallel: bool, reclaim: bool) -> EngineConfig {
+/// The two engine configurations of the sweep matrix.
+fn engine_config(reclaim: bool) -> EngineConfig {
     EngineConfig {
-        parallel: parallel.then_some(ParallelConfig {
-            workers: 3,
-            min_tuples: 8,
-            cuts: None,
-        }),
         reclaim: reclaim.then(|| ReclaimConfig {
             keep_epochs: 2,
             ..Default::default()
@@ -151,39 +146,33 @@ fn run_case(
 
 #[test]
 fn pipelines_match_batch_across_plans_and_engine_matrix() {
-    // The full matrix: 3 plan shapes × sequential/parallel × reclaim
-    // on/off, each over a fresh random input and replay schedule.
+    // The full matrix: 3 plan shapes × reclaim on/off, each over a fresh
+    // random input and replay schedule.
     let mut rng = StdRng::seed_from_u64(0x51A9_0001);
     for (case, (name, plan, taps)) in plan_cases().into_iter().enumerate() {
-        for parallel in [false, true] {
-            for reclaim in [false, true] {
-                let mut vars = VarTable::new();
-                // Keys spread over enough facts to keep per-key piece
-                // counts small: IVM join/aggregate maintenance is
-                // O(per-key state) per delta, so a few hot keys over many
-                // tuples is the pathological shape, not the realistic one.
-                let tuples = rng.random_range(60..180usize);
-                let facts = rng.random_range(5..12usize);
-                let (r, s) = tp_workloads::synth::generate(
-                    &SynthConfig::with_facts(tuples, facts, 900 + case as u64),
-                    &mut vars,
-                );
-                let script = StreamScript::from_pair(
-                    &r,
-                    &s,
-                    &ReplayConfig {
-                        lateness: rng.random_range(0..8i64),
-                        advance_every: rng.random_range(1..48usize),
-                        seed: 70 + case as u64,
-                    },
-                );
-                let (got, expect) =
-                    run_case(&plan, &taps, &script, engine_config(parallel, reclaim));
-                assert_eq!(
-                    got, expect,
-                    "{name}: pipeline != batch (parallel={parallel}, reclaim={reclaim})"
-                );
-            }
+        for reclaim in [false, true] {
+            let mut vars = VarTable::new();
+            // Keys spread over enough facts to keep per-key piece
+            // counts small: IVM join/aggregate maintenance is
+            // O(per-key state) per delta, so a few hot keys over many
+            // tuples is the pathological shape, not the realistic one.
+            let tuples = rng.random_range(60..180usize);
+            let facts = rng.random_range(5..12usize);
+            let (r, s) = tp_workloads::synth::generate(
+                &SynthConfig::with_facts(tuples, facts, 900 + case as u64),
+                &mut vars,
+            );
+            let script = StreamScript::from_pair(
+                &r,
+                &s,
+                &ReplayConfig {
+                    lateness: rng.random_range(0..8i64),
+                    advance_every: rng.random_range(1..48usize),
+                    seed: 70 + case as u64,
+                },
+            );
+            let (got, expect) = run_case(&plan, &taps, &script, engine_config(reclaim));
+            assert_eq!(got, expect, "{name}: pipeline != batch (reclaim={reclaim})");
         }
     }
 }
@@ -207,7 +196,7 @@ fn arrival_permutations_and_watermark_schedules_are_invisible() {
                 seed: perm_seed,
             },
         );
-        let (got, expect) = run_case(&plan, &taps, &script, engine_config(false, false));
+        let (got, expect) = run_case(&plan, &taps, &script, engine_config(false));
         assert_eq!(
             got, expect,
             "{name}: schedule ({perm_seed},{advance_every})"
@@ -231,7 +220,7 @@ fn reclaiming_pipeline_state_plateaus_on_extend_dominated_streams() {
     let (_, plan, taps) = plan_cases().remove(0);
     let epochs = 60i64;
     let mut engine =
-        StreamEngine::with_plan(engine_config(false, true), &plan, &taps).expect("plan compiles");
+        StreamEngine::with_plan(engine_config(true), &plan, &taps).expect("plan compiles");
     let mut sink = CollectingSink::new();
     for f in 0..5i64 {
         for (side, off) in [(Side::Left, 0u64), (Side::Right, 1)] {
@@ -324,8 +313,7 @@ fn pipeline_stats_and_metadata_are_live() {
             seed: 5,
         },
     );
-    let mut engine =
-        StreamEngine::with_plan(engine_config(false, false), &plan, &taps).expect("compiles");
+    let mut engine = StreamEngine::with_plan(engine_config(false), &plan, &taps).expect("compiles");
     let mut sink = CollectingSink::new();
     let mut pipeline_deltas = 0u64;
     for event in &script.events {
