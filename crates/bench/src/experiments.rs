@@ -1941,9 +1941,11 @@ pub fn adaptive_pipeline_bench(
 
     // (a) Frozen vs re-optimizing, over the swap-bait rule: a keyed
     // nested-loop join the cost model provably rewrites into a hash join.
+    // Grouping by a non-key column keeps that join from fusing into the
+    // aggregate, here and in (b).
     let bait = leaf()
         .nl_join(leaf(), Predicate::col_eq(0, 3))
-        .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
+        .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]);
     let taps = [SetOp::Union, SetOp::Intersect];
     let mut frozen = StreamEngine::with_plan(EngineConfig::default(), &bait, &taps)
         .expect("swap-bait plan compiles");
@@ -1979,9 +1981,9 @@ pub fn adaptive_pipeline_bench(
     // hash-consed pipeline vs three dedicated engines.
     let join = || leaf().hash_join(leaf(), vec![0], vec![0]);
     let plans = vec![
-        join().aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]),
+        join().aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]),
         join().project(vec![0]).distinct(),
-        join().aggregate(vec![0], vec![AggFn::Min(1)]),
+        join().aggregate(vec![1], vec![AggFn::Min(1)]),
     ];
     let plan_taps = vec![vec![SetOp::Union, SetOp::Intersect]; plans.len()];
     let mut shared = StreamEngine::with_plans(EngineConfig::default(), &plans, &plan_taps)

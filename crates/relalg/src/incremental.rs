@@ -18,6 +18,22 @@
 //! `Sort` does not lower: a standing operator maintains an unordered
 //! multiset, and ordering is a presentation concern — callers sort the
 //! materialized snapshot instead. [`lower`] rejects it explicitly.
+//!
+//! ## Fused join → aggregate
+//!
+//! One rewrite happens during lowering, always: an `Aggregate` directly
+//! over a `HashJoin` whose group keys are exactly the join key (each key
+//! names one join-key column, left or right copy, and together they cover
+//! the join key once) and whose aggregates are all `Count`, `Min` or `Max`
+//! lowers to a single [`LoweredOp::JoinAggregate`]. Per join key its
+//! output factorizes over the two sides: `Count = |L|·|R|`, `Min`/`Max`
+//! read one side, and the group lineage `∨ᵢⱼ (lᵢ ∧ rⱼ)` equals
+//! `(∨ lᵢ) ∧ (∨ rⱼ)` by distributivity (eager aggregation over a
+//! factorised join), so the runtime keeps the two member lists and never
+//! the `L × R` pairs. `Sum` stays unfused: a float `sum_L · |R|` is not
+//! bit-identical to the per-pair sum. The batch [`Plan::execute`] is not
+//! rewritten; the unfused plan stays the oracle the standing view is
+//! compared against.
 
 use std::fmt;
 
@@ -79,11 +95,29 @@ pub enum LoweredOp {
         /// Aggregates, one output column each.
         aggs: Vec<AggFn>,
     },
+    /// γ over a hash equi-join on its own key, fused (see the module
+    /// docs): inputs are the join's `[left, right]`, output rows are the
+    /// aggregate's.
+    JoinAggregate {
+        /// Left key columns of the join.
+        l_cols: Vec<usize>,
+        /// Right key columns of the join.
+        r_cols: Vec<usize>,
+        /// Arity of the left input: join-row columns below it are left
+        /// columns, the rest are right columns shifted by it.
+        l_arity: usize,
+        /// Grouping key columns, addressed against the joined row.
+        keys: Vec<usize>,
+        /// Aggregates (`Count`, `Min`, `Max`), addressed against the
+        /// joined row.
+        aggs: Vec<AggFn>,
+    },
 }
 
 impl LoweredOp {
     /// Stable short name of the operator kind — the metric label and span
-    /// name of the runtime's per-operator instrumentation.
+    /// name of the runtime's per-operator instrumentation. The fused
+    /// join → aggregate is `"aggregate"`: it emits the aggregate's rows.
     pub fn name(&self) -> &'static str {
         match self {
             LoweredOp::Source(_) => "source",
@@ -93,7 +127,7 @@ impl LoweredOp {
             LoweredOp::HashJoin { .. } => "hash_join",
             LoweredOp::UnionAll => "union_all",
             LoweredOp::Distinct => "distinct",
-            LoweredOp::Aggregate { .. } => "aggregate",
+            LoweredOp::Aggregate { .. } | LoweredOp::JoinAggregate { .. } => "aggregate",
         }
     }
 }
@@ -138,7 +172,8 @@ impl Lowered {
 }
 
 /// Lowers a plan into the topo-ordered operator DAG. See the module docs
-/// for the `Values`-leaf convention and the `Sort` restriction.
+/// for the `Values`-leaf convention, the `Sort` restriction and the fused
+/// join → aggregate.
 pub fn lower(plan: &Plan) -> Result<Lowered, LowerError> {
     let mut out = Lowered {
         nodes: Vec::new(),
@@ -208,19 +243,77 @@ fn rec(plan: &Plan, out: &mut Lowered) -> Result<usize, LowerError> {
                 .map(|&k| in_schema.columns()[k].clone())
                 .collect();
             columns.extend(aggs.iter().map(AggFn::name));
-            (
-                LoweredOp::Aggregate {
-                    keys: keys.clone(),
-                    aggs: aggs.clone(),
-                },
-                vec![i],
-                Schema::new(columns),
-            )
+            let schema = Schema::new(columns);
+            match fuse_join_aggregate(out, i, keys, aggs) {
+                // The join was the node just lowered and nothing else
+                // reads it: the fused node replaces it.
+                Some(fused) => {
+                    let join = out.nodes.pop().expect("the join node was just lowered");
+                    (fused, join.inputs, schema)
+                }
+                None => (
+                    LoweredOp::Aggregate {
+                        keys: keys.clone(),
+                        aggs: aggs.clone(),
+                    },
+                    vec![i],
+                    schema,
+                ),
+            }
         }
         Plan::Sort { .. } => return Err(LowerError::Sort),
     };
     out.nodes.push(LoweredNode { op, inputs, schema });
     Ok(out.nodes.len() - 1)
+}
+
+/// The fusion rule of the module docs: `Some` fused operator when node
+/// `input` (the aggregate's lowered input) is a hash join, every group key
+/// names exactly one join-key position, the keys cover every position
+/// once, and every aggregate is `Count`, `Min` or `Max`.
+fn fuse_join_aggregate(
+    out: &Lowered,
+    input: usize,
+    keys: &[usize],
+    aggs: &[AggFn],
+) -> Option<LoweredOp> {
+    let join = &out.nodes[input];
+    let LoweredOp::HashJoin { l_cols, r_cols } = &join.op else {
+        return None;
+    };
+    if !aggs
+        .iter()
+        .all(|a| matches!(a, AggFn::Count | AggFn::Min(_) | AggFn::Max(_)))
+    {
+        return None;
+    }
+    let l_arity = out.nodes[join.inputs[0]].schema.arity();
+    let mut covered = vec![false; l_cols.len()];
+    for &k in keys {
+        let mut at = (0..l_cols.len()).filter(|&j| {
+            if k < l_arity {
+                l_cols[j] == k
+            } else {
+                r_cols[j] + l_arity == k
+            }
+        });
+        let (Some(j), None) = (at.next(), at.next()) else {
+            return None;
+        };
+        if std::mem::replace(&mut covered[j], true) {
+            return None;
+        }
+    }
+    covered
+        .iter()
+        .all(|&c| c)
+        .then(|| LoweredOp::JoinAggregate {
+            l_cols: l_cols.clone(),
+            r_cols: r_cols.clone(),
+            l_arity,
+            keys: keys.to_vec(),
+            aggs: aggs.to_vec(),
+        })
 }
 
 /// Substitutes concrete relations into the plan's `Values` leaves, in the
@@ -348,6 +441,101 @@ mod tests {
         let join = &lowered.nodes[2];
         assert_eq!(join.schema.columns(), &["l.k", "v", "r.k", "w"]);
         assert_eq!(lowered.root_schema().columns(), &["v", "sum_3", "max_3"]);
+    }
+
+    fn kjv() -> Plan {
+        Plan::values(placeholder(&["k", "j", "v"]))
+    }
+
+    #[test]
+    fn join_aggregate_fuses_when_grouped_by_exactly_the_join_key() {
+        // The left key, the right key's copy, and a two-column key named
+        // in swapped order (r.j, then l.k); aggregates read both sides.
+        let cases = [
+            (vec![0], vec![0], vec![0]),
+            (vec![0], vec![0], vec![3]),
+            (vec![0, 1], vec![0, 1], vec![4, 0]),
+        ];
+        for (l_cols, r_cols, keys) in cases {
+            let aggs = vec![AggFn::Count, AggFn::Min(2), AggFn::Max(5), AggFn::Max(1)];
+            let plan = kjv()
+                .hash_join(kjv(), l_cols.clone(), r_cols.clone())
+                .aggregate(keys.clone(), aggs.clone());
+            let lowered = lower(&plan).unwrap();
+            assert_eq!(lowered.nodes.len(), 3, "two sources and the fused node");
+            let root = &lowered.nodes[2];
+            assert_eq!(
+                root.op,
+                LoweredOp::JoinAggregate {
+                    l_cols,
+                    r_cols,
+                    l_arity: 3,
+                    keys,
+                    aggs,
+                }
+            );
+            assert_eq!(root.inputs, vec![0, 1]);
+            assert_eq!(root.op.name(), "aggregate");
+            // The fused node keeps the batch aggregate's output schema.
+            assert_eq!(root.schema.columns(), plan.execute().schema.columns());
+        }
+    }
+
+    #[test]
+    fn join_aggregate_fusion_declines_outside_its_pattern() {
+        let join = |cols: Vec<usize>| kjv().hash_join(kjv(), cols.clone(), cols);
+        let count = || vec![AggFn::Count];
+        let cases = [
+            (
+                "sum",
+                join(vec![0]).aggregate(vec![0], vec![AggFn::Count, AggFn::Sum(2)]),
+            ),
+            (
+                "non-key group column",
+                join(vec![0]).aggregate(vec![1], count()),
+            ),
+            (
+                "partial composite key",
+                join(vec![0, 1]).aggregate(vec![0], count()),
+            ),
+            (
+                "extra group column",
+                join(vec![0]).aggregate(vec![0, 2], count()),
+            ),
+            (
+                "key named twice",
+                join(vec![0]).aggregate(vec![0, 3], count()),
+            ),
+            (
+                "nl_join",
+                kjv()
+                    .nl_join(kjv(), Predicate::col_eq(0, 3))
+                    .aggregate(vec![0], count()),
+            ),
+            (
+                "select between join and aggregate",
+                join(vec![0])
+                    .select(Predicate::col_const(CmpOp::Ge, 2, Value::int(0)))
+                    .aggregate(vec![0], count()),
+            ),
+        ];
+        for (name, plan) in cases {
+            let lowered = lower(&plan).unwrap();
+            assert!(
+                matches!(
+                    lowered.nodes[lowered.root()].op,
+                    LoweredOp::Aggregate { .. }
+                ),
+                "{name}: expected the unfused aggregate"
+            );
+            assert!(
+                lowered
+                    .nodes
+                    .iter()
+                    .all(|n| !matches!(n.op, LoweredOp::JoinAggregate { .. })),
+                "{name}: fused outside the rule"
+            );
+        }
     }
 
     #[test]

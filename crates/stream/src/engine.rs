@@ -523,8 +523,9 @@ impl StreamEngine {
     /// `plan` is compiled ([`Pipeline::compile`]) and its `i`-th source is
     /// fed from the engine's `taps[i]` delta stream. The pipeline shares
     /// the engine's watermark clock (one propagation pass per advance) and
-    /// its arena discipline (operator state stores owned lineage trees, so
-    /// reclamation never invalidates it); read the standing view through
+    /// its arena discipline (operator state holds pipeline-private shared
+    /// lineage nodes over trees expanded at the taps, never arena handles,
+    /// so reclamation never invalidates it); read the standing view through
     /// [`StreamEngine::pipeline`].
     pub fn with_plan(
         cfg: EngineConfig,

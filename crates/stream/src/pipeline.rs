@@ -11,7 +11,12 @@
 //! distinct and aggregate maintain support-counted groups with dirty-key
 //! recompute through the *batch* [`tp_relalg::AggFn::finish`] fold — one
 //! republish per dirty group per advance, nothing when the batch left a
-//! group's output unchanged. The root's
+//! group's output unchanged. An aggregate grouped by exactly its hash
+//! join's key arrives fused ([`LoweredOp::JoinAggregate`]): per key it keeps
+//! each side's members and publishes `Count = |L|·|R|`, `Min`/`Max` from
+//! one side and the lineage `(∨ lᵢ) ∧ (∨ rⱼ)`, so state and work per key are
+//! O(L + R) instead of the join's O(L · R) pairs. It runs through the same
+//! dirty-key batch as the other grouped operators. The root's
 //! multiset is the standing materialized view; [`Pipeline::materialized`]
 //! snapshots it as a canonically sorted [`Relation`] that is row-identical
 //! to running the batch plan over the closed region (the differential
@@ -30,10 +35,11 @@
 //! invalidate it. Everything derived from those trees is a shared,
 //! immutable node over them: a join output is one Table I `and` node over
 //! its two inputs, a distinct/aggregate output the left-deep `or` fold of
-//! its group's members. Handing an instance to the next operator, a view
-//! or the re-optimizer's replay log is therefore a reference-count bump,
-//! not a tree copy, and a group that only gained members extends its
-//! published fold by one `or` per new member. Readers get lineage back as
+//! its group's members (the fused operator: one `and` over its two sides'
+//! folds). Handing an instance to the next operator, a view or the
+//! re-optimizer's replay log is therefore a reference-count bump, not a
+//! tree copy, and a group side that only gained members extends its fold
+//! by one `or` per new member. Readers get lineage back as
 //! handles interned into their current arena
 //! ([`Pipeline::materialized_lineage`]).
 //!
@@ -62,6 +68,7 @@ use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::value::Value;
 use tp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use tp_relalg::aggregate::AggFn;
 use tp_relalg::incremental::{lower, LowerError, LoweredOp};
 use tp_relalg::optimize::{RateProfile, SourceStats};
 use tp_relalg::plan::Plan;
@@ -154,22 +161,19 @@ impl SharedLineage {
 }
 
 /// Left-associative ∨-fold of `members` onto `acc`, in stored order — the
-/// deterministic lineage of a support-counted output row. Folding a
-/// group's appended members onto its previous fold gives the same formula
-/// as folding every member from scratch.
+/// deterministic lineage of a support-counted output row; `None` for no
+/// members at all. Folding a group's appended members onto its previous
+/// fold gives the same formula as folding every member from scratch.
 fn or_fold<'a>(
     acc: Option<SharedLineage>,
     members: impl IntoIterator<Item = &'a SharedLineage>,
-) -> SharedLineage {
-    members
-        .into_iter()
-        .fold(acc, |acc, m| {
-            Some(match acc {
-                None => m.clone(),
-                Some(acc) => SharedLineage(Arc::new(LineageNode::Or(acc, m.clone()))),
-            })
+) -> Option<SharedLineage> {
+    members.into_iter().fold(acc, |acc, m| {
+        Some(match acc {
+            None => m.clone(),
+            Some(acc) => SharedLineage(Arc::new(LineageNode::Or(acc, m.clone()))),
         })
-        .expect("folds run over non-empty groups")
+    })
 }
 
 /// Moves a uniquely owned `And`/`Or` node out of `l`, leaving a childless
@@ -408,9 +412,12 @@ enum OpState {
     /// Hash join: per-side instances bucketed by join key.
     HashJoin([FastMap<Vec<Value>, Vec<PipeTuple>>; 2]),
     /// Distinct: instance lineages per distinct row (support counting).
-    Distinct(FastMap<Row, Group<SharedLineage>>),
+    Distinct(FastMap<Row, Group<SharedLineage, 1>>),
     /// Aggregate: member instances per group key, in arrival order.
-    Aggregate(FastMap<Vec<Value>, Group<PipeTuple>>),
+    Aggregate(FastMap<Vec<Value>, Group<PipeTuple, 1>>),
+    /// Fused join → aggregate: per join key, each side's instances in
+    /// arrival order — never the pairs.
+    JoinAggregate(FastMap<Vec<Value>, Group<PipeTuple, 2>>),
 }
 
 impl OpState {
@@ -422,12 +429,16 @@ impl OpState {
             }
             LoweredOp::Distinct => OpState::Distinct(FastMap::default()),
             LoweredOp::Aggregate { .. } => OpState::Aggregate(FastMap::default()),
+            LoweredOp::JoinAggregate { .. } => OpState::JoinAggregate(FastMap::default()),
             _ => OpState::Stateless,
         }
     }
 
     /// Standing instances held by this operator.
     fn rows(&self) -> usize {
+        fn members<K, M, const N: usize>(groups: &FastMap<K, Group<M, N>>) -> usize {
+            groups.values().flat_map(|g| &g.sides).map(Vec::len).sum()
+        }
         match self {
             OpState::Stateless => 0,
             OpState::NlJoin(sides) => sides.iter().map(Vec::len).sum(),
@@ -435,19 +446,36 @@ impl OpState {
                 .iter()
                 .map(|m| m.values().map(Vec::len).sum::<usize>())
                 .sum(),
-            OpState::Distinct(m) => m.values().map(|g| g.members.len()).sum(),
-            OpState::Aggregate(m) => m.values().map(|g| g.members.len()).sum(),
+            OpState::Distinct(m) => members(m),
+            OpState::Aggregate(m) => members(m),
+            OpState::JoinAggregate(m) => members(m),
         }
     }
 }
 
-/// One group of a support-counted operator: its members in arrival order
-/// and the output it published at the end of the last batch, whose lineage
-/// is the stored-order [`or_fold`] of the members.
-struct Group<M> {
-    members: Vec<M>,
-    /// `None` only while the batch that created the group runs.
+/// One group of a support-counted operator with `N` input sides: each
+/// side's members in arrival order with their stored-order [`or_fold`],
+/// and the output it published at the end of the last batch. The group
+/// publishes while every side is non-empty, with lineage the `and` of the
+/// side folds (just the fold when `N == 1`).
+struct Group<M, const N: usize> {
+    sides: [Vec<M>; N],
+    /// Per side, the fold of its members as of the last batch; `None`
+    /// while the side is empty.
+    folds: [Option<SharedLineage>; N],
+    /// `None` while a side is empty (and while the batch that created the
+    /// group runs).
     published: Option<PipeTuple>,
+}
+
+impl<M, const N: usize> Group<M, N> {
+    fn new() -> Self {
+        Group {
+            sides: std::array::from_fn(|_| Vec::new()),
+            folds: std::array::from_fn(|_| None),
+            published: None,
+        }
+    }
 }
 
 /// A group member: a distinct row's instance lineage, or an aggregate's
@@ -469,70 +497,64 @@ impl Member for PipeTuple {
 }
 
 /// What one batch did to a dirty group.
-struct Touch {
+struct Touch<const N: usize> {
     /// The output published before the batch.
     old: Option<PipeTuple>,
-    /// How many members the group had before the batch, while the batch
-    /// only appended; `None` once it retracted one.
-    kept: Option<usize>,
+    /// Per side: how many members it had before the batch, while the batch
+    /// only appended to it; `None` once it retracted one.
+    kept: [Option<usize>; N],
 }
 
-/// Applies one advance's worth of `(is_insert, key, member)` changes to a
-/// support-counted operator with **dirty-key recompute**: member lists are
-/// updated first, then every dirty group is republished exactly once —
-/// one `Del` of its pre-batch output, one `Ins` of its post-batch output,
-/// nothing when the batch left the output unchanged (rows compare first,
-/// so the lineage comparison only runs when they agree). The pre-batch
-/// output is the group's published one, so snapshotting it is a clone of
-/// shared handles; a group the batch only appended to extends its
-/// published fold by one `or` per new member, one that lost a member
-/// refolds.
-fn apply_batch<K, M>(
-    groups: &mut FastMap<K, Group<M>>,
-    changes: impl Iterator<Item = (bool, K, M)>,
-    row_of: impl Fn(&K, &[M]) -> Row,
+/// Applies one advance's worth of `(side, is_insert, key, member)` changes
+/// to a support-counted operator with **dirty-key recompute**: member
+/// lists are updated first, then every dirty group is republished exactly
+/// once — one `Del` of its pre-batch output, one `Ins` of its post-batch
+/// output, nothing when the batch left the output unchanged (rows compare
+/// first, so the lineage comparison only runs when they agree). The
+/// pre-batch output is the group's published one, so snapshotting it is a
+/// clone of shared handles. A side the batch only appended to extends its
+/// fold by one `or` per new member; a side that lost a member refolds.
+/// `row_of` gets the touch record, so aggregates can extend from the
+/// published row the same way.
+fn apply_batch<K, M, const N: usize>(
+    groups: &mut FastMap<K, Group<M, N>>,
+    changes: impl Iterator<Item = (usize, bool, K, M)>,
+    row_of: impl Fn(&K, &[Vec<M>; N], &Touch<N>) -> Row,
     out: &mut Vec<PipeDelta>,
 ) where
     K: Hash + Eq + Clone,
     M: Member,
 {
     let mut dirty: Vec<K> = Vec::new();
-    let mut touched: FastMap<K, Touch> = FastMap::default();
-    for (insert, key, member) in changes {
+    let mut touched: FastMap<K, Touch<N>> = FastMap::default();
+    for (side, insert, key, member) in changes {
         if !touched.contains_key(&key) {
             let group = groups.get(&key);
             touched.insert(
                 key.clone(),
                 Touch {
                     old: group.and_then(|g| g.published.clone()),
-                    kept: Some(group.map_or(0, |g| g.members.len())),
+                    kept: std::array::from_fn(|s| Some(group.map_or(0, |g| g.sides[s].len()))),
                 },
             );
             dirty.push(key.clone());
         }
         if insert {
-            groups
-                .entry(key)
-                .or_insert_with(|| Group {
-                    members: Vec::new(),
-                    published: None,
-                })
-                .members
-                .push(member);
+            groups.entry(key).or_insert_with(Group::new).sides[side].push(member);
         } else {
-            let members = &mut groups
+            let group = groups
                 .get_mut(&key)
-                .expect("Del retracts a standing group member")
-                .members;
+                .expect("Del retracts a standing group member");
+            let members = &mut group.sides[side];
             let at = members
                 .iter()
                 .position(|x| *x == member)
                 .expect("Del retracts a standing group member");
             members.remove(at);
-            if members.is_empty() {
+            if group.sides.iter().all(Vec::is_empty) {
                 groups.remove(&key);
             }
-            touched.get_mut(&key).expect("touched above").kept = None;
+            touched.get_mut(&key).expect("touched above").kept[side] = None;
         }
     }
     // Republish changed groups, in first-touch order.
@@ -542,15 +564,25 @@ fn apply_batch<K, M>(
             out.extend(touch.old.map(PipeDelta::Del));
             continue;
         };
-        let lineage = match (touch.kept, &touch.old) {
-            (Some(kept), Some(old)) => or_fold(
-                Some(old.lineage.clone()),
-                group.members[kept..].iter().map(M::lineage),
-            ),
-            _ => or_fold(None, group.members.iter().map(M::lineage)),
+        for (s, members) in group.sides.iter().enumerate() {
+            let fold = &mut group.folds[s];
+            *fold = match touch.kept[s] {
+                Some(kept) => or_fold(fold.take(), members[kept..].iter().map(M::lineage)),
+                None => or_fold(None, members.iter().map(M::lineage)),
+            };
+        }
+        let lineage = match group.folds.as_slice() {
+            [Some(fold)] => fold.clone(),
+            [Some(l), Some(r)] => SharedLineage::and(l, r),
+            _ => {
+                // A side is empty: nothing to publish until it refills.
+                out.extend(touch.old.map(PipeDelta::Del));
+                group.published = None;
+                continue;
+            }
         };
         let new = PipeTuple {
-            row: row_of(&key, &group.members),
+            row: row_of(&key, &group.sides, &touch),
             lineage,
         };
         match touch.old {
@@ -563,6 +595,15 @@ fn apply_batch<K, M>(
             }
         }
     }
+}
+
+/// Whether `op` is support-counted and drains its inbox as one batch
+/// through [`Node::apply_grouped`].
+fn is_grouped(op: &LoweredOp) -> bool {
+    matches!(
+        op,
+        LoweredOp::Distinct | LoweredOp::Aggregate { .. } | LoweredOp::JoinAggregate { .. }
+    )
 }
 
 fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
@@ -695,7 +736,7 @@ impl Node {
                     }
                 }
             }
-            (LoweredOp::Distinct, _) | (LoweredOp::Aggregate { .. }, _) => {
+            (op, _) if is_grouped(op) => {
                 unreachable!("grouped operators drain through apply_grouped")
             }
             _ => unreachable!("operator state matches its op kind by construction"),
@@ -703,26 +744,30 @@ impl Node {
     }
 
     /// Applies one advance's worth of deltas to a support-counted operator
-    /// (distinct, aggregate) through [`apply_batch`]. A group hit by many
-    /// deltas in one advance (the retract-and-regrow traffic of
-    /// `Extend`-dominated streams) pays one lineage fold instead of one per
-    /// delta, and groups whose output is net-unchanged emit nothing.
+    /// (distinct, aggregate, fused join → aggregate) through
+    /// [`apply_batch`]. A group hit by many deltas in one advance (the
+    /// retract-and-regrow traffic of `Extend`-dominated streams) pays one
+    /// lineage fold instead of one per delta, and groups whose output is
+    /// net-unchanged emit nothing.
     fn apply_grouped(&mut self, inbox: Vec<(usize, PipeDelta)>, out: &mut Vec<PipeDelta>) {
-        let changes = inbox.into_iter().map(|(_port, delta)| delta.into_parts());
+        let changes = inbox.into_iter().map(|(port, delta)| {
+            let (insert, t) = delta.into_parts();
+            (port, insert, t)
+        });
+        let key_of = |cols: &[usize], row: &Row| -> Vec<Value> {
+            cols.iter().map(|&c| row[c].clone()).collect()
+        };
         match (&self.op, &mut self.state) {
             (LoweredOp::Distinct, OpState::Distinct(groups)) => apply_batch(
                 groups,
-                changes.map(|(insert, t)| (insert, t.row, t.lineage)),
-                |row, _| row.clone(),
+                changes.map(|(_, insert, t)| (0, insert, t.row, t.lineage)),
+                |row, _, _| row.clone(),
                 out,
             ),
             (LoweredOp::Aggregate { keys, aggs }, OpState::Aggregate(groups)) => apply_batch(
                 groups,
-                changes.map(|(insert, t)| {
-                    let key: Vec<Value> = keys.iter().map(|&k| t.row[k].clone()).collect();
-                    (insert, key, t)
-                }),
-                |key, members| {
+                changes.map(|(_, insert, t)| (0, insert, key_of(keys, &t.row), t)),
+                |key, [members], _| {
                     let rows: Vec<&Row> = members.iter().map(|m| &m.row).collect();
                     let mut row: Row = key.clone();
                     row.extend(aggs.iter().map(|a| a.finish(&rows)));
@@ -730,7 +775,71 @@ impl Node {
                 },
                 out,
             ),
-            _ => unreachable!("apply_grouped only drains distinct/aggregate"),
+            (
+                LoweredOp::JoinAggregate {
+                    l_cols,
+                    r_cols,
+                    l_arity,
+                    keys,
+                    aggs,
+                },
+                OpState::JoinAggregate(groups),
+            ) => apply_batch(
+                groups,
+                changes.map(|(port, insert, t)| {
+                    let cols = if port == 0 { l_cols } else { r_cols };
+                    (port, insert, key_of(cols, &t.row), t)
+                }),
+                |_, sides, touch| {
+                    // A joined-row column `c` is column `c` of the left
+                    // side or `c - l_arity` of the right; every member of a
+                    // side carries the group's join-key values.
+                    let at = |c: usize| {
+                        if c < *l_arity {
+                            (0, c)
+                        } else {
+                            (1, c - l_arity)
+                        }
+                    };
+                    let mut row: Row = keys
+                        .iter()
+                        .map(|&k| {
+                            let (s, c) = at(k);
+                            sides[s][0].row[c].clone()
+                        })
+                        .collect();
+                    for (i, agg) in aggs.iter().enumerate() {
+                        row.push(match *agg {
+                            AggFn::Count => Value::int((sides[0].len() * sides[1].len()) as i64),
+                            AggFn::Min(c) | AggFn::Max(c) => {
+                                // Extend the published extreme by the
+                                // appended members; rescan a side that
+                                // lost one (or a group not yet published).
+                                let (s, c) = at(c);
+                                let (acc, from) = match (touch.kept[s], &touch.old) {
+                                    (Some(kept), Some(old)) => {
+                                        (Some(&old.row[keys.len() + i]), kept)
+                                    }
+                                    _ => (None, 0),
+                                };
+                                let values = acc
+                                    .into_iter()
+                                    .chain(sides[s][from..].iter().map(|m| &m.row[c]));
+                                let extreme = if matches!(agg, AggFn::Min(_)) {
+                                    values.min()
+                                } else {
+                                    values.max()
+                                };
+                                extreme.expect("published sides are non-empty").clone()
+                            }
+                            AggFn::Sum(_) => unreachable!("the fusion rule declines Sum"),
+                        });
+                    }
+                    row
+                },
+                out,
+            ),
+            _ => unreachable!("apply_grouped only drains support-counted operators"),
         }
     }
 }
@@ -1110,10 +1219,7 @@ impl Pipeline {
             if !inbox.is_empty() {
                 let node_t0 = if instrumented { now_ns() } else { 0 };
                 processed += inbox.len() as u64;
-                if matches!(
-                    self.nodes[i].op,
-                    LoweredOp::Distinct | LoweredOp::Aggregate { .. }
-                ) {
+                if is_grouped(&self.nodes[i].op) {
                     self.nodes[i].apply_grouped(inbox, &mut out);
                 } else {
                     for (port, delta) in inbox {
@@ -1432,6 +1538,16 @@ impl Pipeline {
                 LoweredOp::Aggregate { keys, aggs } => {
                     format!("keys={keys:?} aggs={}", aggs.len())
                 }
+                LoweredOp::JoinAggregate {
+                    l_cols,
+                    r_cols,
+                    keys,
+                    aggs,
+                    ..
+                } => format!(
+                    "join={l_cols:?}={r_cols:?} keys={keys:?} aggs={}",
+                    aggs.len()
+                ),
             };
             let inputs: Vec<usize> = self
                 .consumers
@@ -1643,16 +1759,34 @@ mod tests {
         }
     }
 
-    /// Every group's published lineage exports to the same tree as a
-    /// from-scratch stored-order fold over its current members.
-    fn assert_published_folds_are_fresh<K, M: Member>(groups: &FastMap<K, Group<M>>) {
+    fn export(l: &SharedLineage) -> LineageTree {
+        Importer::default().import(l).to_tree()
+    }
+
+    /// Every group's side folds, and the published lineage built from
+    /// them, export to the same trees as from-scratch stored-order folds
+    /// over its current members; a group publishes iff no side is empty.
+    fn assert_published_folds_are_fresh<K, M: Member, const N: usize>(
+        groups: &FastMap<K, Group<M, N>>,
+    ) {
         assert!(!groups.is_empty(), "vacuous: no groups");
         for g in groups.values() {
-            let published = g.published.as_ref().expect("every group publishes");
-            let fresh = or_fold(None, g.members.iter().map(M::lineage));
+            let fresh: Vec<Option<SharedLineage>> = g
+                .sides
+                .iter()
+                .map(|members| or_fold(None, members.iter().map(M::lineage)))
+                .collect();
+            for (fold, fresh) in g.folds.iter().zip(&fresh) {
+                assert_eq!(fold.as_ref().map(export), fresh.as_ref().map(export));
+            }
+            let fresh_published = match fresh.as_slice() {
+                [Some(f)] => Some(f.clone()),
+                [Some(l), Some(r)] => Some(SharedLineage::and(l, r)),
+                _ => None,
+            };
             assert_eq!(
-                Importer::default().import(&published.lineage).to_tree(),
-                Importer::default().import(&fresh).to_tree()
+                g.published.as_ref().map(|p| export(&p.lineage)),
+                fresh_published.as_ref().map(export)
             );
         }
     }
@@ -1731,14 +1865,135 @@ mod tests {
     }
 
     #[test]
+    fn fused_join_aggregate_extends_one_side_fold_and_refolds_only_a_retracting_side() {
+        let op = LoweredOp::JoinAggregate {
+            l_cols: vec![0],
+            r_cols: vec![0],
+            l_arity: 3,
+            keys: vec![3],
+            aggs: vec![AggFn::Count, AggFn::Max(2), AggFn::Min(4)],
+        };
+        let mut node = grouped(op);
+        let l: Vec<SharedLineage> = (0..6).map(var_leaf).collect();
+        let r: Vec<SharedLineage> = (10..13).map(var_leaf).collect();
+        let t = |k: i64, ts: i64, te: i64, lineage: &SharedLineage| PipeTuple {
+            row: vec![Value::int(k), Value::int(ts), Value::int(te)],
+            lineage: lineage.clone(),
+        };
+        let ins = |port, k, ts, te, lineage| (port, PipeDelta::Ins(t(k, ts, te, lineage)));
+        let del = |port, k, ts, te, lineage| (port, PipeDelta::Del(t(k, ts, te, lineage)));
+        let batches = [
+            // Key 0 gets both sides; key 1 only a left member.
+            vec![
+                ins(0, 0, 0, 1, &l[0]),
+                ins(0, 0, 0, 2, &l[1]),
+                ins(1, 0, 1, 3, &r[0]),
+                ins(1, 0, 5, 6, &r[2]),
+                ins(0, 1, 0, 1, &l[2]),
+            ],
+            // Append-only on the left.
+            vec![ins(0, 0, 0, 5, &l[3]), ins(0, 0, 0, 6, &l[4])],
+            // An `Extend` regrow on the right.
+            vec![del(1, 0, 1, 3, &r[0]), ins(1, 0, 4, 8, &r[0])],
+            // Key 1's right side arrives; its left fold was kept meanwhile.
+            vec![ins(1, 1, 2, 9, &r[1])],
+            // Key 0 loses its right side: retracted, its left side stays.
+            vec![
+                del(1, 0, 4, 8, &r[0]),
+                del(1, 0, 5, 6, &r[2]),
+                ins(0, 1, 0, 4, &l[5]),
+            ],
+        ];
+        let key = |k: i64| vec![Value::int(k)];
+        let mut emitted = Vec::new();
+        let mut before: Option<[Option<SharedLineage>; 2]> = None;
+        for (b, batch) in batches.into_iter().enumerate() {
+            let mut out = Vec::new();
+            node.apply_grouped(batch, &mut out);
+            emitted.push(
+                out.iter()
+                    .map(|d| match d {
+                        PipeDelta::Ins(t) => (true, t.row.clone()),
+                        PipeDelta::Del(t) => (false, t.row.clone()),
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let OpState::JoinAggregate(groups) = &node.state else {
+                unreachable!()
+            };
+            assert_published_folds_are_fresh(groups);
+            let g = &groups[&key(0)];
+            let same = |a: &Option<SharedLineage>, b: &Option<SharedLineage>| match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0),
+                _ => false,
+            };
+            match b {
+                1 => {
+                    let prev = before.as_ref().unwrap();
+                    assert!(
+                        same(&g.folds[1], &prev[1]),
+                        "an untouched side keeps its fold"
+                    );
+                    let LineageNode::Or(inner, _) = &*g.folds[0].as_ref().unwrap().0 else {
+                        panic!("an appended side extends its fold");
+                    };
+                    assert!(
+                        matches!(&*inner.0, LineageNode::Or(base, _)
+                            if Arc::ptr_eq(&base.0, &prev[0].as_ref().unwrap().0)),
+                        "one `or` per appended member onto the previous fold"
+                    );
+                    let published = &g.published.as_ref().unwrap().lineage;
+                    assert!(
+                        matches!(&*published.0, LineageNode::And(a, c)
+                            if Arc::ptr_eq(&a.0, &g.folds[0].as_ref().unwrap().0)
+                                && Arc::ptr_eq(&c.0, &g.folds[1].as_ref().unwrap().0)),
+                        "the group lineage is the `and` of the side folds"
+                    );
+                }
+                2 => {
+                    let prev = before.as_ref().unwrap();
+                    assert!(
+                        same(&g.folds[0], &prev[0]),
+                        "a Del refolds only its own side"
+                    );
+                    assert!(!same(&g.folds[1], &prev[1]), "the retracting side refolds");
+                }
+                _ => {}
+            }
+            before = Some(g.folds.clone());
+        }
+        let row = |k: i64, count: i64, max_te: i64, min_ts: i64| {
+            vec![k, count, max_te, min_ts]
+                .into_iter()
+                .map(Value::int)
+                .collect::<Row>()
+        };
+        assert_eq!(
+            emitted,
+            vec![
+                vec![(true, row(0, 4, 2, 1))],
+                vec![(false, row(0, 4, 2, 1)), (true, row(0, 8, 6, 1))],
+                // The Min over the right side is rescanned after its Del.
+                vec![(false, row(0, 8, 6, 1)), (true, row(0, 8, 6, 4))],
+                vec![(true, row(1, 1, 1, 2))],
+                vec![
+                    (false, row(0, 8, 6, 4)),
+                    (false, row(1, 1, 1, 2)),
+                    (true, row(1, 2, 4, 2))
+                ],
+            ]
+        );
+    }
+
+    #[test]
     fn deep_folds_compare_import_and_drop_iteratively() {
         // Far deeper than a recursive walk survives on a test thread.
         let leaves: Vec<SharedLineage> = (0..100_000).map(var_leaf).collect();
-        let a = or_fold(None, &leaves);
-        let b = or_fold(None, &leaves);
+        let a = or_fold(None, &leaves).unwrap();
+        let b = or_fold(None, &leaves).unwrap();
         let mut swapped = leaves.clone();
         swapped.swap(0, 1);
-        let c = or_fold(None, &swapped);
+        let c = or_fold(None, &swapped).unwrap();
         assert!(a == b, "separately built folds of one member list");
         assert!(a != c, "folds differing only at the bottom");
         let arena = LineageArena::shared(1);
@@ -1824,7 +2079,8 @@ mod tests {
 
     #[test]
     fn compile_shared_merges_identical_subdags() {
-        // Two plans over the identical hash join; only the tops differ.
+        // Two plans over the identical hash join; only the tops differ. The
+        // aggregate groups by a non-key column, so the join stays a join.
         let join = || {
             Plan::values(placeholder(&["k", "ts", "te"])).hash_join(
                 Plan::values(placeholder(&["k", "ts", "te"])),
@@ -1832,7 +2088,7 @@ mod tests {
                 vec![0],
             )
         };
-        let a = join().aggregate(vec![0], vec![AggFn::Count]);
+        let a = join().aggregate(vec![1], vec![AggFn::Count]);
         let b = join().distinct();
         let taps = vec![
             vec![SetOp::Except, SetOp::Intersect],
@@ -1916,13 +2172,14 @@ mod tests {
     #[test]
     fn reoptimize_swaps_plan_and_preserves_views() {
         // Keyed NlJoin: the re-optimizer turns it into a HashJoin once it
-        // sees any rates, so the swap always fires.
+        // sees any rates, so the swap always fires. The aggregate groups by
+        // a non-key column, so the swapped-in join is not fused away.
         let plan = Plan::values(placeholder(&["k", "ts", "te"]))
             .nl_join(
                 Plan::values(placeholder(&["k", "ts", "te"])),
                 Predicate::col_eq(0, 3),
             )
-            .aggregate(vec![0], vec![AggFn::Count]);
+            .aggregate(vec![1], vec![AggFn::Count]);
         let taps = [SetOp::Except, SetOp::Intersect];
         let mut engine = StreamEngine::with_plan(EngineConfig::default(), &plan, &taps).unwrap();
         let mut sink = CollectingSink::new();

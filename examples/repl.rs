@@ -171,8 +171,8 @@ fn show_standing_plans(db: &Database, left: &str, right: &str) -> Result<()> {
         engine.push(Side::Right, t.clone());
     }
     println!(
-        "standing plans over {left} op {right}: count-per-key and distinct-keys rules \
-         sharing one Except ⋈ Intersect join"
+        "standing plans over {left} op {right}: a count-per-key rule (fused join → aggregate) \
+         and a distinct-keys rule over Except ⋈ Intersect, sharing both taps"
     );
     let span = (hull.end() - hull.start()).max(4);
     for q in 1..=4i64 {

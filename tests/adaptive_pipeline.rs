@@ -75,11 +75,12 @@ fn drive(engine: &mut StreamEngine, script: &StreamScript, sink: &mut impl Strea
 }
 
 /// A keyed nested-loop join the re-optimizer provably rewrites into a hash
-/// join once it has observed any source rates.
+/// join once it has observed any source rates. The aggregate groups by a
+/// non-key column, so the swapped-in join is not fused into it.
 fn swap_bait_plan() -> (Plan, Vec<SetOp>) {
     let plan = leaf()
         .nl_join(leaf(), Predicate::col_eq(0, 3))
-        .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
+        .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]);
     (plan, vec![SetOp::Union, SetOp::Intersect])
 }
 
@@ -156,13 +157,15 @@ fn plan_swap_is_invisible_in_delta_log_and_view_across_engine_matrix() {
     }
 }
 
-/// Three alert rules over one shared `Union ⋈ Intersect` hash join.
+/// Three alert rules over one shared `Union ⋈ Intersect` hash join. The
+/// aggregates group by a non-key column: grouped by the join key they would
+/// each fuse with their own copy of the join and share only the sources.
 fn shared_rules() -> (Vec<Plan>, Vec<Vec<SetOp>>) {
     let join = || leaf().hash_join(leaf(), vec![0], vec![0]);
     let plans = vec![
-        join().aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]),
+        join().aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]),
         join().project(vec![0]).distinct(),
-        join().aggregate(vec![0], vec![AggFn::Min(1)]),
+        join().aggregate(vec![1], vec![AggFn::Min(1)]),
     ];
     let taps = vec![vec![SetOp::Union, SetOp::Intersect]; 3];
     (plans, taps)

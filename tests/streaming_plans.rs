@@ -6,7 +6,9 @@
 //! every arrival permutation within the lateness bound, every watermark
 //! schedule, reclaim mode on and off. In reclaim mode, operator state
 //! must additionally **plateau** under extend-dominated workloads (the
-//! bounded-memory claim).
+//! bounded-memory claim). The fused join → aggregate must also publish
+//! lineage equivalent to the batch join's pairwise `∨ᵢⱼ (lᵢ ∧ rⱼ)` and hold
+//! state linear in its tapped rows.
 //!
 //! The batch twin is constructed with `encode_relation` over the closed
 //! output of a `CollectingSink` (the proven delta-apply semantics) and
@@ -15,13 +17,16 @@
 
 mod common;
 
+use std::collections::HashMap;
+
 use common::oracle::assert_plateau;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use tp_core::bdd::Bdd;
 use tp_relalg::{bind_sources, AggFn, CmpOp, Plan, Predicate, Relation, Row, Schema};
 use tp_stream::{
-    encode_relation, CollectingSink, EngineConfig, ReclaimConfig, ReplayConfig, ReplayEvent, Side,
-    StreamEngine, StreamScript,
+    encode_relation, CollectingSink, EngineConfig, MaterializingSink, ReclaimConfig, ReplayConfig,
+    ReplayEvent, Side, StreamEngine, StreamScript, StreamSink,
 };
 use tp_workloads::SynthConfig;
 use tpdb::prelude::*;
@@ -48,11 +53,12 @@ fn engine_config(reclaim: bool) -> EngineConfig {
 }
 
 /// Plan shapes under test, each with its taps. Every shape exercises a
-/// different operator mix; together they cover all eight lowered ops.
+/// different operator mix; together they cover all nine lowered ops.
 fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
     vec![
         (
-            "hash_join+aggregate",
+            // Grouped by the join key: lowers to the fused join → aggregate.
+            "hash_join+aggregate (fused)",
             leaf()
                 .hash_join(leaf(), vec![0], vec![0])
                 .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2), AggFn::Min(1)]),
@@ -89,6 +95,15 @@ fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
                 )),
             vec![SetOp::Union, SetOp::Except],
         ),
+        (
+            // Grouped by a non-key column: the standing hash join and
+            // aggregate stay separate operators.
+            "hash_join+aggregate (unfused)",
+            leaf()
+                .hash_join(leaf(), vec![0], vec![0])
+                .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]),
+            vec![SetOp::Union, SetOp::Intersect],
+        ),
     ]
 }
 
@@ -105,28 +120,40 @@ fn batch_rows(plan: &Plan, sink: &CollectingSink, taps: &[SetOp]) -> Vec<Row> {
     rows
 }
 
-/// Replays a script to completion through an engine with the plan
-/// attached.
-fn replay(
+/// Replays a script to completion into `sink` through an engine with the
+/// plan attached.
+fn replay_into(
     plan: &Plan,
     taps: &[SetOp],
     script: &StreamScript,
     cfg: EngineConfig,
-) -> (StreamEngine, CollectingSink) {
+    sink: &mut impl StreamSink,
+) -> StreamEngine {
     let mut engine = StreamEngine::with_plan(cfg, plan, taps).expect("plan compiles");
-    let mut sink = CollectingSink::new();
     for event in &script.events {
         match event {
             ReplayEvent::Arrive(side, t) => {
                 engine.push(*side, t.clone());
             }
             ReplayEvent::Advance(wm) => {
-                engine.advance(*wm, &mut sink).unwrap();
+                engine.advance(*wm, sink).unwrap();
             }
         }
     }
-    engine.finish(&mut sink).unwrap();
+    engine.finish(sink).unwrap();
     assert_eq!(engine.late_dropped(), [0, 0], "scripts never drop");
+    engine
+}
+
+/// [`replay_into`] a fresh `CollectingSink`.
+fn replay(
+    plan: &Plan,
+    taps: &[SetOp],
+    script: &StreamScript,
+    cfg: EngineConfig,
+) -> (StreamEngine, CollectingSink) {
+    let mut sink = CollectingSink::new();
+    let engine = replay_into(plan, taps, script, cfg, &mut sink);
     (engine, sink)
 }
 
@@ -146,7 +173,7 @@ fn run_case(
 
 #[test]
 fn pipelines_match_batch_across_plans_and_engine_matrix() {
-    // The full matrix: 3 plan shapes × reclaim on/off, each over a fresh
+    // The full matrix: 4 plan shapes × reclaim on/off, each over a fresh
     // random input and replay schedule.
     let mut rng = StdRng::seed_from_u64(0x51A9_0001);
     for (case, (name, plan, taps)) in plan_cases().into_iter().enumerate() {
@@ -215,8 +242,8 @@ fn reclaiming_pipeline_state_plateaus_on_extend_dominated_streams() {
     // Immortal facts cut by the watermark: after warm-up every advance
     // re-emits each fact's output as an Extend, so pipeline operators only
     // retract-and-regrow standing rows. With interior reclamation on, the
-    // engine retires history underneath the pipeline — whose state stores
-    // owned lineage trees and must neither dangle nor grow.
+    // engine retires history underneath the pipeline — whose state holds
+    // lineage expanded at the taps and must neither dangle nor grow.
     let (_, plan, taps) = plan_cases().remove(0);
     let epochs = 60i64;
     let mut engine =
@@ -254,19 +281,20 @@ fn reclaiming_pipeline_state_plateaus_on_extend_dominated_streams() {
     assert_eq!(got, expect, "reclaiming pipeline != batch");
 }
 
-/// Runs the alert rule `leaf ⋈(k) leaf → aggregate(k; count, max te)` on
-/// the union and intersect streams over Zipf-keyed facts: a hot key's
-/// group folds every join output of that key into one lineage, as deep as
-/// the group is large. The view must equal the batch plan and every row's
-/// lineage must import, with nothing on the way recursing per fold level.
-fn zipf_alerts_match_batch(synth: &SynthConfig) {
+/// The alert rule `leaf ⋈(k) leaf → aggregate(k; count, max te)` on the
+/// union and intersect streams. It groups by its join key, so it lowers to
+/// the fused join → aggregate.
+fn alert_rule() -> (Plan, [SetOp; 2]) {
     let plan = leaf()
         .hash_join(leaf(), vec![0], vec![0])
         .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
-    let taps = [SetOp::Union, SetOp::Intersect];
+    (plan, [SetOp::Union, SetOp::Intersect])
+}
+
+fn alert_script(synth: &SynthConfig) -> StreamScript {
     let mut vars = VarTable::new();
     let (r, s) = tp_workloads::synth::generate(synth, &mut vars);
-    let script = StreamScript::from_pair(
+    StreamScript::from_pair(
         &r,
         &s,
         &ReplayConfig {
@@ -274,8 +302,18 @@ fn zipf_alerts_match_batch(synth: &SynthConfig) {
             advance_every: 48,
             seed: 7,
         },
-    );
-    let (engine, sink) = replay(&plan, &taps, &script, EngineConfig::default());
+    )
+}
+
+/// Runs the alert rule over Zipf-keyed facts: a hot key's group folds every
+/// member of that key into one lineage, as deep as the group is large. The
+/// view must equal the batch plan, every row's lineage must import with
+/// nothing on the way recursing per fold level, and the standing state
+/// must stay linear in the tapped rows: the fused operator keeps each side's
+/// members, never the `L × R` pairs per key.
+fn zipf_alerts_match_batch(synth: &SynthConfig) {
+    let (plan, taps) = alert_rule();
+    let (engine, sink) = replay(&plan, &taps, &alert_script(synth), EngineConfig::default());
     let pipeline = engine.pipeline().unwrap();
     let got = pipeline.materialized().rows;
     let expect = batch_rows(&plan, &sink, &taps);
@@ -284,6 +322,20 @@ fn zipf_alerts_match_batch(synth: &SynthConfig) {
     let lineage = pipeline.materialized_lineage_view(0);
     assert_eq!(lineage.len(), got.len(), "one lineage per aggregate row");
     assert!(lineage.iter().map(|(row, _)| row).eq(got.iter()));
+    // O(L + R): the operators hold each tapped row once. The rest of the
+    // state (one run record per fact and tap, one view row per key) is
+    // smaller still.
+    let tapped: usize = taps.iter().map(|&op| sink.len(op)).sum();
+    let operator_rows: usize = pipeline.operator_stats().iter().map(|s| s.1).sum();
+    assert!(
+        operator_rows <= tapped,
+        "operators hold {operator_rows} rows for {tapped} tapped rows"
+    );
+    assert!(
+        pipeline.state_rows() <= 2 * tapped,
+        "state {} rows for {tapped} tapped rows",
+        pipeline.state_rows()
+    );
 }
 
 #[test]
@@ -297,6 +349,111 @@ fn zipf_keyed_alert_plan_completes_and_matches_batch() {
 #[ignore]
 fn zipf_keyed_alert_plan_soak() {
     zipf_alerts_match_batch(&SynthConfig::with_zipf_facts(4_000, 400, 0.9, 7));
+}
+
+/// `∨` of non-empty `terms` as a balanced tree, so compiling it recurses
+/// only logarithmically deep.
+fn balanced_or(mut terms: Vec<Lineage>) -> Lineage {
+    while terms.len() > 1 {
+        terms = terms
+            .chunks(2)
+            .map(|pair| match pair {
+                [a, b] => Lineage::or(a, b),
+                [a] => *a,
+                _ => unreachable!("chunks of two"),
+            })
+            .collect();
+    }
+    terms[0]
+}
+
+/// `l` with every variable renamed through `rank`.
+fn renamed(l: &Lineage, rank: &HashMap<TupleId, TupleId>) -> Lineage {
+    fn rec(t: &LineageTree, rank: &HashMap<TupleId, TupleId>) -> LineageTree {
+        match t {
+            LineageTree::Var(id) => LineageTree::Var(rank[id]),
+            LineageTree::Not(c) => LineageTree::Not(Box::new(rec(c, rank))),
+            LineageTree::And(a, b) => {
+                LineageTree::And(Box::new(rec(a, rank)), Box::new(rec(b, rank)))
+            }
+            LineageTree::Or(a, b) => {
+                LineageTree::Or(Box::new(rec(a, rank)), Box::new(rec(b, rank)))
+            }
+        }
+    }
+    Lineage::from_tree(&rec(&l.to_tree(), rank))
+}
+
+#[test]
+fn fused_alert_lineage_equals_the_pairwise_join_lineage() {
+    // The batch join → aggregate gives a key the lineage ∨ᵢⱼ (lᵢ ∧ rⱼ) over
+    // its union × intersect tuples; the fused operator publishes
+    // (∨ lᵢ) ∧ (∨ rⱼ). Both compile into one ROBDD, canonical under its
+    // fixed variable order, so the functions are equal iff the roots are.
+    let (plan, taps) = alert_rule();
+    let inputs = [
+        ("uniform", SynthConfig::with_facts(150, 10, 515)),
+        ("zipf", SynthConfig::with_zipf_facts(1_000, 50, 1.0, 7)),
+    ];
+    for (input, synth) in inputs {
+        let script = alert_script(&synth);
+        // The generator numbers all of r's variables before s's, an order
+        // under which a key's ∨ of overlapping (r ∧ s) pairs has an
+        // exponential ROBDD. Renaming both sides' variables by base-tuple
+        // start time (a bijection, so equivalence is unchanged) keeps the
+        // diagrams as narrow as the overlap.
+        let mut by_start: Vec<(TimePoint, TupleId)> = script
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                ReplayEvent::Arrive(_, t) => match t.lineage.kind() {
+                    LineageKind::Var(id) => Some((t.interval.start(), id)),
+                    _ => None,
+                },
+                ReplayEvent::Advance(_) => None,
+            })
+            .collect();
+        by_start.sort();
+        let rank: HashMap<TupleId, TupleId> = by_start
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, id))| (id, TupleId(i as u64)))
+            .collect();
+        // One diagram per input: the reclaiming run's reference formulas
+        // intern to the same handles and hit the compile memo.
+        let mut bdd = Bdd::new();
+        for reclaim in [false, true] {
+            let ctx = format!("{input}, reclaim={reclaim}");
+            // A reclaiming engine retires the lineage its deltas point at:
+            // record the taps as owned trees and re-intern them here.
+            let mut recorded = MaterializingSink::new();
+            let engine = replay_into(&plan, &taps, &script, engine_config(reclaim), &mut recorded);
+            let sink = recorded.replay();
+            let mut members: HashMap<Value, [Vec<Lineage>; 2]> = HashMap::new();
+            for (side, &op) in taps.iter().enumerate() {
+                for t in sink.relation(op).iter() {
+                    let key = t.fact.values()[0].clone();
+                    members.entry(key).or_default()[side].push(renamed(&t.lineage, &rank));
+                }
+            }
+            let view = engine.pipeline().unwrap().materialized_lineage_view(0);
+            assert!(!view.is_empty(), "{ctx}: vacuous");
+            for (row, lineage) in &view {
+                let lineage = renamed(lineage, &rank);
+                let [l, r] = &members[&row[0]];
+                let pairs = l
+                    .iter()
+                    .flat_map(|a| r.iter().map(move |b| Lineage::and(a, b)))
+                    .collect();
+                assert_eq!(
+                    bdd.compile(&lineage),
+                    bdd.compile(&balanced_or(pairs)),
+                    "{ctx}: key {} lineage differs from the pairwise join's",
+                    row[0]
+                );
+            }
+        }
+    }
 }
 
 #[test]
