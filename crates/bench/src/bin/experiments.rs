@@ -10,7 +10,7 @@
 //! Available experiment names: `table2`, `table3`, `table4`, `fig7`, `fig8`,
 //! `fig9a`, `fig9b`, `fig10`, `fig11`, `bench_lawa`, `bench_stream`,
 //! `bench_memory`, `bench_tenants`, `bench_observability`,
-//! `bench_raw_speed`, `bench_pipeline`, `bench_adaptive`. With
+//! `bench_raw_speed`, `bench_pipeline`. With
 //! `--csv`, each figure is also written to `experiments_csv/<id>.csv` for
 //! external plotting. `bench_lawa` additionally writes `BENCH_lawa.json`
 //! (memoized valuation + op throughput + arena contention + streaming) to
@@ -113,13 +113,6 @@ fn main() {
                 tp_bench::scaled(64).max(24),
                 32,
                 tp_bench::scaled(120).max(48),
-            ),
-            adaptive: experiments::adaptive_pipeline_bench(
-                tp_bench::scaled(800).max(240),
-                tp_bench::scaled(64).max(24),
-                32,
-                3,
-                3,
             ),
         };
         println!("{}", report.render());
@@ -422,103 +415,6 @@ fn main() {
             b.plateau_epochs,
             b.retired_segments,
             b.speedup(),
-        );
-    }
-    if names.iter().any(|a| *a == "bench_adaptive") {
-        // CI pipeline-adaptive-smoke job: the three adaptive-pipeline
-        // claims, hard-gated on correctness only. (a) a mid-run plan swap
-        // (nested-loop → hash join, driven by observed delta rates) must
-        // leave the delta log byte-identical and the standing view
-        // row-identical to the frozen engine; (b) hash-consed multi-plan
-        // state sharing must keep standing rows strictly below the
-        // dedicated-engine sum with row-identical views; (c) the
-        // lane-blocked batch kernel must match the memoized per-root walk
-        // within 1e-12. Wall speedups are informational (1-core CI cannot
-        // gate them).
-        let b = experiments::adaptive_pipeline_bench(
-            tp_bench::scaled(800).max(240),
-            tp_bench::scaled(64).max(24),
-            32,
-            3,
-            3,
-        );
-        println!(
-            "adaptive pipelines: {} tuples/side over {} keys, {} advances, frozen {:.1} ms vs \
-             re-optimizing {:.1} ms ({:.2}×, {} swap(s)), log_identical={}, views_equal={}",
-            b.tuples,
-            b.facts,
-            b.advances,
-            b.frozen_ms,
-            b.adaptive_ms,
-            b.reopt_speedup(),
-            b.swaps,
-            b.log_identical,
-            b.views_equal,
-        );
-        println!(
-            "  shared state: {} rows vs {} duplicated ({:.2}×, {} shared operators over {} \
-             plans), views_equal={}",
-            b.shared_state_rows,
-            b.duplicated_state_rows,
-            b.shared_state_ratio(),
-            b.shared_operators,
-            b.shared_plans,
-            b.shared_views_equal,
-        );
-        println!(
-            "  lane-blocked kernel: {:.1} ms vs {:.1} ms memoized cold ({:.2}×, {} roots, \
-             max Δ {:.2e})",
-            b.kernel_cold_ms,
-            b.memoized_cold_ms,
-            b.simd_valuation_speedup(),
-            b.valuation_roots,
-            b.kernel_max_delta,
-        );
-        if b.swaps == 0 {
-            eprintln!("FAIL: re-optimization never fired; the swap gates are vacuous");
-            std::process::exit(1);
-        }
-        if !b.log_identical {
-            eprintln!("FAIL: the mid-run plan swap changed the delta log");
-            std::process::exit(1);
-        }
-        if !b.views_equal {
-            eprintln!("FAIL: the mid-run plan swap changed the standing view");
-            std::process::exit(1);
-        }
-        if !b.shared_views_equal {
-            eprintln!("FAIL: a shared-pipeline view diverges from its dedicated engine");
-            std::process::exit(1);
-        }
-        if b.shared_state_rows >= b.duplicated_state_rows {
-            eprintln!(
-                "FAIL: shared pipeline state {} rows not below the duplicated baseline {}",
-                b.shared_state_rows, b.duplicated_state_rows
-            );
-            std::process::exit(1);
-        }
-        if b.kernel_max_delta > 1e-12 {
-            eprintln!(
-                "FAIL: lane-blocked kernel diverges from the per-root walk (max Δ {:.2e}, \
-                 gate: 1e-12)",
-                b.kernel_max_delta
-            );
-            std::process::exit(1);
-        }
-        if b.reopt_speedup() < 1.0 {
-            eprintln!(
-                "WARN: re-optimized run only {:.2}x over the frozen plan (informational — \
-                 wall ratio is hardware- and size-dependent)",
-                b.reopt_speedup()
-            );
-        }
-        println!(
-            "ok: swap invisible in log and view ({} swap(s), {:.2}x over frozen), shared state \
-             {:.2}x of duplicated, kernel ≡ walk to {:.2e}",
-            b.swaps,
-            b.reopt_speedup(),
-            b.shared_state_ratio(),
-            b.kernel_max_delta,
         );
     }
     if names.iter().any(|a| *a == "bench_raw_speed") {

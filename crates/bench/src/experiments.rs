@@ -1803,280 +1803,6 @@ pub fn pipeline_bench(
     }
 }
 
-/// Result of the `bench_adaptive` experiment: the three adaptive-pipeline
-/// claims, hard-gated on correctness. (a) **Rate-aware re-optimization** —
-/// the swap-bait alert rule (a keyed nested-loop join the cost model
-/// rewrites into a hash join once it has observed source delta rates)
-/// replayed through a frozen engine vs one re-optimizing every few
-/// advances: the adaptive run must emit a **byte-identical delta log**,
-/// keep a row-identical standing view, and (informationally) beat the
-/// frozen wall clock. (b) **Multi-plan operator-state sharing** — three
-/// alert rules over one shared join compiled into a single pipeline vs
-/// three dedicated engines: views row-identical, standing state strictly
-/// sub-additive. (c) **Lane-blocked valuation** — the shared views'
-/// ∨-folded lineage valuated by the batch kernel vs the memoized per-root
-/// walk, both cold, within 1e-12.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBench {
-    /// Tuples per side of the replayed synth stream.
-    pub tuples: usize,
-    /// Distinct facts (join keys) the tuples spread over.
-    pub facts: usize,
-    /// Watermark advances of the replayed run (including the final flush).
-    pub advances: u64,
-    /// Plan swaps the adaptive engine performed mid-run.
-    pub swaps: u64,
-    /// Wall milliseconds of the frozen engine (keyed nested-loop join for
-    /// the whole run).
-    pub frozen_ms: f64,
-    /// Wall milliseconds of the re-optimizing engine (same replay; the
-    /// cost model installs the hash join at the first cadence boundary).
-    pub adaptive_ms: f64,
-    /// Whether the two delta logs are byte-identical.
-    pub log_identical: bool,
-    /// Whether the two standing views are row-identical at finish.
-    pub views_equal: bool,
-    /// Plans compiled into the shared pipeline.
-    pub shared_plans: usize,
-    /// Physical operators serving more than one plan after hash-consing.
-    pub shared_operators: usize,
-    /// Standing state rows of the shared pipeline at finish.
-    pub shared_state_rows: usize,
-    /// Summed standing state rows of the dedicated per-plan engines.
-    pub duplicated_state_rows: usize,
-    /// Whether every shared view equals its dedicated-engine twin.
-    pub shared_views_equal: bool,
-    /// Output roots valuated in the kernel comparison.
-    pub valuation_roots: usize,
-    /// Cold valuation rounds timed (min-of not used; totals compared).
-    pub valuation_rounds: usize,
-    /// Wall milliseconds of the per-root memoized walk, cache cleared
-    /// before every round.
-    pub memoized_cold_ms: f64,
-    /// Wall milliseconds of the lane-blocked batch kernel, same protocol.
-    pub kernel_cold_ms: f64,
-    /// Largest |memoized − kernel| over all roots.
-    pub kernel_max_delta: f64,
-}
-
-impl AdaptiveBench {
-    /// `frozen_ms / adaptive_ms` (> 1 means re-planning against observed
-    /// rates beat the frozen plan; informational — wall ratios are
-    /// hardware-dependent, the log/view identity is the contract).
-    pub fn reopt_speedup(&self) -> f64 {
-        self.frozen_ms / self.adaptive_ms.max(1e-9)
-    }
-
-    /// `shared_state_rows / duplicated_state_rows` — must stay < 1.0:
-    /// hash-consed operators hold their state once for all plans.
-    pub fn shared_state_ratio(&self) -> f64 {
-        self.shared_state_rows as f64 / self.duplicated_state_rows.max(1) as f64
-    }
-
-    /// `memoized_cold_ms / kernel_cold_ms` (informational).
-    pub fn simd_valuation_speedup(&self) -> f64 {
-        self.memoized_cold_ms / self.kernel_cold_ms.max(1e-9)
-    }
-
-    /// The acceptance predicate of the `pipeline-adaptive-smoke` CI job
-    /// (wall speedups are informational and not part of it).
-    pub fn pass(&self) -> bool {
-        self.log_identical
-            && self.views_equal
-            && self.swaps >= 1
-            && self.shared_views_equal
-            && self.shared_state_rows < self.duplicated_state_rows
-            && self.kernel_max_delta <= 1e-12
-    }
-}
-
-/// Runs the adaptive-pipeline benchmark (see [`AdaptiveBench`]).
-pub fn adaptive_pipeline_bench(
-    tuples: usize,
-    facts: usize,
-    advance_every: usize,
-    reopt_every: u64,
-    rounds: usize,
-) -> AdaptiveBench {
-    use tp_core::lineage::Lineage;
-    use tp_relalg::{AggFn, Plan, Predicate, Relation, Schema};
-    use tp_stream::{
-        CollectingSink, EngineConfig, MaterializingSink, ReplayConfig, ReplayEvent, StreamEngine,
-        StreamScript, StreamSink,
-    };
-
-    let leaf = || Plan::values(Relation::empty(Schema::new(["k", "ts", "te"])));
-    let mut vars = VarTable::new();
-    let (r, s) =
-        tp_workloads::synth::generate(&SynthConfig::with_facts(tuples, facts, 907), &mut vars);
-    let script = StreamScript::from_pair(
-        &r,
-        &s,
-        &ReplayConfig {
-            lateness: 6,
-            advance_every: advance_every.max(1),
-            seed: 31,
-        },
-    );
-    fn run_script<S: StreamSink>(
-        script: &StreamScript,
-        engine: &mut StreamEngine,
-        sink: &mut S,
-    ) -> u64 {
-        let mut advances = 0u64;
-        for event in &script.events {
-            match event {
-                ReplayEvent::Arrive(side, t) => {
-                    engine.push(*side, t.clone());
-                }
-                ReplayEvent::Advance(wm) => {
-                    engine.advance(*wm, sink).expect("script monotone");
-                    advances += 1;
-                }
-            }
-        }
-        engine.finish(sink).expect("final advance");
-        advances + 1
-    }
-
-    // (a) Frozen vs re-optimizing, over the swap-bait rule: a keyed
-    // nested-loop join the cost model provably rewrites into a hash join.
-    // Grouping by a non-key column keeps that join from fusing into the
-    // aggregate, here and in (b).
-    let bait = leaf()
-        .nl_join(leaf(), Predicate::col_eq(0, 3))
-        .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]);
-    let taps = [SetOp::Union, SetOp::Intersect];
-    let mut frozen = StreamEngine::with_plan(EngineConfig::default(), &bait, &taps)
-        .expect("swap-bait plan compiles");
-    let mut frozen_sink = MaterializingSink::new();
-    let (frozen_ms, advances) =
-        crate::runner::time_ms(|| run_script(&script, &mut frozen, &mut frozen_sink));
-    let mut adaptive = StreamEngine::with_plan(
-        EngineConfig {
-            reopt_every: Some(reopt_every.max(1)),
-            ..Default::default()
-        },
-        &bait,
-        &taps,
-    )
-    .expect("swap-bait plan compiles");
-    let mut adaptive_sink = MaterializingSink::new();
-    let (adaptive_ms, _) =
-        crate::runner::time_ms(|| run_script(&script, &mut adaptive, &mut adaptive_sink));
-    let swaps = adaptive.pipeline().expect("plan attached").reopts();
-    let log_identical = frozen_sink.deltas == adaptive_sink.deltas;
-    let views_equal = frozen
-        .pipeline()
-        .expect("plan attached")
-        .materialized()
-        .rows
-        == adaptive
-            .pipeline()
-            .expect("plan attached")
-            .materialized()
-            .rows;
-
-    // (b) Three alert rules over one shared `∪Tp ⋈ ∩Tp` hash join: one
-    // hash-consed pipeline vs three dedicated engines.
-    let join = || leaf().hash_join(leaf(), vec![0], vec![0]);
-    let plans = vec![
-        join().aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]),
-        join().project(vec![0]).distinct(),
-        join().aggregate(vec![1], vec![AggFn::Min(1)]),
-    ];
-    let plan_taps = vec![vec![SetOp::Union, SetOp::Intersect]; plans.len()];
-    let mut shared = StreamEngine::with_plans(EngineConfig::default(), &plans, &plan_taps)
-        .expect("shared rules compile");
-    let mut shared_sink = CollectingSink::new();
-    run_script(&script, &mut shared, &mut shared_sink);
-    let mut duplicated_state_rows = 0usize;
-    let mut shared_views_equal = true;
-    for (i, plan) in plans.iter().enumerate() {
-        let mut solo = StreamEngine::with_plan(EngineConfig::default(), plan, &plan_taps[i])
-            .expect("rule compiles");
-        let mut solo_sink = CollectingSink::new();
-        run_script(&script, &mut solo, &mut solo_sink);
-        let solo_pipeline = solo.pipeline().expect("plan attached");
-        duplicated_state_rows += solo_pipeline.state_rows();
-        shared_views_equal &= shared
-            .pipeline()
-            .expect("plans attached")
-            .materialized_view(i)
-            .rows
-            == solo_pipeline.materialized().rows;
-    }
-    let shared_pipeline = shared.pipeline().expect("plans attached");
-    let shared_operators = shared_pipeline.shared_operators();
-    let shared_state_rows = shared_pipeline.state_rows();
-
-    // (c) Lane-blocked kernel vs memoized per-root walk, both cold, over
-    // the 1OF view lineage of a shared project/distinct chain (Corollary 1
-    // keeps single-tap chains in the kernel's fast path).
-    let prefix = || leaf().project(vec![0, 1, 2]).distinct();
-    let chains = vec![
-        prefix(),
-        prefix().project(vec![0, 2]).distinct(),
-        prefix().project(vec![0, 1]).distinct(),
-    ];
-    let chain_taps = vec![vec![SetOp::Union]; chains.len()];
-    let mut val_engine = StreamEngine::with_plans(EngineConfig::default(), &chains, &chain_taps)
-        .expect("chains compile");
-    let mut val_sink = CollectingSink::new();
-    run_script(&script, &mut val_engine, &mut val_sink);
-    let val_pipeline = val_engine.pipeline().expect("plans attached");
-    let lineages: Vec<Lineage> = (0..chains.len())
-        .flat_map(|v| val_pipeline.materialized_lineage_view(v))
-        .map(|(_, l)| l)
-        .collect();
-    let rounds = rounds.max(1);
-    let (memoized_cold_ms, scalar) = crate::runner::time_ms(|| {
-        let mut out = Vec::new();
-        for _ in 0..rounds {
-            vars.clear_valuation_cache();
-            out = lineages
-                .iter()
-                .map(|l| tp_core::prob::marginal(l, &vars).expect("vars registered"))
-                .collect();
-        }
-        out
-    });
-    let (kernel_cold_ms, batched) = crate::runner::time_ms(|| {
-        let mut out = Vec::new();
-        for _ in 0..rounds {
-            vars.clear_valuation_cache();
-            out = tp_core::prob::marginal_batch(&lineages, &vars).expect("vars registered");
-        }
-        out
-    });
-    let kernel_max_delta = scalar
-        .iter()
-        .zip(&batched)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-
-    AdaptiveBench {
-        tuples,
-        facts,
-        advances,
-        swaps,
-        frozen_ms,
-        adaptive_ms,
-        log_identical,
-        views_equal,
-        shared_plans: plans.len(),
-        shared_operators,
-        shared_state_rows,
-        duplicated_state_rows,
-        shared_views_equal,
-        valuation_roots: lineages.len(),
-        valuation_rounds: rounds,
-        memoized_cold_ms,
-        kernel_cold_ms,
-        kernel_max_delta,
-    }
-}
-
 /// The combined `BENCH_lawa.json` artifact: the memoized-valuation
 /// acceptance benchmark (top-level fields, unchanged schema) plus the
 /// per-operation throughput series, the arena-contention micro-benchmark
@@ -2101,9 +1827,6 @@ pub struct BenchReport {
     pub raw_speed: RawSpeedBench,
     /// Standing incremental pipelines: compiled plan vs naive re-batch.
     pub pipeline: PipelineBench,
-    /// Adaptive pipelines: rate-aware re-optimization, multi-plan state
-    /// sharing, lane-blocked valuation.
-    pub adaptive: AdaptiveBench,
 }
 
 impl BenchReport {
@@ -2373,67 +2096,6 @@ impl BenchReport {
             self.pipeline.plateau_ratio(),
             self.pipeline.plateau_batch_equal,
         );
-        // The adaptive-pipeline section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"adaptive_pipeline\": {{\n",
-                "    \"tuples\": {},\n",
-                "    \"facts\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"swaps\": {},\n",
-                "    \"frozen_ms\": {:.3},\n",
-                "    \"adaptive_ms\": {:.3},\n",
-                "    \"reopt_speedup\": {:.3},\n",
-                "    \"log_identical\": {},\n",
-                "    \"views_equal\": {},\n",
-                "    \"shared_plans\": {},\n",
-                "    \"shared_operators\": {},\n",
-                "    \"shared_state_rows\": {},\n",
-                "    \"duplicated_state_rows\": {},\n",
-                "    \"shared_state_ratio\": {:.3},\n",
-                "    \"shared_views_equal\": {},\n",
-                "    \"valuation_roots\": {},\n",
-                "    \"valuation_rounds\": {},\n",
-                "    \"memoized_cold_ms\": {:.3},\n",
-                "    \"kernel_cold_ms\": {:.3},\n",
-                "    \"simd_valuation_speedup\": {:.3},\n",
-                "    \"kernel_max_delta\": {:.3e},\n",
-                "    \"note\": \"rate-aware re-optimization (delta log must stay byte-identical \
-                 across the mid-run plan swap, CI-gated), hash-consed multi-plan state sharing \
-                 (standing rows strictly below the dedicated-engine sum, CI-gated), and the \
-                 lane-blocked batch kernel vs the memoized walk (<= 1e-12, CI-gated); wall \
-                 speedups are informational\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.adaptive.tuples,
-            self.adaptive.facts,
-            self.adaptive.advances,
-            self.adaptive.swaps,
-            self.adaptive.frozen_ms,
-            self.adaptive.adaptive_ms,
-            self.adaptive.reopt_speedup(),
-            self.adaptive.log_identical,
-            self.adaptive.views_equal,
-            self.adaptive.shared_plans,
-            self.adaptive.shared_operators,
-            self.adaptive.shared_state_rows,
-            self.adaptive.duplicated_state_rows,
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.shared_views_equal,
-            self.adaptive.valuation_roots,
-            self.adaptive.valuation_rounds,
-            self.adaptive.memoized_cold_ms,
-            self.adaptive.kernel_cold_ms,
-            self.adaptive.simd_valuation_speedup(),
-            self.adaptive.kernel_max_delta,
-        );
         out
     }
 
@@ -2450,8 +2112,7 @@ impl BenchReport {
                 "\"tenant_krows_per_s\": {:.3}, \"obs_overhead_ratio\": {:.3}, ",
                 "\"raw_valuation_speedup\": {:.2}, \"raw_residency_ratio\": {:.3}, ",
                 "\"raw_live_vars_ratio\": {:.3}, \"pipeline_speedup\": {:.2}, ",
-                "\"pipeline_plateau_ratio\": {:.3}, \"reopt_speedup\": {:.3}, ",
-                "\"shared_state_ratio\": {:.3}, \"simd_valuation_speedup\": {:.3}}}"
+                "\"pipeline_plateau_ratio\": {:.3}}}"
             ),
             generated_unix,
             self.valuation.speedup(),
@@ -2472,9 +2133,6 @@ impl BenchReport {
             self.raw_speed.live_vars_ratio(),
             self.pipeline.speedup(),
             self.pipeline.plateau_ratio(),
-            self.adaptive.reopt_speedup(),
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.simd_valuation_speedup(),
         )
     }
 
@@ -2659,34 +2317,6 @@ impl BenchReport {
             self.pipeline.retired_segments,
             self.pipeline.plateau_batch_equal,
         );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: adaptive pipelines ({} tuples/side over {} keys, {} advances) ==\n\
-             frozen nested-loop plan{:>9.1} ms\n\
-             re-optimizing engine   {:>9.1} ms   ({:.2}×, {} swap(s), log-identical: {}, views-equal: {})\n\
-             shared state           {:>9} rows vs {} duplicated ({:.2}×, {} shared operators over {} plans, views-equal: {})\n\
-             lane-blocked kernel    {:>9.1} ms vs {:.1} ms memoized cold ({:.2}×, {} roots, max Δ {:.1e})",
-            self.adaptive.tuples,
-            self.adaptive.facts,
-            self.adaptive.advances,
-            self.adaptive.frozen_ms,
-            self.adaptive.adaptive_ms,
-            self.adaptive.reopt_speedup(),
-            self.adaptive.swaps,
-            self.adaptive.log_identical,
-            self.adaptive.views_equal,
-            self.adaptive.shared_state_rows,
-            self.adaptive.duplicated_state_rows,
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.shared_operators,
-            self.adaptive.shared_plans,
-            self.adaptive.shared_views_equal,
-            self.adaptive.kernel_cold_ms,
-            self.adaptive.memoized_cold_ms,
-            self.adaptive.simd_valuation_speedup(),
-            self.adaptive.valuation_roots,
-            self.adaptive.kernel_max_delta,
-        );
         out
     }
 }
@@ -2815,7 +2445,6 @@ mod tests {
             observability: observability_bench(400, 16, 1),
             raw_speed: raw_speed_bench(800, 8, 1, 16),
             pipeline: pipeline_bench(160, 16, 16, 24),
-            adaptive: adaptive_pipeline_bench(160, 16, 16, 3, 1),
         };
         let json = report.to_json();
         // Existing top-level schema intact (CI's speedup gate reads these).
@@ -2841,11 +2470,7 @@ mod tests {
         assert!(json.contains("\"pipeline_deltas\""));
         assert!(json.contains("\"plateau_batch_equal\": true"));
         assert!(json.contains("\"batch_equal\": true"));
-        assert!(json.contains("\"adaptive_pipeline\""));
-        assert!(json.contains("\"reopt_speedup\""));
-        assert!(json.contains("\"shared_state_ratio\""));
-        assert!(json.contains("\"simd_valuation_speedup\""));
-        assert!(json.contains("\"log_identical\": true"));
+        assert!(!json.contains("\"adaptive_pipeline\""));
         // Balanced braces (hand-rolled JSON sanity).
         assert_eq!(
             json.matches('{').count(),
@@ -2860,7 +2485,6 @@ mod tests {
         assert!(rendered.contains("multi-tenant server"));
         assert!(rendered.contains("raw-speed pass"));
         assert!(rendered.contains("standing plans"));
-        assert!(rendered.contains("adaptive pipelines"));
 
         // History round trip: a written file's entries are recovered and
         // extended, and the result stays balanced.
@@ -2869,9 +2493,9 @@ mod tests {
         assert!(!e1.contains("\"ingest_speedup_at_largest\""));
         assert!(e1.contains("\"raw_valuation_speedup\""));
         assert!(e1.contains("\"pipeline_speedup\""));
-        assert!(e1.contains("\"reopt_speedup\""));
-        assert!(e1.contains("\"shared_state_ratio\""));
-        assert!(e1.contains("\"simd_valuation_speedup\""));
+        assert!(!e1.contains("\"reopt_speedup\""));
+        assert!(!e1.contains("\"shared_state_ratio\""));
+        assert!(!e1.contains("\"simd_valuation_speedup\""));
         let with_one = report.to_json_with_history(std::slice::from_ref(&e1));
         assert_eq!(extract_history(&with_one), vec![e1.clone()]);
         let e2 = report.history_entry(2_000);
@@ -2903,32 +2527,6 @@ mod tests {
         // The wall speedup is hardware-dependent and reported
         // informationally; CI gates equality + the plateau only.
         assert!(b.speedup().is_finite() && b.speedup() > 0.0);
-    }
-
-    #[test]
-    fn adaptive_bench_passes_all_three_gates() {
-        let b = adaptive_pipeline_bench(200, 20, 16, 3, 1);
-        assert!(b.swaps >= 1, "re-optimization never fired");
-        assert!(b.log_identical, "plan swap changed the delta log");
-        assert!(b.views_equal, "plan swap changed the standing view");
-        assert!(b.shared_views_equal, "a shared view diverged from solo");
-        assert!(
-            b.shared_state_rows < b.duplicated_state_rows,
-            "shared state {} not sub-additive vs duplicated {}",
-            b.shared_state_rows,
-            b.duplicated_state_rows
-        );
-        assert!(b.shared_operators >= 3, "join + sources should be shared");
-        assert!(b.valuation_roots > 0, "vacuous: no roots valuated");
-        assert!(
-            b.kernel_max_delta <= 1e-12,
-            "kernel diverged: max Δ {:.3e}",
-            b.kernel_max_delta
-        );
-        assert!(b.pass());
-        // Wall ratios are hardware-dependent and informational.
-        assert!(b.reopt_speedup().is_finite() && b.reopt_speedup() > 0.0);
-        assert!(b.simd_valuation_speedup().is_finite() && b.simd_valuation_speedup() > 0.0);
     }
 
     #[test]

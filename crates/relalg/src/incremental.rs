@@ -19,27 +19,40 @@
 //! multiset, and ordering is a presentation concern — callers sort the
 //! materialized snapshot instead. [`lower`] rejects it explicitly.
 //!
+//! Two rewrites happen during lowering, always. Neither touches
+//! [`Plan::execute`]: the batch plan stays the row oracle the standing
+//! view is compared against.
+//!
+//! ## Keyed nested-loop joins lower to hash joins
+//!
+//! A `NlJoin` whose predicate has at least one conjunct `Col(a) = Col(b)`
+//! with `a` and `b` on opposite sides lowers to a [`LoweredOp::HashJoin`]
+//! keyed by those equalities, followed by a [`LoweredOp::Select`] of the
+//! remaining conjuncts when there are any. Both joins output `left ++
+//! right`, so the residual keeps its addressing. A standing nested-loop
+//! join probes the whole opposite side per delta, a hash join only the
+//! delta's key; with two inputs there is nothing else to choose. A
+//! predicate without such a conjunct (pure theta) stays a `NlJoin`.
+//!
 //! ## Fused join → aggregate
 //!
-//! One rewrite happens during lowering, always: an `Aggregate` directly
-//! over a `HashJoin` whose group keys are exactly the join key (each key
-//! names one join-key column, left or right copy, and together they cover
-//! the join key once) and whose aggregates are all `Count`, `Min` or `Max`
-//! lowers to a single [`LoweredOp::JoinAggregate`]. Per join key its
-//! output factorizes over the two sides: `Count = |L|·|R|`, `Min`/`Max`
-//! read one side, and the group lineage `∨ᵢⱼ (lᵢ ∧ rⱼ)` equals
-//! `(∨ lᵢ) ∧ (∨ rⱼ)` by distributivity (eager aggregation over a
-//! factorised join), so the runtime keeps the two member lists and never
-//! the `L × R` pairs. `Sum` stays unfused: a float `sum_L · |R|` is not
-//! bit-identical to the per-pair sum. The batch [`Plan::execute`] is not
-//! rewritten; the unfused plan stays the oracle the standing view is
-//! compared against.
+//! An `Aggregate` directly over a `HashJoin` whose group keys are exactly
+//! the join key (each key names one join-key column, left or right copy,
+//! and together they cover the join key once) and whose aggregates are all
+//! `Count`, `Min` or `Max` lowers to a single [`LoweredOp::JoinAggregate`].
+//! Per join key its output factorizes over the two sides: `Count =
+//! |L|·|R|`, `Min`/`Max` read one side, and the group lineage
+//! `∨ᵢⱼ (lᵢ ∧ rⱼ)` equals `(∨ lᵢ) ∧ (∨ rⱼ)` by distributivity (eager
+//! aggregation over a factorised join), so the runtime keeps the two
+//! member lists and never the `L × R` pairs. `Sum` stays unfused: a float
+//! `sum_L · |R|` is not bit-identical to the per-pair sum. A keyed
+//! `NlJoin` lowered to a bare hash join fuses the same way.
 
 use std::fmt;
 
 use crate::aggregate::AggFn;
 use crate::plan::Plan;
-use crate::predicate::Predicate;
+use crate::predicate::{CmpOp, Expr, Predicate};
 use crate::relation::{Relation, Schema};
 
 /// Why a plan does not lower to a standing pipeline.
@@ -172,8 +185,8 @@ impl Lowered {
 }
 
 /// Lowers a plan into the topo-ordered operator DAG. See the module docs
-/// for the `Values`-leaf convention, the `Sort` restriction and the fused
-/// join → aggregate.
+/// for the `Values`-leaf convention, the `Sort` restriction, the keyed
+/// nested-loop join and the fused join → aggregate.
 pub fn lower(plan: &Plan) -> Result<Lowered, LowerError> {
     let mut out = Lowered {
         nodes: Vec::new(),
@@ -204,7 +217,19 @@ fn rec(plan: &Plan, out: &mut Lowered) -> Result<usize, LowerError> {
             let l = rec(left, out)?;
             let r = rec(right, out)?;
             let schema = out.nodes[l].schema.concat(&out.nodes[r].schema);
-            (LoweredOp::NlJoin(pred.clone()), vec![l, r], schema)
+            match hash_join_keys(pred, out.nodes[l].schema.arity()) {
+                None => (LoweredOp::NlJoin(pred.clone()), vec![l, r], schema),
+                Some((join, None)) => (join, vec![l, r], schema),
+                Some((join, Some(residual))) => {
+                    out.nodes.push(LoweredNode {
+                        op: join,
+                        inputs: vec![l, r],
+                        schema: schema.clone(),
+                    });
+                    let join = out.nodes.len() - 1;
+                    (LoweredOp::Select(residual), vec![join], schema)
+                }
+            }
         }
         Plan::HashJoin {
             left,
@@ -265,6 +290,36 @@ fn rec(plan: &Plan, out: &mut Lowered) -> Result<usize, LowerError> {
     };
     out.nodes.push(LoweredNode { op, inputs, schema });
     Ok(out.nodes.len() - 1)
+}
+
+/// The keyed nested-loop rule of the module docs: splits the conjuncts of
+/// a join predicate over `left ++ right` (left arity `l_arity`) into the
+/// cross-side `Col = Col` equalities, returned as a hash join keyed by
+/// them, and the conjunction of the rest, if any. `None` when no conjunct
+/// is such an equality.
+fn hash_join_keys(pred: &Predicate, l_arity: usize) -> Option<(LoweredOp, Option<Predicate>)> {
+    let (mut l_cols, mut r_cols) = (Vec::new(), Vec::new());
+    let mut residual: Option<Predicate> = None;
+    let mut todo = vec![pred];
+    while let Some(p) = todo.pop() {
+        match p {
+            Predicate::And(a, b) => todo.extend([&**b, &**a]),
+            Predicate::True => {}
+            &Predicate::Cmp(CmpOp::Eq, Expr::Col(a), Expr::Col(b))
+                if (a < l_arity) != (b < l_arity) =>
+            {
+                l_cols.push(a.min(b));
+                r_cols.push(a.max(b) - l_arity);
+            }
+            other => {
+                residual = Some(match residual {
+                    None => other.clone(),
+                    Some(acc) => acc.and(other.clone()),
+                })
+            }
+        }
+    }
+    (!l_cols.is_empty()).then_some((LoweredOp::HashJoin { l_cols, r_cols }, residual))
 }
 
 /// The fusion rule of the module docs: `Some` fused operator when node
@@ -448,19 +503,145 @@ mod tests {
     }
 
     #[test]
+    fn keyed_nl_join_lowers_to_hash_join() {
+        let plan = kjv().nl_join(kjv(), Predicate::col_eq(0, 3));
+        let lowered = lower(&plan).unwrap();
+        assert_eq!(lowered.nodes.len(), 3, "two sources and the join");
+        let root = &lowered.nodes[2];
+        assert_eq!(
+            root.op,
+            LoweredOp::HashJoin {
+                l_cols: vec![0],
+                r_cols: vec![0],
+            }
+        );
+        assert_eq!(root.inputs, vec![0, 1]);
+        assert_eq!(root.schema.columns(), plan.execute().schema.columns());
+    }
+
+    #[test]
+    fn key_and_overlap_lowers_to_hash_join_then_residual_select() {
+        // The key conjunct sits between the overlap's two atoms, and one
+        // equality is written right-to-left.
+        let overlap = Predicate::overlap(1, 2, 4, 5);
+        let Predicate::And(lt1, lt2) = overlap.clone() else {
+            unreachable!("overlap is a conjunction")
+        };
+        let pred = lt1
+            .and(Predicate::col_eq(0, 3))
+            .and(Predicate::col_eq(4, 1).and(*lt2));
+        let lowered = lower(&kjv().nl_join(kjv(), pred)).unwrap();
+        assert_eq!(lowered.nodes.len(), 4);
+        assert_eq!(
+            lowered.nodes[2].op,
+            LoweredOp::HashJoin {
+                l_cols: vec![0, 1],
+                r_cols: vec![0, 1],
+            }
+        );
+        // The residual reads the joined row `left ++ right`.
+        let select = &lowered.nodes[3];
+        assert_eq!(select.op, LoweredOp::Select(overlap));
+        assert_eq!(select.inputs, vec![2]);
+        assert_eq!(select.schema, lowered.nodes[2].schema);
+    }
+
+    #[test]
+    fn theta_only_nl_join_stays_nested_loop() {
+        let preds = [
+            Predicate::overlap(1, 2, 4, 5),
+            // Equal in meaning to a key, but not a `Col = Col` conjunct.
+            Predicate::col_cmp(CmpOp::Ne, 0, 3).negate(),
+            // Both columns on one side.
+            Predicate::col_eq(0, 1).and(Predicate::col_eq(3, 4)),
+            Predicate::col_eq(0, 3).or(Predicate::col_eq(1, 4)),
+            Predicate::True,
+        ];
+        for pred in preds {
+            let lowered = lower(&kjv().nl_join(kjv(), pred.clone())).unwrap();
+            assert_eq!(lowered.nodes.len(), 3, "{pred:?}");
+            assert_eq!(lowered.nodes[2].op, LoweredOp::NlJoin(pred));
+        }
+    }
+
+    #[test]
+    fn lowered_keyed_join_executes_like_the_nested_loop_join() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut keyed = 0;
+        for round in 0..200 {
+            let table = |rng: &mut StdRng| {
+                let n = rng.random_range(0..12usize);
+                rel(
+                    &["x", "y", "z"],
+                    (0..n)
+                        .map(|_| (0..3).map(|_| rng.random_range(0..4i64)).collect())
+                        .collect(),
+                )
+            };
+            let (a, b) = (table(&mut rng), table(&mut rng));
+            // A random conjunction over `a ++ b`: cross-side and one-sided
+            // equalities, inequalities, constants and a negated `<>`.
+            let mut pred = Predicate::True;
+            for _ in 0..rng.random_range(1..5) {
+                let (c1, c2) = (rng.random_range(0..6usize), rng.random_range(0..6usize));
+                let atom = match rng.random_range(0..4) {
+                    0 | 1 => Predicate::col_eq(c1, c2),
+                    2 => Predicate::col_cmp(CmpOp::Le, c1, c2),
+                    _ => Predicate::col_const(CmpOp::Ne, c1, Value::int(2)).negate(),
+                };
+                pred = pred.and(atom);
+            }
+            let lowered =
+                lower(&Plan::values(a.clone()).nl_join(Plan::values(b.clone()), pred.clone()))
+                    .unwrap();
+            let hashed = match &lowered.nodes[2].op {
+                LoweredOp::HashJoin { l_cols, r_cols } => {
+                    keyed += 1;
+                    let joined = Plan::values(a.clone()).hash_join(
+                        Plan::values(b.clone()),
+                        l_cols.clone(),
+                        r_cols.clone(),
+                    );
+                    match lowered.nodes.get(3).map(|n| &n.op) {
+                        Some(LoweredOp::Select(residual)) => joined.select(residual.clone()),
+                        None => joined,
+                        Some(op) => panic!("round {round}: unexpected {op:?}"),
+                    }
+                }
+                LoweredOp::NlJoin(_) => continue,
+                op => panic!("round {round}: unexpected {op:?}"),
+            };
+            let nested = Plan::values(a).nl_join(Plan::values(b), pred.clone());
+            let canon = |plan: Plan| {
+                let mut rows = plan.execute().rows;
+                rows.sort();
+                rows
+            };
+            assert_eq!(canon(hashed), canon(nested), "round {round}: {pred:?}");
+        }
+        assert!(keyed > 50, "only {keyed} rounds lowered to a hash join");
+    }
+
+    #[test]
     fn join_aggregate_fuses_when_grouped_by_exactly_the_join_key() {
         // The left key, the right key's copy, and a two-column key named
-        // in swapped order (r.j, then l.k); aggregates read both sides.
+        // in swapped order (r.j, then l.k); aggregates read both sides. The
+        // last case is a keyed nested-loop join, which lowers to the same
+        // hash join first.
+        let keyed_nl = kjv().nl_join(kjv(), Predicate::col_eq(0, 3).and(Predicate::col_eq(1, 4)));
         let cases = [
-            (vec![0], vec![0], vec![0]),
-            (vec![0], vec![0], vec![3]),
-            (vec![0, 1], vec![0, 1], vec![4, 0]),
+            (vec![0], vec![0], vec![0], None),
+            (vec![0], vec![0], vec![3], None),
+            (vec![0, 1], vec![0, 1], vec![4, 0], None),
+            (vec![0, 1], vec![0, 1], vec![4, 0], Some(keyed_nl)),
         ];
-        for (l_cols, r_cols, keys) in cases {
+        for (l_cols, r_cols, keys, join) in cases {
+            let join =
+                join.unwrap_or_else(|| kjv().hash_join(kjv(), l_cols.clone(), r_cols.clone()));
             let aggs = vec![AggFn::Count, AggFn::Min(2), AggFn::Max(5), AggFn::Max(1)];
-            let plan = kjv()
-                .hash_join(kjv(), l_cols.clone(), r_cols.clone())
-                .aggregate(keys.clone(), aggs.clone());
+            let plan = join.aggregate(keys.clone(), aggs.clone());
             let lowered = lower(&plan).unwrap();
             assert_eq!(lowered.nodes.len(), 3, "two sources and the fused node");
             let root = &lowered.nodes[2];
@@ -507,9 +688,18 @@ mod tests {
                 join(vec![0]).aggregate(vec![0, 3], count()),
             ),
             (
-                "nl_join",
+                "theta-only nl_join",
                 kjv()
-                    .nl_join(kjv(), Predicate::col_eq(0, 3))
+                    .nl_join(kjv(), Predicate::col_cmp(CmpOp::Ne, 0, 3).negate())
+                    .aggregate(vec![0], count()),
+            ),
+            (
+                "keyed nl_join with a residual",
+                kjv()
+                    .nl_join(
+                        kjv(),
+                        Predicate::col_eq(0, 3).and(Predicate::overlap(1, 2, 4, 5)),
+                    )
                     .aggregate(vec![0], count()),
             ),
             (

@@ -1,8 +1,5 @@
-//! Plan optimization: rule-based pushdown plus a rate-aware cost model.
-//!
-//! Two layers live here:
-//!
-//! **Pushdown rules** ([`optimize`], applied bottom-up until fixpoint):
+//! Plan optimization: rule-based pushdown, applied bottom-up until
+//! fixpoint by [`optimize`]:
 //!
 //! 1. `Select(Select(x, p1), p2)` → `Select(x, p1 ∧ p2)` — filter fusion;
 //! 2. `Select(NlJoin(l, r, pj), ps)` → `NlJoin(l, r, pj ∧ ps)` — a filter
@@ -12,26 +9,12 @@
 //! 3. `Select(UnionAll(l, r), p)` → `UnionAll(Select(l, p), Select(r, p))` —
 //!    both branches share the schema.
 //!
-//! **Rate-aware re-optimization** ([`reoptimize`]): given a
-//! [`RateProfile`] of *observed* per-source standing rows and delta rates
-//! (the standing pipeline's EWMA statistics), flatten every maximal join
-//! chain, decompose the join predicates into cross-leaf equalities and
-//! residuals, and run a dynamic program over all parenthesizations that
-//! **preserve the left-to-right leaf order** — so the output column order
-//! (and therefore the plan's schema and the source preorder numbering) is
-//! invariant by construction, no compensating projections needed. Each
-//! combine picks hash vs. nested-loop from the constraints that land
-//! there: cross equalities become hash keys, everything else a theta
-//! residual. The cost model charges *incremental maintenance*, not batch
-//! execution: a delta on one side pays the opposite side's probe cost
-//! (per-key state for hash, the whole side for nested-loop) plus the
-//! expected output deltas — the quantity a standing pipeline actually
-//! spends per advance.
-//!
-//! Both layers preserve semantics exactly (asserted by randomized tests).
+//! The rules preserve semantics exactly (asserted by randomized tests).
+//! Join order is never changed. The one physical choice a standing
+//! pipeline needs, a keyed nested-loop join running as a hash join, is made
+//! when the plan is lowered ([`crate::incremental::lower`]).
 
 use crate::plan::Plan;
-use crate::predicate::{CmpOp, Expr, Predicate};
 
 /// Optimizes a plan by exhaustively applying the pushdown rules.
 pub fn optimize(plan: Plan) -> Plan {
@@ -118,455 +101,6 @@ fn rewrite(plan: Plan) -> Plan {
             },
         },
         other => other,
-    }
-}
-
-/// Observed statistics of one pipeline source (preorder `Values`-leaf
-/// numbering, the same [`crate::incremental::lower`] assigns).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SourceStats {
-    /// Standing rows the source currently holds.
-    pub rows: f64,
-    /// Deltas per advance (EWMA over recent advances).
-    pub rate: f64,
-}
-
-impl Default for SourceStats {
-    fn default() -> Self {
-        SourceStats {
-            rows: 100.0,
-            rate: 1.0,
-        }
-    }
-}
-
-/// Observed per-source statistics feeding [`reoptimize`] — the bridge from
-/// the standing pipeline's EWMA counters back into the planner.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RateProfile {
-    /// Stats per source, in preorder numbering; missing entries fall back
-    /// to [`SourceStats::default`].
-    pub sources: Vec<SourceStats>,
-}
-
-impl RateProfile {
-    fn stats(&self, source: usize) -> SourceStats {
-        self.sources.get(source).copied().unwrap_or_default()
-    }
-}
-
-/// Re-plans every maximal join chain of `plan` against the observed
-/// per-source statistics: join *order* by an order-preserving dynamic
-/// program over parenthesizations, hash-vs-nested-loop per combine from
-/// the constraints that apply there. Runs [`optimize`] first so filters
-/// are already merged into join predicates. Deterministic for a given
-/// profile; semantics (and output column order) are preserved exactly.
-pub fn reoptimize(plan: &Plan, profile: &RateProfile) -> Plan {
-    let plan = optimize(plan.clone());
-    let mut next_src = 0usize;
-    rec_reopt(plan, profile, &mut next_src)
-}
-
-fn rec_reopt(plan: Plan, profile: &RateProfile, next_src: &mut usize) -> Plan {
-    match plan {
-        Plan::NlJoin { .. } | Plan::HashJoin { .. } => {
-            let mut chain = Chain::default();
-            flatten_join_chain(plan, profile, next_src, &mut chain);
-            chain.build()
-        }
-        Plan::Values(rel) => {
-            *next_src += 1;
-            Plan::Values(rel)
-        }
-        Plan::Select { input, pred } => Plan::Select {
-            input: Box::new(rec_reopt(*input, profile, next_src)),
-            pred,
-        },
-        Plan::Project { input, cols } => Plan::Project {
-            input: Box::new(rec_reopt(*input, profile, next_src)),
-            cols,
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(rec_reopt(*left, profile, next_src)),
-            right: Box::new(rec_reopt(*right, profile, next_src)),
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(rec_reopt(*input, profile, next_src)),
-        },
-        Plan::Aggregate { input, keys, aggs } => Plan::Aggregate {
-            input: Box::new(rec_reopt(*input, profile, next_src)),
-            keys,
-            aggs,
-        },
-        Plan::Sort { input, cols } => Plan::Sort {
-            input: Box::new(rec_reopt(*input, profile, next_src)),
-            cols,
-        },
-    }
-}
-
-/// Output arity of a plan, without executing it.
-fn plan_arity(plan: &Plan) -> usize {
-    match plan {
-        Plan::Values(rel) => rel.schema.arity(),
-        Plan::Select { input, .. } | Plan::Distinct { input } | Plan::Sort { input, .. } => {
-            plan_arity(input)
-        }
-        Plan::Project { cols, .. } => cols.len(),
-        Plan::NlJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            plan_arity(left) + plan_arity(right)
-        }
-        Plan::UnionAll { left, .. } => plan_arity(left),
-        Plan::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
-    }
-}
-
-/// Cardinality/rate estimate of a non-join chain leaf. Constants are crude
-/// (filters halve, distinct/aggregate shrink); only relative ordering
-/// matters to the DP, and `Values` leaves carry the *observed* numbers.
-fn estimate(plan: &Plan, profile: &RateProfile, next_src: &mut usize) -> (f64, f64) {
-    match plan {
-        Plan::Values(_) => {
-            let s = profile.stats(*next_src);
-            *next_src += 1;
-            (s.rows.max(1.0), s.rate.max(0.01))
-        }
-        Plan::Select { input, .. } => {
-            let (rows, rate) = estimate(input, profile, next_src);
-            ((rows * 0.5).max(1.0), (rate * 0.5).max(0.01))
-        }
-        Plan::Project { input, .. } | Plan::Sort { input, .. } => {
-            estimate(input, profile, next_src)
-        }
-        Plan::Distinct { input } => {
-            let (rows, rate) = estimate(input, profile, next_src);
-            ((rows * 0.7).max(1.0), rate)
-        }
-        Plan::Aggregate { input, .. } => {
-            let (rows, rate) = estimate(input, profile, next_src);
-            ((rows * 0.3).max(1.0), rate)
-        }
-        Plan::UnionAll { left, right } => {
-            let (lr, lt) = estimate(left, profile, next_src);
-            let (rr, rt) = estimate(right, profile, next_src);
-            (lr + rr, lt + rt)
-        }
-        Plan::NlJoin { left, right, pred } => {
-            let (lr, lt) = estimate(left, profile, next_src);
-            let (rr, rt) = estimate(right, profile, next_src);
-            let sel = pred_selectivity(pred, lr, rr);
-            join_estimate(lr, lt, rr, rt, sel)
-        }
-        Plan::HashJoin { left, right, .. } => {
-            let (lr, lt) = estimate(left, profile, next_src);
-            let (rr, rt) = estimate(right, profile, next_src);
-            let sel = 1.0 / lr.max(rr).max(1.0);
-            join_estimate(lr, lt, rr, rt, sel)
-        }
-    }
-}
-
-/// `(rows, rate)` of a join output: `card = N_l·N_r·sel`, and each side's
-/// delta produces `card / N_side` output deltas in expectation.
-fn join_estimate(lr: f64, lt: f64, rr: f64, rt: f64, sel: f64) -> (f64, f64) {
-    let card = (lr * rr * sel).max(1.0);
-    let rate = (lt * card / lr.max(1.0) + rt * card / rr.max(1.0)).max(0.01);
-    (card, rate)
-}
-
-/// Per-atom selectivity: an equality pair keeps `1/max(N_l, N_r)` of the
-/// cross product, any other comparison half of it.
-fn pred_selectivity(pred: &Predicate, lr: f64, rr: f64) -> f64 {
-    match pred {
-        Predicate::True => 1.0,
-        Predicate::Cmp(CmpOp::Eq, Expr::Col(_), Expr::Col(_)) => 1.0 / lr.max(rr).max(1.0),
-        Predicate::Cmp(..) => 0.5,
-        Predicate::And(a, b) => pred_selectivity(a, lr, rr) * pred_selectivity(b, lr, rr),
-        Predicate::Or(_, _) | Predicate::Not(_) => 0.9,
-    }
-}
-
-/// Splits a conjunction into its atoms (non-`And` subtrees).
-fn split_conj(pred: Predicate, out: &mut Vec<Predicate>) {
-    match pred {
-        Predicate::And(a, b) => {
-            split_conj(*a, out);
-            split_conj(*b, out);
-        }
-        Predicate::True => {}
-        atom => out.push(atom),
-    }
-}
-
-/// Column positions a predicate references.
-fn pred_cols(pred: &Predicate, out: &mut Vec<usize>) {
-    match pred {
-        Predicate::True => {}
-        Predicate::Cmp(_, l, r) => {
-            for e in [l, r] {
-                if let Expr::Col(c) = e {
-                    out.push(*c);
-                }
-            }
-        }
-        Predicate::And(a, b) | Predicate::Or(a, b) => {
-            pred_cols(a, out);
-            pred_cols(b, out);
-        }
-        Predicate::Not(a) => pred_cols(a, out),
-    }
-}
-
-/// Rewrites every column reference by `f`.
-fn map_cols(pred: Predicate, f: &impl Fn(usize) -> usize) -> Predicate {
-    let map_expr = |e: Expr| match e {
-        Expr::Col(c) => Expr::Col(f(c)),
-        Expr::Const(v) => Expr::Const(v),
-    };
-    match pred {
-        Predicate::True => Predicate::True,
-        Predicate::Cmp(op, l, r) => Predicate::Cmp(op, map_expr(l), map_expr(r)),
-        Predicate::And(a, b) => {
-            Predicate::And(Box::new(map_cols(*a, f)), Box::new(map_cols(*b, f)))
-        }
-        Predicate::Or(a, b) => Predicate::Or(Box::new(map_cols(*a, f)), Box::new(map_cols(*b, f))),
-        Predicate::Not(a) => Predicate::Not(Box::new(map_cols(*a, f))),
-    }
-}
-
-fn conj(atoms: Vec<Predicate>) -> Predicate {
-    let mut it = atoms.into_iter();
-    match it.next() {
-        None => Predicate::True,
-        Some(first) => it.fold(first, |acc, a| acc.and(a)),
-    }
-}
-
-/// A flattened maximal join chain: leaves in left-to-right order with their
-/// estimates, and the joins' constraints re-addressed against the *global*
-/// column space (the concatenation of all leaf outputs in order).
-#[derive(Default)]
-struct Chain {
-    /// Re-optimized leaf subplans, left to right.
-    leaves: Vec<Plan>,
-    /// `(rows, rate)` estimate per leaf.
-    est: Vec<(f64, f64)>,
-    /// Output arity per leaf.
-    arity: Vec<usize>,
-    /// Cross-leaf equality constraints as global column pairs.
-    eqs: Vec<(usize, usize)>,
-    /// Non-equality constraints: `(min_col, max_col, predicate)` with
-    /// global column addressing.
-    others: Vec<(usize, usize, Predicate)>,
-    /// Column-free residuals (constant predicates), applied at the root.
-    top: Vec<Predicate>,
-}
-
-/// Flattens a join tree into `chain`, recursing through nested joins and
-/// re-optimizing non-join subtrees as opaque leaves. Constraint columns
-/// come out addressed against the chain-global concatenated row.
-fn flatten_join_chain(plan: Plan, profile: &RateProfile, next_src: &mut usize, chain: &mut Chain) {
-    match plan {
-        Plan::NlJoin { left, right, pred } => {
-            let base = chain.total_arity();
-            flatten_join_chain(*left, profile, next_src, chain);
-            let left_arity = chain.total_arity() - base;
-            flatten_join_chain(*right, profile, next_src, chain);
-            // The join predicate addresses `left ++ right`; within this
-            // chain those columns sit contiguously starting at `base`.
-            let mut atoms = Vec::new();
-            split_conj(pred, &mut atoms);
-            for atom in atoms {
-                chain.add_constraint(map_cols(atom, &|c| c + base), base + left_arity);
-            }
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            l_cols,
-            r_cols,
-        } => {
-            let base = chain.total_arity();
-            flatten_join_chain(*left, profile, next_src, chain);
-            let left_arity = chain.total_arity() - base;
-            flatten_join_chain(*right, profile, next_src, chain);
-            for (&l, &r) in l_cols.iter().zip(&r_cols) {
-                chain.eqs.push((base + l, base + left_arity + r));
-            }
-        }
-        leaf => {
-            let at = *next_src;
-            let arity = plan_arity(&leaf);
-            let optimized = rec_reopt(leaf, profile, next_src);
-            let mut est_src = at;
-            let est = estimate(&optimized, profile, &mut est_src);
-            chain.leaves.push(optimized);
-            chain.est.push(est);
-            chain.arity.push(arity);
-        }
-    }
-}
-
-impl Chain {
-    fn total_arity(&self) -> usize {
-        self.arity.iter().sum()
-    }
-
-    /// Global column offset of each leaf, plus the total as a sentinel.
-    fn bases(&self) -> Vec<usize> {
-        let mut bases = Vec::with_capacity(self.leaves.len() + 1);
-        let mut acc = 0;
-        for &a in &self.arity {
-            bases.push(acc);
-            acc += a;
-        }
-        bases.push(acc);
-        bases
-    }
-
-    /// Files one join-predicate atom (already globally addressed):
-    /// cross-side column equalities become hash-key candidates, anything
-    /// else a theta residual, constants go to the top.
-    fn add_constraint(&mut self, atom: Predicate, cut: usize) {
-        if let Predicate::Cmp(CmpOp::Eq, Expr::Col(a), Expr::Col(b)) = &atom {
-            if (*a < cut) != (*b < cut) {
-                self.eqs.push((*a, *b));
-                return;
-            }
-        }
-        let mut cols = Vec::new();
-        pred_cols(&atom, &mut cols);
-        match (cols.iter().min(), cols.iter().max()) {
-            (Some(&lo), Some(&hi)) => self.others.push((lo, hi, atom)),
-            _ => self.top.push(atom),
-        }
-    }
-
-    /// Rebuilds the chain as the cheapest order-preserving join tree.
-    fn build(mut self) -> Plan {
-        let bases = self.bases();
-        let n = self.leaves.len();
-        // Constraints confined to a single leaf become a select on it.
-        let leaf_of = |c: usize| bases.iter().position(|&b| b > c).unwrap() - 1;
-        let mut eqs = Vec::new();
-        for (a, b) in std::mem::take(&mut self.eqs) {
-            let (la, lb) = (leaf_of(a), leaf_of(b));
-            if la == lb {
-                let base = bases[la];
-                self.leaves[la] = self.leaves[la]
-                    .clone()
-                    .select(Predicate::col_eq(a - base, b - base));
-                self.est[la].0 = (self.est[la].0 * 0.5).max(1.0);
-            } else {
-                eqs.push((a.min(b), a.max(b)));
-            }
-        }
-        let mut others = Vec::new();
-        for (lo, hi, pred) in std::mem::take(&mut self.others) {
-            let l = leaf_of(lo);
-            if l == leaf_of(hi) {
-                let base = bases[l];
-                self.leaves[l] = self.leaves[l].clone().select(map_cols(pred, &|c| c - base));
-                self.est[l].0 = (self.est[l].0 * 0.5).max(1.0);
-            } else {
-                others.push((lo, hi, pred));
-            }
-        }
-        // DP over contiguous spans: best[i][j] = cheapest maintenance-cost
-        // tree over leaves i..=j, leaf order preserved.
-        #[derive(Clone)]
-        struct Span {
-            plan: Plan,
-            rows: f64,
-            rate: f64,
-            cost: f64,
-        }
-        let mut best: Vec<Vec<Option<Span>>> = vec![vec![None; n]; n];
-        for (i, (leaf, &(rows, rate))) in self.leaves.iter().zip(&self.est).enumerate() {
-            best[i][i] = Some(Span {
-                plan: leaf.clone(),
-                rows,
-                rate,
-                cost: 0.0,
-            });
-        }
-        for len in 2..=n {
-            for i in 0..=n - len {
-                let j = i + len - 1;
-                for k in i..j {
-                    let cut = bases[k + 1];
-                    let (lo, hi) = (bases[i], bases[j + 1]);
-                    let left = best[i][k].clone().expect("filled by shorter spans");
-                    let right = best[k + 1][j].clone().expect("filled by shorter spans");
-                    // Constraints whose lowest covering combine is exactly
-                    // this one: they reference columns on both sides.
-                    let keys: Vec<(usize, usize)> = eqs
-                        .iter()
-                        .copied()
-                        .filter(|&(a, b)| a >= lo && b < hi && a < cut && b >= cut)
-                        .collect();
-                    let residual: Vec<Predicate> = others
-                        .iter()
-                        .filter(|&&(a, b, _)| a >= lo && b < hi && a < cut && b >= cut)
-                        .map(|(_, _, p)| p.clone())
-                        .collect();
-                    let mut sel = keys
-                        .iter()
-                        .map(|_| 1.0 / left.rows.max(right.rows).max(1.0))
-                        .product::<f64>();
-                    sel *= 0.5f64.powi(residual.len() as i32);
-                    let card = (left.rows * right.rows * sel).max(1.0);
-                    let out_l = card / left.rows.max(1.0);
-                    let out_r = card / right.rows.max(1.0);
-                    // Maintenance per advance: a delta probes the opposite
-                    // side (per-key state for hash, all of it for NL) and
-                    // emits its share of the output.
-                    let probe = if keys.is_empty() {
-                        left.rate * right.rows + right.rate * left.rows
-                    } else {
-                        left.rate + right.rate
-                    };
-                    let maint = probe + left.rate * out_l + right.rate * out_r;
-                    let cost = left.cost + right.cost + maint;
-                    if best[i][j].as_ref().is_some_and(|b| b.cost <= cost) {
-                        continue;
-                    }
-                    let residual_pred = conj(
-                        residual
-                            .into_iter()
-                            .map(|p| map_cols(p, &|c| c - lo))
-                            .collect(),
-                    );
-                    let plan = if keys.is_empty() {
-                        left.plan.clone().nl_join(right.plan.clone(), residual_pred)
-                    } else {
-                        let l_cols = keys.iter().map(|&(a, _)| a - lo).collect();
-                        let r_cols = keys.iter().map(|&(_, b)| b - cut).collect();
-                        let joined = Plan::HashJoin {
-                            left: Box::new(left.plan.clone()),
-                            right: Box::new(right.plan.clone()),
-                            l_cols,
-                            r_cols,
-                        };
-                        match residual_pred {
-                            Predicate::True => joined,
-                            p => joined.select(p),
-                        }
-                    };
-                    best[i][j] = Some(Span {
-                        plan,
-                        rows: card,
-                        rate: (left.rate * out_l + right.rate * out_r).max(0.01),
-                        cost,
-                    });
-                }
-            }
-        }
-        let root = best[0][n - 1].take().expect("non-empty chain").plan;
-        match conj(self.top) {
-            Predicate::True => root,
-            p => root.select(p),
-        }
     }
 }
 
@@ -679,130 +213,5 @@ mod tests {
         let optimized = optimize(plan.clone());
         assert_eq!(plan_size(&optimized), plan_size(&plan));
         assert_eq!(optimized.execute(), plan.execute());
-    }
-
-    fn profile(stats: &[(f64, f64)]) -> RateProfile {
-        RateProfile {
-            sources: stats
-                .iter()
-                .map(|&(rows, rate)| SourceStats { rows, rate })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn reoptimize_turns_keyed_nl_join_into_hash_join() {
-        let l = rel(&["a", "x"], vec![vec![1, 10], vec![2, 20]]);
-        let r = rel(&["b", "y"], vec![vec![2, 5], vec![3, 6]]);
-        let plan = Plan::values(l).nl_join(
-            Plan::values(r),
-            Predicate::col_eq(0, 2).and(Predicate::col_cmp(CmpOp::Lt, 1, 3)),
-        );
-        let re = reoptimize(&plan, &RateProfile::default());
-        // The equality became a hash key; the inequality a residual select.
-        fn has_hash(p: &Plan) -> bool {
-            match p {
-                Plan::HashJoin { .. } => true,
-                Plan::Select { input, .. } => has_hash(input),
-                _ => false,
-            }
-        }
-        assert!(has_hash(&re), "expected hash join, got {re:?}");
-        assert_eq!(canon(re.execute()), canon(plan.execute()));
-    }
-
-    #[test]
-    fn reoptimize_reorders_by_observed_rates_preserving_columns() {
-        // Three-leaf chain a ⋈ b ⋈ c with equalities a.0=b.0 and b.0=c.0.
-        // With a quiet, tiny `c` and a hot `a`, the cheap plan joins b⋈c
-        // first; with a hot `c`, it joins a⋈b first. Either way the output
-        // column order must stay a++b++c.
-        let mk = |n: i64| {
-            rel(
-                &["k", "v"],
-                (0..n).map(|i| vec![i % 3, i]).collect::<Vec<_>>(),
-            )
-        };
-        let plan = Plan::values(mk(9))
-            .hash_join(Plan::values(mk(7)), vec![0], vec![0])
-            .hash_join(Plan::values(mk(5)), vec![2], vec![0]);
-        let left_heavy = reoptimize(
-            &plan,
-            &profile(&[(10000.0, 500.0), (100.0, 1.0), (10.0, 0.1)]),
-        );
-        let right_heavy = reoptimize(
-            &plan,
-            &profile(&[(10.0, 0.1), (100.0, 1.0), (10000.0, 500.0)]),
-        );
-        assert_ne!(
-            left_heavy, right_heavy,
-            "rate shift did not change the join order"
-        );
-        for re in [&left_heavy, &right_heavy] {
-            assert_eq!(canon(re.execute()), canon(plan.execute()));
-        }
-    }
-
-    #[test]
-    fn reoptimize_is_semantics_preserving_on_random_plans() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        for round in 0..40 {
-            let mk = |rng: &mut StdRng, n: usize| {
-                rel(
-                    &["x", "y"],
-                    (0..n)
-                        .map(|_| vec![rng.random_range(0..4i64), rng.random_range(0..6i64)])
-                        .collect(),
-                )
-            };
-            let n = rng.random_range(1..12usize);
-            let a = mk(&mut rng, n);
-            let b = mk(&mut rng, n);
-            let c = mk(&mut rng, n + 1);
-            let joined = Plan::values(a)
-                .nl_join(
-                    Plan::values(b),
-                    Predicate::col_eq(0, 2).and(Predicate::col_cmp(CmpOp::Le, 1, 3)),
-                )
-                .hash_join(Plan::values(c), vec![2], vec![0]);
-            let plan = if round % 2 == 0 {
-                joined.select(Predicate::col_const(CmpOp::Lt, 1, Value::int(5)))
-            } else {
-                joined.aggregate(vec![0], vec![crate::aggregate::AggFn::Count])
-            };
-            let prof = profile(&[
-                (
-                    rng.random_range(1..2000) as f64,
-                    rng.random_range(0..100) as f64,
-                ),
-                (
-                    rng.random_range(1..2000) as f64,
-                    rng.random_range(0..100) as f64,
-                ),
-                (
-                    rng.random_range(1..2000) as f64,
-                    rng.random_range(0..100) as f64,
-                ),
-            ]);
-            let re = reoptimize(&plan, &prof);
-            assert_eq!(
-                canon(re.execute()),
-                canon(plan.execute()),
-                "round {round}: reoptimize changed semantics\nplan: {plan:?}\nre: {re:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn reoptimize_is_deterministic_and_idempotent_per_profile() {
-        let l = rel(&["a"], vec![vec![1], vec![2]]);
-        let r = rel(&["b"], vec![vec![2]]);
-        let plan = Plan::values(l).nl_join(Plan::values(r), Predicate::col_eq(0, 1));
-        let prof = profile(&[(50.0, 2.0), (5.0, 90.0)]);
-        let once = reoptimize(&plan, &prof);
-        assert_eq!(once, reoptimize(&plan, &prof));
-        assert_eq!(once, reoptimize(&once, &prof), "not a fixpoint");
     }
 }

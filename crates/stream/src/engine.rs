@@ -208,14 +208,6 @@ pub struct EngineConfig {
     /// (instrumented and uninstrumented runs emit byte-identical delta
     /// logs) and the `observability` bench gates the overhead.
     pub obs: ObsConfig,
-    /// Attached-pipeline re-optimization cadence: every `n` advances the
-    /// engine asks the pipeline to re-plan against its observed delta
-    /// rates and hot-swap the lowered DAG ([`Pipeline::reoptimize`]).
-    /// `None` (the default) freezes the compiled plan. Swaps happen at
-    /// the watermark boundary, after the propagation pass, and are gated
-    /// on the rebuilt views matching the standing ones — delta logs and
-    /// materialized views are unchanged by construction.
-    pub reopt_every: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -226,7 +218,6 @@ impl Default for EngineConfig {
             verify_batch: false,
             reclaim: None,
             obs: ObsConfig::default(),
-            reopt_every: None,
         }
     }
 }
@@ -575,11 +566,6 @@ impl StreamEngine {
         self.pipeline.as_ref()
     }
 
-    /// Mutable access to the attached standing pipeline, if any.
-    pub fn pipeline_mut(&mut self) -> Option<&mut Pipeline> {
-        self.pipeline.as_mut()
-    }
-
     /// The current watermark (`TimePoint::MIN` before the first advance).
     pub fn watermark(&self) -> TimePoint {
         self.watermark
@@ -772,13 +758,6 @@ impl StreamEngine {
         // sink callback reads the already-consistent materialized view.
         if let Some(p) = self.pipeline.as_mut() {
             stats.pipeline_deltas = p.on_advance(obs.as_deref());
-            // Rate-aware re-optimization at the watermark boundary: every
-            // inbox is drained, so the swap replays only standing state.
-            if let Some(every) = self.cfg.reopt_every {
-                if every > 0 && p.advances() % every == 0 {
-                    p.reoptimize();
-                }
-            }
         }
         sink.on_watermark(to);
         self.advance_count += 1;

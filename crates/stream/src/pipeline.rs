@@ -36,11 +36,10 @@
 //! immutable node over them: a join output is one Table I `and` node over
 //! its two inputs, a distinct/aggregate output the left-deep `or` fold of
 //! its group's members (the fused operator: one `and` over its two sides'
-//! folds). Handing an instance to the next operator, a view or the
-//! re-optimizer's replay log is therefore a reference-count bump, not a
-//! tree copy, and a group side that only gained members extends its fold
-//! by one `or` per new member. Readers get lineage back as
-//! handles interned into their current arena
+//! folds). Handing an instance to the next operator or a view is therefore
+//! a reference-count bump, not a tree copy, and a group side that only
+//! gained members extends its fold by one `or` per new member. Readers get
+//! lineage back as handles interned into their current arena
 //! ([`Pipeline::materialized_lineage`]).
 //!
 //! ## Source encoding
@@ -70,7 +69,6 @@ use tp_core::value::Value;
 use tp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use tp_relalg::aggregate::AggFn;
 use tp_relalg::incremental::{lower, LowerError, LoweredOp};
-use tp_relalg::optimize::{RateProfile, SourceStats};
 use tp_relalg::plan::Plan;
 use tp_relalg::relation::{Relation, Row, Schema};
 
@@ -82,6 +80,16 @@ use crate::obs::{global, now_ns, EngineObs, ObsConfig};
 pub enum PipelineError {
     /// The plan does not lower (see [`LowerError`]).
     Lower(LowerError),
+    /// [`Pipeline::compile_shared`] got no plans.
+    NoPlans,
+    /// [`Pipeline::compile_shared`] got a tap list count that differs from
+    /// its plan count (one tap list per plan).
+    TapLists {
+        /// Plans supplied.
+        plans: usize,
+        /// Tap lists supplied.
+        tap_lists: usize,
+    },
     /// `taps.len()` differs from the plan's `Values`-leaf count.
     TapCount {
         /// Sources the lowered plan declares.
@@ -105,6 +113,11 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Lower(e) => write!(f, "plan does not lower: {e}"),
+            PipelineError::NoPlans => write!(f, "no plans to compile"),
+            PipelineError::TapLists { plans, tap_lists } => write!(
+                f,
+                "{plans} plans but {tap_lists} tap lists were supplied; need one per plan"
+            ),
             PipelineError::TapCount { sources, taps } => write!(
                 f,
                 "plan declares {sources} sources but {taps} taps were supplied"
@@ -623,8 +636,6 @@ struct Node {
     inbox: Vec<(usize, PipeDelta)>,
     /// Deltas this operator emitted over its lifetime.
     emitted: u64,
-    /// EWMA of deltas emitted per advance (the observed delta rate).
-    rate: f64,
     /// Number of attached plans whose DAG contains this operator (>1 ⇒ the
     /// operator and its state are shared).
     shared_by: u32,
@@ -861,9 +872,6 @@ struct RootView {
     len: usize,
 }
 
-/// EWMA smoothing factor for the per-node and per-source delta rates.
-const RATE_ALPHA: f64 = 0.25;
-
 /// A compiled standing pipeline. Create with [`Pipeline::compile`] (one
 /// plan) or [`Pipeline::compile_shared`] (several plans over one physical
 /// DAG), attach via [`crate::StreamEngine::with_plan`] /
@@ -885,23 +893,6 @@ pub struct Pipeline {
     /// Per physical source: the latest standing encoding per fact (the row
     /// an `Extend` delta retracts and regrows).
     last_run: Vec<FastMap<Fact, PipeTuple>>,
-    /// Per physical source: the full standing input multiset (a fact can
-    /// hold several disjoint-interval rows; `last_run` keeps only the
-    /// latest). This is the replay source [`Pipeline::reoptimize`] rebuilds
-    /// a swapped DAG's operator state from.
-    standing: Vec<FastMap<Row, Vec<SharedLineage>>>,
-    /// Per physical source: deltas buffered since the last advance.
-    source_offered: Vec<u64>,
-    /// Per physical source: EWMA deltas per advance.
-    source_rates: Vec<f64>,
-    /// The plans as originally attached — the re-optimizer's baseline.
-    plans: Vec<Plan>,
-    /// The currently compiled plans (diverge from `plans` after a swap).
-    current: Vec<Plan>,
-    /// Per-plan tap bindings, preorder source numbering.
-    plan_taps: Vec<Vec<SetOp>>,
-    /// Per plan: preorder source index → physical source index.
-    plan_sources: Vec<Vec<usize>>,
     /// Per plan: its root node.
     roots: Vec<usize>,
     /// Per plan: its standing materialized view.
@@ -910,9 +901,6 @@ pub struct Pipeline {
     shared_nodes: usize,
     advances: u64,
     deltas_total: u64,
-    /// Plan swaps executed by [`Pipeline::reoptimize`].
-    reopts: u64,
-    obs_cfg: Option<ObsConfig>,
     obs: Option<PipelineObs>,
 }
 
@@ -928,21 +916,25 @@ impl Pipeline {
     /// lower to the same operators over the same tap bindings run them
     /// once, fanned out to every downstream consumer — K alert rules over
     /// the same join pay its state and maintenance a single time (the
-    /// sub-additive `tp_pipeline_state_rows` claim the `adaptive_pipeline`
-    /// bench gates). Each plan keeps its own materialized view; read them
-    /// through [`Pipeline::materialized_view`].
+    /// sub-additive `tp_pipeline_state_rows` claim
+    /// `tests/adaptive_pipeline.rs` gates). Each plan keeps its own
+    /// materialized view; read them through [`Pipeline::materialized_view`].
     ///
     /// `taps[p][i]` names the engine delta stream feeding plan `p`'s
-    /// `i`-th source (preorder). Panics if `plans` is empty or the outer
+    /// `i`-th source (preorder). Fails with [`PipelineError::NoPlans`] for
+    /// an empty `plans` and [`PipelineError::TapLists`] when the outer
     /// lengths differ; per-plan validation errors mirror
     /// [`Pipeline::compile`].
     pub fn compile_shared(plans: &[Plan], taps: &[Vec<SetOp>]) -> Result<Pipeline, PipelineError> {
-        assert!(!plans.is_empty(), "compile_shared needs at least one plan");
-        assert_eq!(
-            plans.len(),
-            taps.len(),
-            "one tap binding list per plan required"
-        );
+        if plans.is_empty() {
+            return Err(PipelineError::NoPlans);
+        }
+        if plans.len() != taps.len() {
+            return Err(PipelineError::TapLists {
+                plans: plans.len(),
+                tap_lists: taps.len(),
+            });
+        }
         let mut p = Pipeline {
             nodes: Vec::new(),
             consumers: Vec::new(),
@@ -951,20 +943,11 @@ impl Pipeline {
             source_nodes: Vec::new(),
             fact_arity: Vec::new(),
             last_run: Vec::new(),
-            standing: Vec::new(),
-            source_offered: Vec::new(),
-            source_rates: Vec::new(),
-            plans: plans.to_vec(),
-            current: plans.to_vec(),
-            plan_taps: taps.to_vec(),
-            plan_sources: Vec::new(),
             roots: Vec::new(),
             views: Vec::new(),
             shared_nodes: 0,
             advances: 0,
             deltas_total: 0,
-            reopts: 0,
-            obs_cfg: None,
             obs: None,
         };
         // Structural interning: a node's identity is its operator plus the
@@ -990,7 +973,6 @@ impl Pipeline {
                 }
             }
             let mut global = vec![usize::MAX; lowered.nodes.len()];
-            let mut sources = vec![usize::MAX; lowered.source_count()];
             for (i, n) in lowered.nodes.iter().enumerate() {
                 let inputs: Vec<usize> = n.inputs.iter().map(|&j| global[j]).collect();
                 let key = match n.op {
@@ -1009,9 +991,6 @@ impl Pipeline {
                                 p.taps.push(taps[pi][s]);
                                 p.fact_arity.push(n.schema.arity() - 2);
                                 p.last_run.push(FastMap::default());
-                                p.standing.push(FastMap::default());
-                                p.source_offered.push(0);
-                                p.source_rates.push(0.0);
                                 p.source_nodes.push(g);
                                 LoweredOp::Source(phys)
                             }
@@ -1022,7 +1001,6 @@ impl Pipeline {
                             op,
                             inbox: Vec::new(),
                             emitted: 0,
-                            rate: 0.0,
                             shared_by: 0,
                         });
                         p.consumers.push(Vec::new());
@@ -1035,11 +1013,6 @@ impl Pipeline {
                     }
                 };
                 global[i] = g;
-                if let LoweredOp::Source(s) = n.op {
-                    if let LoweredOp::Source(phys) = p.nodes[g].op {
-                        sources[s] = phys;
-                    }
-                }
             }
             // Count each node once per plan that references it.
             let mut seen = vec![false; p.nodes.len()];
@@ -1050,7 +1023,6 @@ impl Pipeline {
                 }
             }
             p.roots.push(global[lowered.nodes.len() - 1]);
-            p.plan_sources.push(sources);
             p.views.push(RootView {
                 schema: lowered.root_schema().clone(),
                 rows: FastMap::default(),
@@ -1073,7 +1045,6 @@ impl Pipeline {
         if !cfg.enabled {
             return;
         }
-        self.obs_cfg = Some(cfg.clone());
         let reg: &MetricsRegistry = match &cfg.registry {
             Some(r) => r,
             None => global(),
@@ -1108,7 +1079,6 @@ impl Pipeline {
                 continue;
             }
             let node = self.source_nodes[s];
-            self.source_offered[s] += 1;
             match delta {
                 Delta::Insert(t) => {
                     assert_eq!(
@@ -1121,10 +1091,6 @@ impl Pipeline {
                         lineage: SharedLineage::leaf(t.lineage.to_tree()),
                     };
                     self.last_run[s].insert(t.fact.clone(), pt.clone());
-                    self.standing[s]
-                        .entry(pt.row.clone())
-                        .or_default()
-                        .push(pt.lineage.clone());
                     self.nodes[node].inbox.push((0, PipeDelta::Ins(pt)));
                 }
                 Delta::Extend {
@@ -1143,18 +1109,6 @@ impl Pipeline {
                         debug_assert_eq!(grown.row[te], Value::int(*from), "Extend boundary");
                         grown.row[te] = Value::int(*to);
                         let old = std::mem::replace(prev, grown.clone());
-                        if let Some(instances) = self.standing[s].get_mut(&old.row) {
-                            if let Some(at) = instances.iter().position(|x| *x == old.lineage) {
-                                instances.remove(at);
-                            }
-                            if instances.is_empty() {
-                                self.standing[s].remove(&old.row);
-                            }
-                        }
-                        self.standing[s]
-                            .entry(grown.row.clone())
-                            .or_default()
-                            .push(grown.lineage.clone());
                         self.nodes[node].inbox.push((0, PipeDelta::Del(old)));
                         self.nodes[node].inbox.push((0, PipeDelta::Ins(grown)));
                     }
@@ -1171,10 +1125,6 @@ impl Pipeline {
                             lineage: SharedLineage::leaf(lineage.to_tree()),
                         };
                         self.last_run[s].insert(fact.clone(), pt.clone());
-                        self.standing[s]
-                            .entry(pt.row.clone())
-                            .or_default()
-                            .push(pt.lineage.clone());
                         self.nodes[node].inbox.push((0, PipeDelta::Ins(pt)));
                     }
                 },
@@ -1183,19 +1133,14 @@ impl Pipeline {
     }
 
     /// One propagation pass: drains every inbox in topological order,
-    /// applies each root's deltas to its materialized view, updates the
-    /// EWMA delta rates, and records the per-operator sub-spans and
-    /// `tp_pipeline_*` metrics. Returns the number of deltas operators
-    /// processed. Called by the engine once per watermark advance, after
-    /// the sweep emitted its deltas.
+    /// applies each root's deltas to its materialized view, and records the
+    /// per-operator sub-spans and `tp_pipeline_*` metrics. Returns the
+    /// number of deltas operators processed. Called by the engine once per
+    /// watermark advance, after the sweep emitted its deltas.
     pub(crate) fn on_advance(&mut self, engine_obs: Option<&EngineObs>) -> u64 {
         let instrumented = self.obs.is_some() || engine_obs.is_some();
         let t0 = if instrumented { now_ns() } else { 0 };
-        let processed = self.propagate(engine_obs, true);
-        for s in 0..self.source_offered.len() {
-            let offered = std::mem::take(&mut self.source_offered[s]) as f64;
-            self.source_rates[s] += RATE_ALPHA * (offered - self.source_rates[s]);
-        }
+        let processed = self.propagate(engine_obs);
         self.advances += 1;
         self.deltas_total += processed;
         if let Some(p) = &self.obs {
@@ -1206,12 +1151,9 @@ impl Pipeline {
     }
 
     /// Drains every inbox in topological order, routing each node's output
-    /// to the views it feeds and to its downstream consumers. `live` passes
-    /// update rate EWMAs and instrumentation; the swap-rebuild replay runs
-    /// with `live = false` so reconstruction neither skews the observed
-    /// rates nor records spans.
-    fn propagate(&mut self, engine_obs: Option<&EngineObs>, live: bool) -> u64 {
-        let instrumented = live && (self.obs.is_some() || engine_obs.is_some());
+    /// to the views it feeds and to its downstream consumers.
+    fn propagate(&mut self, engine_obs: Option<&EngineObs>) -> u64 {
+        let instrumented = self.obs.is_some() || engine_obs.is_some();
         let mut processed = 0u64;
         for i in 0..self.nodes.len() {
             let inbox = std::mem::take(&mut self.nodes[i].inbox);
@@ -1236,10 +1178,6 @@ impl Pipeline {
                         p.node_deltas[i].add(out.len() as u64);
                     }
                 }
-            }
-            if live {
-                let rate = &mut self.nodes[i].rate;
-                *rate += RATE_ALPHA * (out.len() as f64 - *rate);
             }
             if out.is_empty() {
                 continue;
@@ -1397,11 +1335,6 @@ impl Pipeline {
         self.deltas_total
     }
 
-    /// Plan swaps [`Pipeline::reoptimize`] has executed.
-    pub fn reopts(&self) -> u64 {
-        self.reopts
-    }
-
     /// Per-operator `(name, emitted)` delta counts, in topological order.
     pub fn operator_deltas(&self) -> Vec<(&'static str, u64)> {
         self.nodes
@@ -1410,119 +1343,29 @@ impl Pipeline {
             .collect()
     }
 
-    /// Per-operator `(name, state_rows, ewma_rate, shared_by)` statistics,
-    /// in topological order — the observability surface behind the repl's
-    /// `\plan` command and the re-optimizer's inputs.
-    pub fn operator_stats(&self) -> Vec<(&'static str, usize, f64, u32)> {
+    /// Per-operator `(name, state_rows, shared_by)` statistics, in
+    /// topological order — the observability surface behind the repl's
+    /// `\plan` command.
+    pub fn operator_stats(&self) -> Vec<(&'static str, usize, u32)> {
         self.nodes
             .iter()
-            .map(|n| (n.op.name(), n.state.rows(), n.rate, n.shared_by))
+            .map(|n| (n.op.name(), n.state.rows(), n.shared_by))
             .collect()
     }
 
-    /// Observed per-source statistics of plan `p`, in that plan's preorder
-    /// source numbering — the [`RateProfile`] the re-optimizer plans
-    /// against.
-    pub fn rate_profile(&self, p: usize) -> RateProfile {
-        RateProfile {
-            sources: self.plan_sources[p]
-                .iter()
-                .map(|&s| SourceStats {
-                    rows: self.last_run[s].len() as f64,
-                    rate: self.source_rates[s],
-                })
-                .collect(),
-        }
-    }
-
-    /// Re-plans every attached plan against the observed delta rates and
-    /// state sizes ([`tp_relalg::reoptimize`]) and — when the cost model
-    /// picks a different physical plan — **hot-swaps** the lowered DAG:
-    /// a fresh DAG is compiled, its operator state rebuilt by replaying
-    /// every source's standing rows, and the rebuilt views are checked
-    /// row-identical against the standing ones before the swap commits
-    /// (on mismatch the old DAG stays and `false` is returned). Call at a
-    /// watermark boundary (the engine does, after the propagation pass),
-    /// when no deltas are buffered.
-    ///
-    /// Returns `true` iff a swap was executed. The engine's own delta log
-    /// is untouched by construction — the pipeline only consumes engine
-    /// deltas — and the differential suite additionally proves the
-    /// materialized views byte-identical across swaps.
-    pub fn reoptimize(&mut self) -> bool {
-        let new_plans: Vec<Plan> = (0..self.plans.len())
-            .map(|p| tp_relalg::reoptimize(&self.plans[p], &self.rate_profile(p)))
-            .collect();
-        if new_plans == self.current {
-            return false;
-        }
-        let Ok(mut next) = Pipeline::compile_shared(&new_plans, &self.plan_taps) else {
-            debug_assert!(false, "re-optimized plan failed to compile");
-            return false;
-        };
-        // Rebuild operator state: replay each physical source's standing
-        // rows as inserts through the new DAG, in deterministic row order.
-        // Physical sources are keyed by (tap, arity) on both sides.
-        for s_new in 0..next.taps.len() {
-            let Some(s_old) = (0..self.taps.len()).find(|&s| {
-                self.taps[s] == next.taps[s_new] && self.fact_arity[s] == next.fact_arity[s_new]
-            }) else {
-                debug_assert!(false, "swap changed the source set");
-                return false;
-            };
-            let node = next.source_nodes[s_new];
-            let mut rows: Vec<&Row> = self.standing[s_old].keys().collect();
-            rows.sort();
-            for row in rows {
-                for lineage in &self.standing[s_old][row] {
-                    let pt = PipeTuple {
-                        row: row.clone(),
-                        lineage: lineage.clone(),
-                    };
-                    next.nodes[node].inbox.push((0, PipeDelta::Ins(pt)));
-                }
-            }
-            next.last_run[s_new] = self.last_run[s_old].clone();
-            next.standing[s_new] = self.standing[s_old].clone();
-            next.source_rates[s_new] = self.source_rates[s_old];
-            next.source_offered[s_new] = self.source_offered[s_old];
-        }
-        next.propagate(None, false);
-        // Differential gate: the rebuilt views must match the standing
-        // ones row-for-row (lineage *shapes* may differ after join
-        // reassociation; rows and their multiplicities may not).
-        for (v, view) in next.views.iter().enumerate() {
-            if view_row_multiset(view) != view_row_multiset(&self.views[v]) {
-                debug_assert!(false, "rebuilt view {v} diverged from the standing view");
-                return false;
-            }
-        }
-        next.plans = std::mem::take(&mut self.plans);
-        next.current = new_plans;
-        next.advances = self.advances;
-        next.deltas_total = self.deltas_total;
-        next.reopts = self.reopts + 1;
-        if let Some(cfg) = self.obs_cfg.take() {
-            next.init_obs(&cfg);
-        }
-        *self = next;
-        true
-    }
-
     /// Human-readable dump of the lowered DAG: per operator its inputs,
-    /// live state rows, observed EWMA delta rate, and sharing annotation —
-    /// the repl's `\plan` surface.
+    /// live state rows and sharing annotation — the repl's `\plan`
+    /// surface.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "plans: {}   operators: {} ({} shared)   advances: {}   re-optimizations: {}",
+            "plans: {}   operators: {} ({} shared)   advances: {}",
             self.plan_count(),
             self.nodes.len(),
             self.shared_nodes,
             self.advances,
-            self.reopts,
         );
         for (i, node) in self.nodes.iter().enumerate() {
             let detail = match &node.op {
@@ -1557,11 +1400,10 @@ impl Pipeline {
                 .collect();
             let _ = write!(
                 out,
-                "[{i:>2}] {:<9} {:<28} rows={:<6} rate={:<8.2} in={inputs:?}",
+                "[{i:>2}] {:<9} {:<28} rows={:<6} in={inputs:?}",
                 node.op.name(),
                 detail,
                 node.state.rows(),
-                node.rate,
             );
             if node.shared_by > 1 {
                 let _ = write!(out, " shared(x{})", node.shared_by);
@@ -1573,18 +1415,6 @@ impl Pipeline {
         }
         out
     }
-}
-
-/// Sorted `(row, multiplicity)` fingerprint of a view — the swap gate's
-/// comparison key.
-fn view_row_multiset(view: &RootView) -> Vec<(Row, usize)> {
-    let mut rows: Vec<(Row, usize)> = view
-        .rows
-        .iter()
-        .map(|(row, instances)| (row.clone(), instances.len()))
-        .collect();
-    rows.sort();
-    rows
 }
 
 #[cfg(test)]
@@ -1754,7 +1584,6 @@ mod tests {
             op,
             inbox: Vec::new(),
             emitted: 0,
-            rate: 0.0,
             shared_by: 1,
         }
     }
@@ -2078,6 +1907,33 @@ mod tests {
     }
 
     #[test]
+    fn with_plans_rejects_an_empty_plan_list() {
+        let err = StreamEngine::with_plans(EngineConfig::default(), &[], &[]).err();
+        assert_eq!(err, Some(PipelineError::NoPlans));
+        assert!(err.unwrap().to_string().contains("no plans"));
+    }
+
+    #[test]
+    fn with_plans_rejects_one_tap_list_per_plan_mismatch() {
+        let plan = alert_plan();
+        let taps = vec![SetOp::Except, SetOp::Intersect];
+        let cases = [
+            (vec![plan.clone(), plan.clone()], vec![taps.clone()]),
+            (vec![plan], vec![taps.clone(), taps]),
+        ];
+        for (plans, tap_lists) in cases {
+            let err = StreamEngine::with_plans(EngineConfig::default(), &plans, &tap_lists).err();
+            assert_eq!(
+                err,
+                Some(PipelineError::TapLists {
+                    plans: plans.len(),
+                    tap_lists: tap_lists.len(),
+                })
+            );
+        }
+    }
+
+    #[test]
     fn compile_shared_merges_identical_subdags() {
         // Two plans over the identical hash join; only the tops differ. The
         // aggregate groups by a non-key column, so the join stays a join.
@@ -2170,79 +2026,6 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_swaps_plan_and_preserves_views() {
-        // Keyed NlJoin: the re-optimizer turns it into a HashJoin once it
-        // sees any rates, so the swap always fires. The aggregate groups by
-        // a non-key column, so the swapped-in join is not fused away.
-        let plan = Plan::values(placeholder(&["k", "ts", "te"]))
-            .nl_join(
-                Plan::values(placeholder(&["k", "ts", "te"])),
-                Predicate::col_eq(0, 3),
-            )
-            .aggregate(vec![1], vec![AggFn::Count]);
-        let taps = [SetOp::Except, SetOp::Intersect];
-        let mut engine = StreamEngine::with_plan(EngineConfig::default(), &plan, &taps).unwrap();
-        let mut sink = CollectingSink::new();
-        push_workload(&mut engine, 40);
-        for w in [9, 17] {
-            engine.advance(w, &mut sink).unwrap();
-        }
-        let before = engine.pipeline().unwrap().materialized();
-        let stats_before = engine.pipeline().unwrap().operator_deltas();
-        assert!(
-            stats_before.iter().any(|(n, _)| *n == "nl_join"),
-            "precondition: frozen plan runs the nested-loop join"
-        );
-        assert!(engine.pipeline_mut().unwrap().reoptimize());
-        let after_swap = engine.pipeline().unwrap();
-        assert_eq!(after_swap.reopts(), 1);
-        assert!(
-            after_swap
-                .operator_deltas()
-                .iter()
-                .any(|(n, _)| *n == "hash_join"),
-            "swap should have installed the hash join"
-        );
-        assert_eq!(after_swap.materialized().rows, before.rows);
-        // The swapped pipeline keeps maintaining correctly.
-        engine.advance(30, &mut sink).unwrap();
-        engine.finish(&mut sink).unwrap();
-        let schema = Schema::new(["k", "ts", "te"]);
-        let expect = batch_rows(&plan, &sink, &taps, &schema);
-        assert!(!expect.is_empty());
-        assert_eq!(engine.pipeline().unwrap().materialized().rows, expect);
-        // Idempotent: re-running against the same profile is a no-op.
-        assert!(!engine.pipeline_mut().unwrap().reoptimize());
-    }
-
-    #[test]
-    fn engine_reopt_cadence_triggers_swaps() {
-        let plan = Plan::values(placeholder(&["k", "ts", "te"]))
-            .nl_join(
-                Plan::values(placeholder(&["k", "ts", "te"])),
-                Predicate::col_eq(0, 3),
-            )
-            .distinct();
-        let taps = [SetOp::Except, SetOp::Intersect];
-        let cfg = EngineConfig {
-            reopt_every: Some(2),
-            ..Default::default()
-        };
-        let mut engine = StreamEngine::with_plan(cfg, &plan, &taps).unwrap();
-        let mut sink = CollectingSink::new();
-        push_workload(&mut engine, 40);
-        for w in [9, 17, 30] {
-            engine.advance(w, &mut sink).unwrap();
-        }
-        engine.finish(&mut sink).unwrap();
-        assert!(engine.pipeline().unwrap().reopts() >= 1);
-        let schema = Schema::new(["k", "ts", "te"]);
-        let expect = batch_rows(&plan, &sink, &taps, &schema);
-        assert!(!expect.is_empty());
-        assert_eq!(engine.pipeline().unwrap().materialized().rows, expect);
-    }
-
-    #[test]
     fn describe_reports_sharing_rates_and_views() {
         let join = || {
             Plan::values(placeholder(&["k", "ts", "te"])).hash_join(
@@ -2265,6 +2048,6 @@ mod tests {
         assert!(text.contains("shared(x2)"), "{text}");
         assert!(text.contains("-> view #0"), "{text}");
         assert!(text.contains("-> view #1"), "{text}");
-        assert!(text.contains("rate="), "{text}");
+        assert!(text.contains("rows="), "{text}");
     }
 }

@@ -69,10 +69,6 @@ pub struct ServerConfig {
     /// overwritten with the tenant's name, so each tenant's metrics and
     /// spans stay attributable within the shared registry.
     pub obs: ObsConfig,
-    /// Pipeline re-optimization cadence applied to every tenant engine
-    /// ([`EngineConfig::reopt_every`]). `None` (the default) freezes each
-    /// tenant's compiled plans.
-    pub reopt_every: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -86,7 +82,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             obs: ObsConfig::default(),
-            reopt_every: None,
         }
     }
 }
@@ -213,7 +208,6 @@ impl<S: StreamSink + Send> StreamServer<S> {
                 interior: true,
             }),
             obs,
-            reopt_every: self.cfg.reopt_every,
         };
         (cfg, vars)
     }

@@ -10,10 +10,9 @@
 //! tp> \d a            -- show a relation
 //! tp> \load r file    -- load a base relation from a file
 //! tp> \arena          -- lineage-arena statistics (segments, nodes, bytes)
-//! tp> \plan a c       -- stream two relations through a tenant's standing
-//!                        plans (a shared join under two alert rules) and
-//!                        print the lowered DAG: per-operator state rows,
-//!                        observed delta rates, sharing annotations
+//! tp> \plan a c       -- stream two relations through two standing plans
+//!                        over shared taps and print the lowered DAG:
+//!                        per-operator state rows, sharing annotations
 //! tp> \metrics        -- Prometheus-style snapshot of the metrics registry
 //!                        (\metrics json for the JSON snapshot)
 //! tp> \trace out.json -- dump recorded stage spans as a chrome://tracing
@@ -132,11 +131,10 @@ fn handle_command(db: &mut Database, line: &str) -> Result<bool> {
 }
 
 /// Streams `left`/`right` through an engine carrying **two standing
-/// plans over one shared hash join** (a keyed-count rule and a distinct
-/// rule, both over `Except ⋈ Intersect` on the fact key) and prints the
-/// lowered DAG after every advance: per-operator live state rows, the
-/// observed EWMA delta rates, `shared(xK)` annotations, and each plan's
-/// view — the introspection surface of the adaptive pipeline layer.
+/// plans over shared taps** (a keyed-count rule and a distinct rule, both
+/// over `Except ⋈ Intersect` on the fact key) and prints the lowered DAG
+/// at the end: per-operator live state rows, `shared(xK)` annotations,
+/// and each plan's view size.
 fn show_standing_plans(db: &Database, left: &str, right: &str) -> Result<()> {
     use tp_relalg::{AggFn, Plan, Relation, Schema};
     use tp_stream::{CollectingSink, EngineConfig, Side, StreamEngine};

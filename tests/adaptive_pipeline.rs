@@ -1,12 +1,11 @@
-//! Differentials of the adaptive pipeline layer (PR 10): rate-aware plan
-//! re-optimization, multi-plan operator-state sharing, and dirty-key
-//! recompute under join-key skew.
+//! Differentials of the pipeline layer around the compiled plan: keyed
+//! nested-loop joins lowered to hash joins, multi-plan operator-state
+//! sharing, and dirty-key recompute under join-key skew.
 //!
-//! * **Plan swap** — an engine re-optimizing mid-run must emit a delta log
-//!   **byte-identical** to the frozen engine's, and its standing view must
-//!   match the batch twin, with reclaim mode on and off.
-//!   The swap itself is proven to have happened (the keyed nested-loop
-//!   join becomes a hash join, `reopts() ≥ 1`).
+//! * **Keyed nested-loop join** — a `NlJoin` on a key equality runs as a
+//!   hash join from the first advance, and its standing view matches the
+//!   batch twin (which executes the nested-loop join), with reclaim mode on
+//!   and off.
 //! * **State sharing** — a shared multi-plan pipeline must materialize
 //!   each plan's view row-identical to a dedicated single-plan engine and
 //!   to the batch twin, with strictly sub-additive standing state.
@@ -22,11 +21,10 @@ mod common;
 
 use std::collections::HashSet;
 
-use common::oracle::assert_delta_logs_identical;
 use tp_relalg::{bind_sources, AggFn, Plan, Predicate, Relation, Row, Schema};
 use tp_stream::{
-    encode_relation, CollectingSink, Delta, EngineConfig, MaterializingSink, ReclaimConfig,
-    ReplayConfig, ReplayEvent, StreamEngine, StreamScript, StreamSink,
+    encode_relation, CollectingSink, Delta, EngineConfig, ReclaimConfig, ReplayConfig, ReplayEvent,
+    StreamEngine, StreamScript, StreamSink,
 };
 use tp_workloads::{skewed_synth_stream, SkewedConfig, SynthConfig};
 use tpdb::prelude::*;
@@ -74,10 +72,9 @@ fn drive(engine: &mut StreamEngine, script: &StreamScript, sink: &mut impl Strea
     engine.finish(sink).unwrap();
 }
 
-/// A keyed nested-loop join the re-optimizer provably rewrites into a hash
-/// join once it has observed any source rates. The aggregate groups by a
-/// non-key column, so the swapped-in join is not fused into it.
-fn swap_bait_plan() -> (Plan, Vec<SetOp>) {
+/// A keyed nested-loop join. The aggregate groups by a non-key column, so
+/// the hash join it lowers to is not fused into the aggregate.
+fn keyed_nl_plan() -> (Plan, Vec<SetOp>) {
     let plan = leaf()
         .nl_join(leaf(), Predicate::col_eq(0, 3))
         .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]);
@@ -85,7 +82,7 @@ fn swap_bait_plan() -> (Plan, Vec<SetOp>) {
 }
 
 #[test]
-fn plan_swap_is_invisible_in_delta_log_and_view_across_engine_matrix() {
+fn keyed_nl_join_runs_as_hash_join_from_the_first_advance() {
     for reclaim in [false, true] {
         let mut vars = VarTable::new();
         let w = tp_workloads::synth_stream(
@@ -97,62 +94,27 @@ fn plan_swap_is_invisible_in_delta_log_and_view_across_engine_matrix() {
             },
             &mut vars,
         );
-        let (plan, taps) = swap_bait_plan();
+        let (plan, taps) = keyed_nl_plan();
         let ctx = format!("reclaim={reclaim}");
-
-        let mut frozen = StreamEngine::with_plan(engine_config(reclaim), &plan, &taps).unwrap();
-        let mut frozen_sink = MaterializingSink::new();
-        drive(&mut frozen, &w.script, &mut frozen_sink);
-
-        let adaptive_cfg = EngineConfig {
-            reopt_every: Some(3),
-            ..engine_config(reclaim)
-        };
-        let mut adaptive = StreamEngine::with_plan(adaptive_cfg, &plan, &taps).unwrap();
-        let mut adaptive_sink = MaterializingSink::new();
-        drive(&mut adaptive, &w.script, &mut adaptive_sink);
-
-        // The swap actually happened and installed the hash join.
-        let p = adaptive.pipeline().unwrap();
-        assert!(p.reopts() >= 1, "{ctx}: re-optimization never fired");
-        assert!(
-            p.operator_deltas().iter().any(|(n, _)| *n == "hash_join"),
-            "{ctx}: swapped pipeline still runs the nested-loop join"
-        );
-        assert!(
-            frozen
-                .pipeline()
-                .unwrap()
-                .operator_deltas()
-                .iter()
-                .any(|(n, _)| *n == "nl_join"),
-            "{ctx}: frozen engine should keep the nested-loop join"
-        );
-
-        // Byte-identical delta logs and row-identical views.
-        assert_delta_logs_identical(&frozen_sink, &adaptive_sink, &ctx);
-        let frozen_view = frozen.pipeline().unwrap().materialized().rows;
-        let adaptive_view = p.materialized().rows;
-        assert!(!frozen_view.is_empty(), "{ctx}: vacuous");
-        assert_eq!(adaptive_view, frozen_view, "{ctx}: views diverged");
-
-        // And both match the batch twin over the closed region.
-        let mut check = StreamEngine::with_plan(
-            EngineConfig {
-                reopt_every: Some(3),
-                ..engine_config(reclaim)
-            },
-            &plan,
-            &taps,
-        )
-        .unwrap();
-        let mut collecting = CollectingSink::new();
-        drive(&mut check, &w.script, &mut collecting);
-        let expect = batch_rows(&plan, &collecting, &taps);
+        let mut engine = StreamEngine::with_plan(engine_config(reclaim), &plan, &taps).unwrap();
+        // Compiled as a hash join: there is no later point where the
+        // physical plan could change.
+        let ops: Vec<&str> = engine
+            .pipeline()
+            .unwrap()
+            .operator_deltas()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(ops, ["source", "source", "hash_join", "aggregate"], "{ctx}");
+        let mut sink = CollectingSink::new();
+        drive(&mut engine, &w.script, &mut sink);
+        let expect = batch_rows(&plan, &sink, &taps);
+        assert!(!expect.is_empty(), "{ctx}: vacuous");
         assert_eq!(
-            check.pipeline().unwrap().materialized().rows,
+            engine.pipeline().unwrap().materialized().rows,
             expect,
-            "{ctx}: adaptive pipeline != batch"
+            "{ctx}: keyed nl_join view != batch"
         );
     }
 }
@@ -379,8 +341,8 @@ fn skewed_keys_republish_at_most_touched_groups_per_advance() {
         .unwrap()
         .operator_stats()
         .iter()
-        .find(|(n, _, _, _)| *n == "aggregate")
-        .map(|&(_, rows, _, _)| rows)
+        .find(|(n, _, _)| *n == "aggregate")
+        .map(|&(_, rows, _)| rows)
         .unwrap();
     for (i, (&rep, &touched)) in republished.iter().zip(&sink.per_advance).enumerate() {
         assert!(

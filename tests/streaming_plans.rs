@@ -17,7 +17,7 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use common::oracle::assert_plateau;
 use rand::rngs::StdRng;
@@ -52,9 +52,13 @@ fn engine_config(reclaim: bool) -> EngineConfig {
     }
 }
 
-/// Plan shapes under test, each with its taps. Every shape exercises a
-/// different operator mix; together they cover all nine lowered ops.
-fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
+/// A plan shape under test: its name, the plan, its taps, and the
+/// operators its pipeline runs, by name in topological order.
+type PlanCase = (&'static str, Plan, Vec<SetOp>, &'static [&'static str]);
+
+/// Plan shapes under test. Every shape exercises a different operator mix;
+/// together they cover all nine lowered ops.
+fn plan_cases() -> Vec<PlanCase> {
     vec![
         (
             // Grouped by the join key: lowers to the fused join → aggregate.
@@ -63,6 +67,7 @@ fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
                 .hash_join(leaf(), vec![0], vec![0])
                 .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2), AggFn::Min(1)]),
             vec![SetOp::Union, SetOp::Intersect],
+            &["source", "source", "aggregate"],
         ),
         (
             "select+union_all+project+distinct",
@@ -76,13 +81,20 @@ fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
                 .project(vec![0])
                 .distinct(),
             vec![SetOp::Except, SetOp::Union],
+            &[
+                "source",
+                "select",
+                "source",
+                "union_all",
+                "project",
+                "distinct",
+            ],
         ),
         (
             "nl_join(key+overlap)+select",
-            // Key equality inside the theta predicate keeps the join
-            // output linear (pure overlap is quadratic in stream pieces —
-            // fine for the batch executor, pathological for a standing
-            // view); the trailing select then trims by time.
+            // The key equality lowers the nested-loop join to a hash join
+            // with the overlap as a residual select; the trailing select
+            // then trims by time.
             leaf()
                 .nl_join(
                     leaf(),
@@ -94,6 +106,7 @@ fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
                     tp_core::value::Value::int(2),
                 )),
             vec![SetOp::Union, SetOp::Except],
+            &["source", "source", "hash_join", "select", "select"],
         ),
         (
             // Grouped by a non-key column: the standing hash join and
@@ -103,6 +116,22 @@ fn plan_cases() -> Vec<(&'static str, Plan, Vec<SetOp>)> {
                 .hash_join(leaf(), vec![0], vec![0])
                 .aggregate(vec![1], vec![AggFn::Count, AggFn::Max(2)]),
             vec![SetOp::Union, SetOp::Intersect],
+            &["source", "source", "hash_join", "aggregate"],
+        ),
+        (
+            "nl_join(theta)",
+            // `¬(k ≠ k')` matches on the key, which keeps the join output
+            // linear (pure overlap is quadratic in stream pieces — fine for
+            // the batch executor, pathological for a standing view), but
+            // is no `Col = Col` conjunct, so the join stays nested-loop.
+            leaf().nl_join(
+                leaf(),
+                Predicate::col_cmp(CmpOp::Ne, 0, 3)
+                    .negate()
+                    .and(Predicate::overlap(1, 2, 4, 5)),
+            ),
+            vec![SetOp::Union, SetOp::Except],
+            &["source", "source", "nl_join"],
         ),
     ]
 }
@@ -173,10 +202,11 @@ fn run_case(
 
 #[test]
 fn pipelines_match_batch_across_plans_and_engine_matrix() {
-    // The full matrix: 4 plan shapes × reclaim on/off, each over a fresh
+    // The full matrix: 5 plan shapes × reclaim on/off, each over a fresh
     // random input and replay schedule.
     let mut rng = StdRng::seed_from_u64(0x51A9_0001);
-    for (case, (name, plan, taps)) in plan_cases().into_iter().enumerate() {
+    let mut ran = BTreeSet::new();
+    for (case, (name, plan, taps, ops)) in plan_cases().into_iter().enumerate() {
         for reclaim in [false, true] {
             let mut vars = VarTable::new();
             // Keys spread over enough facts to keep per-key piece
@@ -198,10 +228,36 @@ fn pipelines_match_batch_across_plans_and_engine_matrix() {
                     seed: 70 + case as u64,
                 },
             );
-            let (got, expect) = run_case(&plan, &taps, &script, engine_config(reclaim));
-            assert_eq!(got, expect, "{name}: pipeline != batch (reclaim={reclaim})");
+            let (engine, sink) = replay(&plan, &taps, &script, engine_config(reclaim));
+            let pipeline = engine.pipeline().unwrap();
+            let expect = batch_rows(&plan, &sink, &taps);
+            assert_eq!(
+                pipeline.materialized().rows,
+                expect,
+                "{name}: pipeline != batch (reclaim={reclaim})"
+            );
+            let names: Vec<&str> = pipeline
+                .operator_deltas()
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect();
+            assert_eq!(names, ops, "{name}: operators");
+            ran.extend(names);
         }
     }
+    // Every operator kind ran; the fused and the plain aggregate share a
+    // name.
+    let kinds = [
+        "source",
+        "select",
+        "project",
+        "nl_join",
+        "hash_join",
+        "union_all",
+        "distinct",
+        "aggregate",
+    ];
+    assert_eq!(ran, BTreeSet::from(kinds));
 }
 
 #[test]
@@ -211,7 +267,7 @@ fn arrival_permutations_and_watermark_schedules_are_invisible() {
     // output is a function of the closed region, not of the replay.
     let mut vars = VarTable::new();
     let (r, s) = tp_workloads::synth::generate(&SynthConfig::with_facts(100, 8, 3111), &mut vars);
-    let (name, plan, taps) = plan_cases().remove(0);
+    let (name, plan, taps, _) = plan_cases().remove(0);
     let mut views: Vec<Vec<Row>> = Vec::new();
     for (perm_seed, advance_every) in [(1u64, 1usize), (2, 17), (3, 10_000)] {
         let script = StreamScript::from_pair(
@@ -244,7 +300,7 @@ fn reclaiming_pipeline_state_plateaus_on_extend_dominated_streams() {
     // retract-and-regrow standing rows. With interior reclamation on, the
     // engine retires history underneath the pipeline — whose state holds
     // lineage expanded at the taps and must neither dangle nor grow.
-    let (_, plan, taps) = plan_cases().remove(0);
+    let (_, plan, taps, _) = plan_cases().remove(0);
     let epochs = 60i64;
     let mut engine =
         StreamEngine::with_plan(engine_config(true), &plan, &taps).expect("plan compiles");
@@ -458,7 +514,7 @@ fn fused_alert_lineage_equals_the_pairwise_join_lineage() {
 
 #[test]
 fn pipeline_stats_and_metadata_are_live() {
-    let (_, plan, taps) = plan_cases().remove(0);
+    let (_, plan, taps, _) = plan_cases().remove(0);
     let mut vars = VarTable::new();
     let (r, s) = tp_workloads::synth::generate(&SynthConfig::with_facts(80, 3, 77), &mut vars);
     let script = StreamScript::from_pair(
