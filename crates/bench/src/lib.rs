@@ -5,7 +5,9 @@
 //! binary prints them in the shape of the paper's plots (one row per input
 //! size / parameter value, one column per approach), and the Criterion
 //! benches under `benches/` wrap the same workloads for statistically
-//! sound micro-measurements.
+//! sound micro-measurements. The crate depends on the core, the baselines
+//! and the workload generators only; comparing commits by wall clock is the
+//! job of the repository benchmark under `perfbench/`.
 //!
 //! Experiment sizes default to a laptop-friendly fraction of the paper's
 //! (which used 64 GB machines and hours of runtime); set the `TP_SCALE`
@@ -19,9 +21,7 @@ pub mod experiments;
 pub mod runner;
 
 pub use experiments::{
-    arena_contention_bench, fig10_meteo, fig11_webkit, fig7_small_synthetic, fig8_large_synthetic,
-    fig9a_overlap, fig9b_facts, lawa_op_throughput, lawa_valuation_bench, streaming_bench,
-    table2_support, table3_datasets, table4_datasets, BenchReport, ContentionBench,
-    ExperimentResult, LawaValuationBench, OpThroughput, Series, StreamingBench,
+    fig10_meteo, fig11_webkit, fig7_small_synthetic, fig8_large_synthetic, fig9a_overlap,
+    fig9b_facts, table2_support, table3_datasets, table4_datasets, ExperimentResult, Series,
 };
 pub use runner::{scale, scaled, time_ms};

@@ -148,9 +148,6 @@ pub struct ReclaimConfig {
     /// — the grace window for consumers that materialize deltas slightly
     /// late (0 = retire as soon as the live frontier passes).
     pub keep_epochs: usize,
-    /// Dedup stripes of the private arena (a single-threaded stream needs
-    /// few).
-    pub shards: usize,
     /// Sliding var registry retired in lockstep with the arena: each
     /// advance seals the table's open var cohort next to the arena segment
     /// it mirrors ([`VarTable::seal_vars`] /
@@ -166,24 +163,13 @@ pub struct ReclaimConfig {
     /// variables to the first cohort and release them while their tuples
     /// are still in flight. `None` keeps the table append-only.
     pub vars: Option<Arc<VarTable>>,
-    /// Interior-segment reclamation (default: on). Every aged-out sealed
-    /// segment that no live ref can reach retires, **wherever it sits in
-    /// the seal order** — a few immortal facts pin only their own
-    /// segments, not every later one. `false` restores the prefix-ordered
-    /// schedule (retirement stops at the first kept segment), the
-    /// baseline the `raw_speed` bench compares residency against.
-    /// Liveness is judged the same way in both modes, and retirement
-    /// never affects emitted deltas — only resident memory.
-    pub interior: bool,
 }
 
 impl Default for ReclaimConfig {
     fn default() -> Self {
         ReclaimConfig {
             keep_epochs: 2,
-            shards: MAX_SHARDS,
             vars: None,
-            interior: true,
         }
     }
 }
@@ -483,8 +469,8 @@ impl StreamEngine {
         let verify_mirror = cfg.verify_batch.then(CollectingSink::new);
         let arena = cfg
             .reclaim
-            .as_ref()
-            .map(|rc| LineageArena::shared(rc.shards));
+            .is_some()
+            .then(|| LineageArena::shared(MAX_SHARDS));
         let obs = EngineObs::from_config(&cfg.obs);
         StreamEngine {
             cfg,
@@ -786,12 +772,11 @@ impl StreamEngine {
     /// keeps every segment in `[min_segment, segment]` resident (its
     /// reachable set is contained in that range — the arena invariant);
     /// the live refs are the pending arrivals, carried residuals and
-    /// (under `verify_batch`) the accepted history. With
-    /// [`ReclaimConfig::interior`] (the default) dead segments retire
+    /// (under `verify_batch`) the accepted history. Dead segments retire
     /// **wherever they sit** in the seal order — a long-lived fact pins
-    /// its own segments only, not every later one; `interior: false`
-    /// restores the prefix-ordered schedule (retirement stops at the
-    /// first kept segment). The open-window records are deliberately
+    /// its own segments only, not every later one — so a segment is kept
+    /// exactly while it is inside its `keep_epochs` grace window or
+    /// covered by a live ref. The open-window records are deliberately
     /// *not* part of the frontier: their handles are only ever
     /// ref-compared and liveness-probed, never dereferenced, and a record
     /// whose segment died derives afresh ([`Derived::still_current`]).
@@ -854,9 +839,7 @@ impl StreamEngine {
         for entry in std::mem::take(&mut self.sealed) {
             let aged_out =
                 self.advance_count.saturating_sub(entry.sealed_at) >= rc.keep_epochs as u64;
-            // Prefix mode: nothing retires past the first kept segment.
-            let keep = (!rc.interior && !kept.is_empty()) || !aged_out || covered(entry.seg);
-            if keep {
+            if !aged_out || covered(entry.seg) {
                 kept.push_back(entry);
                 continue;
             }
@@ -1286,7 +1269,6 @@ mod tests {
             reclaim: Some(ReclaimConfig {
                 keep_epochs: 1,
                 vars: Some(Arc::clone(&vars)),
-                ..Default::default()
             }),
             ..Default::default()
         });

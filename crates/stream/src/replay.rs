@@ -14,7 +14,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use tp_core::interval::TimePoint;
-use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::tuple::TpTuple;
 
@@ -176,48 +175,6 @@ impl StreamScript {
         totals.late = engine.late_dropped();
         totals
     }
-
-    /// The naive streaming baseline: on every watermark advance, re-run
-    /// batch LAWA over *all* tuples released so far (clipped to the closed
-    /// region) and throw the previous result away. Returns the final result
-    /// per op — used by benchmarks to quantify what incrementality buys.
-    pub fn run_naive_rebatch(&self, ops_list: &[SetOp]) -> Vec<(SetOp, TpRelation)> {
-        let mut seen: [Vec<TpTuple>; 2] = [Vec::new(), Vec::new()];
-        let mut results: Vec<(SetOp, TpRelation)> =
-            ops_list.iter().map(|&op| (op, TpRelation::new())).collect();
-        let mut hi = TimePoint::MIN;
-        let mut last_w = TimePoint::MIN;
-        let rerun =
-            |seen: &[Vec<TpTuple>; 2], w: TimePoint, results: &mut Vec<(SetOp, TpRelation)>| {
-                let clip = |side: &Vec<TpTuple>| -> TpRelation {
-                    let (closed, _) = tp_core::window::split_at_watermark(side.iter().cloned(), w);
-                    TpRelation::try_new(closed).expect("clipped inputs duplicate-free")
-                };
-                let r = clip(&seen[0]);
-                let s = clip(&seen[1]);
-                for (op, out) in results.iter_mut() {
-                    *out = tp_core::ops::apply(*op, &r, &s);
-                }
-            };
-        for event in &self.events {
-            match event {
-                ReplayEvent::Arrive(side, t) => {
-                    hi = hi.max(t.interval.end());
-                    seen[side.idx()].push(t.clone());
-                }
-                ReplayEvent::Advance(w) => {
-                    rerun(&seen, *w, &mut results);
-                    last_w = *w;
-                }
-            }
-        }
-        // Mirror the engine's `finish`: one closing re-run only if the
-        // script's last watermark did not already cover everything.
-        if hi > last_w {
-            rerun(&seen, hi, &mut results);
-        }
-        results
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +182,7 @@ mod tests {
     use super::*;
     use tp_core::fact::Fact;
     use tp_core::interval::Interval;
-    use tp_core::ops;
+    use tp_core::ops::{self, SetOp};
     use tp_core::relation::VarTable;
 
     fn chain_pair(seed_fact: i64) -> (TpRelation, TpRelation) {
@@ -290,19 +247,6 @@ mod tests {
                     "lateness {lateness}, every {every}, {op}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn naive_rebatch_reaches_the_same_final_result() {
-        let (r, s) = chain_pair(3);
-        let script = StreamScript::from_pair(&r, &s, &ReplayConfig::default());
-        for (op, out) in script.run_naive_rebatch(&SetOp::ALL) {
-            assert_eq!(
-                out.canonicalized(),
-                ops::apply(op, &r, &s).canonicalized(),
-                "{op}"
-            );
         }
     }
 }

@@ -47,10 +47,11 @@ use tp_obs::{Histogram, MetricsRegistry};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(pub usize);
 
-/// Construction parameters of a [`StreamServer`]. Only the two reclaim
-/// scalars are configurable (not a whole [`ReclaimConfig`]): the server
-/// always wires each tenant's *own* private arena and var registry in, so
-/// a shared `vars` table is unrepresentable by construction.
+/// Construction parameters of a [`StreamServer`]. Of the reclaim settings
+/// only the grace window is configurable (not a whole [`ReclaimConfig`]):
+/// the server always wires each tenant's *own* private arena and var
+/// registry in, so a shared `vars` table is unrepresentable by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Operations maintained for every tenant (they share one sweep per
@@ -58,9 +59,6 @@ pub struct ServerConfig {
     pub ops: Vec<SetOp>,
     /// Per-tenant retirement grace window ([`ReclaimConfig::keep_epochs`]).
     pub keep_epochs: usize,
-    /// Dedup stripes of each tenant's private arena
-    /// ([`ReclaimConfig::shards`]).
-    pub shards: usize,
     /// Tenant shards of one watermark wave: how many tenants advance
     /// concurrently, each on its own scoped thread. 1 = fully serial.
     pub workers: usize,
@@ -73,11 +71,9 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let reclaim = ReclaimConfig::default();
         ServerConfig {
             ops: SetOp::ALL.to_vec(),
-            keep_epochs: reclaim.keep_epochs,
-            shards: reclaim.shards,
+            keep_epochs: ReclaimConfig::default().keep_epochs,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -203,9 +199,7 @@ impl<S: StreamSink + Send> StreamServer<S> {
             verify_batch: false,
             reclaim: Some(ReclaimConfig {
                 keep_epochs: self.cfg.keep_epochs,
-                shards: self.cfg.shards,
                 vars: Some(Arc::clone(&vars)),
-                interior: true,
             }),
             obs,
         };

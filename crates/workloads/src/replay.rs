@@ -180,10 +180,10 @@ impl Default for ImmortalConfig {
 /// [`sliding_synth_stream`]. This is the adversarial shape for
 /// **prefix-ordered** segment retirement: the immortal cohort's segment
 /// sits at the front of the seal order and pins every later segment,
-/// so residency grows linearly with `epochs`. Interior reclamation
-/// ([`tp_stream::ReclaimConfig::interior`]) retires the dead body
-/// segments around the pinned one and plateaus instead — the contrast
-/// the `raw_speed` bench section measures.
+/// so residency grows linearly with `epochs`. The reclaiming engine
+/// retires dead segments wherever they sit in the seal order — the dead
+/// body segments around the pinned one — and plateaus instead
+/// (`tests/raw_speed.rs` checks the plateau).
 pub fn immortal_facts_stream(cfg: &ImmortalConfig, vars: &mut VarTable) -> StreamWorkload {
     use tp_core::fact::Fact;
     use tp_core::interval::Interval;

@@ -3,17 +3,18 @@
 //!
 //! * **Columnar marginal kernel** — `prob::marginal_batch` must match the
 //!   memoized per-root evaluator to 1e-12 on the output of every workload
-//!   generator the harness owns.
+//!   generator the harness owns, plus the paper's Fig. 4 shared-chain
+//!   motif (where the 1OF tree valuation must agree too).
 //! * **Interior-segment reclamation** — random interior retire
 //!   interleavings never invalidate live refs and post-retire marginals
-//!   equal a never-retired control; at the engine layer, interior mode is
-//!   delta-identical to prefix mode, while its steady-state residency
-//!   under the immortal-facts workload stays strictly below the
-//!   prefix-retire baseline.
+//!   equal a never-retired control; at the engine layer, an immortal
+//!   cohort pinning the first sealed segment does not stop the dead
+//!   segments behind it from retiring: the run stays batch-identical
+//!   while arena residency and live vars plateau.
 
 mod common;
 
-use common::oracle::{assert_delta_logs_identical, assert_formula_matches_control};
+use common::oracle::assert_formula_matches_control;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -110,12 +111,52 @@ fn all_generators(vars: &mut VarTable) -> Vec<(&'static str, StreamWorkload)> {
     ]
 }
 
+/// The paper's Fig. 4 motif: per fact, one long-lived tuple per level
+/// folded into a `levels`-deep ∪Tp chain, paired with a grid of short
+/// tuples. Every short tuple clips one LAWA window out of the long one, so
+/// all `cells` windows of a fact share the deep chain as a subformula —
+/// the repeated-lineage shape both the memo and the columnar kernel are
+/// for.
+fn shared_chain_pair(vars: &mut VarTable) -> (TpRelation, TpRelation) {
+    let (facts, cells, levels, granule) = (6i64, 24i64, 32, 10i64);
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut chain: Option<TpRelation> = None;
+    for i in 0..levels {
+        let rows: Vec<_> = (0..facts)
+            .map(|f| {
+                let p = rng.random_range(0.05..0.95);
+                (Fact::single(f), Interval::at(0, cells * granule), p)
+            })
+            .collect();
+        let level = TpRelation::base(&format!("d{i}"), rows, vars).unwrap();
+        chain = Some(match chain {
+            Some(acc) => apply(SetOp::Union, &acc, &level),
+            None => level,
+        });
+    }
+    let mut grid_rows = Vec::new();
+    for f in 0..facts {
+        for j in 0..cells {
+            let iv = Interval::at(j * granule, (j + 1) * granule);
+            grid_rows.push((Fact::single(f), iv, rng.random_range(0.05..0.95)));
+        }
+    }
+    let grid = TpRelation::base("s", grid_rows, vars).unwrap();
+    (chain.unwrap(), grid)
+}
+
 #[test]
 fn columnar_marginals_match_memoized_on_every_generator() {
     let mut vars = VarTable::new();
-    for (name, w) in all_generators(&mut vars) {
+    let mut inputs: Vec<(&str, TpRelation, TpRelation)> = all_generators(&mut vars)
+        .into_iter()
+        .map(|(name, w)| (name, w.r, w.s))
+        .collect();
+    let (chain, grid) = shared_chain_pair(&mut vars);
+    inputs.push(("shared_chain", chain, grid));
+    for (name, r, s) in &inputs {
         for op in SetOp::ALL {
-            let out = apply(op, &w.r, &w.s);
+            let out = apply(op, r, s);
             let lineages: Vec<Lineage> = out.iter().map(|t| t.lineage).collect();
             if lineages.is_empty() {
                 continue;
@@ -142,6 +183,24 @@ fn columnar_marginals_match_memoized_on_every_generator() {
                     "{name}/{op}: cold root #{i} diverged: {e} vs {g}"
                 );
             }
+            if *name != "shared_chain" {
+                continue;
+            }
+            // The motif's roots are 1OF (every variable occurs once), so
+            // the independence-assuming tree walk is exact on them too.
+            let mut one_of = 0;
+            for (i, (l, e)) in lineages.iter().zip(&expect).enumerate() {
+                let tree = l.to_tree();
+                if tree.is_one_occurrence_form() {
+                    let t = tree.independent_prob(&vars).unwrap();
+                    assert!(
+                        (e - t).abs() <= 1e-9,
+                        "{name}/{op}: 1OF root #{i} diverged: memoized {e} vs tree {t}"
+                    );
+                    one_of += 1;
+                }
+            }
+            assert!(one_of > 0, "{name}/{op}: no 1OF root checked");
         }
     }
 }
@@ -149,11 +208,10 @@ fn columnar_marginals_match_memoized_on_every_generator() {
 /// One reclaiming replay of the immortal-facts workload; returns the delta
 /// log, per-advance resident-byte samples, and the (total, interior)
 /// retired-segment counts accumulated from `AdvanceStats`.
-fn run_immortal(w: &StreamWorkload, interior: bool) -> (MaterializingSink, Vec<usize>, (u64, u64)) {
+fn run_immortal(w: &StreamWorkload) -> (MaterializingSink, Vec<usize>, (u64, u64)) {
     let mut engine = StreamEngine::new(EngineConfig {
         reclaim: Some(ReclaimConfig {
             keep_epochs: 2,
-            interior,
             ..Default::default()
         }),
         ..Default::default()
@@ -184,7 +242,7 @@ fn run_immortal(w: &StreamWorkload, interior: bool) -> (MaterializingSink, Vec<u
 }
 
 #[test]
-fn interior_reclaim_is_delta_identical_and_beats_prefix_residency() {
+fn immortal_pin_does_not_stop_reclaim_behind_it() {
     let mut vars = VarTable::new();
     let w = immortal_facts_stream(
         &ImmortalConfig {
@@ -193,18 +251,10 @@ fn interior_reclaim_is_delta_identical_and_beats_prefix_residency() {
         },
         &mut vars,
     );
-    let (interior_log, interior_resident, (retired, interior_retired)) = run_immortal(&w, true);
-    let (prefix_log, prefix_resident, (prefix_retired, prefix_interior)) = run_immortal(&w, false);
-    // Retirement scheduling must never change behavior: both delta logs
-    // byte-identical.
-    assert_delta_logs_identical(&prefix_log, &interior_log, "prefix vs interior");
-    common::oracle::assert_materialized_matches_batch(&interior_log, &w.r, &w.s, &vars);
-    // The immortal cohort pins the first sealed segment. Prefix mode
-    // therefore retires nothing until the final flush consumes the
-    // immortal residuals (one end-of-run burst); interior mode reclaims
-    // the dead body segments as it goes, as holes.
-    assert_eq!(prefix_interior, 0, "prefix mode must never punch holes");
-    let _ = prefix_retired; // only the final burst — compared via residency below
+    let (log, resident, (retired, interior_retired)) = run_immortal(&w);
+    common::oracle::assert_materialized_matches_batch(&log, &w.r, &w.s, &vars);
+    // The immortal cohort pins the first sealed segment; the dead body
+    // segments behind it retire as they go, as holes.
     assert!(
         interior_retired > 10,
         "immortal workload produced only {interior_retired} interior retires"
@@ -213,16 +263,8 @@ fn interior_reclaim_is_delta_identical_and_beats_prefix_residency() {
         retired >= interior_retired,
         "interior retires {interior_retired} exceed total {retired}"
     );
-    // ...and its steady-state residency stays strictly below the
-    // prefix-retire baseline (the acceptance criterion).
-    let steady = |samples: &[usize]| samples[samples.len() / 2..].iter().copied().max().unwrap();
-    let (si, sp) = (steady(&interior_resident), steady(&prefix_resident));
-    assert!(
-        si < sp,
-        "interior steady-state residency {si} not below prefix baseline {sp}"
-    );
-    // Interior residency plateaus despite the immortal pin.
-    common::oracle::assert_plateau(&interior_resident, 8, 2.0, "interior reclaim");
+    // Residency plateaus despite the immortal pin.
+    common::oracle::assert_plateau(&resident, 8, 2.0, "immortal-facts reclaim");
 }
 
 /// Replays the immortal-facts script through a reclaiming engine with an
@@ -233,15 +275,12 @@ fn interior_reclaim_is_delta_identical_and_beats_prefix_residency() {
 fn run_immortal_with_registry(
     w: &StreamWorkload,
     src: &VarTable,
-    interior: bool,
 ) -> (Vec<usize>, u64, std::sync::Arc<VarTable>) {
     let vars = std::sync::Arc::new(VarTable::new());
     let mut engine = StreamEngine::new(EngineConfig {
         reclaim: Some(ReclaimConfig {
             keep_epochs: 2,
-            interior,
             vars: Some(std::sync::Arc::clone(&vars)),
-            ..Default::default()
         }),
         ..Default::default()
     });
@@ -276,11 +315,10 @@ proptest! {
 
     /// The cohort-granular release property: under the immortal-facts
     /// workload the pinned first cohort must NOT hold every later var
-    /// cohort resident — interior mode's steady-state `live_vars` stays
-    /// strictly below the prefix-release baseline and plateaus, for any
-    /// probability seed and immortal-cohort size.
+    /// cohort resident — `live_vars` plateaus for any probability seed
+    /// and immortal-cohort size.
     #[test]
-    fn interior_cohort_release_keeps_live_vars_below_prefix_baseline(
+    fn cohort_release_keeps_live_vars_plateaued_under_immortal_pin(
         seed in 0u64..1024,
         immortals in 1usize..4,
     ) {
@@ -294,24 +332,11 @@ proptest! {
             },
             &mut src,
         );
-        let (interior_live, interior_released, ivars) =
-            run_immortal_with_registry(&w, &src, true);
-        let (prefix_live, _, _) = run_immortal_with_registry(&w, &src, false);
-        prop_assert_eq!(interior_live.len(), prefix_live.len());
-        let steady =
-            |samples: &[usize]| samples[samples.len() / 2..].iter().copied().max().unwrap();
-        let (si, sp) = (steady(&interior_live), steady(&prefix_live));
-        prop_assert!(
-            si < sp,
-            "interior steady-state live_vars {} not below prefix baseline {} \
-             (interior {:?} prefix {:?})",
-            si, sp, interior_live, prefix_live
-        );
-        // Interior live_vars plateaus despite the immortal pin...
-        common::oracle::assert_plateau(&interior_live, 8, 2.0, "interior live_vars");
+        let (live, released, vars) = run_immortal_with_registry(&w, &src);
+        common::oracle::assert_plateau(&live, 8, 2.0, "immortal-facts live_vars");
         // ...and the engine's release counter agrees with the registry.
-        prop_assert!(interior_released > 0, "interior mode released no vars");
-        prop_assert_eq!(interior_released, ivars.released_vars());
+        prop_assert!(released > 0, "no vars released");
+        prop_assert_eq!(released, vars.released_vars());
     }
 }
 
@@ -605,13 +630,12 @@ impl tp_stream::StreamSink for EmissionRuleSink {
     }
 }
 
-/// Long-lived facts through a reclaiming engine, `interior` on and off,
-/// for many times `keep_epochs` advances: every continuation is either
-/// served from the open-window record or — once the memoised handle's
-/// segment retired — re-derived and emitted as the engine always did
-/// ([`EmissionRuleSink`]); nothing dereferences retired storage; the
-/// result equals batch; and live nodes plateau under interior
-/// reclamation.
+/// Long-lived facts through a reclaiming engine for many times
+/// `keep_epochs` advances: every continuation is either served from the
+/// open-window record or — once the memoised handle's segment retired —
+/// re-derived and emitted as the engine always did ([`EmissionRuleSink`]);
+/// nothing dereferences retired storage; the result equals batch; and live
+/// nodes plateau.
 #[test]
 fn open_window_memo_never_outlives_its_segment() {
     const KEEP_EPOCHS: usize = 2;
@@ -643,72 +667,67 @@ fn open_window_memo_never_outlives_its_segment() {
         &mut vars,
     );
     for (name, w) in [("immortal", &immortal), ("webkit", &webkit)] {
-        for interior in [true, false] {
-            let ctx = format!("{name}, interior={interior}");
-            let mut engine = StreamEngine::new(EngineConfig {
-                reclaim: Some(ReclaimConfig {
-                    keep_epochs: KEEP_EPOCHS,
-                    interior,
-                    ..Default::default()
-                }),
+        let ctx = name;
+        let mut engine = StreamEngine::new(EngineConfig {
+            reclaim: Some(ReclaimConfig {
+                keep_epochs: KEEP_EPOCHS,
                 ..Default::default()
-            });
-            let mut sink = EmissionRuleSink::new(w);
-            let mut live_nodes = Vec::new();
-            let (mut windows, mut continued) = (0usize, 0usize);
-            for event in &w.script.events {
-                match event {
-                    ReplayEvent::Arrive(side, t) => {
-                        engine.push(*side, t.clone());
-                    }
-                    ReplayEvent::Advance(wm) => {
-                        let stats = engine.advance(*wm, &mut sink).unwrap();
-                        windows += stats.windows;
-                        continued += stats.continued_windows;
-                        live_nodes.push(stats.arena_live_nodes as usize);
-                    }
+            }),
+            ..Default::default()
+        });
+        let mut sink = EmissionRuleSink::new(w);
+        let mut live_nodes = Vec::new();
+        let (mut windows, mut continued) = (0usize, 0usize);
+        for event in &w.script.events {
+            match event {
+                ReplayEvent::Arrive(side, t) => {
+                    engine.push(*side, t.clone());
+                }
+                ReplayEvent::Advance(wm) => {
+                    let stats = engine.advance(*wm, &mut sink).unwrap();
+                    windows += stats.windows;
+                    continued += stats.continued_windows;
+                    live_nodes.push(stats.arena_live_nodes as usize);
                 }
             }
-            engine.finish(&mut sink).unwrap();
-            assert!(
-                live_nodes.len() >= 3 * KEEP_EPOCHS,
-                "{ctx}: only {} advances",
-                live_nodes.len()
+        }
+        engine.finish(&mut sink).unwrap();
+        assert!(
+            live_nodes.len() >= 3 * KEEP_EPOCHS,
+            "{ctx}: only {} advances",
+            live_nodes.len()
+        );
+        assert!(
+            continued > 0 && continued < windows,
+            "{ctx}: {continued} of {windows} windows continued — the run must mix hits and misses"
+        );
+        // A re-derived continuation leaves the output tuple split at
+        // that watermark: two adjacent pieces carrying one formula, a
+        // Def. 2 coalesce away from batch. Nothing else may differ,
+        // and every split is one the sink saw being re-derived.
+        let streamed = sink.log.replay();
+        let mut splits = 0;
+        for op in SetOp::ALL {
+            let pieces = streamed.relation(op);
+            let coalesced = pieces.coalesce();
+            splits += pieces.len() - coalesced.len();
+            common::oracle::assert_relation_equivalence(
+                &coalesced,
+                &apply(op, &w.r, &w.s),
+                &vars,
+                &format!("{ctx}: {op}"),
             );
+        }
+        assert_eq!(splits, sink.rederived_continuations, "{ctx}");
+        assert!(engine.reclaimed().0 > 0, "{ctx}: nothing retired");
+        // The first third covers the ramp-up (arrivals run
+        // `lateness` ahead before the first tuple is released).
+        common::oracle::assert_plateau(&live_nodes, live_nodes.len() / 3, 2.0, ctx);
+        if name == "webkit" {
             assert!(
-                continued > 0 && continued < windows,
-                "{ctx}: {continued} of {windows} windows continued — the run must mix hits and misses"
+                sink.rederived_continuations > 0,
+                "{ctx}: no memoised handle ever lost its segment — the stale-memo path is untested"
             );
-            // A re-derived continuation leaves the output tuple split at
-            // that watermark: two adjacent pieces carrying one formula, a
-            // Def. 2 coalesce away from batch. Nothing else may differ,
-            // and every split is one the sink saw being re-derived.
-            let streamed = sink.log.replay();
-            let mut splits = 0;
-            for op in SetOp::ALL {
-                let pieces = streamed.relation(op);
-                let coalesced = pieces.coalesce();
-                splits += pieces.len() - coalesced.len();
-                common::oracle::assert_relation_equivalence(
-                    &coalesced,
-                    &apply(op, &w.r, &w.s),
-                    &vars,
-                    &format!("{ctx}: {op}"),
-                );
-            }
-            assert_eq!(splits, sink.rederived_continuations, "{ctx}");
-            if interior {
-                assert!(engine.reclaimed().0 > 0, "{ctx}: nothing retired");
-                // The first third covers the ramp-up (arrivals run
-                // `lateness` ahead before the first tuple is released).
-                common::oracle::assert_plateau(&live_nodes, live_nodes.len() / 3, 2.0, &ctx);
-            }
-            if name == "webkit" && interior {
-                assert!(
-                    sink.rederived_continuations > 0,
-                    "{ctx}: no memoised handle ever lost its segment — the stale-memo path is untested"
-                );
-            }
         }
     }
 }

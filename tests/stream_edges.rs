@@ -164,7 +164,6 @@ fn empty_epoch_advances_are_cheap_and_do_not_leak() {
         reclaim: Some(ReclaimConfig {
             keep_epochs: 1,
             vars: Some(std::sync::Arc::clone(&vars)),
-            ..Default::default()
         }),
         ..Default::default()
     });
