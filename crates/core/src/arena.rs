@@ -108,8 +108,8 @@ use crate::lineage::TupleId;
 /// Arena-level observability: lock-free counters/gauges in the global
 /// [`tp_obs`] registry, updated on the rare lifecycle operations (seal /
 /// retire) so the intern hot path stays untouched. The whole module is a
-/// no-op while disabled — benchmarks flip [`set_obs_enabled`] off to
-/// measure a genuinely uninstrumented baseline.
+/// no-op while disabled — tests flip [`set_obs_enabled`] off for a
+/// genuinely uninstrumented baseline run.
 mod arena_obs {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, OnceLock};
@@ -577,9 +577,7 @@ impl LineageArena {
     ///
     /// Refs of a standalone arena are meaningless to other arenas. Use
     /// [`LineageArena::shared`] + [`LineageArena::enter`] to route the
-    /// `Lineage` API at it; raw [`LineageArena::intern`] works directly
-    /// (benchmarks measure dedup contention of a single-stripe arena
-    /// against the striped layout this way).
+    /// `Lineage` API at it; raw [`LineageArena::intern`] works directly.
     pub fn with_shards(shards: usize) -> Self {
         static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(1);
         let count = shards.clamp(1, MAX_SHARDS).next_power_of_two();

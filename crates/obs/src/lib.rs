@@ -38,6 +38,6 @@ pub use metrics::{
 };
 pub use report::{render_all, Section};
 pub use span::{
-    chrome_trace_json, clear_trace, ctx_id, ctx_label, now_ns, record_span, snapshot_spans,
-    SpanEvent, TraceRing, DEFAULT_RING_CAP,
+    chrome_trace_json, ctx_id, ctx_label, now_ns, record_span, snapshot_spans, SpanEvent,
+    TraceRing, DEFAULT_RING_CAP,
 };

@@ -237,15 +237,6 @@ pub fn snapshot_spans() -> Vec<SpanEvent> {
     out
 }
 
-/// Clears every ring. Benchmarks call this between instrumented and
-/// baseline passes so exports only cover the run under measurement.
-pub fn clear_trace() {
-    let reg = registry().lock().unwrap();
-    for ring in &reg.rings {
-        ring.clear();
-    }
-}
-
 /// Serializes `events` in the chrome://tracing "trace event format":
 /// one `ph:"X"` (complete) event per span, timestamps and durations in
 /// microseconds. The output opens directly in `chrome://tracing` or

@@ -130,11 +130,12 @@ pub enum WatermarkPolicy {
 }
 
 /// Bounded-memory operation: the engine hosts its lineage in a **private
-/// reclaimable arena**, seals one segment per watermark advance, and
-/// retires every sealed segment that falls below the live frontier (the
-/// smallest segment reachable from any buffered tuple — carried residuals
-/// and pending arrivals). A sliding-window stream then runs indefinitely
-/// with arena storage proportional to the *live* window, not to history.
+/// reclaimable arena** (with [`MAX_SHARDS`] dedup stripes), seals one
+/// segment per watermark advance, and retires every sealed segment that is
+/// older than `keep_epochs` advances and that no buffered tuple — carried
+/// residual or pending arrival — can reach, wherever it sits in the seal
+/// order. A sliding-window stream then runs indefinitely with arena
+/// storage proportional to the *live* window, not to history.
 ///
 /// Contract for consumers: deltas reference lineage in the engine's arena;
 /// valuate or materialize them when they arrive (inside `on_delta`, which
@@ -192,7 +193,8 @@ pub struct EngineConfig {
     /// Observability: stage spans + metrics per advance; see
     /// [`ObsConfig`]. On by default — recording never changes results
     /// (instrumented and uninstrumented runs emit byte-identical delta
-    /// logs) and the `observability` bench gates the overhead.
+    /// logs); the repository benchmark reports the overhead as
+    /// `bench.trace_overhead_ratio`.
     pub obs: ObsConfig,
 }
 

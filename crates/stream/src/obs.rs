@@ -28,7 +28,7 @@
 //!
 //! Metrics and spans never influence engine behavior: an instrumented run
 //! emits byte-identical delta logs to an uninstrumented one (asserted by
-//! `tests/observability.rs` and the `observability` bench gate).
+//! `tests/observability.rs`).
 
 use std::sync::Arc;
 
@@ -61,8 +61,8 @@ pub(crate) const STAGE_VERIFY: usize = 4;
 #[derive(Clone)]
 pub struct ObsConfig {
     /// Record metrics and stage spans for this engine (default: on — the
-    /// layer is cheap enough to keep on; the `observability` bench gates
-    /// the overhead in CI).
+    /// layer is cheap enough to keep on; the repository benchmark reports
+    /// the overhead as `bench.trace_overhead_ratio`).
     pub enabled: bool,
     /// Label attached to this engine's metrics (`tenant="..."`) and used
     /// as the span context label. The [`StreamServer`](crate::StreamServer)
@@ -97,8 +97,8 @@ impl std::fmt::Debug for ObsConfig {
 
 /// Master switch for the *global-flag* instrumentation layer that sits
 /// below the engine — the arena (tp-core) — which an [`ObsConfig`] cannot
-/// reach per instance. Benchmarks flip this off together with
-/// `ObsConfig::enabled` to measure a genuinely uninstrumented baseline.
+/// reach per instance. Tests flip this off together with
+/// `ObsConfig::enabled` for a genuinely uninstrumented baseline run.
 pub fn set_obs_enabled(on: bool) {
     tp_core::arena::set_obs_enabled(on);
 }
@@ -229,7 +229,7 @@ impl<'a> StageCursor<'a> {
 /// the shared `"valuation"` context with the batch size as payload. The
 /// kernel itself also bumps `tp_valuation_batched_nodes_total` for every
 /// node it resolves columnar-side. This is the instrumented valuation
-/// entry point shared by the repl, the examples and the bench harness;
+/// entry point shared by the repl, the examples and `ValuatingSink`;
 /// callers that want raw access use `tp_core::prob::marginal_batch`
 /// directly.
 pub fn valuate_batch(

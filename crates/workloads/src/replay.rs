@@ -273,7 +273,7 @@ impl Default for SkewedConfig {
 /// Zipf allocation of `total` tuples over `slots` ranked slots: slot `i`
 /// gets a share proportional to `(i + 1)^-exponent`, rounded by largest
 /// remainder so the counts sum to `total` exactly. Deterministic; exposed
-/// for the workload tests and the bench harness.
+/// for the workload tests.
 pub fn zipf_slot_counts(total: usize, slots: usize, exponent: f64) -> Vec<usize> {
     let slots = slots.max(1);
     let weights: Vec<f64> = (0..slots)

@@ -183,24 +183,21 @@ fn columnar_marginals_match_memoized_on_every_generator() {
                     "{name}/{op}: cold root #{i} diverged: {e} vs {g}"
                 );
             }
-            if *name != "shared_chain" {
-                continue;
-            }
-            // The motif's roots are 1OF (every variable occurs once), so
-            // the independence-assuming tree walk is exact on them too.
-            let mut one_of = 0;
+            // One operation over inputs with distinct variables: every
+            // root is 1OF, so the independence-assuming tree walk is exact
+            // on it too.
             for (i, (l, e)) in lineages.iter().zip(&expect).enumerate() {
                 let tree = l.to_tree();
-                if tree.is_one_occurrence_form() {
-                    let t = tree.independent_prob(&vars).unwrap();
-                    assert!(
-                        (e - t).abs() <= 1e-9,
-                        "{name}/{op}: 1OF root #{i} diverged: memoized {e} vs tree {t}"
-                    );
-                    one_of += 1;
-                }
+                assert!(
+                    tree.is_one_occurrence_form(),
+                    "{name}/{op}: root #{i} not 1OF"
+                );
+                let t = tree.independent_prob(&vars).unwrap();
+                assert!(
+                    (e - t).abs() <= 1e-9,
+                    "{name}/{op}: root #{i} diverged: memoized {e} vs tree {t}"
+                );
             }
-            assert!(one_of > 0, "{name}/{op}: no 1OF root checked");
         }
     }
 }
@@ -666,8 +663,7 @@ fn open_window_memo_never_outlives_its_segment() {
         },
         &mut vars,
     );
-    for (name, w) in [("immortal", &immortal), ("webkit", &webkit)] {
-        let ctx = name;
+    for (ctx, w) in [("immortal", &immortal), ("webkit", &webkit)] {
         let mut engine = StreamEngine::new(EngineConfig {
             reclaim: Some(ReclaimConfig {
                 keep_epochs: KEEP_EPOCHS,
@@ -723,7 +719,7 @@ fn open_window_memo_never_outlives_its_segment() {
         // The first third covers the ramp-up (arrivals run
         // `lateness` ahead before the first tuple is released).
         common::oracle::assert_plateau(&live_nodes, live_nodes.len() / 3, 2.0, ctx);
-        if name == "webkit" {
+        if ctx == "webkit" {
             assert!(
                 sink.rederived_continuations > 0,
                 "{ctx}: no memoised handle ever lost its segment — the stale-memo path is untested"
