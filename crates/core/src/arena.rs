@@ -24,7 +24,9 @@
 //! slot in it with an atomic bump and publishes the node through a
 //! `OnceLock` — the append path takes no lock (the residual lock stripes
 //! exist only for the dedup table, see below). [`LineageArena::seal`]
-//! closes the open segment and opens the next one;
+//! closes the open segment and opens the next one. A segment's slots live
+//! in chunks that double from 256 slots up to a flat size and then stay
+//! flat, so a large segment over-allocates at most one chunk.
 //! [`LineageArena::retire`] reclaims a sealed segment's storage once the
 //! caller — in practice the streaming engine's epoch executor — has proven
 //! that no live window, cached marginal or BDD memo references it.
@@ -52,9 +54,11 @@
 //! ## Dedup stripes
 //!
 //! Hash-consing needs one global node → ref table. It is split into
-//! [`MAX_SHARDS`] lock stripes selected by node hash; interning takes a
-//! read lock (hit) or a short write lock (miss) on **one** stripe, and node
-//! *reads* never touch the stripes at all. A dedup hit whose target
+//! [`MAX_SHARDS`] lock stripes selected by node hash bits that the
+//! stripe's own table uses neither for its bucket index nor for its probe
+//! tag; interning takes a read lock (hit) or a short write lock and one
+//! `entry` probe (miss) on **one** stripe, and node *reads* never touch
+//! the stripes at all. A dedup hit whose target
 //! segment was retired is treated as a miss (the entry is overwritten with
 //! the fresh intern), so ref-equality keeps meaning structural equality
 //! among *live* handles; stale entries are purged amortized — every retire
@@ -65,11 +69,15 @@
 //! 1. A `LineageRef` is never reused: segment ids are monotone and slots
 //!    are append-only within a segment. Two *live* formulas are
 //!    structurally equal **iff** their refs are equal.
-//! 2. Node metadata is immutable once interned. The exact variable *list*
-//!    is stored only while `occurrences <= VAR_LIST_CAP`; larger nodes fall
-//!    back to the `[var_lo, var_hi]` range summary.
-//! 3. The `one_of` flag is exact whenever both children carry variable
-//!    lists or have disjoint variable ranges; otherwise it is *conservative*
+//! 2. Node metadata is immutable once interned. The exact sorted variable
+//!    set is known only while `occurrences <= VAR_LIST_CAP`: a node with
+//!    one or two distinct variables reads it from its `{var_lo, var_hi}`
+//!    pair and stores no list; a node with 3 to `VAR_LIST_CAP` variables
+//!    keeps one heap list, allocated once from a merge on the stack (a
+//!    `Not` shares its child's). Larger nodes fall back to the
+//!    `[var_lo, var_hi]` range summary.
+//! 3. The `one_of` flag is exact whenever both children know their
+//!    variable sets or have disjoint variable ranges; otherwise it is *conservative*
 //!    (may report `false` for a huge formula that is in fact 1OF). A
 //!    conservative `false` only costs performance — probabilistic valuation
 //!    falls back to Shannon expansion, which is exact for every formula.
@@ -97,6 +105,7 @@
 //! epoch (see `docs/streaming.md`).
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -217,18 +226,41 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// lock-free; these stripes only serialize hash-consing lookups.
 pub const MAX_SHARDS: usize = 16;
 
-/// Capacity of the first node chunk of a segment; chunk `c` holds
-/// `FIRST_CHUNK << c` slots, so small (per-epoch) segments stay small and
-/// large (batch) segments need only logarithmically many chunks.
+/// The stripe is `(hash >> STRIPE_SHIFT) & stripe_mask`. Each stripe's
+/// table hashes the same key with the same hasher; hashbrown indexes its
+/// buckets by the low bits and compares a 7-bit tag taken from the top
+/// bits (57..64), so the stripe bits (52..56) must be neither, or every
+/// key in a stripe shares part of its tag and each probe compares more
+/// keys.
+const STRIPE_SHIFT: u32 = 52;
+
+/// Capacity of the first node chunk of a segment. Chunk sizes double from
+/// here up to [`FLAT_CHUNK`] and then stay flat, so small (per-epoch)
+/// segments stay small and a large (batch) segment over-allocates at most
+/// one flat chunk.
 const FIRST_CHUNK: u32 = 256;
 
-/// Maximum chunks per segment; total per-segment capacity is
-/// `FIRST_CHUNK * (2^MAX_CHUNKS - 1)` slots (> 2^28).
-const MAX_CHUNKS: usize = 21;
+/// Capacity of every chunk past the doubling prefix (360 KiB of slots).
+/// Allocating a chunk writes all of its pages, and that cost lands on the
+/// one intern — in a stream, the one advance — that needs it; small flat
+/// chunks keep it far below an advance's tail latency (see "Costs and
+/// trade-offs" in `docs/lineage-arena.md`).
+const FLAT_CHUNK: u32 = 1 << 12;
+
+/// Chunks in the doubling prefix: `FIRST_CHUNK << c` slots for
+/// `c < GEO_CHUNKS`, then `FLAT_CHUNK` each.
+const GEO_CHUNKS: u32 = FLAT_CHUNK.trailing_zeros() - FIRST_CHUNK.trailing_zeros();
+
+/// First slot of the flat part (the doubling prefix holds
+/// `FIRST_CHUNK * (2^GEO_CHUNKS - 1)` slots).
+const GEO_END: u32 = FIRST_CHUNK * ((1 << GEO_CHUNKS) - 1);
 
 /// Maximum slots per segment; an intern that would overflow seals the
 /// segment and rolls to the next one (a "capacity roll").
 const SEG_CAP: u32 = 1 << 28;
+
+/// Maximum chunks per segment: the chunk holding slot `SEG_CAP - 1`, plus one.
+const MAX_CHUNKS: usize = chunk_of(SEG_CAP - 1).0 + 1;
 
 /// Segments per directory chunk.
 const DIR_CHUNK: usize = 512;
@@ -294,32 +326,51 @@ pub enum LineageNode {
     Or(LineageRef, LineageRef),
 }
 
-/// Nodes with at most this many variable occurrences store their exact
-/// sorted distinct-variable list; larger nodes keep only the
+/// Nodes with at most this many variable occurrences know their exact
+/// sorted distinct-variable set; larger nodes keep only the
 /// `[var_lo, var_hi]` range summary.
 pub const VAR_LIST_CAP: usize = 128;
 
 /// Immutable per-node metadata, computed at intern time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NodeMeta {
     node: LineageNode,
     /// Tree-semantic node count (saturating).
     size: u64,
     /// Tree-semantic variable occurrences, with multiplicity (saturating).
     occurrences: u64,
-    /// Smallest variable of the formula.
-    var_lo: TupleId,
-    /// Largest variable of the formula.
-    var_hi: TupleId,
+    /// Smallest and largest variable of the formula, `[var_lo, var_hi]`.
+    /// Adjacent so that a set of one or two variables borrows from here.
+    range: [TupleId; 2],
     /// Smallest segment id reachable from this node's sub-DAG. Children
     /// are interned no later than their parents, so the reachable segment
     /// set of a node is contained in `[min_seg, segment(self)]`.
     min_seg: u32,
     /// Whether the formula is in one-occurrence form (see invariant 3).
     one_of: bool,
-    /// Exact sorted distinct variables, while small enough (invariant 2).
-    vars: Option<Arc<[TupleId]>>,
+    /// Exact sorted distinct variables when there are 3 to
+    /// `VAR_LIST_CAP` of them (invariant 2); a `Not` shares its child's.
+    list: Option<Arc<[TupleId]>>,
 }
+
+impl NodeMeta {
+    /// The exact sorted distinct-variable set, when known (invariant 2):
+    /// the heap list, or `{var_lo, var_hi}` for one or two variables.
+    #[inline]
+    fn vars(&self) -> Option<&[TupleId]> {
+        match &self.list {
+            Some(list) => Some(list),
+            None if self.occurrences <= VAR_LIST_CAP as u64 => {
+                let distinct = if self.range[0] == self.range[1] { 1 } else { 2 };
+                Some(&self.range[..distinct])
+            }
+            None => None,
+        }
+    }
+}
+
+// Slots are most of an arena's memory: keep one at 88 bytes or less.
+const _: () = assert!(std::mem::size_of::<OnceLock<NodeMeta>>() <= 88);
 
 /// One fixed-capacity block of node slots. Slots are claimed by atomic
 /// bump and published through their `OnceLock` (readers of a legitimately
@@ -337,18 +388,61 @@ impl Chunk {
     }
 }
 
-/// `slot → (chunk index, offset into chunk)` for geometric chunk sizes.
+/// A segment's chunk list, shared whole: snapshots ([`ArenaView`],
+/// [`LineageArena::snapshot_segment`]) take one refcount, not one per
+/// chunk. Growth pushes in place while no snapshot holds the list and
+/// copies the list of chunk handles otherwise. Empty (no allocation)
+/// until the segment's first append.
+#[derive(Clone, Default)]
+struct ChunkList(Option<Arc<Vec<Arc<Chunk>>>>);
+
+impl ChunkList {
+    #[inline]
+    fn chunks(&self) -> &[Arc<Chunk>] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    #[inline]
+    fn slot(&self, slot: u32) -> Option<&OnceLock<NodeMeta>> {
+        let (c, off) = chunk_of(slot);
+        self.chunks().get(c).map(|chunk| &chunk.slots[off])
+    }
+
+    fn push(&mut self, chunk: Arc<Chunk>) {
+        Arc::make_mut(self.0.get_or_insert_default()).push(chunk);
+    }
+}
+
+/// `slot → (chunk index, offset into chunk)`: doubling chunk sizes below
+/// [`GEO_END`], flat [`FLAT_CHUNK`]s from there on.
 #[inline]
-fn chunk_of(slot: u32) -> (usize, usize) {
-    let q = slot / FIRST_CHUNK + 1;
-    let c = 31 - q.leading_zeros();
-    let start = FIRST_CHUNK * ((1u32 << c) - 1);
-    (c as usize, (slot - start) as usize)
+const fn chunk_of(slot: u32) -> (usize, usize) {
+    if slot < GEO_END {
+        let q = slot / FIRST_CHUNK + 1;
+        let c = 31 - q.leading_zeros();
+        let start = FIRST_CHUNK * ((1u32 << c) - 1);
+        (c as usize, (slot - start) as usize)
+    } else {
+        let flat = slot - GEO_END;
+        (
+            (GEO_CHUNKS + flat / FLAT_CHUNK) as usize,
+            (flat % FLAT_CHUNK) as usize,
+        )
+    }
+}
+
+/// First slot of chunk `c`.
+#[inline]
+fn chunk_start(c: usize) -> usize {
+    match c.checked_sub(GEO_CHUNKS as usize) {
+        None => (FIRST_CHUNK as usize) * ((1 << c) - 1),
+        Some(flat) => GEO_END as usize + flat * FLAT_CHUNK as usize,
+    }
 }
 
 #[inline]
 fn chunk_capacity(c: usize) -> usize {
-    (FIRST_CHUNK as usize) << c
+    (FIRST_CHUNK as usize) << c.min(GEO_CHUNKS as usize)
 }
 
 /// Lifecycle states of a segment.
@@ -368,7 +462,7 @@ const STATE_RETIRED: u8 = 2;
 
 /// One storage segment: lock-free chunked node store + lifecycle word +
 /// pin refcount. The `chunks` lock is only written on chunk allocation
-/// (once per `FIRST_CHUNK << c` appends) and at retirement; reads are
+/// (once per chunk's worth of appends) and at retirement; reads are
 /// shared and never block appends of other segments.
 struct Segment {
     /// Claimed slots (may transiently exceed [`SEG_CAP`] during a
@@ -377,7 +471,7 @@ struct Segment {
     state: AtomicU8,
     /// Segment-granularity pin count; retire refuses pinned segments.
     pins: AtomicU32,
-    chunks: RwLock<Vec<Arc<Chunk>>>,
+    chunks: RwLock<ChunkList>,
 }
 
 impl Segment {
@@ -386,8 +480,13 @@ impl Segment {
             len: AtomicU32::new(0),
             state: AtomicU8::new(STATE_OPEN),
             pins: AtomicU32::new(0),
-            chunks: RwLock::new(Vec::new()),
+            chunks: RwLock::new(ChunkList::default()),
         }
+    }
+
+    #[inline]
+    fn read_chunks(&self) -> std::sync::RwLockReadGuard<'_, ChunkList> {
+        self.chunks.read().expect("segment chunks poisoned")
     }
 
     #[inline]
@@ -677,9 +776,7 @@ impl LineageArena {
     fn stripe_of(&self, node: &LineageNode) -> usize {
         let mut h = FastHasher::default();
         node.hash(&mut h);
-        // Stripe by the HIGH hash bits: the stripe's table hashes the same
-        // key with the same hasher and indexes buckets by the low bits.
-        ((h.finish() >> 60) as u32 & self.stripe_mask) as usize
+        ((h.finish() >> STRIPE_SHIFT) as u32 & self.stripe_mask) as usize
     }
 
     /// Whether `r`'s segment still holds its storage (open or sealed, not
@@ -715,19 +812,24 @@ impl LineageArena {
         // thread holds — no nesting, no deadlock.
         let meta = self.build_meta(node);
         let mut stripe = self.stripes[sid].write().expect("arena stripe poisoned");
-        if let Some(&r) = stripe.get(&node) {
-            if self.is_live(r) {
-                return r; // raced with another writer
+        // One probe: the entry either holds a racing writer's live copy,
+        // a dead handle to overwrite, or nothing.
+        match stripe.entry(node) {
+            Entry::Occupied(mut e) => {
+                if self.is_live(*e.get()) {
+                    return *e.get(); // raced with another writer
+                }
+                let r = self.append(meta);
+                e.insert(r);
+                r
             }
+            Entry::Vacant(e) => *e.insert(self.append(meta)),
         }
-        let r = self.append(meta);
-        stripe.insert(node, r);
-        r
     }
 
     /// Claims a slot in the open segment (atomic bump) and publishes the
-    /// node. Lock-free except for chunk allocation (once per
-    /// `FIRST_CHUNK << c` appends) and capacity rolls.
+    /// node. Lock-free except for chunk allocation (once per chunk's
+    /// worth of appends) and capacity rolls.
     fn append(&self, mut meta: NodeMeta) -> LineageRef {
         loop {
             let seg_id = self.open.load(Ordering::Acquire);
@@ -741,15 +843,11 @@ impl LineageArena {
             }
             meta.min_seg = meta.min_seg.min(seg_id);
             let (c, off) = chunk_of(slot);
-            {
-                let chunks = seg.chunks.read().expect("segment chunks poisoned");
-                if let Some(chunk) = chunks.get(c) {
-                    chunk.slots[off]
-                        .set(meta)
-                        .unwrap_or_else(|_| unreachable!("slot claimed twice"));
-                    self.total_interned.fetch_add(1, Ordering::Relaxed);
-                    return LineageRef::encode(seg_id, slot);
-                }
+            if let Some(cell) = seg.read_chunks().slot(slot) {
+                cell.set(meta)
+                    .unwrap_or_else(|_| unreachable!("slot claimed twice"));
+                self.total_interned.fetch_add(1, Ordering::Relaxed);
+                return LineageRef::encode(seg_id, slot);
             }
             // Slow path: allocate the missing chunk(s), then publish.
             {
@@ -762,11 +860,11 @@ impl LineageArena {
                     continue;
                 }
                 assert!(c < MAX_CHUNKS, "slot {slot} beyond segment chunk bound");
-                while chunks.len() <= c {
-                    let next = chunks.len();
+                while chunks.chunks().len() <= c {
+                    let next = chunks.chunks().len();
                     chunks.push(Chunk::new(chunk_capacity(next)));
                 }
-                chunks[c].slots[off]
+                chunks.chunks()[c].slots[off]
                     .set(meta)
                     .unwrap_or_else(|_| unreachable!("slot claimed twice"));
             }
@@ -882,7 +980,7 @@ impl LineageArena {
         }
         Ok(RetiredStorage {
             nodes,
-            chunks: freed.len(),
+            chunks: freed.chunks().len(),
             interior,
         })
     }
@@ -935,7 +1033,7 @@ impl LineageArena {
         let pin = self.try_pin(id).ok()?;
         let seg = self.segment(id.0);
         let len = seg.nodes();
-        let chunks = seg.chunks.read().expect("segment chunks poisoned").clone();
+        let chunks = seg.read_chunks().clone();
         Some(SegmentSnapshot {
             _pin: pin,
             chunks,
@@ -948,88 +1046,99 @@ impl LineageArena {
     /// retirement.
     #[inline]
     fn with_meta<T>(&self, r: LineageRef, f: impl FnOnce(&NodeMeta) -> T) -> T {
-        let seg = self
-            .segment_if_opened(r.segment().0)
-            .unwrap_or_else(|| panic!("lineage ref {r:?} from a foreign arena"));
-        let (c, off) = chunk_of(r.slot());
-        let chunks = seg.chunks.read().expect("segment chunks poisoned");
-        let chunk = chunks.get(c).unwrap_or_else(|| {
-            panic!(
-                "lineage use-after-retire: {:?} in retired segment {}",
-                r,
-                r.segment()
-            )
-        });
-        let meta = chunk.slots[off].get().expect("read of unpublished slot");
-        f(meta)
+        f(meta_in(&self.segment_of(r).read_chunks(), r))
+    }
+
+    /// Reads two nodes' metadata at once, without copying either. Children
+    /// in one segment share one read lock; otherwise the two segments are
+    /// locked in ascending id order, so readers that wait on a queued
+    /// chunk allocation can never wait on each other in a cycle.
+    fn with_meta_pair<T>(
+        &self,
+        a: LineageRef,
+        b: LineageRef,
+        f: impl FnOnce(&NodeMeta, &NodeMeta) -> T,
+    ) -> T {
+        if a.segment() == b.segment() {
+            let chunks = self.segment_of(a).read_chunks();
+            f(meta_in(&chunks, a), meta_in(&chunks, b))
+        } else if a.segment() < b.segment() {
+            self.with_meta(a, |am| self.with_meta(b, |bm| f(am, bm)))
+        } else {
+            self.with_meta(b, |bm| self.with_meta(a, |am| f(am, bm)))
+        }
+    }
+
+    /// The segment holding `r`, which must belong to this arena.
+    #[inline]
+    fn segment_of(&self, r: LineageRef) -> &Segment {
+        self.segment_if_opened(r.segment().0)
+            .unwrap_or_else(|| panic!("lineage ref {r:?} from a foreign arena"))
     }
 
     /// Computes metadata for a node whose children are already interned.
+    /// Nothing is allocated unless the node has 3 to `VAR_LIST_CAP`
+    /// distinct variables of its own (a `Not` shares its child's list).
     fn build_meta(&self, node: LineageNode) -> NodeMeta {
         match node {
             LineageNode::Var(id) => NodeMeta {
                 node,
                 size: 1,
                 occurrences: 1,
-                var_lo: id,
-                var_hi: id,
+                range: [id, id],
                 min_seg: u32::MAX, // clamped to the owning segment on append
                 one_of: true,
-                vars: Some(Arc::from([id].as_slice())),
+                list: None,
             },
-            LineageNode::Not(c) => {
-                let cm = self.with_meta(c, NodeMeta::clone);
-                NodeMeta {
-                    node,
-                    size: cm.size.saturating_add(1),
-                    occurrences: cm.occurrences,
-                    var_lo: cm.var_lo,
-                    var_hi: cm.var_hi,
-                    min_seg: cm.min_seg.min(c.segment().0),
-                    one_of: cm.one_of,
-                    vars: cm.vars,
-                }
-            }
+            LineageNode::Not(c) => self.with_meta(c, |cm| NodeMeta {
+                node,
+                size: cm.size.saturating_add(1),
+                occurrences: cm.occurrences,
+                range: cm.range,
+                min_seg: cm.min_seg.min(c.segment().0),
+                one_of: cm.one_of,
+                list: cm.list.clone(),
+            }),
             LineageNode::And(a, b) | LineageNode::Or(a, b) => {
-                let am = self.with_meta(a, NodeMeta::clone);
-                let bm = self.with_meta(b, NodeMeta::clone);
-                let occurrences = am.occurrences.saturating_add(bm.occurrences);
-                let ranges_disjoint = am.var_hi < bm.var_lo || bm.var_hi < am.var_lo;
-                let vars = if occurrences as usize <= VAR_LIST_CAP {
-                    // Both children are below the cap too, so their lists
-                    // are present: merge exactly.
-                    let (av, bv) = (
-                        am.vars.as_ref().expect("child below cap has list"),
-                        bm.vars.as_ref().expect("child below cap has list"),
-                    );
-                    Some(merge_sorted(av, bv))
-                } else {
-                    None
-                };
-                let disjoint = if ranges_disjoint {
-                    true
-                } else {
-                    match (&am.vars, &bm.vars) {
-                        (Some(av), Some(bv)) => sorted_disjoint(av, bv),
-                        // Conservative: a huge overlapping-range pair is
-                        // treated as sharing a variable (invariant 3).
-                        _ => false,
+                self.with_meta_pair(a, b, |am, bm| {
+                    let occurrences = am.occurrences.saturating_add(bm.occurrences);
+                    let ([a_lo, a_hi], [b_lo, b_hi]) = (am.range, bm.range);
+                    let (av, bv) = (am.vars(), bm.vars());
+                    let disjoint = a_hi < b_lo
+                        || b_hi < a_lo
+                        || match (av, bv) {
+                            (Some(av), Some(bv)) => sorted_disjoint(av, bv),
+                            // Conservative: a huge overlapping-range pair is
+                            // treated as sharing a variable (invariant 3).
+                            _ => false,
+                        };
+                    let list = if occurrences <= VAR_LIST_CAP as u64 {
+                        // Both children are below the cap too, so their sets
+                        // are known: merge exactly on the stack.
+                        let (av, bv) = (
+                            av.expect("child below cap has a var set"),
+                            bv.expect("child below cap has a var set"),
+                        );
+                        let mut merged = [TupleId(0); VAR_LIST_CAP];
+                        let n = merge_sorted(av, bv, &mut merged);
+                        (n > 2).then(|| Arc::from(&merged[..n]))
+                    } else {
+                        None
+                    };
+                    NodeMeta {
+                        node,
+                        size: am.size.saturating_add(bm.size).saturating_add(1),
+                        occurrences,
+                        range: [a_lo.min(b_lo), a_hi.max(b_hi)],
+                        min_seg: am
+                            .min_seg
+                            .min(bm.min_seg)
+                            .min(a.segment().0)
+                            .min(b.segment().0),
+                        one_of: am.one_of && bm.one_of && disjoint,
+                        list,
                     }
-                };
-                NodeMeta {
-                    node,
-                    size: am.size.saturating_add(bm.size).saturating_add(1),
-                    occurrences,
-                    var_lo: am.var_lo.min(bm.var_lo),
-                    var_hi: am.var_hi.max(bm.var_hi),
-                    min_seg: am
-                        .min_seg
-                        .min(bm.min_seg)
-                        .min(a.segment().0)
-                        .min(b.segment().0),
-                    one_of: am.one_of && bm.one_of && disjoint,
-                    vars,
-                }
+                })
             }
         }
     }
@@ -1054,14 +1163,15 @@ impl LineageArena {
         self.with_meta(r, |m| m.one_of)
     }
 
-    /// The exact distinct-variable list, when stored.
-    pub(crate) fn var_list(&self, r: LineageRef) -> Option<Arc<[TupleId]>> {
-        self.with_meta(r, |m| m.vars.clone())
+    /// Runs `f` on the exact sorted distinct-variable set, when known
+    /// (borrowed from the node, never allocated).
+    pub(crate) fn var_list<T>(&self, r: LineageRef, f: impl FnOnce(Option<&[TupleId]>) -> T) -> T {
+        self.with_meta(r, |m| f(m.vars()))
     }
 
     /// The `[lo, hi]` variable range summary.
     pub fn var_range(&self, r: LineageRef) -> (TupleId, TupleId) {
-        self.with_meta(r, |m| (m.var_lo, m.var_hi))
+        self.with_meta(r, |m| (m.range[0], m.range[1]))
     }
 
     /// The smallest segment reachable from `r`'s sub-DAG: every segment a
@@ -1074,9 +1184,9 @@ impl LineageArena {
     /// Whether `var` can occur in the formula (exact when the list is
     /// stored, range-approximate otherwise — false negatives impossible).
     pub(crate) fn may_contain(&self, r: LineageRef, var: TupleId) -> bool {
-        self.with_meta(r, |m| match &m.vars {
+        self.with_meta(r, |m| match m.vars() {
             Some(list) => list.binary_search(&var).is_ok(),
-            None => m.var_lo <= var && var <= m.var_hi,
+            None => m.range[0] <= var && var <= m.range[1],
         })
     }
 
@@ -1120,9 +1230,8 @@ impl LineageArena {
     }
 
     /// Resident bytes of chunk slot storage alone, skipping the per-node
-    /// variable-list walk of [`LineageArena::stats`]. O(live segments)
-    /// with logarithmically many chunks each — cheap enough to publish as
-    /// a gauge on every seal/retire.
+    /// variable-list walk of [`LineageArena::stats`]. O(live segments) —
+    /// cheap enough to publish as a gauge on every seal/retire.
     pub fn resident_chunk_bytes(&self) -> usize {
         let open = self.open.load(Ordering::Acquire);
         let mut bytes = 0usize;
@@ -1131,10 +1240,8 @@ impl LineageArena {
             if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
                 continue;
             }
-            let chunks = seg.chunks.read().expect("segment chunks poisoned");
-            for c in 0..chunks.len() {
-                bytes += chunk_capacity(c) * std::mem::size_of::<OnceLock<NodeMeta>>();
-            }
+            bytes += chunk_start(seg.read_chunks().chunks().len())
+                * std::mem::size_of::<OnceLock<NodeMeta>>();
         }
         bytes
     }
@@ -1169,18 +1276,20 @@ impl LineageArena {
                 continue;
             }
             let live = seg.nodes() as usize;
-            let chunks = seg.chunks.read().expect("segment chunks poisoned");
-            for (c, chunk) in chunks.iter().enumerate() {
+            let chunks = seg.read_chunks();
+            for (c, chunk) in chunks.chunks().iter().enumerate() {
                 resident_bytes += chunk_capacity(c) * std::mem::size_of::<OnceLock<NodeMeta>>();
-                let start = (FIRST_CHUNK as usize) * ((1usize << c) - 1);
+                let start = chunk_start(c);
                 for off in 0..chunk.slots.len() {
                     if start + off >= live {
                         break;
                     }
                     if let Some(m) = chunk.slots[off].get() {
-                        if let Some(v) = &m.vars {
+                        if m.vars().is_some() {
                             with_var_list += 1;
-                            resident_bytes += v.len() * std::mem::size_of::<TupleId>();
+                        }
+                        if let Some(list) = &m.list {
+                            resident_bytes += list.len() * std::mem::size_of::<TupleId>();
                         }
                     }
                 }
@@ -1222,7 +1331,7 @@ impl Drop for SegmentPin<'_> {
 /// [`LineageArena::snapshot_segment`].
 pub(crate) struct SegmentSnapshot<'a> {
     _pin: SegmentPin<'a>,
-    chunks: Vec<Arc<Chunk>>,
+    chunks: ChunkList,
     len: u32,
 }
 
@@ -1238,8 +1347,7 @@ impl SegmentSnapshot<'_> {
     /// after our length read — never the case for sealed segments).
     #[inline]
     pub(crate) fn node_at(&self, slot: u32) -> Option<(LineageNode, bool)> {
-        let (c, off) = chunk_of(slot);
-        let meta = self.chunks.get(c)?.slots.get(off)?.get()?;
+        let meta = self.chunks.slot(slot)?.get()?;
         Some((meta.node, meta.one_of))
     }
 }
@@ -1248,7 +1356,7 @@ impl SegmentSnapshot<'_> {
 /// list snapshot.
 struct ViewSegment<'a> {
     _pin: SegmentPin<'a>,
-    chunks: Vec<Arc<Chunk>>,
+    chunks: ChunkList,
 }
 
 /// Pinned, lock-free read access to the arena for traversal loops; see
@@ -1271,33 +1379,20 @@ impl ArenaView<'_> {
     #[inline]
     fn with_meta<T>(&self, r: LineageRef, f: impl FnOnce(&NodeMeta) -> T) -> T {
         let seg_id = r.segment().0;
-        let (c, off) = chunk_of(r.slot());
         let mut segments = self.segments.borrow_mut();
         let entry = segments.entry(seg_id).or_insert_with(|| {
             let pin = self.arena.pin(r.segment());
-            let chunks = self
-                .arena
-                .segment(seg_id)
-                .chunks
-                .read()
-                .expect("segment chunks poisoned")
-                .clone();
+            let chunks = self.arena.segment(seg_id).read_chunks().clone();
             ViewSegment { _pin: pin, chunks }
         });
-        if let Some(meta) = entry.chunks.get(c).and_then(|chunk| chunk.slots[off].get()) {
+        if let Some(meta) = entry.chunks.slot(r.slot()).and_then(OnceLock::get) {
             return f(meta);
         }
-        entry.chunks = self
-            .arena
-            .segment(seg_id)
-            .chunks
-            .read()
-            .expect("segment chunks poisoned")
-            .clone();
+        entry.chunks = self.arena.segment(seg_id).read_chunks().clone();
         let meta = entry
             .chunks
-            .get(c)
-            .and_then(|chunk| chunk.slots[off].get())
+            .slot(r.slot())
+            .and_then(OnceLock::get)
             .unwrap_or_else(|| panic!("read of unpublished slot {r:?}"));
         f(meta)
     }
@@ -1314,36 +1409,46 @@ impl ArenaView<'_> {
         self.with_meta(r, |m| m.one_of)
     }
 
-    /// The node's exact distinct-variable list, when stored (Arc clone).
+    /// Runs `f` on the node's exact sorted distinct-variable set, when
+    /// known (borrowed, never allocated).
     #[inline]
-    pub fn var_list(&self, r: LineageRef) -> Option<Arc<[TupleId]>> {
-        self.with_meta(r, |m| m.vars.clone())
+    pub fn var_list<T>(&self, r: LineageRef, f: impl FnOnce(Option<&[TupleId]>) -> T) -> T {
+        self.with_meta(r, |m| f(m.vars()))
     }
 }
 
-fn merge_sorted(a: &[TupleId], b: &[TupleId]) -> Arc<[TupleId]> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
+/// `r`'s published metadata in its segment's chunk list.
+#[inline]
+fn meta_in(chunks: &ChunkList, r: LineageRef) -> &NodeMeta {
+    chunks
+        .slot(r.slot())
+        .unwrap_or_else(|| {
+            panic!(
+                "lineage use-after-retire: {:?} in retired segment {}",
+                r,
+                r.segment()
+            )
+        })
+        .get()
+        .expect("read of unpublished slot")
+}
+
+/// Merges two sorted sets into `out` (which holds at least the union),
+/// returning the union's length.
+fn merge_sorted(a: &[TupleId], b: &[TupleId], out: &mut [TupleId]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out[n] = x.min(y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        n += 1;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    Arc::from(out)
+    for &v in a[i..].iter().chain(&b[j..]) {
+        out[n] = v;
+        n += 1;
+    }
+    n
 }
 
 fn sorted_disjoint(a: &[TupleId], b: &[TupleId]) -> bool {
@@ -1390,10 +1495,9 @@ mod tests {
         let rep = arena.intern(LineageNode::Or(and, a));
         assert_eq!(arena.occurrences(rep), 3);
         assert!(!arena.one_of(rep));
-        assert_eq!(
-            arena.var_list(rep).unwrap().as_ref(),
-            &[TupleId(910_000), TupleId(910_001)]
-        );
+        arena.var_list(rep, |list| {
+            assert_eq!(list, Some(&[TupleId(910_000), TupleId(910_001)][..]));
+        });
     }
 
     #[test]
@@ -1404,7 +1508,7 @@ mod tests {
             let v = var(920_000 + i);
             acc = arena.intern(LineageNode::Or(acc, v));
         }
-        assert!(arena.var_list(acc).is_none());
+        assert!(arena.var_list(acc, |list| list.is_none()));
         // Disjoint-range composition keeps exact 1OF tracking even without
         // the list.
         assert!(arena.one_of(acc));
@@ -1471,19 +1575,72 @@ mod tests {
         assert_eq!(chunk_of(0), (0, 0));
         assert_eq!(chunk_of(FIRST_CHUNK - 1), (0, FIRST_CHUNK as usize - 1));
         assert_eq!(chunk_of(FIRST_CHUNK), (1, 0));
+        assert_eq!(chunk_of(GEO_END), (GEO_CHUNKS as usize, 0));
         assert_eq!(
-            chunk_of(3 * FIRST_CHUNK - 1),
-            (1, 2 * FIRST_CHUNK as usize - 1)
+            chunk_capacity(GEO_CHUNKS as usize - 1),
+            FLAT_CHUNK as usize / 2
         );
-        assert_eq!(chunk_of(3 * FIRST_CHUNK), (2, 0));
-        // Every slot maps into a chunk within bounds.
-        for slot in (0..100_000u32).step_by(97) {
-            let (c, off) = chunk_of(slot);
-            assert!(off < chunk_capacity(c), "slot {slot}");
-            assert!(c < MAX_CHUNKS || slot >= SEG_CAP);
+        // Every chunk boundary up to `SEG_CAP - 1`: the chunk's first slot
+        // maps to offset 0 of it, the slot before to the last offset of
+        // the previous chunk, and the chunks tile the segment.
+        let last = chunk_of(SEG_CAP - 1).0;
+        assert_eq!(last + 1, MAX_CHUNKS);
+        for c in 0..=last {
+            let start = chunk_start(c);
+            assert_eq!(chunk_of(start as u32), (c, 0), "chunk {c}");
+            if c > 0 {
+                assert_eq!(
+                    chunk_of(start as u32 - 1),
+                    (c - 1, chunk_capacity(c - 1) - 1),
+                    "chunk {c}"
+                );
+                assert_eq!(chunk_start(c - 1) + chunk_capacity(c - 1), start);
+            }
         }
-        let (c, _) = chunk_of(SEG_CAP - 1);
-        assert!(c < MAX_CHUNKS);
+        assert!(chunk_start(last) + chunk_capacity(last) >= SEG_CAP as usize);
+        // Slack: a segment of `n` slots allocates fewer than `n` slots
+        // plus one flat chunk.
+        for n in (1..3_000_000u32)
+            .step_by(997)
+            .chain([GEO_END, GEO_END + 1, SEG_CAP])
+        {
+            let chunks = chunk_of(n - 1).0 + 1;
+            let allocated: usize = (0..chunks).map(chunk_capacity).sum();
+            assert!(allocated < n as usize + FLAT_CHUNK as usize, "n {n}");
+        }
+    }
+
+    /// The dedup stripe must not be chosen from the top hash bits: each
+    /// stripe's table takes its 7-bit hashbrown tag from there, and with
+    /// the stripe in bits 60..64 every key of a stripe shared 4 of its 7
+    /// tag bits, so a stripe's keys took only 8 of the 128 tags and each
+    /// probe compared about 16x more keys.
+    #[test]
+    fn stripes_leave_the_hashbrown_tag_free() {
+        let arena = LineageArena::with_shards(MAX_SHARDS);
+        // Every pair of 320 variables: 51 040 distinct `And` nodes.
+        let vars: Vec<LineageRef> = (0..320u64)
+            .map(|i| arena.intern(LineageNode::Var(TupleId(i))))
+            .collect();
+        for (i, &a) in vars.iter().enumerate() {
+            for &b in &vars[i + 1..] {
+                arena.intern(LineageNode::And(a, b));
+            }
+        }
+        let mut ands = 0;
+        for stripe in arena.stripes.iter() {
+            let stripe = stripe.read().unwrap();
+            let mut tags = [false; 128];
+            for node in stripe.keys() {
+                let mut h = FastHasher::default();
+                node.hash(&mut h);
+                tags[(h.finish() >> 57) as usize] = true;
+                ands += usize::from(matches!(node, LineageNode::And(..)));
+            }
+            let distinct = tags.iter().filter(|&&t| t).count();
+            assert!(distinct >= 100, "stripe keys take {distinct} of 128 tags");
+        }
+        assert!(ands >= 50_000, "{ands} And nodes");
     }
 
     #[test]
@@ -1632,6 +1789,7 @@ mod tests {
         // The last chunk must cover SEG_CAP.
         let total: usize = (0..MAX_CHUNKS).map(chunk_capacity).sum();
         assert!(total >= SEG_CAP as usize);
+        const { assert!(GEO_END < FLAT_CHUNK) };
         const { assert!(DIR_CHUNK * DIR_SLOTS >= 4_000_000) };
     }
 

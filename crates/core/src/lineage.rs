@@ -169,8 +169,10 @@ impl Lineage {
     /// Collects the distinct variables of the formula, in ascending order.
     pub fn vars(&self) -> BTreeSet<TupleId> {
         with_arena(|arena| {
-            if let Some(list) = arena.var_list(self.0) {
-                return list.iter().copied().collect();
+            if let Some(set) =
+                arena.var_list(self.0, |list| list.map(|l| l.iter().copied().collect()))
+            {
+                return set;
             }
             // DAG traversal with a visited set: shared subformulas are
             // walked once, so this is linear in the number of unique nodes;
@@ -184,8 +186,9 @@ impl Lineage {
                 if !seen.insert(r) {
                     continue;
                 }
-                if let Some(list) = view.var_list(r) {
-                    out.extend(list.iter().copied());
+                if view.var_list(r, |list| {
+                    list.map(|l| out.extend(l.iter().copied())).is_some()
+                }) {
                     continue;
                 }
                 match view.node(r) {

@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use tpdb::core::arena::VAR_LIST_CAP;
 use tpdb::prelude::*;
 
 /// Random formula over `vars` variables with ids offset by `base` (distinct
@@ -212,4 +213,195 @@ fn query_lineage_valuation_matches_tree_on_real_operations() {
             }
         }
     }
+}
+
+/// A random formula with exactly `occ` variable occurrences, each drawn by
+/// `pick`, with `Not`s sprinkled in (they add no occurrences).
+fn formula_with_occurrences(
+    rng: &mut StdRng,
+    occ: usize,
+    pick: &mut impl FnMut(&mut StdRng) -> u64,
+) -> Lineage {
+    let f = if occ == 1 {
+        Lineage::var(TupleId(pick(rng)))
+    } else {
+        let left = rng.random_range(1..occ);
+        let a = formula_with_occurrences(rng, left, pick);
+        let b = formula_with_occurrences(rng, occ - left, pick);
+        if rng.random_bool(0.5) {
+            Lineage::and(&a, &b)
+        } else {
+            Lineage::or(&a, &b)
+        }
+    };
+    if rng.random_bool(0.2) {
+        f.negate()
+    } else {
+        f
+    }
+}
+
+/// Every metadata answer of `l` against the tree reference, plus
+/// `condition` on its extreme variables, one inner one and one absent
+/// variable inside its range.
+fn assert_metadata_matches_tree(l: &Lineage, rng: &mut StdRng, ctx: &str) {
+    let tree = l.to_tree();
+    let vars: Vec<TupleId> = tree.vars().into_iter().collect();
+    assert_eq!(l.vars(), tree.vars(), "{ctx}: variable sets differ");
+    assert_eq!(
+        l.var_occurrences(),
+        tree.var_occurrences(),
+        "{ctx}: occurrences"
+    );
+    assert_eq!(l.size(), tree.size(), "{ctx}: sizes differ");
+    assert_eq!(
+        l.is_one_occurrence_form(),
+        tree.is_one_occurrence_form(),
+        "{ctx}: 1OF flags differ"
+    );
+    let (lo, hi) = (vars[0], vars[vars.len() - 1]);
+    let inner = vars[rng.random_range(0..vars.len())];
+    let absent = (lo.0..=hi.0)
+        .map(TupleId)
+        .find(|v| vars.binary_search(v).is_err())
+        .unwrap_or(TupleId(hi.0 + 1));
+    for v in [lo, hi, inner, absent] {
+        for value in [false, true] {
+            assert_eq!(
+                l.condition(v, value).map(|c| c.to_tree()),
+                tree.condition(v, value),
+                "{ctx}: condition({v}, {value}) differs"
+            );
+        }
+    }
+}
+
+/// Distinct nodes reachable from `roots` whose exact variable set the arena
+/// keeps: those with at most `VAR_LIST_CAP` occurrences.
+fn nodes_with_var_set(roots: &[Lineage]) -> usize {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack: Vec<Lineage> = roots.to_vec();
+    let mut count = 0;
+    while let Some(l) = stack.pop() {
+        if !seen.insert(l.node_ref()) {
+            continue;
+        }
+        count += usize::from(l.var_occurrences() <= VAR_LIST_CAP);
+        match l.kind() {
+            LineageKind::Var(_) => {}
+            LineageKind::Not(c) => stack.push(c),
+            LineageKind::And(a, b) | LineageKind::Or(a, b) => stack.extend([a, b]),
+        }
+    }
+    count
+}
+
+/// Builds formulas at the edges of the arena's metadata layout in a private
+/// arena: exactly 1, 2 and 3 distinct variables (the inline pair / heap
+/// list boundary), each also negated, and 127 to 130 occurrences (the
+/// `VAR_LIST_CAP` boundary), then checks every one against the tree. The
+/// root of a cap-straddling formula splits into two children of at most
+/// `VAR_LIST_CAP` occurrences each, where the 1OF flag is exact
+/// (invariant 3), so it is compared for equality too. With `seal`, each
+/// case seals the arena between its first and second half, so children
+/// and parents spread over two segments. `stats().with_var_list` must
+/// count exactly the nodes with at most `VAR_LIST_CAP` occurrences.
+fn metadata_boundaries_agree_with_tree(seed: u64, cases: u64, max_small_occ: usize, seal: bool) {
+    let arena = LineageArena::shared(4);
+    let _scope = LineageArena::enter(&arena);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut built: Vec<(Lineage, String)> = Vec::new();
+    for case in 0..cases {
+        let base = 1_000 + (case % 64) * 1_000;
+        if case % 2 == 0 {
+            // 1, 2 or 3 distinct variables with gaps, so a set is never
+            // its range.
+            let k = (case / 2 % 3 + 1) as usize;
+            let mut ids: Vec<u64> = Vec::new();
+            while ids.len() < k {
+                let id = base + rng.random_range(0..40u64);
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            let l = loop {
+                let occ = rng.random_range(k..=max_small_occ.max(k));
+                let half = occ / 2;
+                let mut pick = |r: &mut StdRng| ids[r.random_range(0..k)];
+                let first = formula_with_occurrences(&mut rng, half.max(1), &mut pick);
+                if seal {
+                    arena.seal();
+                }
+                let l = if occ > 1 {
+                    let second = formula_with_occurrences(&mut rng, occ - half, &mut pick);
+                    Lineage::or(&first, &second)
+                } else {
+                    first
+                };
+                if l.to_tree().vars().len() == k {
+                    break l;
+                }
+                built.push((l, format!("case {case}: rejected candidate")));
+            };
+            built.push((l, format!("case {case}: {k} vars, {l}")));
+            built.push((l.negate(), format!("case {case}: ¬({k} vars)")));
+        } else {
+            let occ = 127 + (case / 2 % 4) as usize;
+            // Either each variable once in shuffled order (1OF, interleaved
+            // ranges) or draws with repetition from a pool of some size.
+            let mut pool: Vec<u64> = match rng.random_range(0..4u32) {
+                0 => (0..occ as u64).map(|i| base + 3 * i).collect(),
+                n => (0..[2u64, 40, 300][n as usize - 1])
+                    .map(|i| base + 3 * i)
+                    .collect(),
+            };
+            for i in (1..pool.len()).rev() {
+                pool.swap(i, rng.random_range(0..=i));
+            }
+            let distinct = pool.len() == occ;
+            let mut next = 0;
+            let mut pick = |r: &mut StdRng| {
+                if distinct {
+                    next += 1;
+                    pool[next - 1]
+                } else {
+                    pool[r.random_range(0..pool.len())]
+                }
+            };
+            let left =
+                rng.random_range(occ - VAR_LIST_CAP.min(occ - 1)..=VAR_LIST_CAP.min(occ - 1));
+            let a = formula_with_occurrences(&mut rng, left, &mut pick);
+            if seal {
+                arena.seal();
+            }
+            let b = formula_with_occurrences(&mut rng, occ - left, &mut pick);
+            let l = if rng.random_bool(0.5) {
+                Lineage::and(&a, &b)
+            } else {
+                Lineage::or(&a, &b)
+            };
+            built.push((l, format!("case {case}: {occ} occurrences")));
+            built.push((l.negate(), format!("case {case}: ¬({occ} occurrences)")));
+        }
+    }
+    // Before any `condition` call interns its results.
+    let roots: Vec<Lineage> = built.iter().map(|(l, _)| *l).collect();
+    assert_eq!(arena.stats().with_var_list, nodes_with_var_set(&roots));
+    for (l, ctx) in &built {
+        assert_metadata_matches_tree(l, &mut rng, ctx);
+    }
+}
+
+#[test]
+fn arena_metadata_boundaries_agree_with_legacy_tree() {
+    metadata_boundaries_agree_with_tree(0xA12E_4A07, 240, 6, false);
+}
+
+/// The release soak of the boundary property: 10 000 cases, formulas of up
+/// to 16 occurrences over 1 to 3 variables, and a seal inside every case.
+/// Run with `cargo test --release --test arena_props -- --ignored`.
+#[test]
+#[ignore = "release soak; run with --ignored"]
+fn arena_metadata_boundaries_soak() {
+    metadata_boundaries_agree_with_tree(0xA12E_4A08, 10_000, 16, true);
 }
