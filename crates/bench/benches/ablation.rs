@@ -134,28 +134,11 @@ fn bench_window_advance(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/parallel_union");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    let mut vars = VarTable::new();
-    let (r, s) = tp_workloads::synth::generate(&SynthConfig::with_facts(100_000, 64, 3), &mut vars);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| tp_core::ops::apply_parallel(tp_core::ops::SetOp::Union, &r, &s, t).len())
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sort_vs_presorted,
     bench_oip_granules,
     bench_prob_methods,
-    bench_window_advance,
-    bench_parallel_ops
+    bench_window_advance
 );
 criterion_main!(benches);

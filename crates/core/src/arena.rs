@@ -28,7 +28,7 @@
 //! in chunks that double from 256 slots up to a flat size and then stay
 //! flat, so a large segment over-allocates at most one chunk.
 //! [`LineageArena::retire`] reclaims a sealed segment's storage once the
-//! caller — in practice the streaming engine's epoch executor — has proven
+//! caller — in practice a reclaiming streaming engine — has proven
 //! that no live window, cached marginal or BDD memo references it.
 //! Segment ids are never reused, so a stale ref can always be *detected*:
 //! any access to a retired segment panics ("use-after-retire"), and memo
@@ -94,15 +94,6 @@
 //! its seal/retire schedule cannot invalidate anybody else's handles;
 //! refs are arena-relative and must not escape their scope un-materialized
 //! (convert with `Lineage::to_tree` at the boundary).
-//!
-//! ## Epoch stamps
-//!
-//! [`LineageArena::stamp`] snapshots the `(open segment, length)`
-//! high-water mark; [`ArenaStamp::contains`] answers "was this node
-//! interned before the stamp?" in O(1) by lexicographic compare.
-//! [`crate::relation::VarTable::release_marginals_after`] uses stamps to
-//! drop cached marginals of nodes interned during a finalized streaming
-//! epoch (see `docs/streaming.md`).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -601,46 +592,6 @@ pub struct ArenaStats {
     pub with_var_list: usize,
 }
 
-/// A snapshot of the arena's `(open segment, length)` high-water mark,
-/// taken with [`LineageArena::stamp`]. Answers "was this ref interned
-/// before the stamp?" in O(1) — the epoch boundary primitive of the
-/// streaming engine.
-///
-/// Stamps taken while other threads intern concurrently are *approximate*
-/// (a slot may be claimed but not yet published); every consumer treats
-/// membership as a performance hint, never a correctness property.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArenaStamp {
-    seg: u32,
-    len: u32,
-    total: u64,
-}
-
-impl ArenaStamp {
-    /// Whether `r` was interned before this stamp was taken.
-    #[inline]
-    pub fn contains(&self, r: LineageRef) -> bool {
-        (r.segment().0, r.slot()) < (self.seg, self.len)
-    }
-
-    /// Total nodes interned when the stamp was taken (including nodes
-    /// whose storage has since been retired).
-    pub fn nodes(&self) -> usize {
-        self.total as usize
-    }
-
-    /// The open segment at stamp time (used by segment-aware caches to
-    /// split "before" from "after" per segment).
-    pub fn segment(&self) -> SegmentId {
-        SegmentId(self.seg)
-    }
-
-    /// The open segment's claimed length at stamp time.
-    pub fn segment_len(&self) -> u32 {
-        self.len
-    }
-}
-
 static GLOBAL: OnceLock<LineageArena> = OnceLock::new();
 
 thread_local! {
@@ -736,13 +687,6 @@ impl LineageArena {
                 None => f(LineageArena::global()),
             }
         })
-    }
-
-    /// This thread's current private arena, if one is entered (`None`
-    /// means the global arena). Worker threads do not inherit the scope —
-    /// propagate it by cloning this handle and entering it in the worker.
-    pub fn current_shared() -> Option<Arc<LineageArena>> {
-        CURRENT.with(|c| c.borrow().last().cloned())
     }
 
     /// Number of dedup lock stripes.
@@ -1202,19 +1146,6 @@ impl LineageArena {
         }
     }
 
-    /// The `(open segment, length)` high-water mark right now — the epoch
-    /// boundary primitive (see the module docs and [`ArenaStamp`]).
-    pub fn stamp(&self) -> ArenaStamp {
-        loop {
-            let seg = self.open.load(Ordering::Acquire);
-            let len = self.segment(seg).nodes();
-            let total = self.total_interned.load(Ordering::Relaxed);
-            if self.open.load(Ordering::Acquire) == seg {
-                return ArenaStamp { seg, len, total };
-            }
-        }
-    }
-
     /// Live (resident, non-retired) node count from the monotone atomics —
     /// O(1), cheap enough for per-advance gauges.
     pub fn live_nodes(&self) -> u64 {
@@ -1557,20 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn stamp_separates_old_from_new_nodes() {
-        let arena = LineageArena::global();
-        let old = var(950_000);
-        let stamp = arena.stamp();
-        assert!(stamp.contains(old));
-        let new = var(950_001);
-        let composite = arena.intern(LineageNode::And(old, new));
-        assert!(!stamp.contains(new));
-        assert!(!stamp.contains(composite));
-        assert!(arena.stamp().contains(composite));
-        assert!(stamp.nodes() <= arena.stamp().nodes());
-    }
-
-    #[test]
     fn chunk_addressing_is_dense_and_geometric() {
         assert_eq!(chunk_of(0), (0, 0));
         assert_eq!(chunk_of(FIRST_CHUNK - 1), (0, FIRST_CHUNK as usize - 1));
@@ -1774,9 +1691,10 @@ mod tests {
             );
             assert_eq!(l.size(), 3);
             assert_eq!(private.stats().nodes, 3);
-            assert!(LineageArena::current_shared().is_some());
+            assert_eq!(LineageArena::with_current(|a| a.id()), private.id());
         }
-        assert!(LineageArena::current_shared().is_none());
+        let global_id = LineageArena::global().id();
+        assert_eq!(LineageArena::with_current(|a| a.id()), global_id);
         // Nothing leaked into the global arena from inside the scope.
         // (Other tests intern concurrently into the global arena, so only
         // assert the private count, plus monotonicity globally.)

@@ -63,7 +63,7 @@
 //! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (with memoized valuation cache), catalog |
 //! | [`snapshot`] | §IV | timeslice τᵖₜ + literal Def. 1–3 evaluation (the test oracle) |
 //! | [`window`] | §VI-A, Alg. 1 | lineage-aware temporal window + LAWA (O(1) lineage compare per window) |
-//! | [`ops`] | §V, §VI-B, Alg. 2–4 | `∪Tp`, `∩Tp`, `−Tp`, selection, projection, join, aggregation, parallel driver |
+//! | [`ops`] | §V, §VI-B, Alg. 2–4 | `∪Tp`, `∩Tp`, `−Tp`, selection, projection, join, aggregation |
 //! | [`query`], [`parser`] | §V-B, Def. 4 | TP set queries, 1OF/safety analysis, text parser |
 //! | [`prob`] | §III, §V-B | linear 1OF valuation, exact Shannon expansion, Monte-Carlo — memoized per arena node |
 //! | [`bdd`] | \[24\] | ROBDD compilation of lineage with per-handle compile memo |

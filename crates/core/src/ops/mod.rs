@@ -14,13 +14,11 @@
 
 mod aggregate;
 mod join;
-mod parallel;
 mod project;
 mod select;
 
 pub use aggregate::{expected_count, expected_count_at, CountStep};
 pub use join::{join, join_on_first};
-pub use parallel::apply_parallel;
 pub use project::project;
 pub use select::{select, select_attr_eq};
 

@@ -390,11 +390,11 @@ pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
 /// resident nodes — the common case in a shared arena carrying other
 /// queries' lineage — cost nothing: no dense per-segment column is ever
 /// allocated, storage is packed per reachable block
-/// ([`LaneColumn`]). Interior reclamation holes are skipped; a live root
+/// (`LaneColumn`). Interior reclamation holes are skipped; a live root
 /// never resolves into one.
 ///
 /// The columns are **lane-blocked**: slots are grouped into fixed
-/// [`LANE_COUNT`]-lane `[f64; 8]` blocks with per-block validity masks.
+/// `LANE_COUNT`-lane `[f64; 8]` blocks with per-block validity masks.
 /// Each block valuates in two sub-passes — leaves (`Var`) first, then
 /// interior operators in ascending lane order — over plain fixed-size
 /// arrays, so the inner loops carry no hashing, no recursion, and no

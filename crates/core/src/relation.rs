@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, RwLock};
 
-use crate::arena::{ArenaStamp, FastMap, LineageRef, SegmentId};
+use crate::arena::{FastMap, LineageRef, SegmentId};
 
 /// Entries per cache page (4 KiB of `f64`).
 const CACHE_PAGE_BITS: u32 = 9;
@@ -117,50 +117,6 @@ impl MarginalCache {
         if let Some(dropped) = self.segments.remove(&seg.0) {
             self.filled -= dropped.filled;
         }
-    }
-
-    /// Drops every marginal of a node interned *after* `stamp` (the epoch
-    /// release of `docs/streaming.md`): entries for nodes the stamped epoch
-    /// created are evicted, entries for longer-lived nodes stay. Dropping a
-    /// cached marginal is always sound — it is recomputed on the next
-    /// valuation — so an approximate stamp only costs performance. Whole
-    /// segments beyond the stamp's open segment are dropped in O(1); only
-    /// the boundary segment is scanned.
-    pub fn release_after(&mut self, stamp: &ArenaStamp) {
-        let boundary = stamp.segment().0;
-        let mut dropped = 0usize;
-        self.segments.retain(|&seg, pages| {
-            if seg < boundary {
-                return true;
-            }
-            if seg > boundary {
-                dropped += pages.filled;
-                return false;
-            }
-            // Boundary segment: evict slots at or past the stamped length.
-            let len = stamp.segment_len();
-            let mut evicted = 0usize;
-            pages.pages.retain(|&page_key, page| {
-                let mut live = 0usize;
-                for (off, p) in page.iter_mut().enumerate() {
-                    if p.is_nan() {
-                        continue;
-                    }
-                    let slot = (page_key << CACHE_PAGE_BITS) | off as u32;
-                    if slot < len {
-                        live += 1;
-                    } else {
-                        *p = f64::NAN;
-                        evicted += 1;
-                    }
-                }
-                live > 0
-            });
-            pages.filled -= evicted;
-            dropped += evicted;
-            pages.filled > 0
-        });
-        self.filled -= dropped;
     }
 }
 use crate::error::{Error, Result};
@@ -637,19 +593,6 @@ impl VarTable {
             .lock()
             .expect("cache lock poisoned")
             .clear();
-    }
-
-    /// Drops the memoized marginals of every lineage node interned after
-    /// `stamp` (see [`crate::arena::LineageArena::stamp`]) — the epoch
-    /// lifecycle hook of the streaming engine: once an epoch's deltas are
-    /// finalized and consumed, the marginals of its transient lineage nodes
-    /// are dead weight. Releasing is always sound; a later valuation of a
-    /// released node simply recomputes it.
-    pub fn release_marginals_after(&self, stamp: &ArenaStamp) {
-        self.marginal_cache
-            .lock()
-            .expect("cache lock poisoned")
-            .release_after(stamp);
     }
 
     /// Drops the memoized marginals keyed into arena segment `seg` in O(1)

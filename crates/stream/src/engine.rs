@@ -49,11 +49,6 @@
 //! released, split and swept once per advance it spans
 //! (`released_per_arrival` is unchanged).
 //!
-//! With [`EngineConfig::verify_batch`] the engine additionally re-runs
-//! batch LAWA over the entire closed region after every advance and asserts
-//! tuple-for-tuple equality — the cross-check used by the test-suite
-//! (quadratic; keep it off in production).
-//!
 //! ## Equivalence contract
 //!
 //! For inputs in the model's standard regime — duplicate-free relations
@@ -73,15 +68,14 @@ use tp_core::arena::{ArenaScope, ArenaStats, FastMap, LineageArena, SegmentId, M
 use tp_core::fact::Fact;
 use tp_core::interval::TimePoint;
 use tp_core::lineage::Lineage;
-use tp_core::ops::{self, SetOp};
-use tp_core::relation::{TpRelation, VarEpoch, VarTable};
+use tp_core::ops::SetOp;
+use tp_core::relation::{VarEpoch, VarTable};
 use tp_core::tuple::TpTuple;
-use tp_core::window::{split_at_watermark, split_tuple_at_watermark, Lawa, LineageAwareWindow};
+use tp_core::window::{split_tuple_at_watermark, Lawa, LineageAwareWindow};
 
-use crate::delta::{op_index, CollectingSink, Delta, StreamSink};
+use crate::delta::{op_index, Delta, StreamSink};
 use crate::obs::{
     EngineObs, ObsConfig, StageCursor, STAGE_DRAIN, STAGE_FINALIZE, STAGE_SEAL_RETIRE, STAGE_SWEEP,
-    STAGE_VERIFY,
 };
 use crate::pipeline::{Pipeline, PipelineError};
 
@@ -183,10 +177,6 @@ pub struct EngineConfig {
     pub ops: Vec<SetOp>,
     /// Watermark regime; see [`WatermarkPolicy`].
     pub policy: WatermarkPolicy,
-    /// Re-run batch LAWA over the whole closed region after every advance
-    /// and assert equality (quadratic — tests only; keeping every accepted
-    /// tuple alive also suspends reclamation).
-    pub verify_batch: bool,
     /// Bounded-memory mode; see [`ReclaimConfig`]. `None` (the default)
     /// interns into the thread's current arena and never reclaims.
     pub reclaim: Option<ReclaimConfig>,
@@ -203,7 +193,6 @@ impl Default for EngineConfig {
         EngineConfig {
             ops: SetOp::ALL.to_vec(),
             policy: WatermarkPolicy::Manual,
-            verify_batch: false,
             reclaim: None,
             obs: ObsConfig::default(),
         }
@@ -420,12 +409,6 @@ pub struct StreamEngine {
     /// window, bounding memory by *live* facts instead of all facts ever
     /// seen.
     open_prune_at: usize,
-    /// Accepted originals, kept only under `verify_batch`.
-    accepted: [Vec<TpTuple>; 2],
-    /// A real [`CollectingSink`] shadowing every delta under
-    /// `verify_batch`, so the cross-check validates the exact apply
-    /// semantics consumers see (one implementation, not a mirror copy).
-    verify_mirror: Option<CollectingSink>,
     /// The private reclaimable arena (reclaim mode only); every engine
     /// method enters it for the duration of the call.
     arena: Option<Arc<LineageArena>>,
@@ -468,7 +451,6 @@ impl Default for StreamEngine {
 impl StreamEngine {
     /// Creates an engine with the given configuration.
     pub fn new(cfg: EngineConfig) -> Self {
-        let verify_mirror = cfg.verify_batch.then(CollectingSink::new);
         let arena = cfg
             .reclaim
             .is_some()
@@ -485,8 +467,6 @@ impl StreamEngine {
             late: [0, 0],
             open: FastMap::default(),
             open_prune_at: 1024,
-            accepted: [Vec::new(), Vec::new()],
-            verify_mirror,
             arena,
             sealed: VecDeque::new(),
             advance_count: 0,
@@ -637,9 +617,6 @@ impl StreamEngine {
             _ => tuple,
         };
         self.event_high = self.event_high.max(tuple.interval.start());
-        if self.cfg.verify_batch {
-            self.accepted[side.idx()].push(tuple.clone());
-        }
         self.pending[side.idx()].push(tuple);
         IngestOutcome::Accepted
     }
@@ -676,8 +653,8 @@ impl StreamEngine {
             });
         }
         // Reclaim mode: the whole advance — sweep, λ-functions, delta
-        // emission, the sink's callbacks, the batch cross-check — runs
-        // inside the engine's private arena scope.
+        // emission, the sink's callbacks — runs inside the engine's private
+        // arena scope.
         let _scope = self.arena.as_ref().map(LineageArena::enter);
         // Clone the obs handle out of `self` so the stage cursor can live
         // across the `&mut self` calls below (Arc clone, no allocation).
@@ -754,10 +731,6 @@ impl StreamEngine {
             self.reclaim_dead_segments(sink, &mut stats);
         }
         stages.stage(STAGE_SEAL_RETIRE, stats.retired_segments);
-        if self.cfg.verify_batch {
-            self.verify_closed_region();
-        }
-        stages.stage(STAGE_VERIFY, 0);
         // Arena gauges of the advance — private arena only: the thread's
         // shared arena moves with unrelated work, which would make these
         // numbers (and `AdvanceStats` equality) nondeterministic.
@@ -773,15 +746,14 @@ impl StreamEngine {
     /// aged-out sealed segment that no live ref can reach. A held lineage
     /// keeps every segment in `[min_segment, segment]` resident (its
     /// reachable set is contained in that range — the arena invariant);
-    /// the live refs are the pending arrivals, carried residuals and
-    /// (under `verify_batch`) the accepted history. Dead segments retire
-    /// **wherever they sit** in the seal order — a long-lived fact pins
-    /// its own segments only, not every later one — so a segment is kept
-    /// exactly while it is inside its `keep_epochs` grace window or
-    /// covered by a live ref. The open-window records are deliberately
-    /// *not* part of the frontier: their handles are only ever
-    /// ref-compared and liveness-probed, never dereferenced, and a record
-    /// whose segment died derives afresh ([`Derived::still_current`]).
+    /// the live refs are the pending arrivals and carried residuals. Dead
+    /// segments retire **wherever they sit** in the seal order — a
+    /// long-lived fact pins its own segments only, not every later one —
+    /// so a segment is kept exactly while it is inside its `keep_epochs`
+    /// grace window or covered by a live ref. The open-window records are
+    /// deliberately *not* part of the frontier: their handles are only
+    /// ever ref-compared and liveness-probed, never dereferenced, and a
+    /// record whose segment died derives afresh ([`Derived::still_current`]).
     fn reclaim_dead_segments(&mut self, sink: &mut impl StreamSink, stats: &mut AdvanceStats) {
         let rc = self.cfg.reclaim.clone().expect("reclaim mode");
         let arena = Arc::clone(self.arena.as_ref().expect("reclaim implies arena"));
@@ -813,13 +785,7 @@ impl StreamEngine {
                 let r = l.node_ref();
                 ranges.push((arena.min_segment(r).0, r.segment().0));
             };
-            for t in self
-                .pending
-                .iter()
-                .chain(&self.carry)
-                .chain(&self.accepted)
-                .flatten()
-            {
+            for t in self.pending.iter().chain(&self.carry).flatten() {
                 probe(&t.lineage);
             }
         }
@@ -950,39 +916,10 @@ impl StreamEngine {
                 stats.inserts += 1;
                 Delta::Insert(TpTuple::new(w.fact.clone(), lineage, w.interval))
             };
-            if let Some(mirror) = self.verify_mirror.as_mut() {
-                mirror.on_delta(op, &delta);
-            }
             if let Some(p) = self.pipeline.as_mut() {
                 p.offer(op, &delta);
             }
             sink.on_delta(op, &delta);
-        }
-    }
-
-    /// Batch cross-check: for every maintained op, batch LAWA over all
-    /// accepted tuples clipped to the closed region `(-∞, watermark)` must
-    /// equal the merged emitted output. Panics on divergence (engine bug).
-    fn verify_closed_region(&self) {
-        let clip = |side: usize| -> TpRelation {
-            let (closed, _) =
-                split_at_watermark(self.accepted[side].iter().cloned(), self.watermark);
-            TpRelation::try_new(closed).expect("clipped accepted inputs stay duplicate-free")
-        };
-        let r = clip(0);
-        let s = clip(1);
-        let mirror = self
-            .verify_mirror
-            .as_ref()
-            .expect("verify_closed_region only runs under verify_batch");
-        for &op in &self.cfg.ops {
-            let batch = ops::apply(op, &r, &s).canonicalized();
-            let streamed = mirror.relation(op).canonicalized();
-            assert_eq!(
-                streamed, batch,
-                "stream/batch divergence for {op} at watermark {}",
-                self.watermark
-            );
         }
     }
 }
@@ -1007,7 +944,8 @@ mod tests {
     use super::*;
     use crate::delta::{CollectingSink, CountingSink};
     use tp_core::interval::Interval;
-    use tp_core::relation::VarTable;
+    use tp_core::ops;
+    use tp_core::relation::{TpRelation, VarTable};
 
     /// The paper's Example 3 relations (c, a restricted to 'milk').
     fn example3(vars: &mut VarTable) -> (TpRelation, TpRelation) {
@@ -1029,18 +967,11 @@ mod tests {
         (c, a)
     }
 
-    fn engine_verifying() -> StreamEngine {
-        StreamEngine::new(EngineConfig {
-            verify_batch: true,
-            ..Default::default()
-        })
-    }
-
     #[test]
     fn in_order_stream_matches_batch_for_all_ops() {
         let mut vars = VarTable::new();
         let (c, a) = example3(&mut vars);
-        let mut engine = engine_verifying();
+        let mut engine = StreamEngine::default();
         let mut sink = CollectingSink::new();
         for t in c.iter() {
             assert_eq!(engine.push(Side::Left, t.clone()), IngestOutcome::Accepted);
@@ -1066,7 +997,7 @@ mod tests {
     fn out_of_order_arrival_within_lateness_matches_batch() {
         let mut vars = VarTable::new();
         let (c, a) = example3(&mut vars);
-        let mut engine = engine_verifying();
+        let mut engine = StreamEngine::default();
         let mut sink = CollectingSink::new();
         // Reverse arrival order; watermark only advances afterwards.
         for t in c.iter().rev() {

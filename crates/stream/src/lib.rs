@@ -25,22 +25,19 @@
 //! |---|---|
 //! | [`engine`] | [`StreamEngine`]: ingestion, watermarks, incremental sweep, delta emission |
 //! | [`delta`] | [`Delta`], the [`StreamSink`] trait, collecting/counting sinks |
-//! | [`epoch`] | timeline-partitioned parallel executor + arena cache/storage release scopes |
-//! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
+//! //! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
 //! | [`pipeline`] | [`Pipeline`]: a compiled [`tp_relalg::Plan`] running as standing incremental operators over the delta streams |
 //! | [`replay`] | deterministic out-of-order replay scripts over batch relation pairs |
 //! | [`server`] | [`StreamServer`]: N isolated bounded-memory tenants behind one façade |
 //!
-//! See `docs/streaming.md` for the watermark/lateness model, the epoch
-//! lifecycle, and how the delta semantics map onto the paper's
-//! window-advancement invariants.
+//! See `docs/streaming.md` for the watermark/lateness model and how the
+//! delta semantics map onto the paper's window-advancement invariants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delta;
 pub mod engine;
-pub mod epoch;
 pub mod obs;
 pub mod pipeline;
 pub mod replay;
@@ -54,7 +51,6 @@ pub use engine::{
     AdvanceStats, EngineConfig, IngestOutcome, ReclaimConfig, Side, StreamEngine, StreamError,
     WatermarkPolicy,
 };
-pub use epoch::{apply_epoched, EpochConfig, EpochScope, ReleasedStorage};
 pub use obs::{
     advance_section, arena_section, metrics_json, metrics_text, render_all, set_obs_enabled,
     trace_json, ObsConfig, Section, STAGES,

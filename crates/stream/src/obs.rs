@@ -14,7 +14,6 @@
 //! | `sweep`      | the LAWA sweep + delta emission |
 //! | `finalize`   | watermark publication, record pruning, `on_watermark` |
 //! | `seal_retire`| arena seal + dead-segment retirement (reclaim mode) |
-//! | `verify`     | the batch cross-check (`verify_batch` only) |
 //!
 //! **Sub-spans** (category `"sub"`) overlap their parent stage and are
 //! excluded from the tiling sum: one per standing-pipeline operator pass,
@@ -22,8 +21,8 @@
 //! [`valuate_batch`]). A whole-advance span (category `"advance"`, payload:
 //! the released pieces) wraps the stages. All spans of one engine share an
 //! interned context label
-//! ([`tp_obs::ctx_id`]) — the tenant name under a [`StreamServer`]
-//! (crate::StreamServer), `"engine"` otherwise — so exports and tests can
+//! ([`tp_obs::ctx_id`]) — the tenant name under a
+//! [`StreamServer`](crate::StreamServer), `"engine"` otherwise — so exports and tests can
 //! filter one run out of the process-wide ring buffers.
 //!
 //! Metrics and spans never influence engine behavior: an instrumented run
@@ -42,9 +41,9 @@ use tp_obs::{ctx_id, record_span, Counter, Histogram};
 
 use crate::engine::AdvanceStats;
 
-/// Partition-stage names, in pipeline order. Indices are the `stage`
-/// argument of [`StageCursor::stage`].
-pub const STAGES: [&str; 5] = ["drain", "sweep", "finalize", "seal_retire", "verify"];
+/// Partition-stage names, in pipeline order: the `stage` label of the
+/// `tp_stage_ns` histogram and the name of each `"stage"` span.
+pub const STAGES: [&str; 4] = ["drain", "sweep", "finalize", "seal_retire"];
 
 /// Index of the `drain` stage.
 pub(crate) const STAGE_DRAIN: usize = 0;
@@ -54,8 +53,6 @@ pub(crate) const STAGE_SWEEP: usize = 1;
 pub(crate) const STAGE_FINALIZE: usize = 2;
 /// Index of the `seal_retire` stage.
 pub(crate) const STAGE_SEAL_RETIRE: usize = 3;
-/// Index of the `verify` stage.
-pub(crate) const STAGE_VERIFY: usize = 4;
 
 /// Observability configuration of one engine.
 #[derive(Clone)]

@@ -235,10 +235,7 @@ mod tests {
                     seed,
                 },
             );
-            let (sink, totals) = script.run(EngineConfig {
-                verify_batch: true,
-                ..Default::default()
-            });
+            let (sink, totals) = script.run(EngineConfig::default());
             assert_eq!(totals.late, [0, 0], "scripts never drop tuples");
             for op in SetOp::ALL {
                 assert_eq!(

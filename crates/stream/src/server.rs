@@ -5,8 +5,9 @@
 //! per-stream isolation on both memory axes:
 //!
 //! * **lineage**: every tenant's engine runs in reclaim mode, i.e. inside
-//!   its own private [`LineageArena`] ([`LineageArena::enter`] per engine
-//!   call). One tenant's seal/retire schedule can never invalidate — or
+//!   its own private [`LineageArena`](tp_core::arena::LineageArena)
+//!   ([`LineageArena::enter`](tp_core::arena::LineageArena::enter) per
+//!   engine call). One tenant's seal/retire schedule can never invalidate — or
 //!   even observe — another tenant's handles; `arena_stats` are strictly
 //!   per tenant.
 //! * **variables**: every tenant owns a sliding [`VarTable`] registry
@@ -196,7 +197,6 @@ impl<S: StreamSink + Send> StreamServer<S> {
         let cfg = EngineConfig {
             ops: self.cfg.ops.clone(),
             policy: WatermarkPolicy::Manual,
-            verify_batch: false,
             reclaim: Some(ReclaimConfig {
                 keep_epochs: self.cfg.keep_epochs,
                 vars: Some(Arc::clone(&vars)),

@@ -14,9 +14,13 @@
 //! each carried an ad-hoc copy of these loops; they now call in here, as do
 //! the multi-tenant and edge-case suites.
 
+use tpdb::core::window::split_at_watermark;
 use tpdb::prelude::*;
 
-use tp_stream::{CollectingSink, MaterializingSink};
+use tp_stream::{
+    CollectingSink, EngineConfig, IngestOutcome, MaterializingSink, ReplayEvent, Side,
+    StreamEngine, StreamSink,
+};
 
 /// Asserts the full three-way equivalence (tuples, lineage, marginals) of
 /// a streamed result relation with its batch twin. `ctx` names the case in
@@ -77,6 +81,71 @@ pub fn assert_materialized_matches_batch(
             &format!("{op} (reclaiming)"),
         );
     }
+}
+
+/// Replays `events` into a fresh engine built from `cfg`, then `finish`es
+/// it. After **every** advance (the `finish` included, so the last check
+/// is the final-state oracle), each maintained op's emitted output must
+/// equal batch LAWA over the tuples pushed so far, clipped at the
+/// watermark with [`split_at_watermark`]: the region below a watermark is
+/// final the moment the engine reports it. So a delta that arrives one
+/// advance late fails here, though the final state would hide it.
+///
+/// A plain engine feeds a [`CollectingSink`]; a reclaiming one feeds a
+/// [`MaterializingSink`], whose log is re-interned into the current arena
+/// for each check, as in [`assert_materialized_matches_batch`].
+pub fn assert_each_watermark_matches_batch(
+    events: &[ReplayEvent],
+    cfg: EngineConfig,
+    vars: &VarTable,
+    ctx: &str,
+) {
+    if cfg.reclaim.is_some() {
+        replay_checking_prefixes(events, cfg, MaterializingSink::relation, vars, ctx);
+    } else {
+        replay_checking_prefixes(events, cfg, CollectingSink::relation, vars, ctx);
+    }
+}
+
+/// [`assert_each_watermark_matches_batch`] over sink `S`, whose result for
+/// one op `emitted` reads.
+fn replay_checking_prefixes<S: StreamSink + Default>(
+    events: &[ReplayEvent],
+    cfg: EngineConfig,
+    emitted: fn(&S, SetOp) -> TpRelation,
+    vars: &VarTable,
+    ctx: &str,
+) {
+    let ops = cfg.ops.clone();
+    let check = |engine: &StreamEngine, sink: &S, pushed: &[Vec<TpTuple>; 2]| {
+        let w = engine.watermark();
+        let [r, s] = pushed.each_ref().map(|side| {
+            let (closed, _) = split_at_watermark(side.iter().cloned(), w);
+            TpRelation::try_new(closed).expect("clipped inputs stay duplicate-free")
+        });
+        for &op in &ops {
+            let ctx = format!("{ctx}: {op} at watermark {w}");
+            assert_relation_equivalence(&emitted(sink, op), &apply(op, &r, &s), vars, &ctx);
+        }
+    };
+    let mut engine = StreamEngine::new(cfg);
+    let mut sink = S::default();
+    let mut pushed: [Vec<TpTuple>; 2] = Default::default();
+    for event in events {
+        match event {
+            ReplayEvent::Arrive(side, t) => {
+                if engine.push(*side, t.clone()) == IngestOutcome::Accepted {
+                    pushed[usize::from(*side == Side::Right)].push(t.clone());
+                }
+            }
+            ReplayEvent::Advance(w) => {
+                engine.advance(*w, &mut sink).expect("monotone watermarks");
+                check(&engine, &sink, &pushed);
+            }
+        }
+    }
+    engine.finish(&mut sink).expect("finish is monotone");
+    check(&engine, &sink, &pushed);
 }
 
 /// Asserts that a marginal computed in a (possibly reclaiming) subject

@@ -1,13 +1,13 @@
-//! Property-based validation of the extended operators (join, projection,
-//! parallel execution) against independent oracles, plus BDD/Shannon
-//! agreement on real query lineage.
+//! Property-based validation of the extended operators (join, projection)
+//! against independent oracles, plus BDD/Shannon agreement on real query
+//! lineage.
 
 mod common;
 
 use common::{arb_raw_relation, build_relation};
 use proptest::prelude::*;
 use tpdb::core::bdd;
-use tpdb::core::ops::{apply_parallel, join, project};
+use tpdb::core::ops::{join, project};
 use tpdb::prelude::*;
 
 proptest! {
@@ -56,22 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matches_sequential(
-        raw_r in arb_raw_relation(20),
-        raw_s in arb_raw_relation(20),
-        threads in 1usize..6,
-    ) {
-        let mut vars = VarTable::new();
-        let r = build_relation("r", &raw_r, &mut vars);
-        let s = build_relation("s", &raw_s, &mut vars);
-        for op in SetOp::ALL {
-            let sequential = apply(op, &r, &s).canonicalized();
-            let parallel = apply_parallel(op, &r, &s, threads).canonicalized();
-            prop_assert_eq!(&parallel, &sequential, "op {} threads {}", op, threads);
-        }
-    }
-
-    #[test]
     fn projection_identity_and_coverage(
         raw in arb_raw_relation(20),
     ) {
@@ -104,19 +88,5 @@ proptest! {
             let b = prob::exact(&t.lineage, &vars).unwrap();
             prop_assert!((a - b).abs() < 1e-9, "{}: {} vs {}", t.lineage, a, b);
         }
-    }
-}
-
-#[test]
-fn parallel_on_generated_workloads() {
-    let mut vars = VarTable::new();
-    let (r, s) = tp_workloads::synth::generate(
-        &tp_workloads::SynthConfig::with_facts(20_000, 50, 9),
-        &mut vars,
-    );
-    for op in SetOp::ALL {
-        let sequential = apply(op, &r, &s);
-        let parallel = apply_parallel(op, &r, &s, 4);
-        assert_eq!(parallel.canonicalized(), sequential.canonicalized(), "{op}");
     }
 }

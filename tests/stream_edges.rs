@@ -1,14 +1,15 @@
 //! Edge cases of `split_at_watermark` and the ingestion boundary: zero
-//! lateness, duplicate timestamps exactly at the cut, watermark-regression
-//! rejection, and empty-epoch advances — all cross-checked against batch
-//! through the shared differential oracle.
+//! lateness, duplicate timestamps exactly at the cut, the paper's Example 3
+//! cut by watermarks mid-tuple, watermark-regression rejection, and
+//! empty-epoch advances — all cross-checked against batch through the
+//! shared differential oracle.
 
 mod common;
 
-use common::oracle::assert_stream_matches_batch;
+use common::oracle::assert_each_watermark_matches_batch;
 use tp_core::window::split_at_watermark;
 use tp_stream::{
-    CollectingSink, CountingSink, EngineConfig, IngestOutcome, ReclaimConfig, Side, StreamEngine,
+    CountingSink, EngineConfig, IngestOutcome, ReclaimConfig, ReplayEvent, Side, StreamEngine,
     StreamError, StreamSink, WatermarkPolicy,
 };
 use tpdb::prelude::*;
@@ -100,21 +101,43 @@ fn duplicate_timestamps_at_the_cut_reassemble_exactly() {
     ]
     .into_iter()
     .collect();
-    let mut engine = StreamEngine::new(EngineConfig {
-        verify_batch: true, // the engine's own cross-check runs too
-        ..Default::default()
-    });
-    let mut sink = CollectingSink::new();
-    for t in r.iter() {
-        engine.push(Side::Left, t.clone());
+    // Advance exactly onto the pile-up point, then past everything; the
+    // prefix is checked against batch at both watermarks.
+    let events: Vec<_> = arrivals(Side::Left, r.iter())
+        .chain(arrivals(Side::Right, s.iter()))
+        .chain([ReplayEvent::Advance(5)])
+        .collect();
+    assert_each_watermark_matches_batch(&events, EngineConfig::default(), &vars, "pile-up");
+}
+
+/// Tuples arriving on `side`, in iteration order.
+fn arrivals<'a>(
+    side: Side,
+    tuples: impl Iterator<Item = &'a TpTuple> + 'a,
+) -> impl Iterator<Item = ReplayEvent> + 'a {
+    tuples.map(move |t| ReplayEvent::Arrive(side, t.clone()))
+}
+
+#[test]
+fn example3_prefix_matches_batch_at_every_watermark() {
+    // The paper's Example 3 (c, a restricted to 'milk'): in order with
+    // watermarks 3, 5 and 7 slicing through tuples; and with c arriving
+    // newest first, the watermark at 2, then a arriving exactly at it.
+    let mut vars = VarTable::new();
+    let milk = |s, e, p| (Fact::single("milk"), Interval::at(s, e), p);
+    let c = TpRelation::base("c", vec![milk(1, 4, 0.6), milk(6, 8, 0.7)], &mut vars).unwrap();
+    let a = TpRelation::base("a", vec![milk(2, 10, 0.3)], &mut vars).unwrap();
+    let in_order: Vec<_> = arrivals(Side::Left, c.iter())
+        .chain(arrivals(Side::Right, a.iter()))
+        .chain([3, 5, 7].map(ReplayEvent::Advance))
+        .collect();
+    let reversed: Vec<_> = arrivals(Side::Left, c.iter().rev())
+        .chain([ReplayEvent::Advance(2)])
+        .chain(arrivals(Side::Right, a.iter()))
+        .collect();
+    for (events, ctx) in [(in_order, "in order"), (reversed, "reversed")] {
+        assert_each_watermark_matches_batch(&events, EngineConfig::default(), &vars, ctx);
     }
-    for t in s.iter() {
-        engine.push(Side::Right, t.clone());
-    }
-    // Advance exactly onto the pile-up point, then past everything.
-    engine.advance(5, &mut sink).unwrap();
-    engine.finish(&mut sink).unwrap();
-    assert_stream_matches_batch(&sink, &r, &s, &vars);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! inputs, *any* arrival permutation within the lateness bound and *any*
 //! watermark schedule, the streamed results of all three set operations
 //! must be tuple-, interval-, lineage- and marginal-identical to batch LAWA
-//! on the same inputs — and the epoch-partitioned executor must agree too.
+//! on the same inputs. Where a case runs through
+//! `assert_each_watermark_matches_batch`, that holds for the prefix below
+//! every watermark, not only for the final result.
 //!
 //! All equivalence checks go through the shared differential oracle
 //! (`tests/common/oracle.rs`).
@@ -10,13 +12,14 @@
 mod common;
 
 use common::oracle::{
-    assert_materialized_matches_batch, assert_plateau, assert_stream_matches_batch,
+    assert_each_watermark_matches_batch, assert_materialized_matches_batch, assert_plateau,
+    assert_stream_matches_batch,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tp_stream::{
-    apply_epoched, CollectingSink, EngineConfig, EpochConfig, MaterializingSink, ReclaimConfig,
-    ReplayConfig, ReplayEvent, Side, StreamEngine, StreamScript,
+    CollectingSink, EngineConfig, MaterializingSink, ReclaimConfig, ReplayConfig, ReplayEvent,
+    Side, StreamEngine, StreamScript,
 };
 use tp_workloads::{
     immortal_facts_stream, skewed_synth_stream, sliding_synth_stream, ImmortalConfig, SkewedConfig,
@@ -110,6 +113,9 @@ fn newest_first_arrival_batches_match_batch() {
 
 #[test]
 fn reclaiming_engine_run_matches_batch_oracle() {
+    // The materialized log is checked against batch after every advance,
+    // so a retirement that loses or delays a delta shows at the watermark
+    // where it happens.
     let mut vars = VarTable::new();
     let w = sliding_synth_stream(
         &SlidingConfig {
@@ -119,15 +125,11 @@ fn reclaiming_engine_run_matches_batch_oracle() {
         },
         &mut vars,
     );
-    let mut sink = MaterializingSink::new();
-    w.script.run_into(
-        EngineConfig {
-            reclaim: Some(ReclaimConfig::default()),
-            ..Default::default()
-        },
-        &mut sink,
-    );
-    assert_materialized_matches_batch(&sink, &w.r, &w.s, &vars);
+    let cfg = EngineConfig {
+        reclaim: Some(ReclaimConfig::default()),
+        ..Default::default()
+    };
+    assert_each_watermark_matches_batch(&w.script.events, cfg, &vars, "reclaiming");
 }
 
 #[test]
@@ -266,8 +268,8 @@ fn adversarial_watermark_schedules_match_batch() {
 
 #[test]
 fn engine_internal_cross_check_passes_on_random_streams() {
-    // The engine's own verify mode re-runs batch LAWA over the closed
-    // region after every advance; it must stay silent on random streams.
+    // Batch LAWA over the closed region must equal the emitted prefix
+    // after every advance of a random stream.
     let mut vars = VarTable::new();
     let (r, s) = tp_workloads::synth::generate(&SynthConfig::with_facts(150, 3, 21), &mut vars);
     let script = StreamScript::from_pair(
@@ -279,11 +281,70 @@ fn engine_internal_cross_check_passes_on_random_streams() {
             seed: 11,
         },
     );
-    let (sink, _) = script.run(EngineConfig {
-        verify_batch: true,
-        ..Default::default()
-    });
-    assert_stream_matches_batch(&sink, &r, &s, &vars);
+    assert_each_watermark_matches_batch(&script.events, EngineConfig::default(), &vars, "synth");
+}
+
+#[test]
+fn replayed_chain_scripts_match_batch_at_every_watermark() {
+    // One fact, 30 overlapping r/s pairs: every watermark cuts through a
+    // running chain. In-order single-step advances, a mild shuffle, and a
+    // shuffle with one advance at the end.
+    let mut vars = VarTable::new();
+    let rows = |lo: i64, hi: i64| -> Vec<_> {
+        let at = |k: i64| Interval::at(9 * k + lo, 9 * k + hi);
+        (0..30).map(|k| (Fact::single(2i64), at(k), 0.5)).collect()
+    };
+    let r = TpRelation::base("r", rows(0, 6), &mut vars).unwrap();
+    let s = TpRelation::base("s", rows(3, 8), &mut vars).unwrap();
+    for (lateness, advance_every, seed) in [(0, 1, 1), (4, 8, 2), (9, 200, 3)] {
+        let replay = ReplayConfig {
+            lateness,
+            advance_every,
+            seed,
+        };
+        let script = StreamScript::from_pair(&r, &s, &replay);
+        let ctx = format!("{replay:?}");
+        assert_each_watermark_matches_batch(&script.events, EngineConfig::default(), &vars, &ctx);
+    }
+}
+
+/// The prefix oracle over many random scripts: synth pairs of 50–400
+/// tuples over 1–8 facts (uniform or Zipf-keyed), lateness 0–40, an
+/// advance every 1–64 arrivals. Every script runs through a plain engine
+/// and through a reclaiming one (`keep_epochs` 0–2), each checked after
+/// every advance.
+#[test]
+#[ignore = "release soak, run by CI: cargo test --release --test stream_props -- --ignored"]
+fn prefix_oracle_soak_on_random_synth_scripts() {
+    let mut rng = StdRng::seed_from_u64(0x57AE_A405);
+    for case in 0..240u64 {
+        let mut vars = VarTable::new();
+        let tuples = rng.random_range(50..400usize);
+        let facts = rng.random_range(1..8usize);
+        let cfg = if rng.random::<bool>() {
+            SynthConfig::with_facts(tuples, facts, 900 + case)
+        } else {
+            SynthConfig::with_zipf_facts(tuples, facts, 1.1, 900 + case)
+        };
+        let (r, s) = tp_workloads::synth::generate(&cfg, &mut vars);
+        let replay = ReplayConfig {
+            lateness: rng.random_range(0..=40i64),
+            advance_every: rng.random_range(1..=64usize),
+            seed: rng.random(),
+        };
+        let script = StreamScript::from_pair(&r, &s, &replay);
+        let ctx = format!("case {case}, {replay:?}");
+        assert_each_watermark_matches_batch(&script.events, EngineConfig::default(), &vars, &ctx);
+        let reclaim = ReclaimConfig {
+            keep_epochs: rng.random_range(0..3usize),
+            vars: None,
+        };
+        let cfg = EngineConfig {
+            reclaim: Some(reclaim),
+            ..Default::default()
+        };
+        assert_each_watermark_matches_batch(&script.events, cfg, &vars, &ctx);
+    }
 }
 
 #[test]
@@ -325,27 +386,6 @@ fn random_manual_schedules_with_scrambled_pushes_match_batch() {
         engine.finish(&mut sink).unwrap();
         assert_eq!(engine.late_dropped(), [0, 0], "case {case}");
         assert_stream_matches_batch(&sink, &r, &s, &vars);
-    }
-}
-
-#[test]
-fn epoched_executor_matches_batch_on_random_inputs() {
-    let mut rng = StdRng::seed_from_u64(0x57AE_A403);
-    for case in 0..10u64 {
-        let mut vars = VarTable::new();
-        let (r, s) = tp_workloads::synth::generate(
-            &SynthConfig::with_facts(rng.random_range(50..300usize), 3, 70 + case),
-            &mut vars,
-        );
-        let cfg = EpochConfig {
-            epoch_width: rng.random_range(5..200i64),
-            threads: rng.random_range(1..6usize),
-        };
-        for op in SetOp::ALL {
-            let got = apply_epoched(op, &r, &s, &cfg, Some(&vars)).canonicalized();
-            let batch = apply(op, &r, &s).canonicalized();
-            assert_eq!(got, batch, "case {case}, {op}, {cfg:?}");
-        }
     }
 }
 
