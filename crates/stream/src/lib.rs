@@ -25,7 +25,7 @@
 //! |---|---|
 //! | [`engine`] | [`StreamEngine`]: ingestion, watermarks, incremental sweep, delta emission |
 //! | [`delta`] | [`Delta`], the [`StreamSink`] trait, collecting/counting sinks |
-//! //! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
+//! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
 //! | [`pipeline`] | [`Pipeline`]: a compiled [`tp_relalg::Plan`] running as standing incremental operators over the delta streams |
 //! | [`replay`] | deterministic out-of-order replay scripts over batch relation pairs |
 //! | [`server`] | [`StreamServer`]: N isolated bounded-memory tenants behind one façade |

@@ -88,8 +88,8 @@ pub fn assert_materialized_matches_batch(
 /// is the final-state oracle), each maintained op's emitted output must
 /// equal batch LAWA over the tuples pushed so far, clipped at the
 /// watermark with [`split_at_watermark`]: the region below a watermark is
-/// final the moment the engine reports it. So a delta that arrives one
-/// advance late fails here, though the final state would hide it.
+/// final once reported, so a delta one advance late fails here though the
+/// final state would hide it. Every push must be accepted: a drop fails.
 ///
 /// A plain engine feeds a [`CollectingSink`]; a reclaiming one feeds a
 /// [`MaterializingSink`], whose log is re-interned into the current arena
@@ -134,9 +134,9 @@ fn replay_checking_prefixes<S: StreamSink + Default>(
     for event in events {
         match event {
             ReplayEvent::Arrive(side, t) => {
-                if engine.push(*side, t.clone()) == IngestOutcome::Accepted {
-                    pushed[usize::from(*side == Side::Right)].push(t.clone());
-                }
+                let outcome = engine.push(*side, t.clone());
+                assert_eq!(outcome, IngestOutcome::Accepted, "{ctx}: late drop");
+                pushed[usize::from(*side == Side::Right)].push(t.clone());
             }
             ReplayEvent::Advance(w) => {
                 engine.advance(*w, &mut sink).expect("monotone watermarks");

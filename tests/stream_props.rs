@@ -308,8 +308,8 @@ fn replayed_chain_scripts_match_batch_at_every_watermark() {
     }
 }
 
-/// The prefix oracle over many random scripts: synth pairs of 50–400
-/// tuples over 1–8 facts (uniform or Zipf-keyed), lateness 0–40, an
+/// The prefix oracle over many random scripts: synth pairs of 50–399
+/// tuples over 1–7 facts (uniform or Zipf-keyed), lateness 0–40, an
 /// advance every 1–64 arrivals. Every script runs through a plain engine
 /// and through a reclaiming one (`keep_epochs` 0–2), each checked after
 /// every advance.
