@@ -31,15 +31,16 @@
 //! global by default, or a private reclaimable arena entered with
 //! [`LineageArena::enter`] (the streaming engine's bounded-memory mode).
 //!
-//! Consumers that need the classic recursive representation (oracle
-//! comparisons against an independent implementation, serialization
-//! debugging) can convert through [`Lineage::to_tree`] /
-//! [`Lineage::from_tree`]; see [`LineageTree`].
+//! A formula that must outlive its arena — a reclaim-mode delta record,
+//! standing pipeline state, Shannon expansion's scratch — takes the owned
+//! form [`LineageTree`], converted with [`Lineage::to_tree`] /
+//! [`Lineage::from_tree`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
-use crate::arena::{LineageArena, LineageNode, LineageRef};
+use crate::arena::{FastMap, LineageArena, LineageNode, LineageRef};
 
 /// Identifier of a base tuple, acting as an independent Boolean random
 /// variable in lineage formulas.
@@ -381,36 +382,77 @@ impl Lineage {
         }
     }
 
-    /// Expands the handle into the owned recursive [`LineageTree`]
-    /// (tree semantics: shared nodes are duplicated). Compatibility layer
-    /// for consumers comparing against independent implementations.
+    /// Expands the handle into an owned [`LineageTree`] (tree semantics: a
+    /// node the arena shares is expanded at every use). Depth-safe.
     pub fn to_tree(&self) -> LineageTree {
-        fn rec(r: LineageRef, view: &crate::arena::ArenaView<'_>) -> LineageTree {
-            match view.node(r) {
+        fn rec(
+            r: LineageRef,
+            depth: usize,
+            view: &crate::arena::ArenaView<'_>,
+            memo: &mut FastMap<LineageRef, LineageTree>,
+            deep: &mut Vec<LineageRef>,
+        ) -> Option<LineageTree> {
+            let node = view.node(r);
+            if depth == WALK_DEPTH && !matches!(node, LineageNode::Var(_)) {
+                let done = memo.get(&r).cloned();
+                deep.extend(done.is_none().then_some(r));
+                return done;
+            }
+            // Both operands are visited, so one pass parks all deep ones.
+            let mut sub = |c| rec(c, depth + 1, view, memo, deep);
+            Some(match node {
                 LineageNode::Var(id) => LineageTree::Var(id),
-                LineageNode::Not(c) => LineageTree::Not(Box::new(rec(c, view))),
+                LineageNode::Not(c) => sub(c)?.negate(),
                 LineageNode::And(a, b) => {
-                    LineageTree::And(Box::new(rec(a, view)), Box::new(rec(b, view)))
+                    let (a, b) = (sub(a), sub(b));
+                    LineageTree::and(a?, b?)
                 }
                 LineageNode::Or(a, b) => {
-                    LineageTree::Or(Box::new(rec(a, view)), Box::new(rec(b, view)))
+                    let (a, b) = (sub(a), sub(b));
+                    LineageTree::or(a?, b?)
                 }
-            }
+            })
         }
         with_arena(|arena| {
             let view = arena.view();
-            rec(self.0, &view)
+            build(self.0, |r| r, |r, memo, deep| rec(r, 0, &view, memo, deep))
         })
     }
 
-    /// Interns a recursive [`LineageTree`] back into the arena.
+    /// Interns an owned [`LineageTree`] into the current arena, a node the
+    /// tree shares once. Depth-safe.
     pub fn from_tree(tree: &LineageTree) -> Lineage {
-        match tree {
-            LineageTree::Var(id) => Lineage::var(*id),
-            LineageTree::Not(c) => Lineage::from_tree(c).negate(),
-            LineageTree::And(a, b) => Lineage::and(&Lineage::from_tree(a), &Lineage::from_tree(b)),
-            LineageTree::Or(a, b) => Lineage::or(&Lineage::from_tree(a), &Lineage::from_tree(b)),
+        fn rec<'t>(
+            t: &'t LineageTree,
+            depth: usize,
+            memo: &mut FastMap<NodeKey, Lineage>,
+            deep: &mut Vec<&'t LineageTree>,
+        ) -> Option<Lineage> {
+            if !matches!(t, LineageTree::Var(_)) {
+                if let Some(&l) = memo.get(&t.key()) {
+                    return Some(l);
+                }
+                if depth == WALK_DEPTH {
+                    deep.push(t);
+                    return None;
+                }
+            }
+            // Every operand is visited, so one pass parks all deep ones.
+            let [a, b] = std::array::from_fn(|i| rec(t.children().get(i)?, depth + 1, memo, deep));
+            let l = match t {
+                LineageTree::Var(id) => Lineage::var(*id),
+                LineageTree::Not(_) => a?.negate(),
+                LineageTree::And(_) => Lineage::and(&a?, &b?),
+                LineageTree::Or(_) => Lineage::or(&a?, &b?),
+            };
+            if t.is_shared() {
+                memo.insert(t.key(), l);
+            }
+            Some(l)
         }
+        build(tree, LineageTree::key, |t, memo, deep| {
+            rec(t, 0, memo, deep)
+        })
     }
 }
 
@@ -426,60 +468,199 @@ impl fmt::Display for Lineage {
     }
 }
 
-/// The classic recursive lineage representation, kept as a compatibility
-/// layer: oracle-style consumers can walk it without touching the arena,
-/// and property tests compare arena results against computations on this
-/// tree. Convert with [`Lineage::to_tree`] / [`Lineage::from_tree`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The owned lineage form, for whatever must outlive an arena; convert
+/// with [`Lineage::to_tree`] / [`Lineage::from_tree`]. Operands sit behind
+/// [`Arc`]s, so a clone is a reference-count bump and formulas can share a
+/// subformula; a variable is stored inline. Equality and hashing are
+/// structural (a node both sides share compares equal without a walk).
+/// Drop, `==`, hashing and both conversions recurse a bounded number of
+/// levels, then continue on a heap stack: a shallow formula allocates
+/// nothing, a deep one never overflows the call stack.
+#[derive(Debug, Clone)]
 pub enum LineageTree {
     /// An atomic base-tuple variable.
     Var(TupleId),
     /// Negation ¬λ.
-    Not(Box<LineageTree>),
+    Not(Arc<Operands<1>>),
     /// Conjunction (λ1) ∧ (λ2).
-    And(Box<LineageTree>, Box<LineageTree>),
+    And(Arc<Operands<2>>),
     /// Disjunction (λ1) ∨ (λ2).
-    Or(Box<LineageTree>, Box<LineageTree>),
+    Or(Arc<Operands<2>>),
+}
+
+/// The operands of a [`LineageTree`] connective, left to right (read them
+/// as an array through `Deref`). Dropping the last handle to a node frees
+/// the subtree below it depth-safely.
+#[derive(Debug)]
+pub struct Operands<const N: usize>([LineageTree; N]);
+
+impl<const N: usize> std::ops::Deref for Operands<N> {
+    type Target = [LineageTree; N];
+
+    fn deref(&self) -> &[LineageTree; N] {
+        &self.0
+    }
+}
+
+impl<const N: usize> Drop for Operands<N> {
+    fn drop(&mut self) {
+        // Freed through the walk, so dropping a deep tree never nests
+        // drop glue once per level on the call stack.
+        for c in &mut self.0 {
+            if let Some(c) = c.take() {
+                walk(c, &mut |t| Some(t.release()));
+            }
+        }
+    }
+}
+
+/// Levels a tree walk recurses on the call stack before it parks deeper
+/// nodes on a heap stack.
+const WALK_DEPTH: usize = 64;
+
+/// Memo key of the node behind a handle: its operands' address and its
+/// connective. Handles that share a node share the key.
+type NodeKey = (*const LineageTree, u8);
+
+/// Runs `step` on `root` and on every node it returns, depth first: by
+/// recursion for [`WALK_DEPTH`] levels, then from a heap stack. `step`
+/// yields a node's children, or `None` to stop the walk; the result says
+/// whether the walk ran to the end.
+fn walk<T>(root: T, step: &mut impl FnMut(T) -> Option<[Option<T>; 2]>) -> bool {
+    fn rec<T>(
+        t: T,
+        depth: usize,
+        step: &mut impl FnMut(T) -> Option<[Option<T>; 2]>,
+        deep: &mut Vec<T>,
+    ) -> bool {
+        if depth > WALK_DEPTH {
+            deep.push(t);
+            return true;
+        }
+        step(t).is_some_and(|children| {
+            (children.into_iter().flatten()).all(|c| rec(c, depth + 1, step, deep))
+        })
+    }
+    let mut deep = Vec::new();
+    let mut done = rec(root, 0, step, &mut deep);
+    while let (true, Some(t)) = (done, deep.pop()) {
+        done = rec(t, 0, step, &mut deep);
+    }
+    done
+}
+
+/// The bottom-up counterpart of [`walk`]: `rec(node, memo, deep)` computes
+/// a node's value by recursion; a node [`WALK_DEPTH`] levels down that
+/// `memo` has no value for it parks on `deep`, and then gives up (`None`).
+/// Parked nodes are computed first, the last parked first, and memoized
+/// under `key`, so the retry finds them.
+fn build<T: Copy, K: std::hash::Hash + Eq, R>(
+    root: T,
+    key: impl Fn(T) -> K,
+    mut rec: impl FnMut(T, &mut FastMap<K, R>, &mut Vec<T>) -> Option<R>,
+) -> R {
+    let mut memo = FastMap::default();
+    let mut deep = Vec::new();
+    loop {
+        let top = deep.last().copied().unwrap_or(root);
+        if let Some(r) = rec(top, &mut memo, &mut deep) {
+            let Some(t) = deep.pop() else {
+                return r;
+            };
+            memo.insert(key(t), r);
+        }
+    }
 }
 
 impl LineageTree {
+    /// ¬λ.
+    pub fn negate(self) -> LineageTree {
+        LineageTree::Not(Arc::new(Operands([self])))
+    }
+
+    /// (λ1) ∧ (λ2).
+    pub fn and(l1: LineageTree, l2: LineageTree) -> LineageTree {
+        LineageTree::And(Arc::new(Operands([l1, l2])))
+    }
+
+    /// (λ1) ∨ (λ2).
+    pub fn or(l1: LineageTree, l2: LineageTree) -> LineageTree {
+        LineageTree::Or(Arc::new(Operands([l1, l2])))
+    }
+
+    /// The operands of the top connective, left to right.
+    fn children(&self) -> &[LineageTree] {
+        match self {
+            LineageTree::Var(_) => &[],
+            LineageTree::Not(c) => &c.0,
+            LineageTree::And(ab) | LineageTree::Or(ab) => &ab.0,
+        }
+    }
+
+    /// The connective, with the variable of a leaf: two trees are equal
+    /// iff their heads and their children are.
+    fn head(&self) -> (u8, u64) {
+        match self {
+            LineageTree::Var(id) => (0, id.0),
+            LineageTree::Not(_) => (1, 0),
+            LineageTree::And(_) => (2, 0),
+            LineageTree::Or(_) => (3, 0),
+        }
+    }
+
+    fn key(&self) -> NodeKey {
+        (self.children().as_ptr(), self.head().0)
+    }
+
+    /// Whether another handle holds this node too.
+    fn is_shared(&self) -> bool {
+        match self {
+            LineageTree::Var(_) => false,
+            LineageTree::Not(c) => Arc::strong_count(c) > 1,
+            LineageTree::And(ab) | LineageTree::Or(ab) => Arc::strong_count(ab) > 1,
+        }
+    }
+
+    /// Moves a non-variable tree out, leaving a variable behind.
+    fn take(&mut self) -> Option<LineageTree> {
+        (!matches!(self, LineageTree::Var(_)))
+            .then(|| std::mem::replace(self, LineageTree::Var(TupleId(0))))
+    }
+
+    /// Drops this handle. If it held the node's last reference, the
+    /// node's operands are moved out and returned, so freeing the node
+    /// frees nothing below it.
+    fn release(self) -> [Option<LineageTree>; 2] {
+        match self {
+            LineageTree::Var(_) => [None, None],
+            LineageTree::Not(c) => [Arc::into_inner(c).and_then(|mut c| c.0[0].take()), None],
+            LineageTree::And(ab) | LineageTree::Or(ab) => Arc::into_inner(ab)
+                .map_or([None, None], |mut ab| {
+                    ab.0.each_mut().map(LineageTree::take)
+                }),
+        }
+    }
+
     /// Evaluates the tree under a truth assignment (plain recursion).
     pub fn eval(&self, assignment: &impl Fn(TupleId) -> bool) -> bool {
         match self {
             LineageTree::Var(id) => assignment(*id),
-            LineageTree::Not(c) => !c.eval(assignment),
-            LineageTree::And(a, b) => a.eval(assignment) && b.eval(assignment),
-            LineageTree::Or(a, b) => a.eval(assignment) || b.eval(assignment),
+            LineageTree::Not(c) => !c[0].eval(assignment),
+            LineageTree::And(ab) => ab[0].eval(assignment) && ab[1].eval(assignment),
+            LineageTree::Or(ab) => ab[0].eval(assignment) || ab[1].eval(assignment),
         }
     }
 
     /// Collects the distinct variables of the tree.
     pub fn vars(&self) -> BTreeSet<TupleId> {
-        fn rec(t: &LineageTree, out: &mut BTreeSet<TupleId>) {
-            match t {
-                LineageTree::Var(id) => {
-                    out.insert(*id);
-                }
-                LineageTree::Not(c) => rec(c, out),
-                LineageTree::And(a, b) | LineageTree::Or(a, b) => {
-                    rec(a, out);
-                    rec(b, out);
-                }
-            }
-        }
-        let mut out = BTreeSet::new();
-        rec(self, &mut out);
-        out
+        self.var_multiplicities().into_keys().collect()
     }
 
     /// Variable occurrences with multiplicity (plain recursion).
     pub fn var_occurrences(&self) -> usize {
         match self {
             LineageTree::Var(_) => 1,
-            LineageTree::Not(c) => c.var_occurrences(),
-            LineageTree::And(a, b) | LineageTree::Or(a, b) => {
-                a.var_occurrences() + b.var_occurrences()
-            }
+            _ => self.children().iter().map(Self::var_occurrences).sum(),
         }
     }
 
@@ -489,8 +670,7 @@ impl LineageTree {
         fn rec(t: &LineageTree, seen: &mut BTreeSet<TupleId>) -> bool {
             match t {
                 LineageTree::Var(id) => seen.insert(*id),
-                LineageTree::Not(c) => rec(c, seen),
-                LineageTree::And(a, b) | LineageTree::Or(a, b) => rec(a, seen) && rec(b, seen),
+                _ => t.children().iter().all(|c| rec(c, seen)),
             }
         }
         let mut seen = BTreeSet::new();
@@ -499,11 +679,7 @@ impl LineageTree {
 
     /// Number of nodes in the tree.
     pub fn size(&self) -> usize {
-        match self {
-            LineageTree::Var(_) => 1,
-            LineageTree::Not(c) => 1 + c.size(),
-            LineageTree::And(a, b) | LineageTree::Or(a, b) => 1 + a.size() + b.size(),
-        }
+        1 + self.children().iter().map(Self::size).sum::<usize>()
     }
 
     /// The legacy un-memoized independence-assumption valuation: walks the
@@ -520,14 +696,14 @@ impl LineageTree {
     ) -> crate::error::Result<f64> {
         Ok(match self {
             LineageTree::Var(id) => probs.prob(*id)?,
-            LineageTree::Not(c) => 1.0 - c.independent_prob_with(probs)?,
-            LineageTree::And(a, b) => {
-                a.independent_prob_with(probs)? * b.independent_prob_with(probs)?
+            LineageTree::Not(c) => 1.0 - c[0].independent_prob_with(probs)?,
+            LineageTree::And(ab) => {
+                ab[0].independent_prob_with(probs)? * ab[1].independent_prob_with(probs)?
             }
-            LineageTree::Or(a, b) => {
+            LineageTree::Or(ab) => {
                 let (pa, pb) = (
-                    a.independent_prob_with(probs)?,
-                    b.independent_prob_with(probs)?,
+                    ab[0].independent_prob_with(probs)?,
+                    ab[1].independent_prob_with(probs)?,
                 );
                 1.0 - (1.0 - pa) * (1.0 - pb)
             }
@@ -549,21 +725,24 @@ impl LineageTree {
                     Ok(self.clone())
                 }
             }
-            LineageTree::Not(c) => match c.condition(var, value) {
-                Ok(inner) => Ok(LineageTree::Not(Box::new(inner))),
+            LineageTree::Not(c) => match c[0].condition(var, value) {
+                Ok(inner) => Ok(inner.negate()),
                 Err(v) => Err(!v),
             },
-            LineageTree::And(a, b) => match (a.condition(var, value), b.condition(var, value)) {
-                (Err(false), _) | (_, Err(false)) => Err(false),
-                (Err(true), Ok(x)) | (Ok(x), Err(true)) => Ok(x),
-                (Err(true), Err(true)) => Err(true),
-                (Ok(x), Ok(y)) => Ok(LineageTree::And(Box::new(x), Box::new(y))),
-            },
-            LineageTree::Or(a, b) => match (a.condition(var, value), b.condition(var, value)) {
+            LineageTree::And(ab) => {
+                match (ab[0].condition(var, value), ab[1].condition(var, value)) {
+                    (Err(false), _) | (_, Err(false)) => Err(false),
+                    (Err(true), Ok(x)) | (Ok(x), Err(true)) => Ok(x),
+                    (Err(true), Err(true)) => Err(true),
+                    (Ok(x), Ok(y)) => Ok(LineageTree::and(x, y)),
+                }
+            }
+            LineageTree::Or(ab) => match (ab[0].condition(var, value), ab[1].condition(var, value))
+            {
                 (Err(true), _) | (_, Err(true)) => Err(true),
                 (Err(false), Ok(x)) | (Ok(x), Err(false)) => Ok(x),
                 (Err(false), Err(false)) => Err(false),
-                (Ok(x), Ok(y)) => Ok(LineageTree::Or(Box::new(x), Box::new(y))),
+                (Ok(x), Ok(y)) => Ok(LineageTree::or(x, y)),
             },
         }
     }
@@ -573,16 +752,34 @@ impl LineageTree {
         fn rec(t: &LineageTree, out: &mut HashMap<TupleId, u64>) {
             match t {
                 LineageTree::Var(id) => *out.entry(*id).or_default() += 1,
-                LineageTree::Not(c) => rec(c, out),
-                LineageTree::And(a, b) | LineageTree::Or(a, b) => {
-                    rec(a, out);
-                    rec(b, out);
-                }
+                _ => t.children().iter().for_each(|c| rec(c, out)),
             }
         }
         let mut out = HashMap::new();
         rec(self, &mut out);
         out
+    }
+}
+
+impl PartialEq for LineageTree {
+    fn eq(&self, other: &Self) -> bool {
+        walk((self, other), &mut |(a, b)| {
+            let (ca, cb) = (a.children(), b.children());
+            let same = !ca.is_empty() && std::ptr::eq(ca, cb);
+            (a.head() == b.head())
+                .then(|| std::array::from_fn(|i| Some((ca.get(i)?, cb.get(i)?)).filter(|_| !same)))
+        })
+    }
+}
+
+impl Eq for LineageTree {}
+
+impl std::hash::Hash for LineageTree {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        walk(self, &mut |t| {
+            t.head().hash(state);
+            Some(std::array::from_fn(|i| t.children().get(i)))
+        });
     }
 }
 
@@ -798,6 +995,73 @@ mod tests {
         assert_eq!(tree.var_occurrences(), l.var_occurrences());
         assert_eq!(tree.is_one_occurrence_form(), l.is_one_occurrence_form());
         assert_eq!(Lineage::from_tree(&tree), l);
+    }
+
+    /// `t0 ∨ t1 ∨ … ∨ t99999`, folded to the left, with the bottom two
+    /// variables swapped when `swap` is set.
+    fn deep_or_chain(swap: bool) -> LineageTree {
+        let (first, second) = if swap { (1, 0) } else { (0, 1) };
+        let bottom = LineageTree::or(
+            LineageTree::Var(TupleId(first)),
+            LineageTree::Var(TupleId(second)),
+        );
+        (2..100_000).fold(bottom, |acc, i| {
+            LineageTree::or(acc, LineageTree::Var(TupleId(i)))
+        })
+    }
+
+    #[test]
+    fn deep_trees_clone_compare_hash_convert_and_drop() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        // Far deeper than a recursive walk survives on a test thread.
+        let a = deep_or_chain(false);
+        let b = deep_or_chain(false);
+        let c = deep_or_chain(true);
+        assert!(a == a.clone(), "a clone shares the root");
+        assert!(a == b, "separately built chains");
+        assert!(a != c, "chains differing only at the bottom");
+        let hash = |t: &LineageTree| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(hash(&a), hash(&c));
+
+        let arena = LineageArena::shared(1);
+        let _scope = LineageArena::enter(&arena);
+        let l = Lineage::from_tree(&a);
+        assert_eq!(l.size(), 199_999);
+        assert_eq!(Lineage::from_tree(&b), l);
+        assert_ne!(Lineage::from_tree(&c), l);
+        let back = l.to_tree();
+        assert!(back == a, "to_tree of the interned chain");
+        drop((a, b, c, back));
+        // A negation chain: one operand per node.
+        let nots = (0..100_000).fold(LineageTree::Var(TupleId(0)), |t, _| t.negate());
+        assert!(nots == nots.clone());
+        drop(nots);
+    }
+
+    #[test]
+    fn owned_form_handle_and_node_sizes() {
+        // A variable is stored inline in the 16-byte handle; a binary node
+        // is two handles behind the two reference counts: 48 bytes.
+        assert_eq!(std::mem::size_of::<LineageTree>(), 16);
+        assert_eq!(std::mem::size_of::<Operands<2>>(), 32);
+    }
+
+    #[test]
+    fn from_tree_interns_a_shared_node_once() {
+        // 64 doublings: a tree of 2^65 - 1 nodes over 65 distinct ones,
+        // which only a walk that interns each shared node once finishes.
+        let (mut tree, mut want) = (LineageTree::Var(TupleId(1)), v(1));
+        for _ in 0..64 {
+            tree = LineageTree::and(tree.clone(), tree);
+            want = Lineage::and(&want, &want);
+        }
+        assert_eq!(Lineage::from_tree(&tree), want);
+        assert!(tree == tree.clone());
     }
 
     #[test]

@@ -620,4 +620,20 @@ mod tests {
         assert_eq!(sink.total(), 3);
         assert_eq!(sink.watermarks, 1);
     }
+
+    #[test]
+    fn materializing_sink_records_and_replays_deep_lineage() {
+        // A 100 000-deep ∨-chain: recording expands it into an owned tree
+        // and replay interns it back, both without overflowing a test
+        // thread.
+        let arena = tp_core::arena::LineageArena::shared(1);
+        let _scope = tp_core::arena::LineageArena::enter(&arena);
+        let deep = (1..100_000).fold(v(0), |acc, i| Lineage::or(&acc, &v(i)));
+        let mut sink = MaterializingSink::new();
+        let t = TpTuple::new("milk", deep, Interval::at(1, 4));
+        sink.on_delta(SetOp::Union, &Delta::Insert(t.clone()));
+        assert!(sink.deltas[0].lineage == deep.to_tree());
+        assert_eq!(sink.relation(SetOp::Union).iter().collect::<Vec<_>>(), [&t]);
+        drop(sink);
+    }
 }

@@ -482,10 +482,10 @@ impl StreamEngine {
     /// `plan` is compiled ([`Pipeline::compile`]) and its `i`-th source is
     /// fed from the engine's `taps[i]` delta stream. The pipeline shares
     /// the engine's watermark clock (one propagation pass per advance) and
-    /// its arena discipline (operator state holds pipeline-private shared
-    /// lineage nodes over trees expanded at the taps, never arena handles,
-    /// so reclamation never invalidates it); read the standing view through
-    /// [`StreamEngine::pipeline`].
+    /// its arena discipline (operator state holds owned
+    /// [`tp_core::lineage::LineageTree`]s expanded at the taps, never
+    /// arena handles, so reclamation never invalidates it); read the
+    /// standing view through [`StreamEngine::pipeline`].
     pub fn with_plan(
         cfg: EngineConfig,
         plan: &tp_relalg::Plan,
@@ -942,7 +942,7 @@ fn merge_by_sort_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{CollectingSink, CountingSink};
+    use crate::delta::CountingSink;
     use tp_core::interval::Interval;
     use tp_core::ops;
     use tp_core::relation::{TpRelation, VarTable};
@@ -965,56 +965,6 @@ mod tests {
         )
         .unwrap();
         (c, a)
-    }
-
-    #[test]
-    fn in_order_stream_matches_batch_for_all_ops() {
-        let mut vars = VarTable::new();
-        let (c, a) = example3(&mut vars);
-        let mut engine = StreamEngine::default();
-        let mut sink = CollectingSink::new();
-        for t in c.iter() {
-            assert_eq!(engine.push(Side::Left, t.clone()), IngestOutcome::Accepted);
-        }
-        for t in a.iter() {
-            assert_eq!(engine.push(Side::Right, t.clone()), IngestOutcome::Accepted);
-        }
-        // Watermark schedule slicing through the middle of tuples.
-        for w in [3, 5, 7] {
-            engine.advance(w, &mut sink).unwrap();
-        }
-        engine.finish(&mut sink).unwrap();
-        for op in SetOp::ALL {
-            assert_eq!(
-                sink.relation(op).canonicalized(),
-                ops::apply(op, &c, &a).canonicalized(),
-                "{op}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_order_arrival_within_lateness_matches_batch() {
-        let mut vars = VarTable::new();
-        let (c, a) = example3(&mut vars);
-        let mut engine = StreamEngine::default();
-        let mut sink = CollectingSink::new();
-        // Reverse arrival order; watermark only advances afterwards.
-        for t in c.iter().rev() {
-            engine.push(Side::Left, t.clone());
-        }
-        engine.advance(2, &mut sink).unwrap();
-        for t in a.iter() {
-            engine.push(Side::Right, t.clone());
-        }
-        engine.finish(&mut sink).unwrap();
-        for op in SetOp::ALL {
-            assert_eq!(
-                sink.relation(op).canonicalized(),
-                ops::apply(op, &c, &a).canonicalized(),
-                "{op}"
-            );
-        }
     }
 
     #[test]

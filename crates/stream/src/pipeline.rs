@@ -32,15 +32,15 @@
 //! source expands each tuple's lineage once, inside the arena scope, into
 //! an owned [`LineageTree`] — exactly like [`crate::MaterializingSink`]
 //! records deltas — so segment retirement in reclaim mode can never
-//! invalidate it. Everything derived from those trees is a shared,
-//! immutable node over them: a join output is one Table I `and` node over
-//! its two inputs, a distinct/aggregate output the left-deep `or` fold of
-//! its group's members (the fused operator: one `and` over its two sides'
+//! invalidate it. Everything derived from those trees shares them: a join
+//! output is one [`LineageTree::and`] over its two inputs, a
+//! distinct/aggregate output the left-deep [`LineageTree::or`] fold of its
+//! group's members (the fused operator: one `and` over its two sides'
 //! folds). Handing an instance to the next operator or a view is therefore
 //! a reference-count bump, not a tree copy, and a group side that only
 //! gained members extends its fold by one `or` per new member. Readers get
 //! lineage back as handles interned into their current arena
-//! ([`Pipeline::materialized_lineage`]).
+//! ([`Pipeline::materialized_lineage`], through [`Lineage::from_tree`]).
 //!
 //! ## Source encoding
 //!
@@ -62,7 +62,7 @@ use std::sync::Arc;
 use tp_core::arena::FastMap;
 use tp_core::fact::Fact;
 use tp_core::interval::Interval;
-use tp_core::lineage::{Lineage, LineageTree, TupleId};
+use tp_core::lineage::{Lineage, LineageTree};
 use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::value::Value;
@@ -141,215 +141,17 @@ impl From<LowerError> for PipelineError {
     }
 }
 
-/// Lineage of a standing tuple instance: shared, immutable and
-/// arena-independent. Cloning is a reference-count bump. Equality is
-/// tree-semantic (a `Leaf` holding `a ∧ b` equals an `And` of leaves `a`
-/// and `b`) and short-circuits on shared nodes, so a retraction finds the
-/// instance it inserted by pointer. Drop, equality and import are
-/// iterative: a fold is as deep as its group.
-#[derive(Clone)]
-struct SharedLineage(Arc<LineageNode>);
-
-enum LineageNode {
-    /// A tap tuple's lineage, expanded once at the source.
-    Leaf(LineageTree),
-    /// A join output: both inputs' lineages.
-    And(SharedLineage, SharedLineage),
-    /// One step of a group fold: the fold so far, then the next member.
-    Or(SharedLineage, SharedLineage),
-}
-
-impl SharedLineage {
-    fn leaf(tree: LineageTree) -> Self {
-        SharedLineage(Arc::new(LineageNode::Leaf(tree)))
-    }
-
-    fn and(l: &Self, r: &Self) -> Self {
-        SharedLineage(Arc::new(LineageNode::And(l.clone(), r.clone())))
-    }
-
-    fn cursor(&self) -> Cursor<'_> {
-        Cursor::Shared(self)
-    }
-}
-
 /// Left-associative ∨-fold of `members` onto `acc`, in stored order — the
 /// deterministic lineage of a support-counted output row; `None` for no
 /// members at all. Folding a group's appended members onto its previous
 /// fold gives the same formula as folding every member from scratch.
 fn or_fold<'a>(
-    acc: Option<SharedLineage>,
-    members: impl IntoIterator<Item = &'a SharedLineage>,
-) -> Option<SharedLineage> {
+    acc: Option<LineageTree>,
+    members: impl IntoIterator<Item = &'a LineageTree>,
+) -> Option<LineageTree> {
     members.into_iter().fold(acc, |acc, m| {
-        Some(match acc {
-            None => m.clone(),
-            Some(acc) => SharedLineage(Arc::new(LineageNode::Or(acc, m.clone()))),
-        })
+        Some(acc.map_or_else(|| m.clone(), |acc| LineageTree::or(acc, m.clone())))
     })
-}
-
-/// Moves a uniquely owned `And`/`Or` node out of `l`, leaving a childless
-/// placeholder behind, so its children can be released without recursion.
-fn take_derived(l: &mut SharedLineage) -> Option<LineageNode> {
-    let node = Arc::get_mut(&mut l.0)?;
-    if matches!(node, LineageNode::Leaf(_)) {
-        return None;
-    }
-    Some(std::mem::replace(
-        node,
-        LineageNode::Leaf(LineageTree::Var(TupleId(0))),
-    ))
-}
-
-impl Drop for SharedLineage {
-    fn drop(&mut self) {
-        // Descend the left spine (where folds grow) in a loop and park
-        // right children on a worklist, which stays short: a fold's
-        // members are usually still owned by their group.
-        let mut pending = Vec::new();
-        let mut next = take_derived(self);
-        while let Some(node) = next.take().or_else(|| pending.pop()) {
-            if let LineageNode::And(mut a, mut b) | LineageNode::Or(mut a, mut b) = node {
-                pending.extend(take_derived(&mut b));
-                next = take_derived(&mut a);
-            }
-        }
-    }
-}
-
-impl PartialEq for SharedLineage {
-    fn eq(&self, other: &Self) -> bool {
-        let mut pending = Vec::new();
-        let mut pair = (self.cursor(), other.cursor());
-        loop {
-            let (a, b) = pair;
-            if !a.same(b) {
-                match (a.level(), b.level()) {
-                    (Level::Var(x), Level::Var(y)) if x == y => {}
-                    (Level::Not(x), Level::Not(y)) => {
-                        pair = (x, y);
-                        continue;
-                    }
-                    (Level::And(a1, a2), Level::And(b1, b2))
-                    | (Level::Or(a1, a2), Level::Or(b1, b2)) => {
-                        if !a2.same(b2) {
-                            pending.push((a2, b2));
-                        }
-                        pair = (a1, b1);
-                        continue;
-                    }
-                    _ => return false,
-                }
-            }
-            match pending.pop() {
-                Some(next) => pair = next,
-                None => return true,
-            }
-        }
-    }
-}
-
-/// A position in a shared lineage under tree semantics: a derived node,
-/// or a subtree of a leaf's owned tree.
-#[derive(Clone, Copy)]
-enum Cursor<'a> {
-    Shared(&'a SharedLineage),
-    Tree(&'a LineageTree),
-}
-
-/// One level of the formula below a [`Cursor`].
-enum Level<'a> {
-    Var(TupleId),
-    Not(Cursor<'a>),
-    And(Cursor<'a>, Cursor<'a>),
-    Or(Cursor<'a>, Cursor<'a>),
-}
-
-impl<'a> Cursor<'a> {
-    /// Whether both cursors stand on the very same node.
-    fn same(self, other: Cursor<'_>) -> bool {
-        match (self, other) {
-            (Cursor::Shared(a), Cursor::Shared(b)) => Arc::ptr_eq(&a.0, &b.0),
-            (Cursor::Tree(a), Cursor::Tree(b)) => std::ptr::eq(a, b),
-            _ => false,
-        }
-    }
-
-    fn level(self) -> Level<'a> {
-        match self {
-            Cursor::Shared(s) => match &*s.0 {
-                LineageNode::Leaf(t) => Cursor::Tree(t).level(),
-                LineageNode::And(a, b) => Level::And(a.cursor(), b.cursor()),
-                LineageNode::Or(a, b) => Level::Or(a.cursor(), b.cursor()),
-            },
-            Cursor::Tree(t) => match t {
-                LineageTree::Var(id) => Level::Var(*id),
-                LineageTree::Not(c) => Level::Not(Cursor::Tree(c)),
-                LineageTree::And(a, b) => Level::And(Cursor::Tree(a), Cursor::Tree(b)),
-                LineageTree::Or(a, b) => Level::Or(Cursor::Tree(a), Cursor::Tree(b)),
-            },
-        }
-    }
-}
-
-/// Interns shared lineages into the caller's current arena by an
-/// iterative post-order walk, each shared node once per importer. The memo
-/// is keyed by node address, so an importer must not outlive the lineages
-/// it imported.
-#[derive(Default)]
-struct Importer {
-    memo: FastMap<*const LineageNode, Lineage>,
-}
-
-impl Importer {
-    fn import(&mut self, root: &SharedLineage) -> Lineage {
-        fn pop(done: &mut Vec<Lineage>) -> Lineage {
-            done.pop()
-                .expect("children are imported before their parent")
-        }
-        let mut todo = vec![(root.cursor(), false)];
-        let mut done: Vec<Lineage> = Vec::new();
-        while let Some((at, children_done)) = todo.pop() {
-            let key = match at {
-                Cursor::Shared(s) => Some(Arc::as_ptr(&s.0)),
-                Cursor::Tree(_) => None,
-            };
-            if !children_done {
-                if let Some(&l) = key.and_then(|k| self.memo.get(&k)) {
-                    done.push(l);
-                    continue;
-                }
-                todo.push((at, true));
-                match at.level() {
-                    Level::Var(_) => {}
-                    Level::Not(c) => todo.push((c, false)),
-                    Level::And(a, b) | Level::Or(a, b) => {
-                        todo.push((b, false));
-                        todo.push((a, false));
-                    }
-                }
-                continue;
-            }
-            let l = match at.level() {
-                Level::Var(id) => Lineage::var(id),
-                Level::Not(_) => pop(&mut done).negate(),
-                Level::And(..) => {
-                    let r = pop(&mut done);
-                    Lineage::and(&pop(&mut done), &r)
-                }
-                Level::Or(..) => {
-                    let r = pop(&mut done);
-                    Lineage::or(&pop(&mut done), &r)
-                }
-            };
-            if let Some(k) = key {
-                self.memo.insert(k, l);
-            }
-            done.push(l);
-        }
-        pop(&mut done)
-    }
 }
 
 /// One standing tuple instance: a flat row plus its shared lineage.
@@ -358,7 +160,7 @@ struct PipeTuple {
     /// The encoded row.
     row: Row,
     /// Lineage of the instance, arena-independent.
-    lineage: SharedLineage,
+    lineage: LineageTree,
 }
 
 /// An internal change notification between operators.
@@ -425,7 +227,7 @@ enum OpState {
     /// Hash join: per-side instances bucketed by join key.
     HashJoin([FastMap<Vec<Value>, Vec<PipeTuple>>; 2]),
     /// Distinct: instance lineages per distinct row (support counting).
-    Distinct(FastMap<Row, Group<SharedLineage, 1>>),
+    Distinct(FastMap<Row, Group<LineageTree, 1>>),
     /// Aggregate: member instances per group key, in arrival order.
     Aggregate(FastMap<Vec<Value>, Group<PipeTuple, 1>>),
     /// Fused join → aggregate: per join key, each side's instances in
@@ -475,7 +277,7 @@ struct Group<M, const N: usize> {
     sides: [Vec<M>; N],
     /// Per side, the fold of its members as of the last batch; `None`
     /// while the side is empty.
-    folds: [Option<SharedLineage>; N],
+    folds: [Option<LineageTree>; N],
     /// `None` while a side is empty (and while the batch that created the
     /// group runs).
     published: Option<PipeTuple>,
@@ -494,17 +296,17 @@ impl<M, const N: usize> Group<M, N> {
 /// A group member: a distinct row's instance lineage, or an aggregate's
 /// whole input tuple.
 trait Member: PartialEq {
-    fn lineage(&self) -> &SharedLineage;
+    fn lineage(&self) -> &LineageTree;
 }
 
-impl Member for SharedLineage {
-    fn lineage(&self) -> &SharedLineage {
+impl Member for LineageTree {
+    fn lineage(&self) -> &LineageTree {
         self
     }
 }
 
 impl Member for PipeTuple {
-    fn lineage(&self) -> &SharedLineage {
+    fn lineage(&self) -> &LineageTree {
         &self.lineage
     }
 }
@@ -586,7 +388,7 @@ fn apply_batch<K, M, const N: usize>(
         }
         let lineage = match group.folds.as_slice() {
             [Some(fold)] => fold.clone(),
-            [Some(l), Some(r)] => SharedLineage::and(l, r),
+            [Some(l), Some(r)] => LineageTree::and(l.clone(), r.clone()),
             _ => {
                 // A side is empty: nothing to publish until it refills.
                 out.extend(touch.old.map(PipeDelta::Del));
@@ -624,7 +426,7 @@ fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
     row.extend(r.row.iter().cloned());
     PipeTuple {
         row,
-        lineage: SharedLineage::and(&l.lineage, &r.lineage),
+        lineage: LineageTree::and(l.lineage.clone(), r.lineage.clone()),
     }
 }
 
@@ -867,7 +669,7 @@ struct PipelineObs {
 /// per output row, plus the plan's root schema.
 struct RootView {
     schema: Schema,
-    rows: FastMap<Row, Vec<SharedLineage>>,
+    rows: FastMap<Row, Vec<LineageTree>>,
     /// Total instances (multiplicity sum).
     len: usize,
 }
@@ -1088,7 +890,7 @@ impl Pipeline {
                     );
                     let pt = PipeTuple {
                         row: encode_row(&t.fact, t.interval),
-                        lineage: SharedLineage::leaf(t.lineage.to_tree()),
+                        lineage: t.lineage.to_tree(),
                     };
                     self.last_run[s].insert(t.fact.clone(), pt.clone());
                     self.nodes[node].inbox.push((0, PipeDelta::Ins(pt)));
@@ -1122,7 +924,7 @@ impl Pipeline {
                         );
                         let pt = PipeTuple {
                             row: encode_row(fact, Interval::at(*from, *to)),
-                            lineage: SharedLineage::leaf(lineage.to_tree()),
+                            lineage: lineage.to_tree(),
                         };
                         self.last_run[s].insert(fact.clone(), pt.clone());
                         self.nodes[node].inbox.push((0, PipeDelta::Ins(pt)));
@@ -1262,8 +1064,8 @@ impl Pipeline {
     /// sorted by row — the hook alert rules valuate (e.g. with
     /// [`crate::obs::valuate_batch`]). The lineage is interned into the
     /// caller's *current* arena: call it inside the scope whose variables
-    /// the valuation reads. The walk is iterative, so group folds of any
-    /// depth import without recursion.
+    /// the valuation reads. [`Lineage::from_tree`] is depth-safe, so group
+    /// folds of any depth import.
     pub fn materialized_lineage(&self) -> Vec<(Row, Lineage)> {
         self.materialized_lineage_view(0)
     }
@@ -1271,14 +1073,13 @@ impl Pipeline {
     /// Plan `p`'s distinct output rows with their ∨-folded lineage, sorted
     /// by row (see [`Pipeline::materialized_lineage`]).
     pub fn materialized_lineage_view(&self, p: usize) -> Vec<(Row, Lineage)> {
-        let mut importer = Importer::default();
         let mut out: Vec<(Row, Lineage)> = self.views[p]
             .rows
             .iter()
             .map(|(row, instances)| {
                 let fold = instances
                     .iter()
-                    .map(|l| importer.import(l))
+                    .map(Lineage::from_tree)
                     .reduce(|acc, l| Lineage::or(&acc, &l))
                     .expect("view rows hold at least one instance");
                 (row.clone(), fold)
@@ -1423,7 +1224,7 @@ mod tests {
     use crate::delta::CollectingSink;
     use crate::engine::{EngineConfig, Side, StreamEngine};
     use tp_core::arena::LineageArena;
-    use tp_core::lineage::LineageKind;
+    use tp_core::lineage::{LineageKind, TupleId};
     use tp_core::tuple::TpTuple;
     use tp_relalg::aggregate::AggFn;
     use tp_relalg::incremental::bind_sources;
@@ -1574,8 +1375,18 @@ mod tests {
         );
     }
 
-    fn var_leaf(i: u64) -> SharedLineage {
-        SharedLineage::leaf(LineageTree::Var(TupleId(i)))
+    fn var_leaf(i: u64) -> LineageTree {
+        LineageTree::Var(TupleId(i))
+    }
+
+    /// Whether both handles hold the very same node.
+    fn same_node(a: &LineageTree, b: &LineageTree) -> bool {
+        match (a, b) {
+            (LineageTree::Not(x), LineageTree::Not(y)) => Arc::ptr_eq(x, y),
+            (LineageTree::And(x), LineageTree::And(y))
+            | (LineageTree::Or(x), LineageTree::Or(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
     }
 
     fn grouped(op: LoweredOp) -> Node {
@@ -1588,44 +1399,40 @@ mod tests {
         }
     }
 
-    fn export(l: &SharedLineage) -> LineageTree {
-        Importer::default().import(l).to_tree()
-    }
-
     /// Every group's side folds, and the published lineage built from
-    /// them, export to the same trees as from-scratch stored-order folds
+    /// them, equal from-scratch stored-order folds
     /// over its current members; a group publishes iff no side is empty.
     fn assert_published_folds_are_fresh<K, M: Member, const N: usize>(
         groups: &FastMap<K, Group<M, N>>,
     ) {
         assert!(!groups.is_empty(), "vacuous: no groups");
         for g in groups.values() {
-            let fresh: Vec<Option<SharedLineage>> = g
+            let fresh: Vec<Option<LineageTree>> = g
                 .sides
                 .iter()
                 .map(|members| or_fold(None, members.iter().map(M::lineage)))
                 .collect();
             for (fold, fresh) in g.folds.iter().zip(&fresh) {
-                assert_eq!(fold.as_ref().map(export), fresh.as_ref().map(export));
+                assert_eq!(fold, fresh);
             }
             let fresh_published = match fresh.as_slice() {
                 [Some(f)] => Some(f.clone()),
-                [Some(l), Some(r)] => Some(SharedLineage::and(l, r)),
+                [Some(l), Some(r)] => Some(LineageTree::and(l.clone(), r.clone())),
                 _ => None,
             };
             assert_eq!(
-                g.published.as_ref().map(|p| export(&p.lineage)),
-                fresh_published.as_ref().map(export)
+                g.published.as_ref().map(|p| &p.lineage),
+                fresh_published.as_ref()
             );
         }
     }
 
     #[test]
     fn incremental_group_folds_keep_the_stored_order_shape() {
-        let l: Vec<SharedLineage> = (0..8).map(var_leaf).collect();
+        let l: Vec<LineageTree> = (0..8).map(var_leaf).collect();
         // A join output as a member.
-        let j = SharedLineage::and(&l[6], &l[7]);
-        let t = |k: i64, te: i64, lineage: &SharedLineage| PipeTuple {
+        let j = LineageTree::and(l[6].clone(), l[7].clone());
+        let t = |k: i64, te: i64, lineage: &LineageTree| PipeTuple {
             row: vec![Value::int(k), Value::int(0), Value::int(te)],
             lineage: lineage.clone(),
         };
@@ -1685,8 +1492,8 @@ mod tests {
                 let old = published_before.expect("group 0 published in batch 0");
                 let new = &agg_groups[&vec![Value::int(0)]].published;
                 assert!(
-                    matches!(&*new.as_ref().unwrap().lineage.0,
-                        LineageNode::Or(prev, _) if Arc::ptr_eq(&prev.0, &old.lineage.0)),
+                    matches!(&new.as_ref().unwrap().lineage,
+                        LineageTree::Or(prev) if same_node(&prev[0], &old.lineage)),
                     "an append-only batch must extend the published fold"
                 );
             }
@@ -1703,9 +1510,9 @@ mod tests {
             aggs: vec![AggFn::Count, AggFn::Max(2), AggFn::Min(4)],
         };
         let mut node = grouped(op);
-        let l: Vec<SharedLineage> = (0..6).map(var_leaf).collect();
-        let r: Vec<SharedLineage> = (10..13).map(var_leaf).collect();
-        let t = |k: i64, ts: i64, te: i64, lineage: &SharedLineage| PipeTuple {
+        let l: Vec<LineageTree> = (0..6).map(var_leaf).collect();
+        let r: Vec<LineageTree> = (10..13).map(var_leaf).collect();
+        let t = |k: i64, ts: i64, te: i64, lineage: &LineageTree| PipeTuple {
             row: vec![Value::int(k), Value::int(ts), Value::int(te)],
             lineage: lineage.clone(),
         };
@@ -1735,7 +1542,7 @@ mod tests {
         ];
         let key = |k: i64| vec![Value::int(k)];
         let mut emitted = Vec::new();
-        let mut before: Option<[Option<SharedLineage>; 2]> = None;
+        let mut before: Option<[Option<LineageTree>; 2]> = None;
         for (b, batch) in batches.into_iter().enumerate() {
             let mut out = Vec::new();
             node.apply_grouped(batch, &mut out);
@@ -1752,8 +1559,8 @@ mod tests {
             };
             assert_published_folds_are_fresh(groups);
             let g = &groups[&key(0)];
-            let same = |a: &Option<SharedLineage>, b: &Option<SharedLineage>| match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0),
+            let same = |a: &Option<LineageTree>, b: &Option<LineageTree>| match (a, b) {
+                (Some(a), Some(b)) => same_node(a, b),
                 _ => false,
             };
             match b {
@@ -1763,19 +1570,19 @@ mod tests {
                         same(&g.folds[1], &prev[1]),
                         "an untouched side keeps its fold"
                     );
-                    let LineageNode::Or(inner, _) = &*g.folds[0].as_ref().unwrap().0 else {
+                    let Some(LineageTree::Or(outer)) = &g.folds[0] else {
                         panic!("an appended side extends its fold");
                     };
                     assert!(
-                        matches!(&*inner.0, LineageNode::Or(base, _)
-                            if Arc::ptr_eq(&base.0, &prev[0].as_ref().unwrap().0)),
+                        matches!(&outer[0], LineageTree::Or(inner)
+                            if same_node(&inner[0], prev[0].as_ref().unwrap())),
                         "one `or` per appended member onto the previous fold"
                     );
                     let published = &g.published.as_ref().unwrap().lineage;
                     assert!(
-                        matches!(&*published.0, LineageNode::And(a, c)
-                            if Arc::ptr_eq(&a.0, &g.folds[0].as_ref().unwrap().0)
-                                && Arc::ptr_eq(&c.0, &g.folds[1].as_ref().unwrap().0)),
+                        matches!(published, LineageTree::And(ac)
+                            if same_node(&ac[0], g.folds[0].as_ref().unwrap())
+                                && same_node(&ac[1], g.folds[1].as_ref().unwrap())),
                         "the group lineage is the `and` of the side folds"
                     );
                 }
@@ -1817,7 +1624,7 @@ mod tests {
     #[test]
     fn deep_folds_compare_import_and_drop_iteratively() {
         // Far deeper than a recursive walk survives on a test thread.
-        let leaves: Vec<SharedLineage> = (0..100_000).map(var_leaf).collect();
+        let leaves: Vec<LineageTree> = (0..100_000).map(var_leaf).collect();
         let a = or_fold(None, &leaves).unwrap();
         let b = or_fold(None, &leaves).unwrap();
         let mut swapped = leaves.clone();
@@ -1827,9 +1634,8 @@ mod tests {
         assert!(a != c, "folds differing only at the bottom");
         let arena = LineageArena::shared(1);
         let _scope = LineageArena::enter(&arena);
-        let mut importer = Importer::default();
-        assert_eq!(importer.import(&a), importer.import(&b));
-        assert_ne!(importer.import(&a), importer.import(&c));
+        assert_eq!(Lineage::from_tree(&a), Lineage::from_tree(&b));
+        assert_ne!(Lineage::from_tree(&a), Lineage::from_tree(&c));
         drop(leaves);
         drop(swapped);
     }

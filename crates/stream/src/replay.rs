@@ -182,7 +182,6 @@ mod tests {
     use super::*;
     use tp_core::fact::Fact;
     use tp_core::interval::Interval;
-    use tp_core::ops::{self, SetOp};
     use tp_core::relation::VarTable;
 
     fn chain_pair(seed_fact: i64) -> (TpRelation, TpRelation) {
@@ -218,31 +217,6 @@ mod tests {
             if let ReplayEvent::Advance(w) = e {
                 assert!(*w > last);
                 last = *w;
-            }
-        }
-    }
-
-    #[test]
-    fn replayed_results_match_batch_and_drop_nothing() {
-        let (r, s) = chain_pair(2);
-        for (lateness, every, seed) in [(0, 1, 1), (4, 8, 2), (9, 200, 3)] {
-            let script = StreamScript::from_pair(
-                &r,
-                &s,
-                &ReplayConfig {
-                    lateness,
-                    advance_every: every,
-                    seed,
-                },
-            );
-            let (sink, totals) = script.run(EngineConfig::default());
-            assert_eq!(totals.late, [0, 0], "scripts never drop tuples");
-            for op in SetOp::ALL {
-                assert_eq!(
-                    sink.relation(op).canonicalized(),
-                    ops::apply(op, &r, &s).canonicalized(),
-                    "lateness {lateness}, every {every}, {op}"
-                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property tests for the hash-consed lineage arena: on randomized formulas,
 //! the arena-backed implementations (memoized `prob::marginal`, O(1)
 //! metadata, variable-set extraction) must agree with independent
-//! computations on the legacy recursive [`LineageTree`], and hash-consing
+//! computations on the owned [`LineageTree`] form, and hash-consing
 //! must make structural equality coincide with handle equality
 //! (`a == b ⇔ ref(a) == ref(b)`).
 

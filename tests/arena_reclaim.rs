@@ -96,16 +96,13 @@ fn random_intern_seal_retire_interleavings_never_invalidate_live_refs() {
                         match rng.random_range(0..3u32) {
                             0 => (
                                 Lineage::and(&pick.lineage, &fresh),
-                                LineageTree::And(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::and(pick.tree.clone(), fresh_tree),
                             ),
                             1 => (
                                 Lineage::or(&pick.lineage, &fresh),
-                                LineageTree::Or(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::or(pick.tree.clone(), fresh_tree),
                             ),
-                            _ => (
-                                pick.lineage.negate(),
-                                LineageTree::Not(Box::new(pick.tree.clone())),
-                            ),
+                            _ => (pick.lineage.negate(), pick.tree.clone().negate()),
                         }
                     };
                     live.push(LiveFormula { lineage, tree });

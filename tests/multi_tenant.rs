@@ -3,12 +3,18 @@
 //! produce results **byte-identical** to N serial single-tenant runs; one
 //! tenant's retirement must never move another tenant's `ArenaStats`; and
 //! every tenant must plateau on *both* memory axes (arena nodes and live
-//! vars) while staying batch-equivalent per the differential oracle.
+//! vars) while staying batch-equivalent per the differential oracle. A
+//! tenant holding several standing plans over shared taps must materialize
+//! each view like a single-plan tenant and the batch plan.
 
 mod common;
 
 use common::oracle::{assert_materialized_matches_batch, assert_plateau};
-use tp_stream::{MaterializedDelta, MaterializingSink, ServerConfig, Side, StreamServer, TenantId};
+use tp_relalg::{bind_sources, AggFn, Plan, Relation, Schema};
+use tp_stream::{
+    encode_relation, MaterializedDelta, MaterializingSink, ServerConfig, Side, StreamServer,
+    TenantId,
+};
 use tp_workloads::{multi_tenant_stream, replay_waves, MultiTenantConfig, TenantScript};
 use tpdb::prelude::*;
 
@@ -164,5 +170,69 @@ fn one_tenants_retirement_never_moves_anothers_stats() {
         );
         assert_eq!(server.vars(id).live_vars(), before[k].1);
         assert_eq!(server.engine(id).reclaimed(), before[k].2);
+    }
+}
+
+/// The repl demo's two alert rules over one `Except ⋈ Intersect` hash join
+/// on the fact key: a count per key (the fused join → aggregate) and the
+/// distinct keys. Both read the same taps, so they share the join's
+/// sources.
+fn repl_rules() -> (Schema, Vec<Plan>, Vec<Vec<SetOp>>) {
+    let schema = Schema::new(["k", "ts", "te"]);
+    let leaf = || Plan::values(Relation::empty(schema.clone()));
+    let join = || leaf().hash_join(leaf(), vec![0], vec![0]);
+    let plans = vec![
+        join().aggregate(vec![0], vec![AggFn::Count]),
+        join().project(vec![0]).distinct(),
+    ];
+    (
+        schema,
+        plans,
+        vec![vec![SetOp::Except, SetOp::Intersect]; 2],
+    )
+}
+
+#[test]
+fn multi_plan_tenant_matches_single_plan_tenants_and_batch() {
+    let (schema, plans, taps) = repl_rules();
+    let mut server: StreamServer<MaterializingSink> = StreamServer::new(ServerConfig::default());
+    let sink = |_: &_| MaterializingSink::new();
+    let shared = server
+        .add_tenant_with_plans("shared", &plans, &taps, sink)
+        .unwrap();
+    let solo: Vec<TenantId> = plans
+        .iter()
+        .zip(&taps)
+        .enumerate()
+        .map(|(p, (plan, taps))| {
+            server
+                .add_tenant_with_plan(format!("solo{p}"), plan, taps, sink)
+                .unwrap()
+        })
+        .collect();
+    // All three tenants replay one tenant's script.
+    let scripts = vec![workload().swap_remove(0); 3];
+    replay_waves(&scripts, &mut server, &[shared, solo[0], solo[1]], |_| {});
+    for result in server.finish_all() {
+        result.expect("finish never regresses the watermark");
+    }
+
+    let views = server.engine(shared).pipeline().unwrap();
+    assert_eq!(views.plan_count(), plans.len());
+    for (p, plan) in plans.iter().enumerate() {
+        let tables: Vec<Relation> = taps[p]
+            .iter()
+            .map(|&op| encode_relation(&server.sink(shared).relation(op), &schema))
+            .collect();
+        let mut batch = bind_sources(plan, &tables).execute().rows;
+        batch.sort();
+        assert!(!batch.is_empty(), "view {p}: vacuous");
+        assert_eq!(
+            views.materialized_view(p).rows,
+            batch,
+            "view {p}: shared tenant vs batch"
+        );
+        let single = server.engine(solo[p]).pipeline().unwrap().materialized();
+        assert_eq!(single.rows, batch, "view {p}: single-plan tenant vs batch");
     }
 }

@@ -382,12 +382,12 @@ fn random_interior_retire_interleavings_preserve_live_marginals() {
                         if rng.random::<bool>() {
                             (
                                 Lineage::and(&pick.lineage, &fresh),
-                                LineageTree::And(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::and(pick.tree.clone(), fresh_tree),
                             )
                         } else {
                             (
                                 Lineage::or(&pick.lineage, &fresh),
-                                LineageTree::Or(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::or(pick.tree.clone(), fresh_tree),
                             )
                         }
                     };

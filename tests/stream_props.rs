@@ -267,7 +267,7 @@ fn adversarial_watermark_schedules_match_batch() {
 }
 
 #[test]
-fn engine_internal_cross_check_passes_on_random_streams() {
+fn random_synth_script_matches_batch_at_every_watermark() {
     // Batch LAWA over the closed region must equal the emitted prefix
     // after every advance of a random stream.
     let mut vars = VarTable::new();

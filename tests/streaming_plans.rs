@@ -428,13 +428,9 @@ fn renamed(l: &Lineage, rank: &HashMap<TupleId, TupleId>) -> Lineage {
     fn rec(t: &LineageTree, rank: &HashMap<TupleId, TupleId>) -> LineageTree {
         match t {
             LineageTree::Var(id) => LineageTree::Var(rank[id]),
-            LineageTree::Not(c) => LineageTree::Not(Box::new(rec(c, rank))),
-            LineageTree::And(a, b) => {
-                LineageTree::And(Box::new(rec(a, rank)), Box::new(rec(b, rank)))
-            }
-            LineageTree::Or(a, b) => {
-                LineageTree::Or(Box::new(rec(a, rank)), Box::new(rec(b, rank)))
-            }
+            LineageTree::Not(c) => rec(&c[0], rank).negate(),
+            LineageTree::And(ab) => LineageTree::and(rec(&ab[0], rank), rec(&ab[1], rank)),
+            LineageTree::Or(ab) => LineageTree::or(rec(&ab[0], rank), rec(&ab[1], rank)),
         }
     }
     Lineage::from_tree(&rec(&l.to_tree(), rank))
