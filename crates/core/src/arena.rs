@@ -133,6 +133,7 @@ mod arena_obs {
         pub interior_retires: Arc<tp_obs::Counter>,
         pub retired_nodes: Arc<tp_obs::Counter>,
         pub batched_nodes: Arc<tp_obs::Counter>,
+        pub fallback_roots: Arc<tp_obs::Counter>,
         pub live_nodes: Arc<tp_obs::Gauge>,
         pub live_segments: Arc<tp_obs::Gauge>,
         pub resident_bytes: Arc<tp_obs::Gauge>,
@@ -148,6 +149,7 @@ mod arena_obs {
                 interior_retires: reg.counter("tp_arena_interior_retires_total", &[]),
                 retired_nodes: reg.counter("tp_arena_retired_nodes_total", &[]),
                 batched_nodes: reg.counter("tp_valuation_batched_nodes_total", &[]),
+                fallback_roots: reg.counter("tp_valuation_fallback_roots_total", &[]),
                 live_nodes: reg.gauge("tp_arena_live_nodes", &[]),
                 live_segments: reg.gauge("tp_arena_live_segments", &[]),
                 resident_bytes: reg.gauge("tp_arena_resident_bytes", &[]),
@@ -162,10 +164,18 @@ mod arena_obs {
             handles().batched_nodes.add(n);
         }
     }
+
+    /// Counts roots `tp_core::prob::marginal_batch` hands to the per-root
+    /// `marginal` — `tp_valuation_fallback_roots_total`.
+    pub(crate) fn record_fallback_roots(n: u64) {
+        if enabled() && n > 0 {
+            handles().fallback_roots.add(n);
+        }
+    }
 }
 
-pub(crate) use arena_obs::record_batched_nodes;
 pub use arena_obs::{enabled as obs_enabled, set_enabled as set_obs_enabled};
+pub(crate) use arena_obs::{record_batched_nodes, record_fallback_roots};
 
 /// A minimal FxHash-style multiply hasher for the small `Copy` keys of the
 /// hot paths (`LineageRef`, node tuples). The default SipHash costs more

@@ -233,47 +233,48 @@ impl Lineage {
     /// Tree-semantic multiplicity of every variable, accumulated over the
     /// shared DAG in one topological pass (linear in unique nodes; one
     /// pinned view for the whole walk).
-    pub fn var_multiplicities(&self) -> HashMap<TupleId, u64> {
+    pub fn var_multiplicities(&self) -> FastMap<TupleId, u64> {
         with_arena(|arena| {
             let view = arena.view();
-            // Postorder to get a topological order of the sub-DAG.
-            let mut order: Vec<LineageRef> = Vec::new();
-            let mut seen: BTreeSet<LineageRef> = BTreeSet::new();
-            let mut stack: Vec<(LineageRef, bool)> = vec![(self.0, false)];
-            while let Some((r, expanded)) = stack.pop() {
-                if expanded {
-                    order.push(r);
+            // Postorder, so every node comes after its operands; `pos`
+            // maps a completed node to its index in `order`. Only the
+            // nodes on the current path are pending, and a DAG never
+            // reaches them again, so `pos` doubles as the visited set.
+            let mut order: Vec<LineageNode> = Vec::new();
+            let mut pos: FastMap<LineageRef, usize> = FastMap::default();
+            let mut stack: Vec<(LineageRef, Option<LineageNode>)> = vec![(self.0, None)];
+            while let Some((r, done)) = stack.pop() {
+                if let Some(node) = done {
+                    pos.insert(r, order.len());
+                    order.push(node);
                     continue;
                 }
-                if !seen.insert(r) {
+                if pos.contains_key(&r) {
                     continue;
                 }
-                stack.push((r, true));
-                match view.node(r) {
+                let node = view.node(r);
+                stack.push((r, Some(node)));
+                match node {
                     LineageNode::Var(_) => {}
-                    LineageNode::Not(c) => stack.push((c, false)),
+                    LineageNode::Not(c) => stack.push((c, None)),
                     LineageNode::And(a, b) | LineageNode::Or(a, b) => {
-                        stack.push((a, false));
-                        stack.push((b, false));
+                        stack.push((a, None));
+                        stack.push((b, None));
                     }
                 }
             }
-            // Reverse topological: propagate multiplicities root → leaves.
-            let mut mult: HashMap<LineageRef, u64> = HashMap::new();
-            mult.insert(self.0, 1);
-            let mut counts: HashMap<TupleId, u64> = HashMap::new();
-            for &r in order.iter().rev() {
-                let m = mult.get(&r).copied().unwrap_or(0);
-                match view.node(r) {
-                    LineageNode::Var(id) => {
-                        *counts.entry(id).or_default() += m;
-                    }
-                    LineageNode::Not(c) => {
-                        *mult.entry(c).or_default() += m;
-                    }
+            // Reverse postorder: propagate multiplicities root → leaves.
+            let mut mult = vec![0u64; order.len()];
+            *mult.last_mut().expect("the root is collected") = 1;
+            let mut counts: FastMap<TupleId, u64> = FastMap::default();
+            for (i, node) in order.iter().enumerate().rev() {
+                let m = mult[i];
+                match *node {
+                    LineageNode::Var(id) => *counts.entry(id).or_default() += m,
+                    LineageNode::Not(c) => mult[pos[&c]] += m,
                     LineageNode::And(a, b) | LineageNode::Or(a, b) => {
-                        *mult.entry(a).or_default() += m;
-                        *mult.entry(b).or_default() += m;
+                        mult[pos[&a]] += m;
+                        mult[pos[&b]] += m;
                     }
                 }
             }
@@ -748,14 +749,14 @@ impl LineageTree {
     }
 
     /// Multiplicity of every variable (plain recursion over the tree).
-    pub fn var_multiplicities(&self) -> HashMap<TupleId, u64> {
-        fn rec(t: &LineageTree, out: &mut HashMap<TupleId, u64>) {
+    pub fn var_multiplicities(&self) -> FastMap<TupleId, u64> {
+        fn rec(t: &LineageTree, out: &mut FastMap<TupleId, u64>) {
             match t {
                 LineageTree::Var(id) => *out.entry(*id).or_default() += 1,
                 _ => t.children().iter().for_each(|c| rec(c, out)),
             }
         }
-        let mut out = HashMap::new();
+        let mut out = FastMap::default();
         rec(self, &mut out);
         out
     }

@@ -14,19 +14,26 @@
 //!   standing in for the anytime-approximation literature the paper cites
 //!   (\[25\]–\[29\]).
 //!
-//! [`marginal`] dispatches: linear path for 1OF, Shannon otherwise.
+//! [`marginal`] dispatches one root: linear path for 1OF, Shannon
+//! otherwise. [`marginal_batch`] values many roots in one pass: 1OF cones
+//! in lane-blocked columns, and a non-1OF root by enumerating the worlds
+//! of its repeated variables on the arena DAG (at most 64 unique cone
+//! nodes and 6 repeated variables). A root over either cap, or one whose
+//! variables do not resolve, falls back to [`marginal`].
 //!
 //! ## Memoization
 //!
 //! Lineage is hash-consed (see [`crate::arena`]), so a formula's identity is
 //! its [`crate::arena::LineageRef`]. Exact marginals are memoized **per
-//! `(VarTable, node)`** in the table's valuation cache: within one call the
-//! shared sub-DAG is valuated once per unique node, and across calls —
-//! e.g. the same sublineage appearing in many overlapping windows — the
-//! cached value is returned without touching the formula at all. Only exact
-//! values enter the cache: the independence-assumption value of a *non-1OF*
+//! `(VarTable, node)`** in the table's valuation cache: across calls — e.g.
+//! the same sublineage appearing in many overlapping windows — a cached
+//! value is returned without touching the formula at all. The linear path
+//! stores every node of a 1OF formula; Shannon expansion stores the root,
+//! memoizing its conditioned subformulas per call. Only exact values
+//! enter the cache: the independence-assumption value of a *non-1OF*
 //! formula (where [`independent`] is approximate by contract) is never
-//! stored.
+//! stored. [`marginal_batch`]'s columns and world enumeration neither read
+//! nor write the cache.
 
 use std::collections::HashMap;
 
@@ -265,7 +272,7 @@ fn bool_to_p(b: bool) -> f64 {
 /// Smallest variable occurring more than once (falling back to the
 /// smallest variable overall): the deterministic pivot policy shared by
 /// both expansion paths.
-fn pick_pivot(counts: &HashMap<TupleId, u64>) -> TupleId {
+fn pick_pivot(counts: &FastMap<TupleId, u64>) -> TupleId {
     counts
         .iter()
         .filter(|(_, &c)| c > 1)
@@ -344,8 +351,12 @@ pub fn monte_carlo(
 
 /// The default exact valuation: linear-time for 1OF lineage (the guaranteed
 /// case for non-repeating TP set queries), Shannon expansion otherwise.
-/// Both paths memoize per node in the table's valuation cache, so repeated
-/// calls on shared sublineages are O(1) after the first.
+/// The linear path stores every node's value in the table's valuation
+/// cache, so repeated calls on shared 1OF sublineages are O(1) after the
+/// first. Shannon expansion stores only the root's value (its conditioned
+/// subformulas are memoized per call; only a formula whose tree expansion
+/// exceeds 2^20 nodes stores them too), so a repeated call on the same
+/// root is O(1) but one on a repeating subformula is not.
 pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
     // Fast path: the whole formula was valuated before — one lock, one
     // probe (the cache only ever holds exact marginals, so no 1OF check is
@@ -371,16 +382,10 @@ pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
 /// segments hit an already-completed column — with no hashing and no
 /// recursion.
 ///
-/// The kernel covers 1OF roots (the guaranteed case for non-repeating TP
+/// The columns cover 1OF roots (the guaranteed case for non-repeating TP
 /// set queries, Corollary 1), where the independence-assumption value *is*
 /// the exact marginal; every subformula of a 1OF formula is 1OF, so the
-/// whole reachable cone valuates columnar. Non-1OF roots, roots whose vars
-/// fail to resolve mid-column (e.g. released cohorts), and calls without a
-/// current arena fall back to [`marginal`] per root — bit-identical
-/// results by construction, since the column applies the same f64
-/// operations in the same operand order as [`independent`]'s recursion
-/// (`Var → p`, `Not → 1−p`, `And → p_a·p_b`, `Or → 1−(1−p_a)(1−p_b)`),
-/// and each unique node is computed exactly once on both paths.
+/// whole reachable cone valuates columnar.
 ///
 /// The walk is **pruned to the roots' reachable cones**: a mark pass
 /// first flags exactly the slots the batch can reach in per-segment block
@@ -403,34 +408,53 @@ pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
 /// lanes hold `NaN`, which propagates through the arithmetic and routes
 /// the affected root to the fallback.
 ///
+/// Non-1OF roots are valued exactly in place by **world enumeration**
+/// (`WorldScratch`). The root's cone is collected in postorder from the
+/// same pinned segment snapshots, each node recording its operands'
+/// positions. Tree multiplicity flows from the root to the leaves; a
+/// `Var` node is hash-consed, so its multiplicity is its variable's
+/// occurrence count, and the repeated set `R` is the variables occurring
+/// more than once. Each of the `2^|R|` worlds fixes `R`; every other
+/// variable then occurs once, so the independence value of the cone is
+/// exact in that world, and the marginal is the world-weighted sum. The
+/// worlds are valued `LANE_COUNT` at a time. Scratch buffers are reused
+/// across the roots of one call; the path interns nothing and neither
+/// reads nor writes the table's valuation cache.
+///
+/// A root whose cone has more than 64 unique nodes or more than 6
+/// repeated variables, a root whose variables fail to resolve
+/// mid-column (e.g. released cohorts), and a column miss fall back to
+/// [`marginal`] per root, which also reports the error. The fallback is bit-identical for 1OF
+/// roots by construction, since the column applies the same f64
+/// operations in the same operand order as [`independent`]'s recursion
+/// (`Var → p`, `Not → 1−p`, `And → p_a·p_b`, `Or → 1−(1−p_a)(1−p_b)`),
+/// and each unique node is computed exactly once on both paths. For an
+/// enumerated root it agrees with Shannon expansion up to rounding.
+///
 /// Nodes valuated columnar are counted in
-/// `tp_valuation_batched_nodes_total`.
+/// `tp_valuation_batched_nodes_total`, roots handed to [`marginal`] in
+/// `tp_valuation_fallback_roots_total`.
 pub fn marginal_batch(lineages: &[Lineage], vars: &VarTable) -> Result<Vec<f64>> {
     if lineages.is_empty() {
         return Ok(Vec::new());
     }
     LineageArena::with_current(|arena| {
+        let mut snaps = Snapshots::new(arena);
         let mut batched = vec![false; lineages.len()];
         let mut stack: Vec<LineageRef> = Vec::new();
         for (i, l) in lineages.iter().enumerate() {
             let r = l.node_ref();
-            if arena.one_of(r) {
+            if snaps.node(r).is_some_and(|(_, one_of)| one_of) {
                 batched[i] = true;
                 stack.push(r);
             }
         }
         // Mark pass: flag the slots reachable from the batched roots, one
-        // mask byte per 8-slot block. Snapshots are taken once per touched
-        // segment and pinned for the whole call, so the compute pass below
-        // reads the same state.
-        let mut snaps: FastMap<u32, Option<SegmentSnapshot<'_>>> = FastMap::default();
+        // mask byte per 8-slot block.
         let mut marks: FastMap<u32, Vec<u8>> = FastMap::default();
         while let Some(r) = stack.pop() {
             let seg = r.segment().0;
-            let snap = snaps
-                .entry(seg)
-                .or_insert_with(|| arena.snapshot_segment(SegmentId(seg)));
-            let Some(snap) = snap.as_ref() else {
+            let Some(snap) = snaps.segment(seg) else {
                 continue; // interior hole or never-opened id
             };
             let slot = r.slot() as usize;
@@ -461,10 +485,11 @@ pub fn marginal_batch(lineages: &[Lineage], vars: &VarTable) -> Result<Vec<f64>>
         segs.sort_unstable();
         let mut cols: FastMap<u32, LaneColumn> = FastMap::default();
         let mut batched_nodes = 0u64;
+        // Dropped before the fallback below, which takes its own reads.
+        let probs = vars.prob_reader();
         if !segs.is_empty() {
-            let probs = vars.prob_reader();
             for seg in segs {
-                let Some(snap) = snaps.get(&seg).and_then(Option::as_ref) else {
+                let Some(snap) = snaps.segment(seg) else {
                     continue;
                 };
                 let mark = marks.get(&seg).expect("marked segment has a bitmap");
@@ -532,27 +557,318 @@ pub fn marginal_batch(lineages: &[Lineage], vars: &VarTable) -> Result<Vec<f64>>
             }
         }
         crate::arena::record_batched_nodes(batched_nodes);
-        let mut out = Vec::with_capacity(lineages.len());
-        for (i, l) in lineages.iter().enumerate() {
-            let p = if batched[i] {
+        let mut worlds: Option<WorldScratch> = None;
+        let mut out: Vec<f64> = lineages
+            .iter()
+            .zip(&batched)
+            .map(|(l, &columnar)| {
                 let r = l.node_ref();
-                cols.get(&r.segment().0)
-                    .map_or(f64::NAN, |c| c.get(r.slot()))
-            } else {
-                f64::NAN
-            };
-            if p.is_nan() {
-                // Non-1OF root, unresolved var, or a column miss: the
-                // memoized evaluator is the single source of truth for
-                // every case the kernel does not cover (including the
-                // error it should report).
-                out.push(marginal(l, vars)?);
-            } else {
-                out.push(p);
+                if columnar {
+                    cols.get(&r.segment().0)
+                        .map_or(f64::NAN, |c| c.get(r.slot()))
+                } else {
+                    worlds
+                        .get_or_insert_with(WorldScratch::new)
+                        .value(r, &mut snaps, &probs)
+                        .unwrap_or(f64::NAN)
+                }
+            })
+            .collect();
+        drop(probs);
+        let fallback = out.iter().filter(|p| p.is_nan()).count();
+        crate::arena::record_fallback_roots(fallback as u64);
+        if fallback > 0 {
+            for (p, l) in out.iter_mut().zip(lineages) {
+                if p.is_nan() {
+                    // A root over a cap, an unresolved var, or a column
+                    // miss: the memoized evaluator is the single source
+                    // of truth for every case the kernel does not cover
+                    // (including the error it should report).
+                    *p = marginal(l, vars)?;
+                }
             }
         }
         Ok(out)
     })
+}
+
+/// The segment snapshots one [`marginal_batch`] call pins: a segment is
+/// snapshotted on first touch and kept for the whole call, so every pass
+/// reads the same state.
+struct Snapshots<'a> {
+    arena: &'a LineageArena,
+    /// Segment id → position in `list`.
+    index: FastMap<u32, usize>,
+    list: Vec<Option<SegmentSnapshot<'a>>>,
+    /// The segment read last and its position: a cone's nodes mostly
+    /// share a segment, so most reads skip the hash probe.
+    last: Option<(u32, usize)>,
+}
+
+impl<'a> Snapshots<'a> {
+    fn new(arena: &'a LineageArena) -> Snapshots<'a> {
+        Snapshots {
+            arena,
+            index: FastMap::default(),
+            list: Vec::new(),
+            last: None,
+        }
+    }
+
+    /// Segment `seg`'s snapshot; `None` for a retired or never-opened one.
+    #[inline]
+    fn segment(&mut self, seg: u32) -> Option<&SegmentSnapshot<'a>> {
+        let i = match self.last {
+            Some((s, i)) if s == seg => i,
+            _ => {
+                let (arena, list) = (self.arena, &mut self.list);
+                let i = *self.index.entry(seg).or_insert_with(|| {
+                    list.push(arena.snapshot_segment(SegmentId(seg)));
+                    list.len() - 1
+                });
+                self.last = Some((seg, i));
+                i
+            }
+        };
+        self.list[i].as_ref()
+    }
+
+    /// The node at `r` and its 1OF flag; `None` also for a slot published
+    /// after the snapshot.
+    #[inline]
+    fn node(&mut self, r: LineageRef) -> Option<(LineageNode, bool)> {
+        self.segment(r.segment().0)?.node_at(r.slot())
+    }
+}
+
+/// Unique-node cap of a non-1OF cone valued by world enumeration in
+/// [`marginal_batch`]; a larger cone goes to [`marginal`].
+const WORLD_MAX_NODES: usize = 64;
+
+/// Repeated-variable cap of world enumeration: at most `2^6 = 64` worlds
+/// per root. Above it Shannon expansion's memo beats `2^|R|`.
+const WORLD_MAX_REPEATED: usize = 6;
+
+/// One node of a collected cone; operands are positions of earlier nodes
+/// of the same postorder.
+#[derive(Clone, Copy)]
+enum ConeOp {
+    /// A leaf as collected, before the repeated set is known.
+    Var(TupleId),
+    /// A leaf occurring once: its probability in every world.
+    Prob(f64),
+    /// A repeated leaf: bit `k` of the world index.
+    World(u8),
+    Not(u8),
+    And(u8, u8),
+    Or(u8, u8),
+}
+
+/// A step of the iterative postorder cone walk.
+#[derive(Clone, Copy)]
+enum ConeStep {
+    Enter(LineageRef),
+    /// All operands of this interior node are collected.
+    Exit(LineageRef, LineageNode),
+}
+
+/// Scratch of [`marginal_batch`]'s world enumeration, sized for the caps
+/// once per call and reused by every non-1OF root of it.
+struct WorldScratch {
+    /// The cone in postorder: the root is last, operands precede their
+    /// consumers.
+    refs: Vec<LineageRef>,
+    ops: Vec<ConeOp>,
+    steps: Vec<ConeStep>,
+    /// Positions of completed operands not yet consumed.
+    operands: Vec<u8>,
+    /// Tree multiplicity per cone position.
+    mult: Vec<u64>,
+    /// Per cone position, its value in `LANE_COUNT` worlds.
+    lanes: Vec<[f64; LANE_COUNT]>,
+    /// `weights[w]` = `Π p or (1 − p)` over the repeated variables, as
+    /// world `w` sets them.
+    weights: [f64; 1 << WORLD_MAX_REPEATED],
+}
+
+impl WorldScratch {
+    fn new() -> WorldScratch {
+        WorldScratch {
+            refs: Vec::with_capacity(WORLD_MAX_NODES),
+            ops: Vec::with_capacity(WORLD_MAX_NODES),
+            // Each claimed node pushes at most three steps.
+            steps: Vec::with_capacity(3 * WORLD_MAX_NODES + 1),
+            operands: Vec::with_capacity(WORLD_MAX_NODES + 1),
+            mult: Vec::with_capacity(WORLD_MAX_NODES),
+            lanes: Vec::with_capacity(WORLD_MAX_NODES),
+            weights: [0.0; 1 << WORLD_MAX_REPEATED],
+        }
+    }
+
+    /// The exact marginal of `root` by world enumeration over its
+    /// repeated variables, or `None` when its cone is over a cap, reaches
+    /// a slot or segment the snapshots do not hold, or has a variable
+    /// that does not resolve.
+    fn value(
+        &mut self,
+        root: LineageRef,
+        snaps: &mut Snapshots<'_>,
+        probs: &crate::relation::ProbReader<'_>,
+    ) -> Option<f64> {
+        self.collect(root, snaps)?;
+        let repeated = self.resolve_leaves(probs)?;
+        let worlds = 1usize << repeated;
+        let root_pos = self.ops.len() - 1;
+        let mut total = 0.0;
+        for base in (0..worlds).step_by(LANE_COUNT) {
+            for (i, &op) in self.ops.iter().enumerate() {
+                let lanes = &self.lanes;
+                let value = match op {
+                    ConeOp::Var(_) => unreachable!("leaves resolved"),
+                    ConeOp::Prob(p) => [p; LANE_COUNT],
+                    ConeOp::World(k) => std::array::from_fn(|j| ((base + j) >> k & 1) as f64),
+                    ConeOp::Not(c) => {
+                        let c = &lanes[c as usize];
+                        std::array::from_fn(|j| 1.0 - c[j])
+                    }
+                    ConeOp::And(a, b) => {
+                        let (a, b) = (&lanes[a as usize], &lanes[b as usize]);
+                        std::array::from_fn(|j| a[j] * b[j])
+                    }
+                    ConeOp::Or(a, b) => {
+                        let (a, b) = (&lanes[a as usize], &lanes[b as usize]);
+                        std::array::from_fn(|j| 1.0 - (1.0 - a[j]) * (1.0 - b[j]))
+                    }
+                };
+                self.lanes[i] = value;
+            }
+            let root = &self.lanes[root_pos];
+            for (j, w) in self.weights[base..worlds.min(base + LANE_COUNT)]
+                .iter()
+                .enumerate()
+            {
+                total += w * root[j];
+            }
+        }
+        Some(total)
+    }
+
+    /// Collects `root`'s cone into `refs` / `ops` in postorder. Only the
+    /// nodes on the current path are pending, and a DAG never reaches
+    /// them again, so a node found in `refs` is always complete.
+    fn collect(&mut self, root: LineageRef, snaps: &mut Snapshots<'_>) -> Option<()> {
+        let WorldScratch {
+            refs,
+            ops,
+            steps,
+            operands,
+            ..
+        } = self;
+        refs.clear();
+        ops.clear();
+        steps.clear();
+        operands.clear();
+        let mut claimed = 0usize;
+        steps.push(ConeStep::Enter(root));
+        while let Some(step) = steps.pop() {
+            let (r, op) = match step {
+                ConeStep::Enter(r) => {
+                    if let Some(pos) = refs.iter().position(|&x| x == r) {
+                        operands.push(pos as u8);
+                        continue;
+                    }
+                    claimed += 1;
+                    if claimed > WORLD_MAX_NODES {
+                        return None;
+                    }
+                    let (node, _) = snaps.node(r)?;
+                    match node {
+                        LineageNode::Var(id) => (r, ConeOp::Var(id)),
+                        LineageNode::Not(c) => {
+                            steps.push(ConeStep::Exit(r, node));
+                            steps.push(ConeStep::Enter(c));
+                            continue;
+                        }
+                        LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+                            steps.push(ConeStep::Exit(r, node));
+                            steps.push(ConeStep::Enter(b));
+                            steps.push(ConeStep::Enter(a));
+                            continue;
+                        }
+                    }
+                }
+                ConeStep::Exit(r, node) => {
+                    let op = match node {
+                        LineageNode::Var(_) => unreachable!("leaves complete on entry"),
+                        LineageNode::Not(_) => ConeOp::Not(operands.pop()?),
+                        LineageNode::And(..) => {
+                            let b = operands.pop()?;
+                            ConeOp::And(operands.pop()?, b)
+                        }
+                        LineageNode::Or(..) => {
+                            let b = operands.pop()?;
+                            ConeOp::Or(operands.pop()?, b)
+                        }
+                    };
+                    (r, op)
+                }
+            };
+            operands.push(refs.len() as u8);
+            refs.push(r);
+            ops.push(op);
+        }
+        Some(())
+    }
+
+    /// Propagates tree multiplicity from the root down, then rewrites
+    /// each leaf to its probability or, when it repeats, to its world bit
+    /// (filling `weights`). Returns `|R|`, or `None` over the cap or on a
+    /// variable that does not resolve.
+    fn resolve_leaves(&mut self, probs: &crate::relation::ProbReader<'_>) -> Option<u32> {
+        let n = self.ops.len();
+        self.mult.clear();
+        self.mult.resize(n, 0);
+        self.mult[n - 1] = 1;
+        // Every consumer sits after its operands, so walking backwards
+        // completes a node's multiplicity before it is passed on.
+        for i in (0..n).rev() {
+            let m = self.mult[i];
+            match self.ops[i] {
+                ConeOp::Not(c) => self.mult[c as usize] = self.mult[c as usize].saturating_add(m),
+                ConeOp::And(a, b) | ConeOp::Or(a, b) => {
+                    self.mult[a as usize] = self.mult[a as usize].saturating_add(m);
+                    self.mult[b as usize] = self.mult[b as usize].saturating_add(m);
+                }
+                _ => {}
+            }
+        }
+        let mut repeated = 0u32;
+        self.weights[0] = 1.0;
+        for (op, &m) in self.ops.iter_mut().zip(&self.mult) {
+            let ConeOp::Var(id) = *op else {
+                continue;
+            };
+            let p = probs.prob(id).ok()?;
+            if m == 1 {
+                *op = ConeOp::Prob(p);
+                continue;
+            }
+            if repeated as usize == WORLD_MAX_REPEATED {
+                return None;
+            }
+            let bit = 1usize << repeated;
+            for w in 0..bit {
+                let x = self.weights[w];
+                self.weights[w | bit] = x * p;
+                self.weights[w] = x * (1.0 - p);
+            }
+            *op = ConeOp::World(repeated as u8);
+            repeated += 1;
+        }
+        self.lanes.clear();
+        self.lanes.resize(n, [0.0; LANE_COUNT]);
+        Some(repeated)
+    }
 }
 
 /// Lanes per block of a [`LaneColumn`] — one cache-line-sized `[f64; 8]`

@@ -196,8 +196,8 @@ fn shared_views_valuate_through_batch_kernel_within_1e12() {
     // first view's rows keep the tap tuples' 1OF lineage (Corollary 1), so
     // the lane-blocked kernel genuinely runs instead of routing everything
     // to the per-root fallback; the narrower projections ∨-merge only the
-    // few rows that collide after a column drop, exercising the fallback
-    // on small non-1OF cones.
+    // few rows that collide after a column drop, exercising the kernel's
+    // world enumeration on small non-1OF cones.
     let prefix = || leaf().project(vec![0, 1, 2]).distinct();
     let plans = vec![
         prefix(),
