@@ -54,15 +54,18 @@
 //! ## Dedup stripes
 //!
 //! Hash-consing needs one global node → ref table. It is split into
-//! [`MAX_SHARDS`] lock stripes selected by node hash bits that the
-//! stripe's own table uses neither for its bucket index nor for its probe
-//! tag; interning takes a read lock (hit) or a short write lock and one
-//! `entry` probe (miss) on **one** stripe, and node *reads* never touch
-//! the stripes at all. A dedup hit whose target
-//! segment was retired is treated as a miss (the entry is overwritten with
-//! the fresh intern), so ref-equality keeps meaning structural equality
-//! among *live* handles; stale entries are purged amortized — every retire
-//! sweeps one stripe round-robin.
+//! [`MAX_SHARDS`] lock stripes selected by node hash bits 52..56; each
+//! stripe is an open-addressing table of 12-byte slots holding only the
+//! ref and 32 further hash bits (`h32`). The node shape is not copied
+//! into the table: a probe whose `h32` matches reads the candidate node
+//! from the node store, through a lookup that answers "absent" for a
+//! retired segment instead of panicking. Interning takes a read lock
+//! (hit) or a short write lock (miss) on **one** stripe, and node *reads*
+//! never touch the stripes at all. A dedup entry whose target segment was
+//! retired is skipped, never returned, so ref-equality keeps meaning
+//! structural equality among *live* handles. Dead entries are dropped in
+//! place, from the stored `h32`s and without re-reading a node, by a sweep
+//! of one stripe per retire (round-robin) and before a table grows.
 //!
 //! ## Memoization invariants
 //!
@@ -73,9 +76,10 @@
 //!    set is known only while `occurrences <= VAR_LIST_CAP`: a node with
 //!    one or two distinct variables reads it from its `{var_lo, var_hi}`
 //!    pair and stores no list; a node with 3 to `VAR_LIST_CAP` variables
-//!    keeps one heap list, allocated once from a merge on the stack (a
-//!    `Not` shares its child's). Larger nodes fall back to the
-//!    `[var_lo, var_hi]` range summary.
+//!    keeps one heap list in place of the pair (the list's ends are its
+//!    range), allocated once from a merge on the stack (a `Not` shares
+//!    its child's). Larger nodes fall back to the `[var_lo, var_hi]`
+//!    range summary. `size` and `occurrences` saturate at `u32::MAX`.
 //! 3. The `one_of` flag is exact whenever both children know their
 //!    variable sets or have disjoint variable ranges; otherwise it is *conservative*
 //!    (may report `false` for a huge formula that is in fact 1OF). A
@@ -96,7 +100,6 @@
 //! (convert with `Lineage::to_tree` at the boundary).
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -137,6 +140,7 @@ mod arena_obs {
         pub live_nodes: Arc<tp_obs::Gauge>,
         pub live_segments: Arc<tp_obs::Gauge>,
         pub resident_bytes: Arc<tp_obs::Gauge>,
+        pub dedup_bytes: Arc<tp_obs::Gauge>,
     }
 
     pub(super) fn handles() -> &'static Handles {
@@ -153,6 +157,7 @@ mod arena_obs {
                 live_nodes: reg.gauge("tp_arena_live_nodes", &[]),
                 live_segments: reg.gauge("tp_arena_live_segments", &[]),
                 resident_bytes: reg.gauge("tp_arena_resident_bytes", &[]),
+                dedup_bytes: reg.gauge("tp_arena_dedup_bytes", &[]),
             }
         })
     }
@@ -227,13 +232,15 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// lock-free; these stripes only serialize hash-consing lookups.
 pub const MAX_SHARDS: usize = 16;
 
-/// The stripe is `(hash >> STRIPE_SHIFT) & stripe_mask`. Each stripe's
-/// table hashes the same key with the same hasher; hashbrown indexes its
-/// buckets by the low bits and compares a 7-bit tag taken from the top
-/// bits (57..64), so the stripe bits (52..56) must be neither, or every
-/// key in a stripe shares part of its tag and each probe compares more
-/// keys.
+/// The stripe is `(hash >> STRIPE_SHIFT) & stripe_mask`, bits 52..56 of
+/// the node hash. Every key of a stripe shares those bits, so the `h32`
+/// a dedup slot stores ([`dedup_tag`]) leaves them out: a stripe bit in
+/// `h32` would be constant within the stripe, crowding its probe starts
+/// and matching more tags per probe.
 const STRIPE_SHIFT: u32 = 52;
+
+/// The stripe bits of a node hash (`MAX_SHARDS - 1` at [`STRIPE_SHIFT`]).
+const STRIPE_BITS: u64 = (MAX_SHARDS as u64 - 1) << STRIPE_SHIFT;
 
 /// Capacity of the first node chunk of a segment. Chunk sizes double from
 /// here up to [`FLAT_CHUNK`] and then stay flat, so small (per-epoch)
@@ -327,51 +334,105 @@ pub enum LineageNode {
     Or(LineageRef, LineageRef),
 }
 
+/// `kind` byte of a packed node shape (see [`LineageNode::pack`]).
+const KIND_VAR: u8 = 0;
+const KIND_NOT: u8 = 1;
+const KIND_AND: u8 = 2;
+const KIND_OR: u8 = 3;
+
+impl LineageNode {
+    /// The packed shape a node slot stores: a kind byte and two operands
+    /// (a variable id or child refs; unused operands are 0).
+    #[inline]
+    fn pack(self) -> (u8, [u64; 2]) {
+        match self {
+            LineageNode::Var(id) => (KIND_VAR, [id.0, 0]),
+            LineageNode::Not(c) => (KIND_NOT, [c.0, 0]),
+            LineageNode::And(a, b) => (KIND_AND, [a.0, b.0]),
+            LineageNode::Or(a, b) => (KIND_OR, [a.0, b.0]),
+        }
+    }
+}
+
 /// Nodes with at most this many variable occurrences know their exact
 /// sorted distinct-variable set; larger nodes keep only the
 /// `[var_lo, var_hi]` range summary.
 pub const VAR_LIST_CAP: usize = 128;
 
-/// Immutable per-node metadata, computed at intern time.
+/// Immutable per-node metadata, computed at intern time. Field order
+/// keeps it at 56 bytes, so a slot is 64 (asserted below).
 #[derive(Debug)]
 struct NodeMeta {
-    node: LineageNode,
-    /// Tree-semantic node count (saturating).
-    size: u64,
-    /// Tree-semantic variable occurrences, with multiplicity (saturating).
-    occurrences: u64,
-    /// Smallest and largest variable of the formula, `[var_lo, var_hi]`.
-    /// Adjacent so that a set of one or two variables borrows from here.
-    range: [TupleId; 2],
+    /// Operands of the packed shape, decoded by [`NodeMeta::node`].
+    ops: [u64; 2],
+    /// The variable set or its range summary (invariant 2).
+    vars: VarSet,
+    /// Tree-semantic node count (saturating at `u32::MAX`).
+    size: u32,
+    /// Tree-semantic variable occurrences, with multiplicity (saturating
+    /// at `u32::MAX`).
+    occurrences: u32,
     /// Smallest segment id reachable from this node's sub-DAG. Children
     /// are interned no later than their parents, so the reachable segment
     /// set of a node is contained in `[min_seg, segment(self)]`.
     min_seg: u32,
+    /// Kind byte of the packed shape (`KIND_*`).
+    kind: u8,
     /// Whether the formula is in one-occurrence form (see invariant 3).
     one_of: bool,
-    /// Exact sorted distinct variables when there are 3 to
-    /// `VAR_LIST_CAP` of them (invariant 2); a `Not` shares its child's.
-    list: Option<Arc<[TupleId]>>,
+}
+
+/// A node's variables (invariant 2).
+#[derive(Debug, Clone)]
+enum VarSet {
+    /// Smallest and largest variable, `[var_lo, var_hi]`: the exact set
+    /// `{var_lo, var_hi}` while `occurrences <= VAR_LIST_CAP`, a range
+    /// summary beyond.
+    Range([TupleId; 2]),
+    /// Exact sorted distinct variables, 3 to `VAR_LIST_CAP` of them; its
+    /// ends are the range. A `Not` shares its child's.
+    List(Arc<[TupleId]>),
 }
 
 impl NodeMeta {
+    /// The node's shape.
+    #[inline]
+    fn node(&self) -> LineageNode {
+        let [a, b] = self.ops;
+        match self.kind {
+            KIND_VAR => LineageNode::Var(TupleId(a)),
+            KIND_NOT => LineageNode::Not(LineageRef(a)),
+            KIND_AND => LineageNode::And(LineageRef(a), LineageRef(b)),
+            _ => LineageNode::Or(LineageRef(a), LineageRef(b)),
+        }
+    }
+
+    /// Smallest and largest variable of the formula.
+    #[inline]
+    fn range(&self) -> [TupleId; 2] {
+        match &self.vars {
+            VarSet::Range(range) => *range,
+            VarSet::List(list) => [list[0], list[list.len() - 1]],
+        }
+    }
+
     /// The exact sorted distinct-variable set, when known (invariant 2):
     /// the heap list, or `{var_lo, var_hi}` for one or two variables.
     #[inline]
     fn vars(&self) -> Option<&[TupleId]> {
-        match &self.list {
-            Some(list) => Some(list),
-            None if self.occurrences <= VAR_LIST_CAP as u64 => {
-                let distinct = if self.range[0] == self.range[1] { 1 } else { 2 };
-                Some(&self.range[..distinct])
+        match &self.vars {
+            VarSet::List(list) => Some(list),
+            VarSet::Range(range) if self.occurrences <= VAR_LIST_CAP as u32 => {
+                let distinct = if range[0] == range[1] { 1 } else { 2 };
+                Some(&range[..distinct])
             }
-            None => None,
+            VarSet::Range(_) => None,
         }
     }
 }
 
-// Slots are most of an arena's memory: keep one at 88 bytes or less.
-const _: () = assert!(std::mem::size_of::<OnceLock<NodeMeta>>() <= 88);
+// Slots are most of an arena's memory: keep one at 64 bytes or less.
+const _: () = assert!(std::mem::size_of::<OnceLock<NodeMeta>>() <= 64);
 
 /// One fixed-capacity block of node slots. Slots are claimed by atomic
 /// bump and published through their `OnceLock` (readers of a legitimately
@@ -444,6 +505,133 @@ fn chunk_start(c: usize) -> usize {
 #[inline]
 fn chunk_capacity(c: usize) -> usize {
     (FIRST_CHUNK as usize) << c.min(GEO_CHUNKS as usize)
+}
+
+/// 32 bits of a node hash for its dedup slot, with the stripe bits
+/// cleared: the low word folded with the high one, so the probe start
+/// (`h32 & mask`) also draws on the better-mixed high bits.
+#[inline]
+fn dedup_tag(hash: u64) -> u32 {
+    let h = hash & !STRIPE_BITS;
+    (h ^ (h >> 32)) as u32
+}
+
+/// One dedup slot: `[ref + 1 (low word), ref + 1 (high word), h32]`, all
+/// zero when empty (`ref + 1` is never 0).
+type DedupSlot = [u32; 3];
+
+/// Smallest non-empty dedup table.
+const DEDUP_MIN_SLOTS: usize = 16;
+
+/// One dedup stripe: open addressing with linear probing over
+/// [`DedupSlot`]s, grown at 7/8 load. The node shape is not stored; a
+/// probe compares a candidate's node only when its `h32` matches.
+#[derive(Default)]
+struct DedupTable {
+    /// Power-of-two slot count, or empty before the first insert.
+    slots: Vec<DedupSlot>,
+    /// Occupied slots, dead entries included until a sweep drops them.
+    len: usize,
+}
+
+impl DedupTable {
+    /// The first entry tagged `h32` whose ref passes `same`, which reads
+    /// the candidate node (and answers `false` for a dead one).
+    #[inline]
+    fn get(&self, h32: u32, mut same: impl FnMut(LineageRef) -> bool) -> Option<LineageRef> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = h32 as usize & mask;
+        loop {
+            let slot = &self.slots[i];
+            if slot[0] | slot[1] == 0 {
+                return None;
+            }
+            if slot[2] == h32 && same(slot_ref(slot)) {
+                return Some(slot_ref(slot));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds an entry for a node the table does not hold live. At 7/8
+    /// load, dead entries are dropped first, and the table grows unless
+    /// that leaves it at most half full (so a sweep that frees little
+    /// does not repeat a few inserts later).
+    fn insert(&mut self, h32: u32, r: LineageRef, live: impl Fn(LineageRef) -> bool) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.sweep(live);
+            if (self.len + 1) * 2 > self.slots.len() {
+                self.rebuild(self.len + 1);
+            }
+        }
+        let v = r.0 + 1;
+        self.place([v as u32, (v >> 32) as u32, h32]);
+    }
+
+    /// Drops dead entries in place by backward-shift deletion, then
+    /// shrinks the table if at most 1/8 of it is left.
+    fn sweep(&mut self, live: impl Fn(LineageRef) -> bool) {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return;
+        };
+        let mut i = 0;
+        while i <= mask {
+            let slot = self.slots[i];
+            if slot[0] | slot[1] == 0 || live(slot_ref(&slot)) {
+                i += 1;
+                continue;
+            }
+            // Empty slot i, then pull each later entry of its cluster back
+            // into the hole when the hole lies on that entry's probe path
+            // (between its probe start and its slot). Slot i is examined
+            // again: an entry may have moved into it.
+            self.slots[i] = [0; 3];
+            self.len -= 1;
+            let (mut hole, mut j) = (i, (i + 1) & mask);
+            while self.slots[j][0] | self.slots[j][1] != 0 {
+                let start = self.slots[j][2] as usize & mask;
+                if j.wrapping_sub(start) & mask >= j.wrapping_sub(hole) & mask {
+                    self.slots[hole] = std::mem::take(&mut self.slots[j]);
+                    hole = j;
+                }
+                j = (j + 1) & mask;
+            }
+        }
+        if self.len * 8 <= self.slots.len() && self.slots.len() > DEDUP_MIN_SLOTS {
+            self.rebuild(self.len);
+        }
+    }
+
+    /// Rebuilds the table from the stored `h32`s in room for `keep`
+    /// entries at most half full. Reads no node.
+    fn rebuild(&mut self, keep: usize) {
+        let slots = match keep {
+            0 => Vec::new(),
+            n => vec![[0; 3]; (2 * n).next_power_of_two().max(DEDUP_MIN_SLOTS)],
+        };
+        let old = std::mem::replace(&mut self.slots, slots);
+        self.len = 0;
+        for s in old.into_iter().filter(|s| s[0] | s[1] != 0) {
+            self.place(s);
+        }
+    }
+
+    /// Stores `slot` at the first empty slot of its probe sequence.
+    fn place(&mut self, slot: DedupSlot) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot[2] as usize & mask;
+        while self.slots[i][0] | self.slots[i][1] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+        self.len += 1;
+    }
+}
+
+/// The ref a dedup slot holds.
+#[inline]
+fn slot_ref(s: &DedupSlot) -> LineageRef {
+    LineageRef((u64::from(s[1]) << 32 | u64::from(s[0])) - 1)
 }
 
 /// Lifecycle states of a segment.
@@ -574,8 +762,8 @@ pub struct LineageArena {
     retired_segments: AtomicU32,
     /// Serializes seal / retire / capacity rolls (rare operations).
     lifecycle: Mutex<()>,
-    /// Dedup stripes: node shape → ref.
-    stripes: Box<[RwLock<FastMap<LineageNode, LineageRef>>]>,
+    /// Dedup stripes: node hash → ref, compared against the node store.
+    stripes: Box<[RwLock<DedupTable>]>,
     /// `stripes.len() - 1`; stripe selection is `hash & mask`.
     stripe_mask: u32,
 }
@@ -596,8 +784,11 @@ pub struct ArenaStats {
     /// Segments whose storage was reclaimed.
     pub retired_segments: usize,
     /// Approximate resident bytes of live node storage (chunk slots plus
-    /// exact variable lists).
+    /// exact variable lists). The dedup table is counted apart, in
+    /// `dedup_bytes`.
     pub resident_bytes: usize,
+    /// Bytes of the dedup tables: slot capacity × 12.
+    pub dedup_bytes: usize,
     /// Live nodes carrying an exact variable list.
     pub with_var_list: usize,
 }
@@ -651,7 +842,7 @@ impl LineageArena {
             retired_segments: AtomicU32::new(0),
             lifecycle: Mutex::new(()),
             stripes: (0..count)
-                .map(|_| RwLock::new(FastMap::default()))
+                .map(|_| RwLock::new(DedupTable::default()))
                 .collect(),
             stripe_mask: count as u32 - 1,
         };
@@ -726,11 +917,14 @@ impl LineageArena {
         SegmentId(self.open.load(Ordering::Acquire))
     }
 
+    /// `node`'s dedup stripe and `h32` ([`dedup_tag`]).
     #[inline]
-    fn stripe_of(&self, node: &LineageNode) -> usize {
+    fn dedup_key(&self, node: &LineageNode) -> (usize, u32) {
         let mut h = FastHasher::default();
         node.hash(&mut h);
-        ((h.finish() >> STRIPE_SHIFT) as u32 & self.stripe_mask) as usize
+        let h = h.finish();
+        let stripe = (h >> STRIPE_SHIFT) as u32 & self.stripe_mask;
+        (stripe as usize, dedup_tag(h))
     }
 
     /// Whether `r`'s segment still holds its storage (open or sealed, not
@@ -751,34 +945,47 @@ impl LineageArena {
     /// [`crate::lineage::Lineage`] (which interns into the current arena).
     /// Children of `node` must be live refs of *this* arena.
     pub fn intern(&self, node: LineageNode) -> LineageRef {
-        let sid = self.stripe_of(&node);
+        let (sid, h32) = self.dedup_key(&node);
+        let (kind, ops) = node.pack();
+        let same = |r: LineageRef| self.holds(r, kind, ops);
         // Fast path: the node already exists and is live (read lock only).
+        if let Some(r) = self.stripes[sid]
+            .read()
+            .expect("arena stripe poisoned")
+            .get(h32, same)
         {
-            let stripe = self.stripes[sid].read().expect("arena stripe poisoned");
-            if let Some(&r) = stripe.get(&node) {
-                if self.is_live(r) {
-                    return r;
-                }
-            }
+            return r;
         }
         // Gather child metadata with no lock held (child reads are
-        // lock-free), so the stripe write lock below is the only lock this
-        // thread holds — no nesting, no deadlock.
+        // lock-free), so the stripe write lock below is the only stripe
+        // lock this thread holds — no nesting, no deadlock.
         let meta = self.build_meta(node);
         let mut stripe = self.stripes[sid].write().expect("arena stripe poisoned");
-        // One probe: the entry either holds a racing writer's live copy,
-        // a dead handle to overwrite, or nothing.
-        match stripe.entry(node) {
-            Entry::Occupied(mut e) => {
-                if self.is_live(*e.get()) {
-                    return *e.get(); // raced with another writer
-                }
-                let r = self.append(meta);
-                e.insert(r);
-                r
-            }
-            Entry::Vacant(e) => *e.insert(self.append(meta)),
+        if let Some(r) = stripe.get(h32, same) {
+            return r; // raced with another writer
         }
+        let r = self.append(meta);
+        let none_retired = self.retired_segments.load(Ordering::Relaxed) == 0;
+        stripe.insert(h32, r, |r| none_retired || self.is_live(r));
+        r
+    }
+
+    /// Whether `r` is a live node of packed shape `(kind, ops)`: the dedup
+    /// probe's comparison. Never panics — a retired or unopened segment,
+    /// or a slot its chunk list no longer holds, reads as `false`. Takes
+    /// the segment's chunk-list read lock while the caller holds a stripe
+    /// lock (the one lock order: stripe, then chunk list).
+    fn holds(&self, r: LineageRef, kind: u8, ops: [u64; 2]) -> bool {
+        let Some(seg) = self.segment_if_opened(r.segment().0) else {
+            return false;
+        };
+        if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
+            return false;
+        }
+        seg.read_chunks()
+            .slot(r.slot())
+            .and_then(OnceLock::get)
+            .is_some_and(|m| m.kind == kind && m.ops == ops)
     }
 
     /// Claims a slot in the open segment (atomic bump) and publishes the
@@ -854,12 +1061,15 @@ impl LineageArena {
     /// Returns the sealed segment's id, or `None` if the open segment was
     /// still empty (sealing nothing would only burn ids).
     pub fn seal(&self) -> Option<SegmentId> {
-        let _lc = self.lifecycle.lock().expect("lifecycle poisoned");
+        let lifecycle = self.lifecycle.lock().expect("lifecycle poisoned");
         let cur = self.open.load(Ordering::Acquire);
         if self.segment(cur).len.load(Ordering::Acquire) == 0 {
             return None;
         }
         let sealed = self.open_next(cur);
+        // The gauges read the stripes, which a capacity roll holds while
+        // it waits for the lifecycle lock.
+        drop(lifecycle);
         if arena_obs::enabled() {
             arena_obs::handles().seals.inc();
             self.publish_obs_gauges();
@@ -875,7 +1085,7 @@ impl LineageArena {
     /// must have proven that no live ref reaches the segment, or later
     /// traversals will panic.
     pub fn retire(&self, id: SegmentId) -> Result<RetiredStorage, RetireError> {
-        let _lc = self.lifecycle.lock().expect("lifecycle poisoned");
+        let lifecycle = self.lifecycle.lock().expect("lifecycle poisoned");
         let seg = self.segment_if_opened(id.0).ok_or(RetireError::Unknown)?;
         match seg.state.load(Ordering::Acquire) {
             STATE_OPEN => return Err(RetireError::Open),
@@ -915,14 +1125,17 @@ impl LineageArena {
             low += 1;
         }
         self.scan_low.store(low, Ordering::Release);
+        // A capacity roll takes the lifecycle lock under a stripe lock, so
+        // the sweep and the gauges below must not hold it.
+        drop(lifecycle);
         // Amortized dedup hygiene: each retire sweeps one stripe
         // round-robin, so stale entries survive at most `stripes` retires
-        // (correctness never needs the sweep — hits validate liveness).
+        // (correctness never needs the sweep — probes skip dead entries).
         let sweep = retired_so_far as usize % self.stripes.len();
         self.stripes[sweep]
             .write()
             .expect("arena stripe poisoned")
-            .retain(|_, r| self.is_live(*r));
+            .sweep(|r| self.is_live(r));
         if arena_obs::enabled() {
             let h = arena_obs::handles();
             h.retires.inc();
@@ -1034,29 +1247,30 @@ impl LineageArena {
     /// Nothing is allocated unless the node has 3 to `VAR_LIST_CAP`
     /// distinct variables of its own (a `Not` shares its child's list).
     fn build_meta(&self, node: LineageNode) -> NodeMeta {
+        let (kind, ops) = node.pack();
         match node {
             LineageNode::Var(id) => NodeMeta {
-                node,
+                ops,
+                vars: VarSet::Range([id, id]),
                 size: 1,
                 occurrences: 1,
-                range: [id, id],
                 min_seg: u32::MAX, // clamped to the owning segment on append
+                kind,
                 one_of: true,
-                list: None,
             },
             LineageNode::Not(c) => self.with_meta(c, |cm| NodeMeta {
-                node,
+                ops,
+                vars: cm.vars.clone(),
                 size: cm.size.saturating_add(1),
                 occurrences: cm.occurrences,
-                range: cm.range,
                 min_seg: cm.min_seg.min(c.segment().0),
+                kind,
                 one_of: cm.one_of,
-                list: cm.list.clone(),
             }),
             LineageNode::And(a, b) | LineageNode::Or(a, b) => {
                 self.with_meta_pair(a, b, |am, bm| {
                     let occurrences = am.occurrences.saturating_add(bm.occurrences);
-                    let ([a_lo, a_hi], [b_lo, b_hi]) = (am.range, bm.range);
+                    let ([a_lo, a_hi], [b_lo, b_hi]) = (am.range(), bm.range());
                     let (av, bv) = (am.vars(), bm.vars());
                     let disjoint = a_hi < b_lo
                         || b_hi < a_lo
@@ -1066,7 +1280,8 @@ impl LineageArena {
                             // treated as sharing a variable (invariant 3).
                             _ => false,
                         };
-                    let list = if occurrences <= VAR_LIST_CAP as u64 {
+                    let range = [a_lo.min(b_lo), a_hi.max(b_hi)];
+                    let vars = if occurrences <= VAR_LIST_CAP as u32 {
                         // Both children are below the cap too, so their sets
                         // are known: merge exactly on the stack.
                         let (av, bv) = (
@@ -1075,22 +1290,26 @@ impl LineageArena {
                         );
                         let mut merged = [TupleId(0); VAR_LIST_CAP];
                         let n = merge_sorted(av, bv, &mut merged);
-                        (n > 2).then(|| Arc::from(&merged[..n]))
+                        if n > 2 {
+                            VarSet::List(Arc::from(&merged[..n]))
+                        } else {
+                            VarSet::Range(range)
+                        }
                     } else {
-                        None
+                        VarSet::Range(range)
                     };
                     NodeMeta {
-                        node,
+                        ops,
+                        vars,
                         size: am.size.saturating_add(bm.size).saturating_add(1),
                         occurrences,
-                        range: [a_lo.min(b_lo), a_hi.max(b_hi)],
                         min_seg: am
                             .min_seg
                             .min(bm.min_seg)
                             .min(a.segment().0)
                             .min(b.segment().0),
+                        kind,
                         one_of: am.one_of && bm.one_of && disjoint,
-                        list,
                     }
                 })
             }
@@ -1099,17 +1318,18 @@ impl LineageArena {
 
     /// The shape of a node (copied out; cheap).
     pub(crate) fn node(&self, r: LineageRef) -> LineageNode {
-        self.with_meta(r, |m| m.node)
+        self.with_meta(r, NodeMeta::node)
     }
 
-    /// Tree-semantic formula size.
+    /// Tree-semantic formula size (saturating at `u32::MAX`).
     pub(crate) fn size(&self, r: LineageRef) -> u64 {
-        self.with_meta(r, |m| m.size)
+        self.with_meta(r, |m| m.size.into())
     }
 
-    /// Tree-semantic variable occurrences (with multiplicity).
+    /// Tree-semantic variable occurrences, with multiplicity (saturating
+    /// at `u32::MAX`).
     pub(crate) fn occurrences(&self, r: LineageRef) -> u64 {
-        self.with_meta(r, |m| m.occurrences)
+        self.with_meta(r, |m| m.occurrences.into())
     }
 
     /// The 1OF flag (see invariant 3 on conservatism).
@@ -1125,7 +1345,10 @@ impl LineageArena {
 
     /// The `[lo, hi]` variable range summary.
     pub fn var_range(&self, r: LineageRef) -> (TupleId, TupleId) {
-        self.with_meta(r, |m| (m.range[0], m.range[1]))
+        self.with_meta(r, |m| {
+            let [lo, hi] = m.range();
+            (lo, hi)
+        })
     }
 
     /// The smallest segment reachable from `r`'s sub-DAG: every segment a
@@ -1140,7 +1363,10 @@ impl LineageArena {
     pub(crate) fn may_contain(&self, r: LineageRef, var: TupleId) -> bool {
         self.with_meta(r, |m| match m.vars() {
             Some(list) => list.binary_search(&var).is_ok(),
-            None => m.range[0] <= var && var <= m.range[1],
+            None => {
+                let [lo, hi] = m.range();
+                lo <= var && var <= hi
+            }
         })
     }
 
@@ -1187,6 +1413,16 @@ impl LineageArena {
         bytes
     }
 
+    /// Bytes of the dedup tables (slot capacity × 12), read under each
+    /// stripe's read lock.
+    fn dedup_bytes(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| s.read().expect("arena stripe poisoned").slots.len())
+            .sum::<usize>()
+            * std::mem::size_of::<DedupSlot>()
+    }
+
     /// Publishes the O(1)/cheap gauges to the global metrics registry.
     /// Called on seal/retire; callers may also invoke it after a batch.
     pub fn publish_obs_gauges(&self) {
@@ -1197,6 +1433,7 @@ impl LineageArena {
         h.live_nodes.set(self.live_nodes() as i64);
         h.live_segments.set(self.live_segments() as i64);
         h.resident_bytes.set(self.resident_chunk_bytes() as i64);
+        h.dedup_bytes.set(self.dedup_bytes() as i64);
     }
 
     /// Arena statistics. Counts are exact in quiescence and approximate
@@ -1229,7 +1466,7 @@ impl LineageArena {
                         if m.vars().is_some() {
                             with_var_list += 1;
                         }
-                        if let Some(list) = &m.list {
+                        if let VarSet::List(list) = &m.vars {
                             resident_bytes += list.len() * std::mem::size_of::<TupleId>();
                         }
                     }
@@ -1244,6 +1481,7 @@ impl LineageArena {
             live_segments: open as usize + 1 - retired_segments,
             retired_segments,
             resident_bytes,
+            dedup_bytes: self.dedup_bytes(),
             with_var_list,
         }
     }
@@ -1289,7 +1527,7 @@ impl SegmentSnapshot<'_> {
     #[inline]
     pub(crate) fn node_at(&self, slot: u32) -> Option<(LineageNode, bool)> {
         let meta = self.chunks.slot(slot)?.get()?;
-        Some((meta.node, meta.one_of))
+        Some((meta.node(), meta.one_of))
     }
 }
 
@@ -1341,7 +1579,7 @@ impl ArenaView<'_> {
     /// The shape of a node.
     #[inline]
     pub fn node(&self, r: LineageRef) -> LineageNode {
-        self.with_meta(r, |m| m.node)
+        self.with_meta(r, NodeMeta::node)
     }
 
     /// The node's 1OF flag.
@@ -1537,13 +1775,27 @@ mod tests {
         }
     }
 
-    /// The dedup stripe must not be chosen from the top hash bits: each
-    /// stripe's table takes its 7-bit hashbrown tag from there, and with
-    /// the stripe in bits 60..64 every key of a stripe shared 4 of its 7
-    /// tag bits, so a stripe's keys took only 8 of the 128 tags and each
-    /// probe compared about 16x more keys.
+    /// Every `h32` stored in one stripe, one per occupied slot.
+    fn stripe_tags(arena: &LineageArena, stripe: usize) -> Vec<u32> {
+        let table = arena.stripes[stripe].read().unwrap();
+        let tags: Vec<u32> = table
+            .slots
+            .iter()
+            .filter(|s| s[0] | s[1] != 0)
+            .map(|s| s[2])
+            .collect();
+        assert_eq!(tags.len(), table.len);
+        tags
+    }
+
+    /// The stripe bits must stay out of the `h32` a dedup slot stores:
+    /// every key of a stripe shares them, so a stripe bit in `h32` would
+    /// be constant within the stripe (as the stripe bits once fixed 4 of
+    /// the 7 tag bits of hashbrown tables, leaving a stripe's keys 8 of
+    /// 128 tags). Each stripe's probe starts must spread as uniformly
+    /// random ones would.
     #[test]
-    fn stripes_leave_the_hashbrown_tag_free() {
+    fn stripes_leave_h32_free_of_stripe_bits() {
         let arena = LineageArena::with_shards(MAX_SHARDS);
         // Every pair of 320 variables: 51 040 distinct `And` nodes.
         let vars: Vec<LineageRef> = (0..320u64)
@@ -1554,20 +1806,142 @@ mod tests {
                 arena.intern(LineageNode::And(a, b));
             }
         }
-        let mut ands = 0;
-        for stripe in arena.stripes.iter() {
-            let stripe = stripe.read().unwrap();
-            let mut tags = [false; 128];
-            for node in stripe.keys() {
-                let mut h = FastHasher::default();
-                node.hash(&mut h);
-                tags[(h.finish() >> 57) as usize] = true;
-                ands += usize::from(matches!(node, LineageNode::And(..)));
-            }
-            let distinct = tags.iter().filter(|&&t| t).count();
-            assert!(distinct >= 100, "stripe keys take {distinct} of 128 tags");
+        let mut entries = 0;
+        for stripe in 0..arena.stripes.len() {
+            let tags = stripe_tags(&arena, stripe);
+            entries += tags.len();
+            // No bit of h32 is constant across the stripe.
+            let (all_and, all_or) = tags
+                .iter()
+                .fold((u32::MAX, 0u32), |(and, or), &t| (and & t, or | t));
+            assert_eq!(all_and, 0, "stripe {stripe}: h32 bits always set");
+            assert_eq!(all_or, u32::MAX, "stripe {stripe}: h32 bits never set");
+            // Probe starts: as many distinct ones as n uniform draws from
+            // the table's slots would take, within 10 %.
+            let slots = arena.stripes[stripe].read().unwrap().slots.len();
+            let mut starts: Vec<usize> = tags.iter().map(|&t| t as usize & (slots - 1)).collect();
+            starts.sort_unstable();
+            starts.dedup();
+            let (n, c) = (tags.len() as f64, slots as f64);
+            let expected = c * (1.0 - (1.0 - 1.0 / c).powf(n));
+            assert!(
+                starts.len() as f64 >= 0.9 * expected,
+                "stripe {stripe}: {} distinct probe starts, {expected:.0} expected",
+                starts.len()
+            );
         }
-        assert!(ands >= 50_000, "{ands} And nodes");
+        assert_eq!(entries, 320 + 51_040);
+    }
+
+    /// Interns a chain over `n` fresh variables in `arena`: the variables
+    /// and the `Or`s folding them, `2n - 1` nodes.
+    fn intern_chain(arena: &LineageArena, base: u64, n: u64) -> Vec<(LineageNode, LineageRef)> {
+        let mut out = Vec::new();
+        let mut acc = None;
+        for i in 0..n {
+            let node = LineageNode::Var(TupleId(base + i));
+            let v = arena.intern(node);
+            out.push((node, v));
+            if let Some(prev) = acc {
+                let node = LineageNode::Or(prev, v);
+                let r = arena.intern(node);
+                out.push((node, r));
+                acc = Some(r);
+            } else {
+                acc = Some(v);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dedup_hits_survive_table_growth() {
+        let arena = LineageArena::with_shards(1);
+        let nodes = intern_chain(&arena, 0, 1_000);
+        let slots = arena.stripes[0].read().unwrap().slots.len();
+        // 16 → 4 096 slots: eight doublings.
+        assert!(slots >= DEDUP_MIN_SLOTS << 4, "{slots} slots");
+        let total = arena.stats().total_interned;
+        assert_eq!(total, 1_999);
+        for &(node, r) in &nodes {
+            assert_eq!(arena.intern(node), r, "{node:?}");
+        }
+        assert_eq!(arena.stats().total_interned, total);
+        assert_eq!(arena.stats().dedup_bytes, slots * 12);
+    }
+
+    #[test]
+    fn dedup_sweep_keeps_every_live_entry_findable() {
+        // Probe starts crowded into few slots, clusters that wrap past the
+        // table's end, and dead entries spread through them: after the
+        // in-place sweep every live entry is found at its own ref and no
+        // dead one is.
+        for seed in 0..200u64 {
+            let mut t = DedupTable::default();
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let n = 20 + next() % 40;
+            let entries: Vec<(u32, LineageRef, bool)> = (0..n)
+                .map(|k| {
+                    let h32 = (next() % 8) as u32 * 9 + 60; // starts near the end
+                    (
+                        h32,
+                        LineageRef((k << 32) | (next() % 1000)),
+                        next() % 3 == 0,
+                    )
+                })
+                .collect();
+            for &(h32, r, _) in &entries {
+                t.insert(h32, r, |_| true);
+            }
+            let dead = |r: LineageRef| entries.iter().any(|e| e.1 == r && e.2);
+            t.sweep(|r| !dead(r));
+            let live = entries.iter().filter(|e| !e.2).count();
+            assert_eq!(t.len, live, "seed {seed}");
+            for &(h32, r, is_dead) in &entries {
+                let found = t.get(h32, |c| c == r);
+                assert_eq!(found, (!is_dead).then_some(r), "seed {seed} {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn retired_dedup_entries_are_skipped_then_swept() {
+        // Two stripes: the first retire sweeps stripe 0, the second
+        // stripe 1. The variable lives in stripe 1, so after the first
+        // retire its dead entry is still in the table.
+        let arena = LineageArena::with_shards(2);
+        let v = (0..)
+            .map(|i| LineageNode::Var(TupleId(i)))
+            .find(|n| arena.dedup_key(n).0 == 1)
+            .unwrap();
+        let (_, h32) = arena.dedup_key(&v);
+        let dead = arena.intern(v);
+        let seg0 = arena.seal().unwrap();
+        arena.retire(seg0).unwrap();
+        assert_eq!(stripe_tags(&arena, 1), [h32]);
+        // The dead entry's h32 matches the fresh intern; it is skipped,
+        // never returned.
+        let fresh = arena.intern(v);
+        assert_ne!(fresh, dead);
+        assert!(arena.is_live(fresh));
+        assert_eq!(stripe_tags(&arena, 1), [h32, h32]);
+        assert_eq!(arena.intern(v), fresh);
+        // Retire a later segment: that sweep is stripe 1's, and it drops
+        // the dead entry but keeps the live one.
+        let seg1 = arena.seal().unwrap();
+        let filler = arena.intern(LineageNode::Var(TupleId(1 << 40)));
+        let seg2 = arena.seal().unwrap();
+        assert_eq!((seg1, filler.segment()), (SegmentId(1), seg2));
+        arena.retire(seg2).unwrap();
+        assert_eq!(stripe_tags(&arena, 1), [h32]);
+        assert_eq!(arena.intern(v), fresh);
+        assert_eq!(arena.stats().total_interned, 3);
     }
 
     #[test]
@@ -1724,8 +2098,10 @@ mod tests {
     #[test]
     fn concurrent_interning_converges() {
         // Hammer the lock-free append + striped dedup path from several
-        // threads building the same and disjoint nodes; hash-consing must
-        // stay consistent.
+        // threads building the same and disjoint nodes, across several
+        // dedup table growths per stripe; hash-consing must stay
+        // consistent.
+        const N: u64 = 2_000;
         let arena = LineageArena::with_shards(MAX_SHARDS);
         let refs: Vec<Vec<LineageRef>> = std::thread::scope(|scope| {
             (0..4u64)
@@ -1733,12 +2109,11 @@ mod tests {
                     let arena = &arena;
                     scope.spawn(move || {
                         let mut out = Vec::new();
-                        for i in 0..200u64 {
+                        for i in 0..N {
                             // Shared across threads:
                             let shared = arena.intern(LineageNode::Var(TupleId(i)));
                             // Disjoint per thread:
-                            let own =
-                                arena.intern(LineageNode::Var(TupleId(10_000 + t * 1_000 + i)));
+                            let own = arena.intern(LineageNode::Var(TupleId(10_000 + t * N + i)));
                             out.push(arena.intern(LineageNode::And(shared, own)));
                         }
                         out
@@ -1749,19 +2124,28 @@ mod tests {
                 .map(|h| h.join().expect("worker panicked"))
                 .collect()
         });
+        // Every node interned exactly once.
+        assert_eq!(arena.stats().total_interned, N + 4 * 2 * N);
+        // Each stripe holds about 1 100 entries: at least 2 048 slots, so
+        // it grew at least seven times from 16.
+        for stripe in arena.stripes.iter() {
+            assert!(stripe.read().unwrap().slots.len() >= DEDUP_MIN_SLOTS << 7);
+        }
         // Shared vars interned exactly once: re-interning yields equal refs.
-        for i in 0..200u64 {
+        for i in 0..N {
             let again = arena.intern(LineageNode::Var(TupleId(i)));
             assert_eq!(again, arena.intern(LineageNode::Var(TupleId(i))));
         }
-        // Each thread's And nodes are distinct (disjoint `own` vars) and
-        // metadata is consistent.
+        // Each thread's And nodes are distinct (disjoint `own` vars), are
+        // dedup hits to themselves, and their metadata is consistent.
         for (t, thread_refs) in refs.iter().enumerate() {
             for (i, &r) in thread_refs.iter().enumerate() {
                 assert_eq!(arena.size(r), 3, "thread {t} node {i}");
                 assert!(arena.one_of(r));
+                assert_eq!(arena.intern(arena.node(r)), r);
             }
         }
+        assert_eq!(arena.stats().total_interned, N + 4 * 2 * N);
     }
 
     #[test]

@@ -208,7 +208,8 @@ impl Lineage {
     }
 
     /// Total number of variable *occurrences* (with multiplicity), from the
-    /// arena's per-node metadata — O(1).
+    /// arena's per-node metadata — O(1). Saturates at `u32::MAX`: under
+    /// heavy sharing the tree expansion may be exponential in the DAG.
     pub fn var_occurrences(&self) -> usize {
         usize::try_from(with_arena(|a| a.occurrences(self.0))).unwrap_or(usize::MAX)
     }
@@ -226,6 +227,7 @@ impl Lineage {
 
     /// Number of nodes in the formula tree (tree semantics, counted with
     /// multiplicity under sharing) — O(1) from interned metadata.
+    /// Saturates at `u32::MAX`.
     pub fn size(&self) -> usize {
         usize::try_from(with_arena(|a| a.size(self.0))).unwrap_or(usize::MAX)
     }

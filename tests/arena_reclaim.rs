@@ -3,14 +3,21 @@
 //! below the live frontier, as the streaming engine does) must never
 //! invalidate a live ref, and valuation/BDD results computed against a
 //! reclaiming arena must be identical to a never-retired control arena
-//! (the process-global one).
+//! (the process-global one). Raw interns across seals and retires must
+//! answer what a model of hash-consing says: the live copy of a shape, or
+//! a ref never issued before.
 
 mod common;
+
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use common::oracle::assert_formula_matches_control;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tp_core::arena::{LineageArena, RetireError, SegmentId, SegmentState};
+use tp_core::arena::{
+    LineageArena, LineageNode, LineageRef, RetireError, SegmentId, SegmentState, VAR_LIST_CAP,
+};
 use tp_core::bdd;
 use tp_core::lineage::{Lineage, LineageTree, TupleId};
 use tp_core::prob;
@@ -298,4 +305,293 @@ fn marginal_cache_survives_segment_release_with_identical_values() {
     assert_eq!(vars.valuation_cache_len(), 0);
     let p2 = prob::marginal(&l, &vars).unwrap();
     assert_eq!(p1, p2);
+}
+
+/// One arena driven through a seeded schedule of raw interns, seals,
+/// retires and re-interns of earlier shapes, beside a model of what
+/// hash-consing must answer.
+struct DedupModel {
+    arena: Arc<LineageArena>,
+    /// Shape → ref of every interned node whose segment is not retired:
+    /// exactly the nodes an intern must hit.
+    live: HashMap<LineageNode, LineageRef>,
+    /// Every ref a fresh intern returned, retired ones included.
+    issued: HashSet<LineageRef>,
+    /// Fresh interns in order (children before parents).
+    shapes: Vec<(LineageNode, LineageRef)>,
+    /// Tree-semantic occurrences of every issued ref.
+    occurrences: HashMap<LineageRef, usize>,
+    /// Refs whose whole sub-DAG is unretired, with their trees; new nodes
+    /// are built only over these.
+    intact: HashMap<LineageRef, LineageTree>,
+    intact_list: Vec<LineageRef>,
+    /// Refs the schedule holds, oldest first: retirement stays below
+    /// their frontier.
+    held: VecDeque<LineageRef>,
+    retired: HashSet<SegmentId>,
+    /// Refs whose metadata [`DedupModel::check`] compared.
+    checked: HashSet<LineageRef>,
+    /// Every shape ever interned.
+    ever: HashSet<LineageNode>,
+    /// Fresh interns of a shape whose earlier copy was retired.
+    reissued_shapes: usize,
+}
+
+fn children(node: LineageNode) -> Vec<LineageRef> {
+    match node {
+        LineageNode::Var(_) => vec![],
+        LineageNode::Not(c) => vec![c],
+        LineageNode::And(a, b) | LineageNode::Or(a, b) => vec![a, b],
+    }
+}
+
+impl DedupModel {
+    fn new(stripes: usize) -> Self {
+        DedupModel {
+            arena: LineageArena::shared(stripes),
+            live: HashMap::new(),
+            issued: HashSet::new(),
+            shapes: Vec::new(),
+            occurrences: HashMap::new(),
+            intact: HashMap::new(),
+            intact_list: Vec::new(),
+            held: VecDeque::new(),
+            retired: HashSet::new(),
+            checked: HashSet::new(),
+            ever: HashSet::new(),
+            reissued_shapes: 0,
+        }
+    }
+
+    /// `node`'s tree, if its children are intact.
+    fn tree_of(&self, node: LineageNode) -> Option<LineageTree> {
+        let t = |r: LineageRef| self.intact.get(&r).cloned();
+        Some(match node {
+            LineageNode::Var(id) => LineageTree::Var(id),
+            LineageNode::Not(c) => t(c)?.negate(),
+            LineageNode::And(a, b) => LineageTree::and(t(a)?, t(b)?),
+            LineageNode::Or(a, b) => LineageTree::or(t(a)?, t(b)?),
+        })
+    }
+
+    /// Holds `r`, letting go of the oldest held ref beyond `HELD`.
+    fn hold(&mut self, r: LineageRef) {
+        const HELD: usize = 24;
+        self.held.push_back(r);
+        if self.held.len() > HELD {
+            self.held.pop_front();
+        }
+    }
+
+    /// Interns `node` (its children intact) and checks the answer: the
+    /// live copy if the model holds one, otherwise a ref never issued.
+    fn intern(&mut self, node: LineageNode) -> LineageRef {
+        let tree = self.tree_of(node).expect("children are intact");
+        let r = self.arena.intern(node);
+        assert!(self.arena.is_live(r), "{node:?} -> dead {r:?}");
+        assert!(!self.retired.contains(&r.segment()), "{node:?} -> {r:?}");
+        if let Some(&want) = self.live.get(&node) {
+            assert_eq!(r, want, "{node:?}: the live copy was missed");
+            assert!(self.intact.contains_key(&r));
+            return r;
+        }
+        assert!(self.issued.insert(r), "{node:?} -> reissued {r:?}");
+        self.live.insert(node, r);
+        if !self.ever.insert(node) {
+            self.reissued_shapes += 1;
+        }
+        self.shapes.push((node, r));
+        self.occurrences.insert(r, tree.var_occurrences());
+        self.intact.insert(r, tree);
+        self.intact_list.push(r);
+        r
+    }
+
+    /// A formula of exactly `occ` variable occurrences, drawn from `vars`,
+    /// interned node by node.
+    fn build(&mut self, rng: &mut StdRng, occ: usize, vars: std::ops::Range<u64>) -> LineageRef {
+        let r = if occ == 1 {
+            self.intern(LineageNode::Var(TupleId(rng.random_range(vars))))
+        } else {
+            let left = rng.random_range(1..occ);
+            let a = self.build(rng, left, vars.clone());
+            let b = self.build(rng, occ - left, vars);
+            self.intern(if rng.random_bool(0.5) {
+                LineageNode::And(a, b)
+            } else {
+                LineageNode::Or(a, b)
+            })
+        };
+        if rng.random_bool(0.15) {
+            self.intern(LineageNode::Not(r))
+        } else {
+            r
+        }
+    }
+
+    /// Retires every sealed segment below the held refs' frontier, as the
+    /// streaming engine does, then updates the model.
+    fn retire_below_frontier(&mut self) {
+        let frontier = self
+            .held
+            .iter()
+            .map(|&r| self.arena.min_segment(r))
+            .min()
+            .unwrap_or_else(|| self.arena.open_segment());
+        let before = self.retired.len();
+        for id in (0..frontier.0).map(SegmentId) {
+            if self.arena.segment_state(id) == Some(SegmentState::Sealed) {
+                self.arena.retire(id).expect("sealed, unpinned");
+                self.retired.insert(id);
+            }
+        }
+        if self.retired.len() == before {
+            return;
+        }
+        let retired = &self.retired;
+        self.live.retain(|_, r| !retired.contains(&r.segment()));
+        let mut old = std::mem::take(&mut self.intact);
+        self.intact_list.clear();
+        for &(node, r) in &self.shapes {
+            if !retired.contains(&r.segment())
+                && children(node).iter().all(|c| self.intact.contains_key(c))
+            {
+                if let Some(tree) = old.remove(&r) {
+                    self.intact.insert(r, tree);
+                    self.intact_list.push(r);
+                }
+            }
+        }
+    }
+
+    /// The arena's books and every intact ref against the model: counts,
+    /// ref equality ⇔ tree equality, and the metadata of each node not
+    /// checked before (metadata never changes) against its tree.
+    fn check(&mut self) {
+        let stats = self.arena.stats();
+        assert_eq!(stats.total_interned, self.issued.len() as u64);
+        assert_eq!(stats.nodes, self.live.len());
+        let with_set = self
+            .live
+            .values()
+            .filter(|r| self.occurrences[r] <= VAR_LIST_CAP)
+            .count();
+        assert_eq!(stats.with_var_list, with_set);
+        let _scope = LineageArena::enter(&self.arena);
+        let mut by_tree: HashMap<&LineageTree, LineageRef> = HashMap::new();
+        for (&r, tree) in &self.intact {
+            if let Some(other) = by_tree.insert(tree, r) {
+                panic!("{r:?} and {other:?} hold equal trees");
+            }
+            if !self.checked.insert(r) {
+                continue;
+            }
+            let l = Lineage::from_node_ref(r);
+            assert_eq!(&l.to_tree(), tree, "{r:?}: tree");
+            let vars = tree.vars();
+            assert_eq!(l.vars(), vars, "{r:?}: var set");
+            let lo = *vars.first().expect("a formula has a variable");
+            let hi = *vars.last().expect("a formula has a variable");
+            assert_eq!(self.arena.var_range(r), (lo, hi), "{r:?}: var range");
+            assert_eq!(l.size(), tree.size(), "{r:?}: size");
+            let occ = tree.var_occurrences();
+            assert_eq!(l.var_occurrences(), occ, "{r:?}: occurrences");
+            let one_of = tree.is_one_occurrence_form();
+            if occ <= VAR_LIST_CAP {
+                assert_eq!(l.is_one_occurrence_form(), one_of, "{r:?}: 1OF");
+            } else {
+                // Conservative beyond the cap: never a false 1OF claim.
+                assert!(!l.is_one_occurrence_form() || one_of, "{r:?}: 1OF");
+            }
+        }
+    }
+}
+
+/// Runs `cases` seeded schedules of `steps` steps on 1- and 16-stripe
+/// arenas. Formulas at the metadata boundaries (3 distinct variables; 127
+/// to 130 occurrences) are built on purpose, since random combination
+/// rarely lands on them.
+fn dedup_matches_model(seed: u64, cases: u64, steps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..cases {
+        for stripes in [1, 16] {
+            let mut m = DedupModel::new(stripes);
+            for step in 0..steps {
+                // Variables slide with the schedule, as a stream's do, so
+                // old segments fall out of use and the frontier advances.
+                let w = (step / 40) as u64 * 8;
+                match rng.random_range(0..100u32) {
+                    // A fresh shape over recent intact refs.
+                    0..=34 => {
+                        let pick = |m: &DedupModel, rng: &mut StdRng| {
+                            let n = m.intact_list.len();
+                            m.intact_list[rng.random_range(n.saturating_sub(64)..n)]
+                        };
+                        let node = match rng.random_range(0..4u32) {
+                            _ if m.intact_list.is_empty() => {
+                                LineageNode::Var(TupleId(rng.random_range(w..w + 40)))
+                            }
+                            0 => LineageNode::Var(TupleId(rng.random_range(w..w + 40))),
+                            1 => LineageNode::Not(pick(&m, &mut rng)),
+                            2 => LineageNode::And(pick(&m, &mut rng), pick(&m, &mut rng)),
+                            _ => LineageNode::Or(pick(&m, &mut rng), pick(&m, &mut rng)),
+                        };
+                        let r = m.intern(node);
+                        if rng.random_bool(0.3) {
+                            m.hold(r);
+                        }
+                    }
+                    // Re-intern an earlier shape, retired or not.
+                    35..=54 => {
+                        if !m.shapes.is_empty() {
+                            let (node, _) = m.shapes[rng.random_range(0..m.shapes.len())];
+                            if m.tree_of(node).is_some() {
+                                m.intern(node);
+                            }
+                        }
+                    }
+                    // A boundary formula, held.
+                    55..=59 => {
+                        let (occ, vars) = match rng.random_range(0..4u32) {
+                            0 => (rng.random_range(2..6), w..w + 3),
+                            1 => (rng.random_range(3..6), w..w + 4),
+                            2 => (rng.random_range(127..131), w..w + 40),
+                            _ => (rng.random_range(127..131), w + 1_000..w + 1_200),
+                        };
+                        let r = m.build(&mut rng, occ, vars);
+                        m.hold(r);
+                    }
+                    60..=69 => {
+                        m.held.pop_front();
+                    }
+                    70..=79 => {
+                        let _ = m.arena.seal();
+                    }
+                    _ => m.retire_below_frontier(),
+                }
+                if step % 100 == 99 {
+                    m.check();
+                }
+            }
+            m.check();
+            assert!(
+                !m.retired.is_empty() && m.reissued_shapes > 0,
+                "case {case}, {stripes} stripes: no retired shape re-interned"
+            );
+        }
+    }
+}
+
+#[test]
+fn dedup_agrees_with_a_model_across_retires() {
+    dedup_matches_model(0xDED0_0001, 2, 600);
+}
+
+/// The release soak of the dedup model: 40 cases of 3 000 steps on each
+/// stripe count. Run with `cargo test --release --test arena_reclaim --
+/// --ignored`.
+#[test]
+#[ignore = "release soak; run with --ignored"]
+fn dedup_agrees_with_a_model_soak() {
+    dedup_matches_model(0xDED0_0002, 40, 3_000);
 }
