@@ -1,5 +1,5 @@
 //! The hash-consed lineage arena: a segmented, reclaimable forest of
-//! interned Boolean formula nodes with a lock-free append path.
+//! interned Boolean formula nodes.
 //!
 //! Every lineage formula lives in a [`LineageArena`]: a node
 //! (`Var`/`Not`/`And`/`Or`) is *hash-consed* — structurally identical nodes
@@ -21,9 +21,8 @@
 //!
 //! Node storage is split into **epoch-aligned segments** with explicit
 //! lifetimes. At any time exactly one segment is *open*; interning claims a
-//! slot in it with an atomic bump and publishes the node through a
-//! `OnceLock` — the append path takes no lock (the residual lock stripes
-//! exist only for the dedup table, see below). [`LineageArena::seal`]
+//! slot in it with an atomic bump and publishes the node with one release
+//! store (see "Node slots" below). [`LineageArena::seal`]
 //! closes the open segment and opens the next one. A segment's slots live
 //! in chunks that double from 256 slots up to a flat size and then stay
 //! flat, so a large segment over-allocates at most one chunk.
@@ -51,35 +50,63 @@
 //! uses this to compute a conservative live frontier and retire every
 //! sealed segment below it.
 //!
+//! ## Node slots
+//!
+//! A node slot is six `AtomicU64` words, 48 bytes: the two operands, the
+//! variable range, `size` and `occurrences`, and a last word holding
+//! `min_segment`, `kind + 1` (0 while unpublished), the 1OF flag and the
+//! index + 1 of the node's variable list in its chunk's list store. The
+//! writer stores the first five words Relaxed and the last one Release; a
+//! reader loads the last word Acquire and reads the others only if it is
+//! published. A slot is written once and never changes afterwards.
+//! Snapshot walks ([`LineageArena::snapshot_segment`]) see an unpublished
+//! slot as `None`; [`ArenaView`] re-reads its chunk list for one.
+//!
 //! ## Dedup stripes
 //!
 //! Hash-consing needs one global node → ref table. It is split into
-//! [`MAX_SHARDS`] lock stripes selected by node hash bits 52..56; each
-//! stripe is an open-addressing table of 12-byte slots holding only the
-//! ref and 32 further hash bits (`h32`). The node shape is not copied
+//! [`MAX_SHARDS`] stripes selected by node hash bits 52..56; each stripe
+//! is a mutex over an open-addressing table of 12-byte slots holding only
+//! the ref and 32 further hash bits (`h32`). The node shape is not copied
 //! into the table: a probe whose `h32` matches reads the candidate node
 //! from the node store, through a lookup that answers "absent" for a
-//! retired segment instead of panicking. Interning takes a read lock
-//! (hit) or a short write lock (miss) on **one** stripe, and node *reads*
-//! never touch the stripes at all. A dedup entry whose target segment was
+//! retired segment instead of panicking. An intern, hit or miss, takes
+//! its stripe's lock **once** and does everything under it: probe, child
+//! metadata, slot claim, publication and table insert. Node *reads* never
+//! touch the stripes at all. A dedup entry whose target segment was
 //! retired is skipped, never returned, so ref-equality keeps meaning
 //! structural equality among *live* handles. Dead entries are dropped in
 //! place, from the stored `h32`s and without re-reading a node, by a sweep
 //! of one stripe per retire (round-robin) and before a table grows.
+//!
+//! ## Lock order
+//!
+//! Stripe → chunk-list read guards, in ascending segment id → a chunk's
+//! list store. The probe compares a tag-matching candidate under a read
+//! guard on its segment alone, so a hit takes one guard and a miss
+//! without a tag match none. A miss then holds read guards on its
+//! children's segments for the child metadata and, when the open
+//! segment is one of them, the publication; a guard on a higher segment
+//! may be added, never one on a lower. A list is read by locking its
+//! store, cloning the `Arc` and unlocking; no lock is held while a
+//! caller's closure runs. No chunk guard is held while taking the
+//! lifecycle lock (a capacity roll) or a chunk-list write lock (chunk
+//! allocation, retirement); those drop every guard first.
 //!
 //! ## Memoization invariants
 //!
 //! 1. A `LineageRef` is never reused: segment ids are monotone and slots
 //!    are append-only within a segment. Two *live* formulas are
 //!    structurally equal **iff** their refs are equal.
-//! 2. Node metadata is immutable once interned. The exact sorted variable
-//!    set is known only while `occurrences <= VAR_LIST_CAP`: a node with
-//!    one or two distinct variables reads it from its `{var_lo, var_hi}`
-//!    pair and stores no list; a node with 3 to `VAR_LIST_CAP` variables
-//!    keeps one heap list in place of the pair (the list's ends are its
-//!    range), allocated once from a merge on the stack (a `Not` shares
-//!    its child's). Larger nodes fall back to the `[var_lo, var_hi]`
-//!    range summary. `size` and `occurrences` saturate at `u32::MAX`.
+//! 2. Node metadata is immutable once interned. Every node stores its
+//!    `[var_lo, var_hi]` range. The exact sorted variable set is known
+//!    only while `occurrences <= VAR_LIST_CAP`: a node with one or two
+//!    distinct variables reads it from that pair and stores no list; an
+//!    `And` or `Or` with 3 to `VAR_LIST_CAP` variables keeps one heap
+//!    list in its chunk's list store, allocated once from a merge on the
+//!    stack; a `Not` stores none and reads its child's. Larger nodes keep
+//!    only the range summary. `size` and `occurrences` saturate at
+//!    `u32::MAX`.
 //! 3. The `one_of` flag is exact whenever both children know their
 //!    variable sets or have disjoint variable ranges; otherwise it is *conservative*
 //!    (may report `false` for a huge formula that is in fact 1OF). A
@@ -104,7 +131,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use crate::lineage::TupleId;
 
@@ -228,8 +255,8 @@ impl FastHasher {
 /// memo, the intern tables, and the valuation caches.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// Number of lock stripes of the dedup table (node → ref). Node storage is
-/// lock-free; these stripes only serialize hash-consing lookups.
+/// Number of lock stripes of the dedup table (node → ref). An intern holds
+/// its node's stripe from the probe to the table insert.
 pub const MAX_SHARDS: usize = 16;
 
 /// The stripe is `(hash >> STRIPE_SHIFT) & stripe_mask`, bits 52..56 of
@@ -359,47 +386,65 @@ impl LineageNode {
 /// `[var_lo, var_hi]` range summary.
 pub const VAR_LIST_CAP: usize = 128;
 
-/// Immutable per-node metadata, computed at intern time. Field order
-/// keeps it at 56 bytes, so a slot is 64 (asserted below).
-#[derive(Debug)]
-struct NodeMeta {
-    /// Operands of the packed shape, decoded by [`NodeMeta::node`].
-    ops: [u64; 2],
-    /// The variable set or its range summary (invariant 2).
-    vars: VarSet,
-    /// Tree-semantic node count (saturating at `u32::MAX`).
-    size: u32,
-    /// Tree-semantic variable occurrences, with multiplicity (saturating
-    /// at `u32::MAX`).
-    occurrences: u32,
-    /// Smallest segment id reachable from this node's sub-DAG. Children
-    /// are interned no later than their parents, so the reachable segment
-    /// set of a node is contained in `[min_seg, segment(self)]`.
-    min_seg: u32,
+/// One node slot (see "Node slots" in the module docs):
+///
+/// * `w0`, `w1`: the packed shape's operands ([`LineageNode::pack`]);
+/// * `w2`, `w3`: `var_lo`, `var_hi`;
+/// * `w4`: `size` (low half) and `occurrences` (high half), saturating;
+/// * `w5`: `min_seg` (bits 0..32), `kind + 1` (32..35, 0 = unpublished),
+///   `one_of` (bit 35) and the list index + 1 in the slot's chunk's list
+///   store (36..49, 0 = no list).
+///
+/// The writer stores `w0..w4` Relaxed, then `w5` Release; readers load
+/// `w5` Acquire ([`Meta::load`]).
+type NodeSlot = [AtomicU64; 6];
+
+// Slots are most of an arena's memory.
+const _: () = assert!(std::mem::size_of::<NodeSlot>() == 48);
+
+/// `w5` bit of the `kind + 1` field.
+const KIND_SHIFT: u32 = 32;
+/// `w5` bit of the 1OF flag.
+const ONE_OF_BIT: u64 = 1 << 35;
+/// `w5` bit of the list index + 1 field (13 bits: a chunk holds at most
+/// [`FLAT_CHUNK`] slots, so at most that many lists).
+const LIST_SHIFT: u32 = 36;
+const _: () = assert!(FLAT_CHUNK < 1 << 13);
+
+/// A published node's six words, copied out of its slot.
+#[derive(Clone, Copy)]
+struct Meta([u64; 6]);
+
+impl Meta {
+    /// The slot's words if it is published: `w5` is loaded Acquire, and
+    /// pairs with the writer's Release store of it in [`NewNode::publish`].
+    #[inline]
+    fn load(slot: &NodeSlot) -> Option<Meta> {
+        let w5 = slot[5].load(Ordering::Acquire);
+        if w5 >> KIND_SHIFT & 7 == 0 {
+            return None;
+        }
+        let w = |i: usize| slot[i].load(Ordering::Relaxed);
+        Some(Meta([w(0), w(1), w(2), w(3), w(4), w5]))
+    }
+
     /// Kind byte of the packed shape (`KIND_*`).
-    kind: u8,
-    /// Whether the formula is in one-occurrence form (see invariant 3).
-    one_of: bool,
-}
+    #[inline]
+    fn kind(self) -> u8 {
+        (self.0[5] >> KIND_SHIFT & 7) as u8 - 1
+    }
 
-/// A node's variables (invariant 2).
-#[derive(Debug, Clone)]
-enum VarSet {
-    /// Smallest and largest variable, `[var_lo, var_hi]`: the exact set
-    /// `{var_lo, var_hi}` while `occurrences <= VAR_LIST_CAP`, a range
-    /// summary beyond.
-    Range([TupleId; 2]),
-    /// Exact sorted distinct variables, 3 to `VAR_LIST_CAP` of them; its
-    /// ends are the range. A `Not` shares its child's.
-    List(Arc<[TupleId]>),
-}
+    /// Operands of the packed shape.
+    #[inline]
+    fn ops(self) -> [u64; 2] {
+        [self.0[0], self.0[1]]
+    }
 
-impl NodeMeta {
     /// The node's shape.
     #[inline]
-    fn node(&self) -> LineageNode {
-        let [a, b] = self.ops;
-        match self.kind {
+    fn node(self) -> LineageNode {
+        let [a, b] = self.ops();
+        match self.kind() {
             KIND_VAR => LineageNode::Var(TupleId(a)),
             KIND_NOT => LineageNode::Not(LineageRef(a)),
             KIND_AND => LineageNode::And(LineageRef(a), LineageRef(b)),
@@ -409,44 +454,133 @@ impl NodeMeta {
 
     /// Smallest and largest variable of the formula.
     #[inline]
-    fn range(&self) -> [TupleId; 2] {
-        match &self.vars {
-            VarSet::Range(range) => *range,
-            VarSet::List(list) => [list[0], list[list.len() - 1]],
-        }
+    fn range(self) -> [TupleId; 2] {
+        [TupleId(self.0[2]), TupleId(self.0[3])]
     }
 
-    /// The exact sorted distinct-variable set, when known (invariant 2):
-    /// the heap list, or `{var_lo, var_hi}` for one or two variables.
+    /// Tree-semantic node count (saturating at `u32::MAX`).
     #[inline]
-    fn vars(&self) -> Option<&[TupleId]> {
-        match &self.vars {
-            VarSet::List(list) => Some(list),
-            VarSet::Range(range) if self.occurrences <= VAR_LIST_CAP as u32 => {
-                let distinct = if range[0] == range[1] { 1 } else { 2 };
-                Some(&range[..distinct])
-            }
-            VarSet::Range(_) => None,
+    fn size(self) -> u32 {
+        self.0[4] as u32
+    }
+
+    /// Tree-semantic variable occurrences, with multiplicity (saturating
+    /// at `u32::MAX`).
+    #[inline]
+    fn occurrences(self) -> u32 {
+        (self.0[4] >> 32) as u32
+    }
+
+    /// Smallest segment id reachable from this node's sub-DAG. Children
+    /// are interned no later than their parents, so the reachable segment
+    /// set of a node is contained in `[min_seg, segment(self)]`.
+    #[inline]
+    fn min_seg(self) -> u32 {
+        self.0[5] as u32
+    }
+
+    /// Whether the formula is in one-occurrence form (invariant 3).
+    #[inline]
+    fn one_of(self) -> bool {
+        self.0[5] & ONE_OF_BIT != 0
+    }
+
+    /// Index + 1 of the node's list in its chunk's list store, 0 if it
+    /// stores none.
+    #[inline]
+    fn list(self) -> usize {
+        (self.0[5] >> LIST_SHIFT) as usize
+    }
+
+    /// The exact variable set when it is `{var_lo, var_hi}[..n]`: a node
+    /// under the cap with one variable, or two and neither a list nor a
+    /// `Not` (whose set is its child's).
+    #[inline]
+    fn pair(self) -> Option<([TupleId; 2], usize)> {
+        let [lo, hi] = self.range();
+        if self.occurrences() > VAR_LIST_CAP as u32 {
+            None
+        } else if lo == hi {
+            Some(([lo, hi], 1))
+        } else if self.kind() != KIND_NOT && self.list() == 0 {
+            Some(([lo, hi], 2))
+        } else {
+            None
         }
     }
 }
 
-// Slots are most of an arena's memory: keep one at 64 bytes or less.
-const _: () = assert!(std::mem::size_of::<OnceLock<NodeMeta>>() <= 64);
+/// A node's metadata computed at intern time, before it has a slot.
+struct NewNode {
+    ops: [u64; 2],
+    range: [TupleId; 2],
+    size: u32,
+    occurrences: u32,
+    /// Clamped to the owning segment at append.
+    min_seg: u32,
+    kind: u8,
+    one_of: bool,
+    /// The exact list of an `And` / `Or` of 3 to `VAR_LIST_CAP` variables.
+    list: Option<Arc<[TupleId]>>,
+}
 
-/// One fixed-capacity block of node slots. Slots are claimed by atomic
-/// bump and published through their `OnceLock` (readers of a legitimately
-/// obtained ref always observe the initialized value — publication pairs
-/// the `OnceLock` release store with its acquire load).
+impl NewNode {
+    /// Publishes the node at `slot` of `chunks`, or returns `false` if the
+    /// slot's chunk is not allocated yet. The list goes to the chunk's
+    /// store first; then `w0..w4` are stored Relaxed and `w5` Release,
+    /// which pairs with the Acquire load in [`Meta::load`].
+    fn publish(&mut self, chunks: &ChunkList, slot: u32) -> bool {
+        let (c, off) = chunk_of(slot);
+        let Some(chunk) = chunks.chunks().get(c) else {
+            return false;
+        };
+        let list = match self.list.take() {
+            None => 0,
+            Some(list) => {
+                let mut store = chunk.lists.lock().expect("chunk list store poisoned");
+                store.push(list);
+                store.len() as u64
+            }
+        };
+        let ([a, b], [lo, hi]) = (self.ops, self.range);
+        let counts = u64::from(self.size) | u64::from(self.occurrences) << 32;
+        let cell = &chunk.slots[off];
+        for (w, v) in cell.iter().zip([a, b, lo.0, hi.0, counts]) {
+            w.store(v, Ordering::Relaxed);
+        }
+        let w5 = u64::from(self.min_seg)
+            | u64::from(self.kind + 1) << KIND_SHIFT
+            | if self.one_of { ONE_OF_BIT } else { 0 }
+            | list << LIST_SHIFT;
+        cell[5].store(w5, Ordering::Release);
+        true
+    }
+}
+
+/// One fixed-capacity block of node slots, and the variable lists of the
+/// list nodes among them (they die with the chunk).
 struct Chunk {
-    slots: Box<[OnceLock<NodeMeta>]>,
+    slots: Box<[NodeSlot]>,
+    lists: Mutex<Vec<Arc<[TupleId]>>>,
 }
 
 impl Chunk {
     fn new(capacity: usize) -> Arc<Chunk> {
         Arc::new(Chunk {
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
+            slots: (0..capacity).map(|_| NodeSlot::default()).collect(),
+            lists: Mutex::default(),
         })
+    }
+
+    /// Bytes of the list store: its `Vec` capacity plus each list's
+    /// allocation (the `Arc` counts and the variables).
+    fn list_bytes(&self) -> usize {
+        let lists = self.lists.lock().expect("chunk list store poisoned");
+        lists.capacity() * std::mem::size_of::<Arc<[TupleId]>>()
+            + lists
+                .iter()
+                .map(|l| 2 * std::mem::size_of::<usize>() + std::mem::size_of_val::<[TupleId]>(l))
+                .sum::<usize>()
     }
 }
 
@@ -464,14 +598,182 @@ impl ChunkList {
         self.0.as_deref().map_or(&[], Vec::as_slice)
     }
 
+    /// The node at `slot` and its chunk, if the chunk is allocated and
+    /// the slot published.
     #[inline]
-    fn slot(&self, slot: u32) -> Option<&OnceLock<NodeMeta>> {
+    fn meta(&self, slot: u32) -> Option<(Meta, &Chunk)> {
         let (c, off) = chunk_of(slot);
-        self.chunks().get(c).map(|chunk| &chunk.slots[off])
+        let chunk = self.chunks().get(c)?;
+        Some((Meta::load(&chunk.slots[off])?, chunk))
     }
 
     fn push(&mut self, chunk: Arc<Chunk>) {
         Arc::make_mut(self.0.get_or_insert_default()).push(chunk);
+    }
+}
+
+/// One step of reading a node's exact variable set (invariant 2), copied
+/// out of its slot, so no lock is held when the reader's closure runs.
+enum SetStep {
+    /// `{var_lo, var_hi}[..n]`: one or two variables.
+    Pair([TupleId; 2], usize),
+    /// A clone of the list an `And` / `Or` of 3 to `VAR_LIST_CAP`
+    /// variables stores.
+    List(Arc<[TupleId]>),
+    /// A `Not`'s set is its child's.
+    Child(LineageRef),
+    /// Over `VAR_LIST_CAP` occurrences: only the range is known.
+    Unknown,
+}
+
+impl SetStep {
+    /// The step for the node `m`, whose list (if any) is in `chunk`.
+    fn of(m: Meta, chunk: &Chunk) -> SetStep {
+        if m.occurrences() > VAR_LIST_CAP as u32 {
+            SetStep::Unknown
+        } else if let Some((pair, n)) = m.pair() {
+            SetStep::Pair(pair, n)
+        } else if m.kind() == KIND_NOT {
+            SetStep::Child(LineageRef(m.ops()[0]))
+        } else {
+            let store = chunk.lists.lock().expect("chunk list store poisoned");
+            SetStep::List(Arc::clone(&store[m.list() - 1]))
+        }
+    }
+}
+
+/// Where node slots are read: the arena (one chunk guard per read), a
+/// view's snapshots, or the guards one intern holds ([`Held`], which
+/// answer `None` for a segment they do not hold).
+trait Slots {
+    /// Runs `f` on `r`'s published metadata and its chunk.
+    fn read<T>(&self, r: LineageRef, f: impl FnOnce(Meta, &Chunk) -> T) -> Option<T>;
+}
+
+/// Runs `f` on `r`'s exact sorted distinct-variable set, when known
+/// (invariant 2), walking down `Not`s to the node that holds it. `None`
+/// if `slots` cannot read a node on the way.
+fn with_var_set<S: Slots, T>(
+    slots: &S,
+    r: LineageRef,
+    f: impl FnOnce(Option<&[TupleId]>) -> T,
+) -> Option<T> {
+    let mut cur = r;
+    loop {
+        match slots.read(cur, SetStep::of)? {
+            SetStep::Pair(pair, n) => return Some(f(Some(&pair[..n]))),
+            SetStep::List(list) => return Some(f(Some(&list))),
+            SetStep::Child(c) => cur = c,
+            SetStep::Unknown => return Some(f(None)),
+        }
+    }
+}
+
+/// Computes a node's metadata from its children's, read through `slots`;
+/// `None` if `slots` cannot read one of them. Nothing is allocated unless
+/// the node is an `And` / `Or` of 3 to `VAR_LIST_CAP` variables.
+fn build<S: Slots>(slots: &S, node: LineageNode) -> Option<NewNode> {
+    let (kind, ops) = node.pack();
+    Some(match node {
+        LineageNode::Var(id) => NewNode {
+            ops,
+            range: [id, id],
+            size: 1,
+            occurrences: 1,
+            min_seg: u32::MAX, // clamped to the owning segment on append
+            kind,
+            one_of: true,
+            list: None,
+        },
+        LineageNode::Not(c) => slots.read(c, |cm, _| NewNode {
+            ops,
+            range: cm.range(),
+            size: cm.size().saturating_add(1),
+            occurrences: cm.occurrences(),
+            min_seg: cm.min_seg().min(c.segment().0),
+            kind,
+            one_of: cm.one_of(),
+            list: None,
+        })?,
+        LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+            let am = slots.read(a, |m, _| m)?;
+            let bm = slots.read(b, |m, _| m)?;
+            let occurrences = am.occurrences().saturating_add(bm.occurrences());
+            let ([a_lo, a_hi], [b_lo, b_hi]) = (am.range(), bm.range());
+            let apart = a_hi < b_lo || b_hi < a_lo;
+            let cap = VAR_LIST_CAP as u32;
+            let known = am.occurrences() <= cap && bm.occurrences() <= cap;
+            let both_one_of = am.one_of() && bm.one_of();
+            // The exact sets decide the list of a node under the cap, and
+            // 1OF for overlapping ranges; a huge overlapping-range pair is
+            // treated as sharing a variable (invariant 3).
+            let (disjoint, list) = if let (Some((av, an)), Some((bv, bn))) = (am.pair(), bm.pair())
+            {
+                // Both sets are pairs: merge on the stack, no slot read.
+                let (av, bv) = (&av[..an], &bv[..bn]);
+                let mut merged = [TupleId(0); 4];
+                let n = merge_sorted(av, bv, &mut merged);
+                let list = (occurrences <= cap && n > 2).then(|| Arc::from(&merged[..n]));
+                (apart || sorted_disjoint(av, bv), list)
+            } else if occurrences <= cap || (known && both_one_of && !apart) {
+                with_var_set(slots, a, |av| {
+                    with_var_set(slots, b, |bv| {
+                        let (av, bv) = (
+                            av.expect("child below cap has a var set"),
+                            bv.expect("child below cap has a var set"),
+                        );
+                        let disjoint = apart || sorted_disjoint(av, bv);
+                        if occurrences > cap {
+                            return (disjoint, None);
+                        }
+                        let mut merged = [TupleId(0); VAR_LIST_CAP];
+                        let n = merge_sorted(av, bv, &mut merged);
+                        (disjoint, (n > 2).then(|| Arc::from(&merged[..n])))
+                    })
+                })??
+            } else {
+                (apart, None)
+            };
+            NewNode {
+                ops,
+                range: [a_lo.min(b_lo), a_hi.max(b_hi)],
+                size: am.size().saturating_add(bm.size()).saturating_add(1),
+                occurrences,
+                min_seg: am
+                    .min_seg()
+                    .min(bm.min_seg())
+                    .min(a.segment().0)
+                    .min(b.segment().0),
+                kind,
+                one_of: both_one_of && disjoint,
+                list,
+            }
+        }
+    })
+}
+
+/// Read guards one intern holds on its children's chunk lists, taken in
+/// ascending segment id (at most two segments).
+#[derive(Default)]
+struct Held<'a>([Option<(u32, RwLockReadGuard<'a, ChunkList>)>; 2]);
+
+impl Held<'_> {
+    /// The chunk list of `seg`, if held.
+    #[inline]
+    fn get(&self, seg: u32) -> Option<&ChunkList> {
+        self.0
+            .iter()
+            .flatten()
+            .find(|(s, _)| *s == seg)
+            .map(|(_, g)| &**g)
+    }
+}
+
+impl Slots for Held<'_> {
+    #[inline]
+    fn read<T>(&self, r: LineageRef, f: impl FnOnce(Meta, &Chunk) -> T) -> Option<T> {
+        let (m, chunk) = meta_in(self.get(r.segment().0)?, r);
+        Some(f(m, chunk))
     }
 }
 
@@ -649,10 +951,9 @@ const STATE_OPEN: u8 = 0;
 const STATE_SEALED: u8 = 1;
 const STATE_RETIRED: u8 = 2;
 
-/// One storage segment: lock-free chunked node store + lifecycle word +
-/// pin refcount. The `chunks` lock is only written on chunk allocation
-/// (once per chunk's worth of appends) and at retirement; reads are
-/// shared and never block appends of other segments.
+/// One storage segment: chunked node store + lifecycle word + pin
+/// refcount. The `chunks` lock is only written on chunk allocation (once
+/// per chunk's worth of appends) and at retirement; reads are shared.
 struct Segment {
     /// Claimed slots (may transiently exceed [`SEG_CAP`] during a
     /// capacity roll; claimed-beyond-cap slots are never written).
@@ -754,8 +1055,6 @@ pub struct LineageArena {
     /// instead of every segment ever opened (advanced amortized-O(1) per
     /// retire under the lifecycle lock).
     scan_low: AtomicU32,
-    /// Nodes ever interned (monotone).
-    total_interned: AtomicU64,
     /// Nodes whose storage was reclaimed (monotone).
     retired_nodes: AtomicU64,
     /// Segments retired (monotone).
@@ -763,7 +1062,7 @@ pub struct LineageArena {
     /// Serializes seal / retire / capacity rolls (rare operations).
     lifecycle: Mutex<()>,
     /// Dedup stripes: node hash → ref, compared against the node store.
-    stripes: Box<[RwLock<DedupTable>]>,
+    stripes: Box<[Mutex<DedupTable>]>,
     /// `stripes.len() - 1`; stripe selection is `hash & mask`.
     stripe_mask: u32,
 }
@@ -783,13 +1082,17 @@ pub struct ArenaStats {
     pub live_segments: usize,
     /// Segments whose storage was reclaimed.
     pub retired_segments: usize,
-    /// Approximate resident bytes of live node storage (chunk slots plus
-    /// exact variable lists). The dedup table is counted apart, in
-    /// `dedup_bytes`.
+    /// Resident bytes of live node storage: chunk slots (48 each) plus
+    /// the chunks' list stores (their `Vec` capacity and each list's
+    /// allocation, `Arc` counts included). The dedup table is counted
+    /// apart, in `dedup_bytes`.
     pub resident_bytes: usize,
     /// Bytes of the dedup tables: slot capacity × 12.
     pub dedup_bytes: usize,
-    /// Live nodes carrying an exact variable list.
+    /// Live nodes whose exact variable set is known: those with at most
+    /// [`VAR_LIST_CAP`] occurrences, whether the set is read from the
+    /// `{var_lo, var_hi}` pair, a stored list or (for a `Not`) the
+    /// child's.
     pub with_var_list: usize,
 }
 
@@ -837,12 +1140,11 @@ impl LineageArena {
             id: NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed),
             open: AtomicU32::new(0),
             scan_low: AtomicU32::new(0),
-            total_interned: AtomicU64::new(0),
             retired_nodes: AtomicU64::new(0),
             retired_segments: AtomicU32::new(0),
             lifecycle: Mutex::new(()),
             stripes: (0..count)
-                .map(|_| RwLock::new(DedupTable::default()))
+                .map(|_| Mutex::new(DedupTable::default()))
                 .collect(),
             stripe_mask: count as u32 - 1,
         };
@@ -944,54 +1246,76 @@ impl LineageArena {
     /// standalone arenas; regular formula construction goes through
     /// [`crate::lineage::Lineage`] (which interns into the current arena).
     /// Children of `node` must be live refs of *this* arena.
+    ///
+    /// The node's stripe is locked once, hit or miss. Under it, the probe
+    /// reads a candidate only on a tag match (a hit's one chunk guard);
+    /// on a miss, read guards on the children's segments serve the child
+    /// metadata and, when every child is in the open segment, the
+    /// publication.
     pub fn intern(&self, node: LineageNode) -> LineageRef {
         let (sid, h32) = self.dedup_key(&node);
         let (kind, ops) = node.pack();
-        let same = |r: LineageRef| self.holds(r, kind, ops);
-        // Fast path: the node already exists and is live (read lock only).
-        if let Some(r) = self.stripes[sid]
-            .read()
-            .expect("arena stripe poisoned")
-            .get(h32, same)
-        {
+        // The children's distinct segments, ascending.
+        let segs = match node {
+            LineageNode::Var(_) => [None, None],
+            LineageNode::Not(c) => [Some(c.segment().0), None],
+            LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+                let (lo, hi) = (a.segment().0, b.segment().0);
+                [Some(lo.min(hi)), (lo != hi).then_some(lo.max(hi))]
+            }
+        };
+        // A copy of `node` lives no lower than its highest child.
+        let floor = segs[1].or(segs[0]).unwrap_or(0);
+        // Checked before any lock is held, so a misuse poisons nothing.
+        assert!(
+            floor <= self.open.load(Ordering::Acquire),
+            "lineage ref of {node:?} from a foreign arena"
+        );
+        let mut stripe = self.stripes[sid].lock().expect("arena stripe poisoned");
+        if let Some(r) = stripe.get(h32, |r| self.holds(r, floor, kind, ops)) {
             return r;
         }
-        // Gather child metadata with no lock held (child reads are
-        // lock-free), so the stripe write lock below is the only stripe
-        // lock this thread holds — no nesting, no deadlock.
-        let meta = self.build_meta(node);
-        let mut stripe = self.stripes[sid].write().expect("arena stripe poisoned");
-        if let Some(r) = stripe.get(h32, same) {
-            return r; // raced with another writer
-        }
-        let r = self.append(meta);
+        let mut held = Held(segs.map(|s| s.map(|id| (id, self.segment(id).read_chunks()))));
+        let new = build(&held, node).unwrap_or_else(|| {
+            // A `Not` chain leads below the held segments: read with no
+            // guard held, one guard per read.
+            held = Held::default();
+            build(self, node).expect("arena reads resolve every live ref")
+        });
+        let r = self.append(new, held);
         let none_retired = self.retired_segments.load(Ordering::Relaxed) == 0;
         stripe.insert(h32, r, |r| none_retired || self.is_live(r));
         r
     }
 
     /// Whether `r` is a live node of packed shape `(kind, ops)`: the dedup
-    /// probe's comparison. Never panics — a retired or unopened segment,
-    /// or a slot its chunk list no longer holds, reads as `false`. Takes
-    /// the segment's chunk-list read lock while the caller holds a stripe
-    /// lock (the one lock order: stripe, then chunk list).
-    fn holds(&self, r: LineageRef, kind: u8, ops: [u64; 2]) -> bool {
-        let Some(seg) = self.segment_if_opened(r.segment().0) else {
+    /// probe's comparison, under a read guard on `r`'s segment (the
+    /// caller holds no chunk guard). Never panics — a retired or unopened
+    /// segment, or a slot its chunk list no longer holds, reads as
+    /// `false`. A ref below `floor` (the highest child segment) cannot be
+    /// a copy and is not read.
+    fn holds(&self, r: LineageRef, floor: u32, kind: u8, ops: [u64; 2]) -> bool {
+        let seg_id = r.segment().0;
+        if seg_id < floor {
+            return false;
+        }
+        let Some(seg) = self.segment_if_opened(seg_id) else {
             return false;
         };
         if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
             return false;
         }
         seg.read_chunks()
-            .slot(r.slot())
-            .and_then(OnceLock::get)
-            .is_some_and(|m| m.kind == kind && m.ops == ops)
+            .meta(r.slot())
+            .is_some_and(|(m, _)| m.kind() == kind && m.ops() == ops)
     }
 
     /// Claims a slot in the open segment (atomic bump) and publishes the
-    /// node. Lock-free except for chunk allocation (once per chunk's
-    /// worth of appends) and capacity rolls.
-    fn append(&self, mut meta: NodeMeta) -> LineageRef {
+    /// node, under `held` if it holds the open segment or else under one
+    /// more read guard (the open segment is above every held one). Every
+    /// guard is dropped before a chunk allocation or a capacity roll.
+    fn append(&self, mut new: NewNode, held: Held<'_>) -> LineageRef {
+        let mut held = Some(held);
         loop {
             let seg_id = self.open.load(Ordering::Acquire);
             let seg = self.segment(seg_id);
@@ -999,38 +1323,37 @@ impl LineageArena {
             if slot >= SEG_CAP {
                 // Capacity roll: seal and move on (the claimed slot past
                 // the cap is abandoned; `Segment::nodes` clamps).
+                held = None;
                 self.roll_full(seg_id);
                 continue;
             }
-            meta.min_seg = meta.min_seg.min(seg_id);
-            let (c, off) = chunk_of(slot);
-            if let Some(cell) = seg.read_chunks().slot(slot) {
-                cell.set(meta)
-                    .unwrap_or_else(|_| unreachable!("slot claimed twice"));
-                self.total_interned.fetch_add(1, Ordering::Relaxed);
-                return LineageRef::encode(seg_id, slot);
+            new.min_seg = new.min_seg.min(seg_id);
+            let r = LineageRef::encode(seg_id, slot);
+            let published = match held.as_ref().and_then(|h| h.get(seg_id)) {
+                Some(chunks) => new.publish(chunks, slot),
+                None => new.publish(&seg.read_chunks(), slot),
+            };
+            if published {
+                return r;
             }
             // Slow path: allocate the missing chunk(s), then publish.
-            {
-                let mut chunks = seg.chunks.write().expect("segment chunks poisoned");
-                if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
-                    // A racing retire beat this straggler; its claim is
-                    // abandoned and the append restarts in a live segment.
-                    // (Unreachable under the documented retire contract —
-                    // the caller proves quiescence first.)
-                    continue;
-                }
-                assert!(c < MAX_CHUNKS, "slot {slot} beyond segment chunk bound");
-                while chunks.chunks().len() <= c {
-                    let next = chunks.chunks().len();
-                    chunks.push(Chunk::new(chunk_capacity(next)));
-                }
-                chunks.chunks()[c].slots[off]
-                    .set(meta)
-                    .unwrap_or_else(|_| unreachable!("slot claimed twice"));
+            held = None;
+            let mut chunks = seg.chunks.write().expect("segment chunks poisoned");
+            if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
+                // A racing retire beat this straggler; its claim is
+                // abandoned and the append restarts in a live segment.
+                // (Unreachable under the documented retire contract —
+                // the caller proves quiescence first.)
+                continue;
             }
-            self.total_interned.fetch_add(1, Ordering::Relaxed);
-            return LineageRef::encode(seg_id, slot);
+            let c = chunk_of(slot).0;
+            assert!(c < MAX_CHUNKS, "slot {slot} beyond segment chunk bound");
+            while chunks.chunks().len() <= c {
+                let next = chunks.chunks().len();
+                chunks.push(Chunk::new(chunk_capacity(next)));
+            }
+            assert!(new.publish(&chunks, slot), "chunk {c} was just allocated");
+            return r;
         }
     }
 
@@ -1133,7 +1456,7 @@ impl LineageArena {
         // (correctness never needs the sweep — probes skip dead entries).
         let sweep = retired_so_far as usize % self.stripes.len();
         self.stripes[sweep]
-            .write()
+            .lock()
             .expect("arena stripe poisoned")
             .sweep(|r| self.is_live(r));
         if arena_obs::enabled() {
@@ -1196,7 +1519,7 @@ impl LineageArena {
     /// segment range are skipped, not errors). The pin is held for the
     /// snapshot's lifetime, so a racing retire fails `Pinned` instead of
     /// invalidating the walk.
-    pub(crate) fn snapshot_segment(&self, id: SegmentId) -> Option<SegmentSnapshot<'_>> {
+    pub fn snapshot_segment(&self, id: SegmentId) -> Option<SegmentSnapshot<'_>> {
         let pin = self.try_pin(id).ok()?;
         let seg = self.segment(id.0);
         let len = seg.nodes();
@@ -1208,32 +1531,11 @@ impl LineageArena {
         })
     }
 
-    /// Reads a node's metadata. Lock-free on the node side; the segment's
-    /// chunk-list read lock is only contended by chunk allocation and
-    /// retirement.
+    /// Reads a node's metadata under its segment's chunk-list read guard,
+    /// which only chunk allocation and retirement contend.
     #[inline]
-    fn with_meta<T>(&self, r: LineageRef, f: impl FnOnce(&NodeMeta) -> T) -> T {
-        f(meta_in(&self.segment_of(r).read_chunks(), r))
-    }
-
-    /// Reads two nodes' metadata at once, without copying either. Children
-    /// in one segment share one read lock; otherwise the two segments are
-    /// locked in ascending id order, so readers that wait on a queued
-    /// chunk allocation can never wait on each other in a cycle.
-    fn with_meta_pair<T>(
-        &self,
-        a: LineageRef,
-        b: LineageRef,
-        f: impl FnOnce(&NodeMeta, &NodeMeta) -> T,
-    ) -> T {
-        if a.segment() == b.segment() {
-            let chunks = self.segment_of(a).read_chunks();
-            f(meta_in(&chunks, a), meta_in(&chunks, b))
-        } else if a.segment() < b.segment() {
-            self.with_meta(a, |am| self.with_meta(b, |bm| f(am, bm)))
-        } else {
-            self.with_meta(b, |bm| self.with_meta(a, |am| f(am, bm)))
-        }
+    fn meta(&self, r: LineageRef) -> Meta {
+        meta_in(&self.segment_of(r).read_chunks(), r).0
     }
 
     /// The segment holding `r`, which must belong to this arena.
@@ -1243,128 +1545,54 @@ impl LineageArena {
             .unwrap_or_else(|| panic!("lineage ref {r:?} from a foreign arena"))
     }
 
-    /// Computes metadata for a node whose children are already interned.
-    /// Nothing is allocated unless the node has 3 to `VAR_LIST_CAP`
-    /// distinct variables of its own (a `Not` shares its child's list).
-    fn build_meta(&self, node: LineageNode) -> NodeMeta {
-        let (kind, ops) = node.pack();
-        match node {
-            LineageNode::Var(id) => NodeMeta {
-                ops,
-                vars: VarSet::Range([id, id]),
-                size: 1,
-                occurrences: 1,
-                min_seg: u32::MAX, // clamped to the owning segment on append
-                kind,
-                one_of: true,
-            },
-            LineageNode::Not(c) => self.with_meta(c, |cm| NodeMeta {
-                ops,
-                vars: cm.vars.clone(),
-                size: cm.size.saturating_add(1),
-                occurrences: cm.occurrences,
-                min_seg: cm.min_seg.min(c.segment().0),
-                kind,
-                one_of: cm.one_of,
-            }),
-            LineageNode::And(a, b) | LineageNode::Or(a, b) => {
-                self.with_meta_pair(a, b, |am, bm| {
-                    let occurrences = am.occurrences.saturating_add(bm.occurrences);
-                    let ([a_lo, a_hi], [b_lo, b_hi]) = (am.range(), bm.range());
-                    let (av, bv) = (am.vars(), bm.vars());
-                    let disjoint = a_hi < b_lo
-                        || b_hi < a_lo
-                        || match (av, bv) {
-                            (Some(av), Some(bv)) => sorted_disjoint(av, bv),
-                            // Conservative: a huge overlapping-range pair is
-                            // treated as sharing a variable (invariant 3).
-                            _ => false,
-                        };
-                    let range = [a_lo.min(b_lo), a_hi.max(b_hi)];
-                    let vars = if occurrences <= VAR_LIST_CAP as u32 {
-                        // Both children are below the cap too, so their sets
-                        // are known: merge exactly on the stack.
-                        let (av, bv) = (
-                            av.expect("child below cap has a var set"),
-                            bv.expect("child below cap has a var set"),
-                        );
-                        let mut merged = [TupleId(0); VAR_LIST_CAP];
-                        let n = merge_sorted(av, bv, &mut merged);
-                        if n > 2 {
-                            VarSet::List(Arc::from(&merged[..n]))
-                        } else {
-                            VarSet::Range(range)
-                        }
-                    } else {
-                        VarSet::Range(range)
-                    };
-                    NodeMeta {
-                        ops,
-                        vars,
-                        size: am.size.saturating_add(bm.size).saturating_add(1),
-                        occurrences,
-                        min_seg: am
-                            .min_seg
-                            .min(bm.min_seg)
-                            .min(a.segment().0)
-                            .min(b.segment().0),
-                        kind,
-                        one_of: am.one_of && bm.one_of && disjoint,
-                    }
-                })
-            }
-        }
-    }
-
     /// The shape of a node (copied out; cheap).
     pub(crate) fn node(&self, r: LineageRef) -> LineageNode {
-        self.with_meta(r, NodeMeta::node)
+        self.meta(r).node()
     }
 
     /// Tree-semantic formula size (saturating at `u32::MAX`).
     pub(crate) fn size(&self, r: LineageRef) -> u64 {
-        self.with_meta(r, |m| m.size.into())
+        self.meta(r).size().into()
     }
 
     /// Tree-semantic variable occurrences, with multiplicity (saturating
     /// at `u32::MAX`).
     pub(crate) fn occurrences(&self, r: LineageRef) -> u64 {
-        self.with_meta(r, |m| m.occurrences.into())
+        self.meta(r).occurrences().into()
     }
 
     /// The 1OF flag (see invariant 3 on conservatism).
     pub(crate) fn one_of(&self, r: LineageRef) -> bool {
-        self.with_meta(r, |m| m.one_of)
+        self.meta(r).one_of()
     }
 
-    /// Runs `f` on the exact sorted distinct-variable set, when known
-    /// (borrowed from the node, never allocated).
+    /// Runs `f` on the exact sorted distinct-variable set, when known. A
+    /// stored list is shared, never copied, and no lock is held while `f`
+    /// runs.
     pub(crate) fn var_list<T>(&self, r: LineageRef, f: impl FnOnce(Option<&[TupleId]>) -> T) -> T {
-        self.with_meta(r, |m| f(m.vars()))
+        with_var_set(self, r, f).expect("arena reads resolve every live ref")
     }
 
     /// The `[lo, hi]` variable range summary.
     pub fn var_range(&self, r: LineageRef) -> (TupleId, TupleId) {
-        self.with_meta(r, |m| {
-            let [lo, hi] = m.range();
-            (lo, hi)
-        })
+        let [lo, hi] = self.meta(r).range();
+        (lo, hi)
     }
 
     /// The smallest segment reachable from `r`'s sub-DAG: every segment a
     /// traversal of `r` can touch lies in `[min_segment(r), r.segment()]`.
     /// The liveness primitive of the streaming engine's retire schedule.
     pub fn min_segment(&self, r: LineageRef) -> SegmentId {
-        SegmentId(self.with_meta(r, |m| m.min_seg))
+        SegmentId(self.meta(r).min_seg())
     }
 
-    /// Whether `var` can occur in the formula (exact when the list is
-    /// stored, range-approximate otherwise — false negatives impossible).
+    /// Whether `var` can occur in the formula (exact when the set is
+    /// known, range-approximate otherwise — false negatives impossible).
     pub(crate) fn may_contain(&self, r: LineageRef, var: TupleId) -> bool {
-        self.with_meta(r, |m| match m.vars() {
+        self.var_list(r, |set| match set {
             Some(list) => list.binary_search(&var).is_ok(),
             None => {
-                let [lo, hi] = m.range();
+                let (lo, hi) = self.var_range(r);
                 lo <= var && var <= hi
             }
         })
@@ -1372,8 +1600,9 @@ impl LineageArena {
 
     /// A read view for tight traversal loops (valuation, evaluation):
     /// the view pins each touched segment once, caches its chunk list, and
-    /// thereafter resolves nodes with pure array indexing — no lock, no
-    /// atomics per node. Pinning makes a racing [`LineageArena::retire`]
+    /// thereafter resolves nodes with array indexing and plain loads — no
+    /// lock per node, except a stored variable list's brief store lock.
+    /// Pinning makes a racing [`LineageArena::retire`]
     /// fail ([`RetireError::Pinned`]) instead of invalidating the walk.
     pub fn view(&self) -> ArenaView<'_> {
         ArenaView {
@@ -1382,12 +1611,24 @@ impl LineageArena {
         }
     }
 
-    /// Live (resident, non-retired) node count from the monotone atomics —
-    /// O(1), cheap enough for per-advance gauges.
+    /// The segments still holding storage (open or sealed), in id order.
+    /// The prefix below `scan_low` is entirely retired and skipped, so a
+    /// long-running reclaiming stream pays O(live segments), not
+    /// O(segments ever opened).
+    fn live_segment_iter(&self) -> impl Iterator<Item = &Segment> {
+        let open = self.open.load(Ordering::Acquire);
+        (self.scan_low.load(Ordering::Acquire)..=open)
+            .map(|id| self.segment(id))
+            .filter(|seg| seg.state.load(Ordering::Acquire) != STATE_RETIRED)
+    }
+
+    /// Live (resident, non-retired) node count: the claimed slots of the
+    /// live segments. O(live segments), cheap enough for per-advance
+    /// gauges; exact in quiescence.
     pub fn live_nodes(&self) -> u64 {
-        self.total_interned
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.retired_nodes.load(Ordering::Relaxed))
+        self.live_segment_iter()
+            .map(|seg| u64::from(seg.nodes()))
+            .sum()
     }
 
     /// Segments still holding storage (open or sealed) — O(1).
@@ -1396,34 +1637,27 @@ impl LineageArena {
         open + 1 - self.retired_segments.load(Ordering::Relaxed) as usize
     }
 
-    /// Resident bytes of chunk slot storage alone, skipping the per-node
-    /// variable-list walk of [`LineageArena::stats`]. O(live segments) —
+    /// Resident bytes of chunk slot storage alone, skipping the list
+    /// stores [`LineageArena::stats`] also counts. O(live segments) —
     /// cheap enough to publish as a gauge on every seal/retire.
     pub fn resident_chunk_bytes(&self) -> usize {
-        let open = self.open.load(Ordering::Acquire);
-        let mut bytes = 0usize;
-        for id in self.scan_low.load(Ordering::Acquire)..=open {
-            let seg = self.segment(id);
-            if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
-                continue;
-            }
-            bytes += chunk_start(seg.read_chunks().chunks().len())
-                * std::mem::size_of::<OnceLock<NodeMeta>>();
-        }
-        bytes
+        self.live_segment_iter()
+            .map(|seg| chunk_start(seg.read_chunks().chunks().len()))
+            .sum::<usize>()
+            * std::mem::size_of::<NodeSlot>()
     }
 
     /// Bytes of the dedup tables (slot capacity × 12), read under each
-    /// stripe's read lock.
+    /// stripe's lock.
     fn dedup_bytes(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.read().expect("arena stripe poisoned").slots.len())
+            .map(|s| s.lock().expect("arena stripe poisoned").slots.len())
             .sum::<usize>()
             * std::mem::size_of::<DedupSlot>()
     }
 
-    /// Publishes the O(1)/cheap gauges to the global metrics registry.
+    /// Publishes the cheap gauges to the global metrics registry.
     /// Called on seal/retire; callers may also invoke it after a batch.
     pub fn publish_obs_gauges(&self) {
         if !arena_obs::enabled() {
@@ -1437,45 +1671,30 @@ impl LineageArena {
     }
 
     /// Arena statistics. Counts are exact in quiescence and approximate
-    /// under concurrent interning; `resident_bytes` walks live segments.
+    /// under concurrent interning; walks every live node.
     pub fn stats(&self) -> ArenaStats {
         let open = self.open.load(Ordering::Acquire);
-        let total = self.total_interned.load(Ordering::Relaxed);
         let retired_nodes = self.retired_nodes.load(Ordering::Relaxed);
         let retired_segments = self.retired_segments.load(Ordering::Relaxed) as usize;
-        let mut resident_bytes = 0usize;
-        let mut with_var_list = 0usize;
-        // The prefix below `scan_low` is entirely retired — skip it, so a
-        // long-running reclaiming stream pays O(live segments) per stats
-        // call, not O(segments ever opened).
-        for id in self.scan_low.load(Ordering::Acquire)..=open {
-            let seg = self.segment(id);
-            if seg.state.load(Ordering::Acquire) == STATE_RETIRED {
-                continue;
-            }
+        let (mut nodes, mut resident_bytes, mut with_var_list) = (0usize, 0usize, 0usize);
+        for seg in self.live_segment_iter() {
             let live = seg.nodes() as usize;
+            nodes += live;
             let chunks = seg.read_chunks();
             for (c, chunk) in chunks.chunks().iter().enumerate() {
-                resident_bytes += chunk_capacity(c) * std::mem::size_of::<OnceLock<NodeMeta>>();
-                let start = chunk_start(c);
-                for off in 0..chunk.slots.len() {
-                    if start + off >= live {
-                        break;
-                    }
-                    if let Some(m) = chunk.slots[off].get() {
-                        if m.vars().is_some() {
-                            with_var_list += 1;
-                        }
-                        if let VarSet::List(list) = &m.vars {
-                            resident_bytes += list.len() * std::mem::size_of::<TupleId>();
-                        }
-                    }
-                }
+                resident_bytes += chunk_capacity(c) * std::mem::size_of::<NodeSlot>();
+                resident_bytes += chunk.list_bytes();
+                let used = live.saturating_sub(chunk_start(c)).min(chunk.slots.len());
+                with_var_list += chunk.slots[..used]
+                    .iter()
+                    .filter_map(Meta::load)
+                    .filter(|m| m.occurrences() <= VAR_LIST_CAP as u32)
+                    .count();
             }
         }
         ArenaStats {
-            nodes: (total - retired_nodes) as usize,
-            total_interned: total,
+            nodes,
+            total_interned: retired_nodes + nodes as u64,
             retired_nodes,
             segments: open as usize + 1,
             live_segments: open as usize + 1 - retired_segments,
@@ -1484,6 +1703,15 @@ impl LineageArena {
             dedup_bytes: self.dedup_bytes(),
             with_var_list,
         }
+    }
+}
+
+impl Slots for LineageArena {
+    #[inline]
+    fn read<T>(&self, r: LineageRef, f: impl FnOnce(Meta, &Chunk) -> T) -> Option<T> {
+        let chunks = self.segment_of(r).read_chunks();
+        let (m, chunk) = meta_in(&chunks, r);
+        Some(f(m, chunk))
     }
 }
 
@@ -1508,7 +1736,7 @@ impl Drop for SegmentPin<'_> {
 
 /// A pinned per-segment slot-array snapshot for columnar walks; see
 /// [`LineageArena::snapshot_segment`].
-pub(crate) struct SegmentSnapshot<'a> {
+pub struct SegmentSnapshot<'a> {
     _pin: SegmentPin<'a>,
     chunks: ChunkList,
     len: u32,
@@ -1517,17 +1745,23 @@ pub(crate) struct SegmentSnapshot<'a> {
 impl SegmentSnapshot<'_> {
     /// Slots claimed at snapshot time; `node_at` is defined for
     /// `0..len()`.
-    pub(crate) fn len(&self) -> u32 {
+    pub fn len(&self) -> u32 {
         self.len
+    }
+
+    /// Whether the segment had no claimed slot at snapshot time.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The node shape and 1OF flag at `slot`, or `None` while the slot's
     /// publication is still in flight (a concurrent intern claimed it
-    /// after our length read — never the case for sealed segments).
+    /// but has not stored its last word — never the case for sealed
+    /// segments).
     #[inline]
-    pub(crate) fn node_at(&self, slot: u32) -> Option<(LineageNode, bool)> {
-        let meta = self.chunks.slot(slot)?.get()?;
-        Some((meta.node(), meta.one_of))
+    pub fn node_at(&self, slot: u32) -> Option<(LineageNode, bool)> {
+        let (meta, _) = self.chunks.meta(slot)?;
+        Some((meta.node(), meta.one_of()))
     }
 }
 
@@ -1538,12 +1772,12 @@ struct ViewSegment<'a> {
     chunks: ChunkList,
 }
 
-/// Pinned, lock-free read access to the arena for traversal loops; see
+/// Pinned read access to the arena for traversal loops; see
 /// [`LineageArena::view`]. Segment chunk lists are snapshotted on first
 /// touch (a `RefCell` makes the view single-threaded, which traversals
 /// are), then every later access to the same segment is pure indexing.
-/// Unlike the old lock-striped view, interning while a view is alive is
-/// allowed — appends never conflict with readers.
+/// Interning while a view is alive is allowed: a node appended after the
+/// snapshot makes the view re-read the chunk list.
 pub struct ArenaView<'a> {
     arena: &'a LineageArena,
     segments: RefCell<FastMap<u32, ViewSegment<'a>>>,
@@ -1556,7 +1790,7 @@ impl ArenaView<'_> {
     /// interning): the chunk list is re-read **while the existing pin is
     /// kept**, so the segment stays retire-proof across the refresh.
     #[inline]
-    fn with_meta<T>(&self, r: LineageRef, f: impl FnOnce(&NodeMeta) -> T) -> T {
+    fn with_slot<T>(&self, r: LineageRef, f: impl FnOnce(Meta, &Chunk) -> T) -> T {
         let seg_id = r.segment().0;
         let mut segments = self.segments.borrow_mut();
         let entry = segments.entry(seg_id).or_insert_with(|| {
@@ -1564,52 +1798,57 @@ impl ArenaView<'_> {
             let chunks = self.arena.segment(seg_id).read_chunks().clone();
             ViewSegment { _pin: pin, chunks }
         });
-        if let Some(meta) = entry.chunks.slot(r.slot()).and_then(OnceLock::get) {
-            return f(meta);
+        if let Some((meta, chunk)) = entry.chunks.meta(r.slot()) {
+            return f(meta, chunk);
         }
         entry.chunks = self.arena.segment(seg_id).read_chunks().clone();
-        let meta = entry
+        let (meta, chunk) = entry
             .chunks
-            .slot(r.slot())
-            .and_then(OnceLock::get)
+            .meta(r.slot())
             .unwrap_or_else(|| panic!("read of unpublished slot {r:?}"));
-        f(meta)
+        f(meta, chunk)
     }
 
     /// The shape of a node.
     #[inline]
     pub fn node(&self, r: LineageRef) -> LineageNode {
-        self.with_meta(r, NodeMeta::node)
+        self.with_slot(r, |m, _| m.node())
     }
 
     /// The node's 1OF flag.
     #[inline]
     pub fn one_of(&self, r: LineageRef) -> bool {
-        self.with_meta(r, |m| m.one_of)
+        self.with_slot(r, |m, _| m.one_of())
     }
 
     /// Runs `f` on the node's exact sorted distinct-variable set, when
-    /// known (borrowed, never allocated).
+    /// known (shared, never copied; no lock is held while `f` runs).
     #[inline]
     pub fn var_list<T>(&self, r: LineageRef, f: impl FnOnce(Option<&[TupleId]>) -> T) -> T {
-        self.with_meta(r, |m| f(m.vars()))
+        with_var_set(self, r, f).expect("view reads resolve every live ref")
     }
 }
 
-/// `r`'s published metadata in its segment's chunk list.
+impl Slots for ArenaView<'_> {
+    #[inline]
+    fn read<T>(&self, r: LineageRef, f: impl FnOnce(Meta, &Chunk) -> T) -> Option<T> {
+        Some(self.with_slot(r, f))
+    }
+}
+
+/// `r`'s published metadata in its segment's chunk list, and its chunk.
 #[inline]
-fn meta_in(chunks: &ChunkList, r: LineageRef) -> &NodeMeta {
-    chunks
-        .slot(r.slot())
-        .unwrap_or_else(|| {
-            panic!(
-                "lineage use-after-retire: {:?} in retired segment {}",
-                r,
-                r.segment()
-            )
-        })
-        .get()
-        .expect("read of unpublished slot")
+fn meta_in(chunks: &ChunkList, r: LineageRef) -> (Meta, &Chunk) {
+    let (c, off) = chunk_of(r.slot());
+    let chunk = chunks.chunks().get(c).unwrap_or_else(|| {
+        panic!(
+            "lineage use-after-retire: {:?} in retired segment {}",
+            r,
+            r.segment()
+        )
+    });
+    let meta = Meta::load(&chunk.slots[off]).expect("read of unpublished slot");
+    (meta, chunk)
 }
 
 /// Merges two sorted sets into `out` (which holds at least the union),
@@ -1724,6 +1963,30 @@ mod tests {
         assert_eq!(LineageArena::global().shard_count(), MAX_SHARDS);
     }
 
+    /// `resident_bytes` counts the slots and, per list, the `Arc`'s two
+    /// counts and its variables, plus the store's `Vec` capacity. A `Not`
+    /// over a list node stores no list of its own.
+    #[test]
+    fn resident_bytes_count_list_stores_exactly() {
+        let arena = LineageArena::with_shards(1);
+        let v: Vec<LineageRef> = (0..4u64)
+            .map(|i| arena.intern(LineageNode::Var(TupleId(2 * i))))
+            .collect();
+        let pair = arena.intern(LineageNode::Or(v[0], v[1]));
+        let three = arena.intern(LineageNode::And(pair, v[2]));
+        let four = arena.intern(LineageNode::Or(three, v[3]));
+        arena.intern(LineageNode::Not(four));
+        let (lists, capacity) = {
+            let chunks = arena.segment(0).read_chunks();
+            let store = chunks.chunks()[0].lists.lock().unwrap();
+            (store.len(), store.capacity())
+        };
+        assert_eq!(lists, 2, "the 3- and 4-variable nodes");
+        let expected = FIRST_CHUNK as usize * 48 + capacity * 16 + (16 + 3 * 8) + (16 + 4 * 8);
+        assert_eq!(arena.stats().resident_bytes, expected);
+        assert_eq!(arena.resident_chunk_bytes(), FIRST_CHUNK as usize * 48);
+    }
+
     #[test]
     fn standalone_arena_is_independent() {
         let arena = LineageArena::with_shards(2);
@@ -1777,7 +2040,7 @@ mod tests {
 
     /// Every `h32` stored in one stripe, one per occupied slot.
     fn stripe_tags(arena: &LineageArena, stripe: usize) -> Vec<u32> {
-        let table = arena.stripes[stripe].read().unwrap();
+        let table = arena.stripes[stripe].lock().unwrap();
         let tags: Vec<u32> = table
             .slots
             .iter()
@@ -1818,7 +2081,7 @@ mod tests {
             assert_eq!(all_or, u32::MAX, "stripe {stripe}: h32 bits never set");
             // Probe starts: as many distinct ones as n uniform draws from
             // the table's slots would take, within 10 %.
-            let slots = arena.stripes[stripe].read().unwrap().slots.len();
+            let slots = arena.stripes[stripe].lock().unwrap().slots.len();
             let mut starts: Vec<usize> = tags.iter().map(|&t| t as usize & (slots - 1)).collect();
             starts.sort_unstable();
             starts.dedup();
@@ -1858,7 +2121,7 @@ mod tests {
     fn dedup_hits_survive_table_growth() {
         let arena = LineageArena::with_shards(1);
         let nodes = intern_chain(&arena, 0, 1_000);
-        let slots = arena.stripes[0].read().unwrap().slots.len();
+        let slots = arena.stripes[0].lock().unwrap().slots.len();
         // 16 → 4 096 slots: eight doublings.
         assert!(slots >= DEDUP_MIN_SLOTS << 4, "{slots} slots");
         let total = arena.stats().total_interned;
@@ -2050,8 +2313,7 @@ mod tests {
 
     #[test]
     fn interning_while_view_is_alive_is_allowed() {
-        // The old lock-striped design forbade this (self-deadlock); the
-        // lock-free store makes it legal, and views refresh their snapshot
+        // Views hold no lock between reads, and refresh their snapshot
         // for nodes appended after the first touch.
         let arena = LineageArena::with_shards(2);
         let a = arena.intern(LineageNode::Var(TupleId(1)));
@@ -2097,7 +2359,7 @@ mod tests {
 
     #[test]
     fn concurrent_interning_converges() {
-        // Hammer the lock-free append + striped dedup path from several
+        // Hammer the striped intern path from several
         // threads building the same and disjoint nodes, across several
         // dedup table growths per stripe; hash-consing must stay
         // consistent.
@@ -2129,7 +2391,7 @@ mod tests {
         // Each stripe holds about 1 100 entries: at least 2 048 slots, so
         // it grew at least seven times from 16.
         for stripe in arena.stripes.iter() {
-            assert!(stripe.read().unwrap().slots.len() >= DEDUP_MIN_SLOTS << 7);
+            assert!(stripe.lock().unwrap().slots.len() >= DEDUP_MIN_SLOTS << 7);
         }
         // Shared vars interned exactly once: re-interning yields equal refs.
         for i in 0..N {
@@ -2181,5 +2443,146 @@ mod tests {
                 assert_eq!(arena.occurrences(root), 501);
             }
         });
+    }
+
+    /// Checks one published slot a snapshot returned: a well-formed node
+    /// of the shapes the publication tests intern (variables at or above
+    /// `1_000`, distinct `And` / `Or` operands) whose children precede it
+    /// and read back as published nodes.
+    fn assert_well_formed(arena: &LineageArena, at: LineageRef, node: LineageNode) {
+        let children = match node {
+            LineageNode::Var(id) => {
+                assert!(id.0 >= 1_000, "{at:?}: {node:?} has an unwritten operand");
+                return;
+            }
+            LineageNode::Not(c) => vec![c],
+            LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+                assert_ne!(a, b, "{at:?}: {node:?} has unwritten operands");
+                vec![a, b]
+            }
+        };
+        for c in children {
+            assert!(c < at, "{at:?}: child {c:?} does not precede it");
+            let snap = arena.snapshot_segment(c.segment()).expect("live child");
+            let (child, _) = snap
+                .node_at(c.slot())
+                .unwrap_or_else(|| panic!("{at:?}: child {c:?} unpublished"));
+            if let LineageNode::Var(id) = child {
+                assert!(id.0 >= 1_000, "{at:?}: child {c:?} is {child:?}");
+            }
+        }
+    }
+
+    /// Interns the chain of a publication test: over variables
+    /// `base..base + n`, `acc = Or(acc, v)`, then `Not(acc)` and
+    /// `And(Not(acc), v)`. Every interned node is new. Each returned ref
+    /// and its node go to `out`.
+    fn publication_chain(
+        arena: &LineageArena,
+        base: u64,
+        n: u64,
+        mut out: impl FnMut(LineageRef, LineageNode),
+    ) {
+        let mut intern = |node: LineageNode| {
+            let r = arena.intern(node);
+            out(r, node);
+            r
+        };
+        let mut acc = intern(LineageNode::Var(TupleId(base)));
+        for i in 1..n {
+            let v = intern(LineageNode::Var(TupleId(base + i)));
+            acc = intern(LineageNode::Or(acc, v));
+            let not = intern(LineageNode::Not(acc));
+            intern(LineageNode::And(not, v));
+        }
+    }
+
+    /// Counts a writer thread as finished when dropped, also while it
+    /// unwinds, so a reader waiting for the writers never outlives a
+    /// writer's panic.
+    struct Finished<'a>(&'a std::sync::atomic::AtomicU32);
+
+    impl Drop for Finished<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Two writers intern chains while a reader walks the open segment's
+    /// snapshot slot by slot, spinning on the newest: every slot a
+    /// snapshot returns must be a whole node, never one whose last word
+    /// is stored and whose operands are not. Meanwhile every ref an
+    /// intern returned must read back its exact node, variable set
+    /// included, through an `ArenaView`. A last pass after the writers
+    /// finish covers every slot.
+    #[test]
+    fn concurrent_readers_see_only_published_slots() {
+        const N: u64 = 1_500;
+        let arena = LineageArena::with_shards(MAX_SHARDS);
+        let (tx, rx) = std::sync::mpsc::channel::<(LineageRef, LineageNode)>();
+        let done = std::sync::atomic::AtomicU32::new(0);
+        let start = std::sync::Barrier::new(3);
+        let walked = std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (arena, tx, done, start) = (&arena, tx.clone(), &done, &start);
+                scope.spawn(move || {
+                    let _finished = Finished(done);
+                    start.wait();
+                    publication_chain(arena, 1_000 + t * 100_000, N, |r, node| {
+                        tx.send((r, node)).expect("reader alive");
+                    });
+                });
+            }
+            drop(tx);
+            // Each writer sends children before parents, so every child's
+            // variable set is known when its parent arrives.
+            let view = arena.view();
+            let mut sets: HashMap<LineageRef, std::collections::BTreeSet<TupleId>> = HashMap::new();
+            let mut check_ref = |r: LineageRef, node: LineageNode| {
+                assert_eq!(view.node(r), node, "{r:?}");
+                let set = match node {
+                    LineageNode::Var(id) => [id].into(),
+                    LineageNode::Not(c) => sets[&c].clone(),
+                    LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+                        sets[&a].union(&sets[&b]).copied().collect()
+                    }
+                };
+                let stored = view.var_list(r, |set| set.map(<[TupleId]>::to_vec));
+                let known = arena.occurrences(r) <= VAR_LIST_CAP as u64;
+                let expected = known.then(|| set.iter().copied().collect::<Vec<_>>());
+                assert_eq!(stored, expected, "{r:?}");
+                sets.insert(r, set);
+            };
+            start.wait();
+            let mut walked = 0u32;
+            loop {
+                let finished = done.load(Ordering::Acquire) == 2;
+                let snap = arena
+                    .snapshot_segment(SegmentId(0))
+                    .expect("segment 0 is open");
+                while walked < snap.len() {
+                    let mut spins = 0;
+                    let node = loop {
+                        match snap.node_at(walked) {
+                            Some((node, _)) => break Some(node),
+                            None if spins < 1_000 => spins += 1,
+                            None => break None,
+                        }
+                    };
+                    let Some(node) = node else { break };
+                    assert_well_formed(&arena, LineageRef::encode(0, walked), node);
+                    walked += 1;
+                }
+                for (r, node) in rx.try_iter() {
+                    check_ref(r, node);
+                }
+                if finished {
+                    break walked;
+                }
+            }
+        });
+        // Every node was new: 2 chains of 4N - 3 nodes, all walked.
+        assert_eq!(u64::from(walked), 2 * (4 * N - 3));
+        assert_eq!(arena.stats().total_interned, 2 * (4 * N - 3));
     }
 }

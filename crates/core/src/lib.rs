@@ -57,7 +57,7 @@
 //! | module | paper section | content |
 //! |---|---|---|
 //! | [`value`], [`fact`], [`interval`] | §III | attribute values, facts, time intervals, Allen relations |
-//! | [`arena`] | — | segmented hash-consed lineage forest: `Copy` handles, O(1) equality, lock-free append, seal/retire reclamation |
+//! | [`arena`] | — | segmented hash-consed lineage forest: `Copy` handles, O(1) equality, one stripe lock per intern, seal/retire reclamation |
 //! | [`lineage`] | §III, Table I | Boolean lineage + concatenation functions, owned form [`lineage::LineageTree`] |
 //! | [`lineage_xform`] | — | negation normal form, conservative simplification |
 //! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (with memoized valuation cache), catalog |

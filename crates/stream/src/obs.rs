@@ -312,7 +312,7 @@ pub fn arena_section(stats: &ArenaStats) -> Section {
         )
         .row("resident", format!("~{} KiB", stats.resident_bytes / 1024))
         .row("dedup", format!("~{} KiB", stats.dedup_bytes / 1024))
-        .row("exact var lists", stats.with_var_list)
+        .row("known var sets", stats.with_var_list)
 }
 
 /// Prometheus-style text snapshot of the global registry — the repl's

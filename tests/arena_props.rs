@@ -390,6 +390,162 @@ fn metadata_boundaries_agree_with_tree(seed: u64, cases: u64, max_small_occ: usi
     for (l, ctx) in &built {
         assert_metadata_matches_tree(l, &mut rng, ctx);
     }
+    layout_edges_agree_with_tree(&mut rng);
+}
+
+/// First slot of each chunk of an arena segment: chunk sizes 256, 512,
+/// 1 024 and 2 048, then flat 4 096-slot chunks.
+const CHUNK_STARTS: [u32; 7] = [0, 256, 768, 1_792, 3_840, 7_936, 12_032];
+
+/// The slot of `l` within its segment.
+fn slot(l: &Lineage) -> u32 {
+    l.node_ref().index() as u32
+}
+
+/// The smallest segment `l`'s DAG touches, found by walking it.
+fn lowest_segment(l: Lineage) -> SegmentId {
+    let mut stack = vec![l];
+    let mut low = l.node_ref().segment();
+    while let Some(l) = stack.pop() {
+        low = low.min(l.node_ref().segment());
+        match l.kind() {
+            LineageKind::Var(_) => {}
+            LineageKind::Not(c) => stack.push(c),
+            LineageKind::And(a, b) | LineageKind::Or(a, b) => stack.extend([a, b]),
+        }
+    }
+    low
+}
+
+/// Nodes placed at given slots of a private arena (the current one),
+/// every node kept for the `with_var_list` count.
+struct Layout {
+    next_id: u64,
+    nodes: Vec<Lineage>,
+    checks: Vec<(Lineage, String)>,
+}
+
+impl Layout {
+    fn keep(&mut self, l: Lineage) -> Lineage {
+        self.nodes.push(l);
+        l
+    }
+
+    /// A fresh variable; ids step by 2, so no set of two or more is its
+    /// range.
+    fn var(&mut self) -> Lineage {
+        self.next_id += 2;
+        self.keep(Lineage::var(TupleId(self.next_id)))
+    }
+
+    /// The open segment's next slot (every node interned here is new).
+    fn next_slot(&self) -> u32 {
+        let open = LineageArena::with_current(|a| a.open_segment());
+        self.nodes
+            .last()
+            .filter(|l| l.node_ref().segment() == open)
+            .map_or(0, |l| slot(l) + 1)
+    }
+
+    /// A node of three variables (so it stores a list) at `target` of the
+    /// open segment, then a `Not` over it in the next slot. With `early`,
+    /// its children are interned before the open segment was opened.
+    fn list_at(&mut self, target: u32, early: Option<(Lineage, Lineage)>, ctx: &str) -> Lineage {
+        let (pair, third) = early.unwrap_or_else(|| {
+            let (a, b) = (self.var(), self.var());
+            let pair = self.keep(Lineage::or(&a, &b));
+            (pair, self.var())
+        });
+        while self.next_slot() < target {
+            self.var();
+        }
+        let l = if target.is_multiple_of(2) {
+            Lineage::and(&pair, &third)
+        } else {
+            Lineage::or(&pair, &third)
+        };
+        let l = self.keep(l);
+        assert_eq!(slot(&l), target, "{ctx}");
+        let not = self.keep(l.negate());
+        self.checks
+            .push((l, format!("{ctx}: list at slot {target}")));
+        self.checks
+            .push((not, format!("{ctx}: ¬ list at slot {target}")));
+        l
+    }
+}
+
+/// Builds nodes at the edges of the node store's layout in a private
+/// arena and checks each against the tree, and its `min_segment` against
+/// the segments its DAG touches:
+///
+/// * list nodes in the last slot of each chunk size (segment 0) and in
+///   the first slot of each (segment 1, whose slot 0 has its children in
+///   segment 0), each with a `Not` over it in the next slot;
+/// * `Not`s in segment 2 over list nodes in other chunks of segments 0
+///   and 1 (a `Not` stores no list and must read its child's), and an
+///   `And` over such a `Not`;
+/// * nodes in segment 3 whose DAGs span three and four segments.
+fn layout_edges_agree_with_tree(rng: &mut StdRng) {
+    let arena = LineageArena::shared(4);
+    let _scope = LineageArena::enter(&arena);
+    let mut lay = Layout {
+        next_id: 10_000_000,
+        nodes: Vec::new(),
+        checks: Vec::new(),
+    };
+    let last_slots: Vec<Lineage> = CHUNK_STARTS[1..]
+        .iter()
+        .map(|&next| lay.list_at(next - 1, None, "segment 0"))
+        .collect();
+    let (a, b) = (lay.var(), lay.var());
+    let early = (lay.keep(Lineage::or(&a, &b)), lay.var());
+    arena.seal();
+    let first_slots: Vec<Lineage> = CHUNK_STARTS[..6]
+        .iter()
+        .map(|&start| {
+            let early = (start == 0).then_some(early);
+            lay.list_at(start, early, "segment 1")
+        })
+        .collect();
+    let seg1_var = lay.var();
+    arena.seal();
+    // Segment 2, chunks 0 and 1: `Not`s over lists in chunk 5 of segment
+    // 0, chunk 0 of segment 0 and chunk 3 of segment 1.
+    let mut nots = Vec::new();
+    for (i, list) in [last_slots[5], last_slots[0], first_slots[3]]
+        .into_iter()
+        .enumerate()
+    {
+        while lay.next_slot() < 300 * i as u32 {
+            lay.var();
+        }
+        let not = lay.keep(list.negate());
+        let v = lay.var();
+        let and = lay.keep(Lineage::and(&not, &v));
+        lay.checks
+            .push((not, format!("segment 2: ¬ earlier list {i}")));
+        lay.checks
+            .push((and, format!("segment 2: ∧ over ¬ earlier list {i}")));
+        nots.push(not);
+    }
+    let seg2_var = lay.var();
+    arena.seal();
+    let seg3_var = lay.var();
+    let three = lay.keep(Lineage::and(&Lineage::or(&seg1_var, &seg2_var), &seg3_var));
+    let four = lay.keep(Lineage::or(&Lineage::and(&nots[0], &seg1_var), &seg3_var));
+    lay.checks
+        .push((three, "segment 3: DAG over segments 1 to 3".into()));
+    lay.checks
+        .push((four, "segment 3: DAG over segments 0 to 3".into()));
+    assert_eq!(three.min_segment(), SegmentId(1));
+    assert_eq!(four.min_segment(), SegmentId(0));
+    // Before any `condition` call interns its results.
+    assert_eq!(arena.stats().with_var_list, nodes_with_var_set(&lay.nodes));
+    for (l, ctx) in &lay.checks {
+        assert_eq!(l.min_segment(), lowest_segment(*l), "{ctx}: min_segment");
+        assert_metadata_matches_tree(l, rng, ctx);
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@
 mod common;
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use common::oracle::assert_formula_matches_control;
@@ -594,4 +595,183 @@ fn dedup_agrees_with_a_model_across_retires() {
 #[ignore = "release soak; run with --ignored"]
 fn dedup_agrees_with_a_model_soak() {
     dedup_matches_model(0xDED0_0002, 40, 3_000);
+}
+
+/// Whether a published node has the shapes [`publication_soak_chains`]
+/// interns: variables at or above `1_000`, distinct `And` / `Or`
+/// operands. A slot whose last word was stored before its operands reads
+/// as `Var(0)` or as operands `0, 0`.
+fn assert_chain_shape(at: impl std::fmt::Debug, node: LineageNode) {
+    match node {
+        LineageNode::Var(id) => assert!(id.0 >= 1_000, "{at:?}: {node:?}"),
+        LineageNode::Not(_) => {}
+        LineageNode::And(a, b) | LineageNode::Or(a, b) => assert_ne!(a, b, "{at:?}: {node:?}"),
+    }
+}
+
+/// One writer of the publication soak: `chains` chains of `n` steps over
+/// fresh variables (`acc = Or(acc, v)`, `Not(acc)`, `And(Not(acc), v)`),
+/// so every node is new. Before a chain starts, `low` is set to the open
+/// segment: nothing the chain interns reaches below it. Every returned
+/// ref must read back its node and exact variable set through a view.
+/// Returns the nodes interned.
+fn publication_soak_chains(
+    arena: &LineageArena,
+    base: u64,
+    chains: u64,
+    n: u64,
+    low: &AtomicU32,
+) -> u64 {
+    let mut interned = 0;
+    for k in 0..chains {
+        low.store(arena.open_segment().0, Ordering::SeqCst);
+        let view = arena.view();
+        // ref → (distinct variables, occurrences)
+        let mut sets: HashMap<LineageRef, (Vec<TupleId>, usize)> = HashMap::new();
+        let mut intern = |node: LineageNode| {
+            let r = arena.intern(node);
+            assert_eq!(view.node(r), node, "{r:?}");
+            let (set, occ) = match node {
+                LineageNode::Var(id) => (vec![id], 1),
+                LineageNode::Not(c) => sets[&c].clone(),
+                LineageNode::And(a, b) | LineageNode::Or(a, b) => {
+                    let (sa, sb) = (&sets[&a], &sets[&b]);
+                    let mut set: Vec<TupleId> = sa.0.iter().chain(&sb.0).copied().collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    (set, sa.1 + sb.1)
+                }
+            };
+            let stored = view.var_list(r, |s| s.map(<[TupleId]>::to_vec));
+            assert_eq!(stored, (occ <= VAR_LIST_CAP).then(|| set.clone()), "{r:?}");
+            sets.insert(r, (set, occ));
+            interned += 1;
+            r
+        };
+        let first = base + k * n;
+        let mut acc = intern(LineageNode::Var(TupleId(first)));
+        for i in 1..n {
+            let v = intern(LineageNode::Var(TupleId(first + i)));
+            acc = intern(LineageNode::Or(acc, v));
+            let not = intern(LineageNode::Not(acc));
+            intern(LineageNode::And(not, v));
+        }
+    }
+    low.store(u32::MAX, Ordering::SeqCst);
+    interned
+}
+
+/// Counts a writer thread as finished when dropped, also while it
+/// unwinds, so the threads waiting for the writers never outlive a
+/// writer's panic.
+struct Finished<'a>(&'a AtomicU32);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Two writers intern chains, a reader walks the open segment's snapshot
+/// slot by slot (spinning on the newest), and this thread seals and
+/// retires every segment below the writers' frontier: every published
+/// slot the reader sees must be a whole node whose children precede it
+/// and, while their segment is live, read back as whole nodes too. The
+/// reader's last pass starts after the writers finish.
+fn publication_races_seals_and_retires(chains: u64, n: u64) {
+    let arena = LineageArena::with_shards(16);
+    let lows = [AtomicU32::new(0), AtomicU32::new(0)];
+    let done = AtomicU32::new(0);
+    let start = std::sync::Barrier::new(4);
+    let (interned, seen) = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (arena, low, done, start) = (&arena, &lows[t as usize], &done, &start);
+                scope.spawn(move || {
+                    let _finished = Finished(done);
+                    start.wait();
+                    publication_soak_chains(arena, 1_000 + t * (1 << 32), chains, n, low)
+                })
+            })
+            .collect();
+        let reader = scope.spawn(|| {
+            let (mut seg, mut checked, mut seen) = (SegmentId(0), 0u32, 0u64);
+            start.wait();
+            loop {
+                let finished = done.load(Ordering::SeqCst) == 2;
+                let open = arena.open_segment();
+                if open != seg {
+                    (seg, checked) = (open, 0);
+                }
+                let Some(snap) = arena.snapshot_segment(seg) else {
+                    continue;
+                };
+                while checked < snap.len() {
+                    let slot = checked;
+                    let mut spins = 0;
+                    let node = loop {
+                        match snap.node_at(slot) {
+                            Some((node, _)) => break Some(node),
+                            None if spins < 1_000 => spins += 1,
+                            None => break None,
+                        }
+                    };
+                    let Some(node) = node else { break };
+                    let at = (seg, slot);
+                    assert_chain_shape(at, node);
+                    let children = match node {
+                        LineageNode::Var(_) => vec![],
+                        LineageNode::Not(c) => vec![c],
+                        LineageNode::And(a, b) | LineageNode::Or(a, b) => vec![a, b],
+                    };
+                    for c in children {
+                        let child_at = (c.segment(), c.index() as u32);
+                        assert!(child_at < at, "{at:?}: child {c:?} follows it");
+                        // A child of a finished chain may be retired.
+                        if let Some(child_snap) = arena.snapshot_segment(c.segment()) {
+                            let (child, _) = child_snap
+                                .node_at(c.index() as u32)
+                                .unwrap_or_else(|| panic!("{at:?}: child {c:?} unpublished"));
+                            assert_chain_shape(c, child);
+                        }
+                    }
+                    checked += 1;
+                    seen += 1;
+                }
+                if finished {
+                    break seen;
+                }
+            }
+        });
+        start.wait();
+        let mut floor = 0u32;
+        while done.load(Ordering::SeqCst) < 2 {
+            arena.seal();
+            let frontier = lows.iter().map(|l| l.load(Ordering::SeqCst)).min().unwrap();
+            while floor < frontier.min(arena.open_segment().0) {
+                match arena.retire(SegmentId(floor)) {
+                    Ok(_) | Err(RetireError::AlreadyRetired) => floor += 1,
+                    Err(RetireError::Pinned(_)) => break,
+                    Err(e) => panic!("retire of segment {floor}: {e}"),
+                }
+            }
+            std::thread::yield_now();
+        }
+        let interned: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        (interned, reader.join().unwrap())
+    });
+    assert!(seen > 0, "the reader saw no slot");
+    let stats = arena.stats();
+    assert_eq!(stats.total_interned, interned);
+    assert!(stats.retired_segments > 0, "no retire raced the writers");
+}
+
+/// The release soak of slot publication: two writers of 500 chains of 300
+/// steps each (about 600 000 nodes apiece), a reader, and seals and
+/// retires racing them; four threads in all. Run with `cargo test
+/// --release --test arena_reclaim -- --ignored`.
+#[test]
+#[ignore = "release soak; run with --ignored"]
+fn publication_races_seals_and_retires_soak() {
+    publication_races_seals_and_retires(500, 300);
 }
