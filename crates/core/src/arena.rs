@@ -137,24 +137,9 @@ use crate::lineage::TupleId;
 
 /// Arena-level observability: lock-free counters/gauges in the global
 /// [`tp_obs`] registry, updated on the rare lifecycle operations (seal /
-/// retire) so the intern hot path stays untouched. The whole module is a
-/// no-op while disabled — tests flip [`set_obs_enabled`] off for a
-/// genuinely uninstrumented baseline run.
+/// retire) so the intern hot path stays untouched.
 mod arena_obs {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, OnceLock};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Globally enables/disables arena metric recording (default: on).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether arena metric recording is currently enabled.
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
 
     /// Registry handles, resolved once — recording never locks the registry.
     pub(super) struct Handles {
@@ -192,7 +177,7 @@ mod arena_obs {
     /// Counts nodes valuated by the columnar batch kernel
     /// (`tp_core::prob::marginal_batch`) — `tp_valuation_batched_nodes_total`.
     pub(crate) fn record_batched_nodes(n: u64) {
-        if enabled() && n > 0 {
+        if n > 0 {
             handles().batched_nodes.add(n);
         }
     }
@@ -200,13 +185,12 @@ mod arena_obs {
     /// Counts roots `tp_core::prob::marginal_batch` hands to the per-root
     /// `marginal` — `tp_valuation_fallback_roots_total`.
     pub(crate) fn record_fallback_roots(n: u64) {
-        if enabled() && n > 0 {
+        if n > 0 {
             handles().fallback_roots.add(n);
         }
     }
 }
 
-pub use arena_obs::{enabled as obs_enabled, set_enabled as set_obs_enabled};
 pub(crate) use arena_obs::{record_batched_nodes, record_fallback_roots};
 
 /// A minimal FxHash-style multiply hasher for the small `Copy` keys of the
@@ -1393,10 +1377,8 @@ impl LineageArena {
         // The gauges read the stripes, which a capacity roll holds while
         // it waits for the lifecycle lock.
         drop(lifecycle);
-        if arena_obs::enabled() {
-            arena_obs::handles().seals.inc();
-            self.publish_obs_gauges();
-        }
+        arena_obs::handles().seals.inc();
+        self.publish_obs_gauges();
         Some(sealed)
     }
 
@@ -1459,15 +1441,13 @@ impl LineageArena {
             .lock()
             .expect("arena stripe poisoned")
             .sweep(|r| self.is_live(r));
-        if arena_obs::enabled() {
-            let h = arena_obs::handles();
-            h.retires.inc();
-            if interior {
-                h.interior_retires.inc();
-            }
-            h.retired_nodes.add(nodes);
-            self.publish_obs_gauges();
+        let h = arena_obs::handles();
+        h.retires.inc();
+        if interior {
+            h.interior_retires.inc();
         }
+        h.retired_nodes.add(nodes);
+        self.publish_obs_gauges();
         Ok(RetiredStorage {
             nodes,
             chunks: freed.chunks().len(),
@@ -1660,9 +1640,6 @@ impl LineageArena {
     /// Publishes the cheap gauges to the global metrics registry.
     /// Called on seal/retire; callers may also invoke it after a batch.
     pub fn publish_obs_gauges(&self) {
-        if !arena_obs::enabled() {
-            return;
-        }
         let h = arena_obs::handles();
         h.live_nodes.set(self.live_nodes() as i64);
         h.live_segments.set(self.live_segments() as i64);

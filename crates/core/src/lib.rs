@@ -59,13 +59,12 @@
 //! | [`value`], [`fact`], [`interval`] | §III | attribute values, facts, time intervals, Allen relations |
 //! | [`arena`] | — | segmented hash-consed lineage forest: `Copy` handles, O(1) equality, one stripe lock per intern, seal/retire reclamation |
 //! | [`lineage`] | §III, Table I | Boolean lineage + concatenation functions, owned form [`lineage::LineageTree`] |
-//! | [`lineage_xform`] | — | negation normal form, conservative simplification |
 //! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (with memoized valuation cache), catalog |
 //! | [`snapshot`] | §IV | timeslice τᵖₜ + literal Def. 1–3 evaluation (the test oracle) |
 //! | [`window`] | §VI-A, Alg. 1 | lineage-aware temporal window + LAWA (O(1) lineage compare per window) |
-//! | [`ops`] | §V, §VI-B, Alg. 2–4 | `∪Tp`, `∩Tp`, `−Tp`, selection, projection, join, aggregation |
+//! | [`ops`] | §V, §VI-B, Alg. 2–4 | `∪Tp`, `∩Tp`, `−Tp`, selection, projection |
 //! | [`query`], [`parser`] | §V-B, Def. 4 | TP set queries, 1OF/safety analysis, text parser |
-//! | [`prob`] | §III, §V-B | linear 1OF valuation, exact Shannon expansion, Monte-Carlo — memoized per arena node |
+//! | [`prob`] | §III, §V-B | marginals: linear 1OF valuation, the columnar batch kernel, exact Shannon expansion, Monte-Carlo — memoized per arena node |
 //! | [`bdd`] | \[24\] | ROBDD compilation of lineage with per-handle compile memo |
 //! | [`io`] | — | text persistence of base relations + topological lineage-forest dumps |
 
@@ -78,10 +77,8 @@ pub mod db;
 pub mod error;
 pub mod fact;
 pub mod interval;
-pub mod interval_set;
 pub mod io;
 pub mod lineage;
-pub mod lineage_xform;
 pub mod ops;
 pub mod parser;
 pub mod prob;
@@ -99,7 +96,6 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::fact::Fact;
     pub use crate::interval::{AllenRelation, Interval, TimePoint};
-    pub use crate::interval_set::IntervalSet;
     pub use crate::lineage::{Lineage, LineageKind, LineageTree, TupleId};
     pub use crate::ops::{apply, except, intersect, project, select, select_attr_eq, union, SetOp};
     pub use crate::prob;

@@ -1,5 +1,6 @@
 //! TP set operations `∪Tp`, `∩Tp`, `−Tp` implemented with LAWA
-//! (Algorithms 2–4 of the paper), plus TP selection.
+//! (Algorithms 2–4 of the paper), plus TP selection and projection (the
+//! query language's `σ` and `π`).
 //!
 //! Every operation follows the four-step pipeline of Fig. 5:
 //!
@@ -12,13 +13,9 @@
 //! O(1) per window, so the whole operation is `O(|r| log |r| + |s| log |s|)`
 //! (the sort dominates; the sweep itself is linear — Proposition 1).
 
-mod aggregate;
-mod join;
 mod project;
 mod select;
 
-pub use aggregate::{expected_count, expected_count_at, CountStep};
-pub use join::{join, join_on_first};
 pub use project::project;
 pub use select::{select, select_attr_eq};
 

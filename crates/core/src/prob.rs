@@ -1,4 +1,4 @@
-//! Probabilistic valuation of lineage formulas.
+//! Probabilistic valuation of lineage formulas: marginals only.
 //!
 //! The marginal probability of a result tuple is the probability that its
 //! lineage evaluates to true under independent Boolean variables (§III).
@@ -985,25 +985,6 @@ pub fn monte_carlo_until(
     monte_carlo(lineage, vars, needed.clamp(1, max_samples.max(1)), seed)
 }
 
-/// Joint probability `P(λ1 ∧ λ2)`, exact. The conjunction usually shares
-/// variables, so this goes through Shannon expansion.
-pub fn joint(l1: &Lineage, l2: &Lineage, vars: &VarTable) -> Result<f64> {
-    exact(&Lineage::and(l1, l2), vars)
-}
-
-/// Conditional probability `P(λ1 | λ2) = P(λ1 ∧ λ2) / P(λ2)`, exact.
-///
-/// Useful for TP applications asking "given that the fact held according to
-/// s, how likely was it according to r?". Returns an error if `P(λ2) = 0`
-/// (conditioning on an impossible event).
-pub fn conditional(l1: &Lineage, l2: &Lineage, vars: &VarTable) -> Result<f64> {
-    let p2 = exact(l2, vars)?;
-    if p2 <= 0.0 {
-        return Err(crate::error::Error::InvalidProbability(p2));
-    }
-    Ok(joint(l1, l2, vars)? / p2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1280,31 +1261,6 @@ mod tests {
         // Sample cap is honoured.
         let capped = monte_carlo_until(&l, &vars, 0.0001, 500, 5).unwrap();
         assert_eq!(capped.samples, 500);
-    }
-
-    #[test]
-    fn joint_and_conditional() {
-        let vars = vt(&[0.5, 0.4]);
-        // Independent vars: P(t0 ∧ t1) = 0.2; P(t0 | t1) = P(t0) = 0.5.
-        assert!((joint(&v(0), &v(1), &vars).unwrap() - 0.2).abs() < 1e-12);
-        assert!((conditional(&v(0), &v(1), &vars).unwrap() - 0.5).abs() < 1e-12);
-        // Dependent: P(t0 | t0) = 1; P(¬t0 | t0) = 0.
-        assert!((conditional(&v(0), &v(0), &vars).unwrap() - 1.0).abs() < 1e-12);
-        assert!(conditional(&v(0).negate(), &v(0), &vars).unwrap().abs() < 1e-12);
-        // Conditioning on a contradiction is an error.
-        let falsum = Lineage::and(&v(0), &v(0).negate());
-        assert!(conditional(&v(1), &falsum, &vars).is_err());
-    }
-
-    #[test]
-    fn conditional_bayes_consistency() {
-        // P(a|b)·P(b) = P(b|a)·P(a) on a dependent pair.
-        let vars = vt(&[0.3, 0.6]);
-        let a = Lineage::or(&v(0), &v(1));
-        let b = Lineage::and(&v(0), &v(1).negate());
-        let lhs = conditional(&a, &b, &vars).unwrap() * exact(&b, &vars).unwrap();
-        let rhs = conditional(&b, &a, &vars).unwrap() * exact(&a, &vars).unwrap();
-        assert!((lhs - rhs).abs() < 1e-12);
     }
 
     #[test]

@@ -180,11 +180,10 @@ pub struct EngineConfig {
     /// Bounded-memory mode; see [`ReclaimConfig`]. `None` (the default)
     /// interns into the thread's current arena and never reclaims.
     pub reclaim: Option<ReclaimConfig>,
-    /// Observability: stage spans + metrics per advance; see
-    /// [`ObsConfig`]. On by default — recording never changes results
-    /// (instrumented and uninstrumented runs emit byte-identical delta
-    /// logs); the repository benchmark reports the overhead as
-    /// `bench.trace_overhead_ratio`.
+    /// Where the engine's stage spans and per-advance metrics go; see
+    /// [`ObsConfig`]. Every engine records them, and recording never
+    /// changes results (the delta log is the same whichever registry and
+    /// label receive them).
     pub obs: ObsConfig,
 }
 
@@ -424,9 +423,8 @@ pub struct StreamEngine {
     reclaimed_nodes: u64,
     /// Total variables released from the attached registry.
     reclaimed_vars: u64,
-    /// Cached observability handles ([`ObsConfig`]); `None` = disabled,
-    /// and every recording site is skipped (including the clock reads).
-    obs: Option<Arc<EngineObs>>,
+    /// Cached observability handles ([`ObsConfig`]).
+    obs: Arc<EngineObs>,
     /// The standing incremental pipeline ([`StreamEngine::with_plan`]),
     /// fed from the delta streams and advanced once per watermark.
     pipeline: Option<Pipeline>,
@@ -485,22 +483,14 @@ impl StreamEngine {
     /// its arena discipline (operator state holds owned
     /// [`tp_core::lineage::LineageTree`]s expanded at the taps, never
     /// arena handles, so reclamation never invalidates it); read the
-    /// standing view through [`StreamEngine::pipeline`].
+    /// standing view through [`StreamEngine::pipeline`]. The one-plan case
+    /// of [`StreamEngine::with_plans`].
     pub fn with_plan(
         cfg: EngineConfig,
         plan: &tp_relalg::Plan,
         taps: &[SetOp],
     ) -> Result<Self, PipelineError> {
-        for &tap in taps {
-            if !cfg.ops.contains(&tap) {
-                return Err(PipelineError::TapNotMaintained(tap));
-            }
-        }
-        let mut pipeline = Pipeline::compile(plan, taps)?;
-        pipeline.init_obs(&cfg.obs);
-        let mut engine = Self::new(cfg);
-        engine.pipeline = Some(pipeline);
-        Ok(engine)
+        Self::with_plans(cfg, std::slice::from_ref(plan), &[taps.to_vec()])
     }
 
     /// Multi-plan variant of [`StreamEngine::with_plan`]: compiles all
@@ -601,9 +591,7 @@ impl StreamEngine {
     pub fn push(&mut self, side: Side, tuple: TpTuple) -> IngestOutcome {
         if tuple.interval.start() < self.watermark {
             self.late[side.idx()] += 1;
-            if let Some(obs) = &self.obs {
-                obs.record_late();
-            }
+            self.obs.record_late();
             return IngestOutcome::Late;
         }
         let tuple = match &self.arena {
@@ -659,7 +647,7 @@ impl StreamEngine {
         // Clone the obs handle out of `self` so the stage cursor can live
         // across the `&mut self` calls below (Arc clone, no allocation).
         let obs = self.obs.clone();
-        let mut stages = StageCursor::start(obs.as_deref());
+        let mut stages = StageCursor::start(&obs);
         let mut stats = AdvanceStats {
             watermark: to,
             ..Default::default()
@@ -722,7 +710,7 @@ impl StreamEngine {
         // arena scope and before the sink observes the watermark, so a
         // sink callback reads the already-consistent materialized view.
         if let Some(p) = self.pipeline.as_mut() {
-            stats.pipeline_deltas = p.on_advance(obs.as_deref());
+            stats.pipeline_deltas = p.on_advance(&obs);
         }
         sink.on_watermark(to);
         self.advance_count += 1;

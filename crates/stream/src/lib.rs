@@ -52,8 +52,8 @@ pub use engine::{
     WatermarkPolicy,
 };
 pub use obs::{
-    advance_section, arena_section, metrics_json, metrics_text, render_all, set_obs_enabled,
-    trace_json, ObsConfig, Section, STAGES,
+    advance_section, arena_section, metrics_json, metrics_text, render_all, trace_json, ObsConfig,
+    Section, STAGES,
 };
 pub use pipeline::{encode_relation, encode_row, Pipeline, PipelineError};
 pub use replay::{ReplayConfig, ReplayEvent, ReplayTotals, StreamScript};

@@ -25,8 +25,9 @@
 //! [`StreamServer`](crate::StreamServer), `"engine"` otherwise — so exports and tests can
 //! filter one run out of the process-wide ring buffers.
 //!
-//! Metrics and spans never influence engine behavior: an instrumented run
-//! emits byte-identical delta logs to an uninstrumented one (asserted by
+//! Metrics and spans never influence engine behavior: a run recording
+//! into a private registry under a tenant label emits byte-identical delta
+//! logs to one recording into the global registry unlabeled (asserted by
 //! `tests/observability.rs`).
 
 use std::sync::Arc;
@@ -54,13 +55,10 @@ pub(crate) const STAGE_FINALIZE: usize = 2;
 /// Index of the `seal_retire` stage.
 pub(crate) const STAGE_SEAL_RETIRE: usize = 3;
 
-/// Observability configuration of one engine.
-#[derive(Clone)]
+/// Observability configuration of one engine: where its metrics and
+/// stage spans go. Every engine records them; there is no off switch.
+#[derive(Clone, Default)]
 pub struct ObsConfig {
-    /// Record metrics and stage spans for this engine (default: on — the
-    /// layer is cheap enough to keep on; the repository benchmark reports
-    /// the overhead as `bench.trace_overhead_ratio`).
-    pub enabled: bool,
     /// Label attached to this engine's metrics (`tenant="..."`) and used
     /// as the span context label. The [`StreamServer`](crate::StreamServer)
     /// sets it to the tenant name; `None` labels nothing and uses the
@@ -72,35 +70,16 @@ pub struct ObsConfig {
     pub registry: Option<Arc<MetricsRegistry>>,
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            tenant: None,
-            registry: None,
-        }
-    }
-}
-
 impl std::fmt::Debug for ObsConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsConfig")
-            .field("enabled", &self.enabled)
             .field("tenant", &self.tenant)
             .field("registry", &self.registry.as_ref().map(|_| "custom"))
             .finish()
     }
 }
 
-/// Master switch for the *global-flag* instrumentation layer that sits
-/// below the engine — the arena (tp-core) — which an [`ObsConfig`] cannot
-/// reach per instance. Tests flip this off together with
-/// `ObsConfig::enabled` for a genuinely uninstrumented baseline run.
-pub fn set_obs_enabled(on: bool) {
-    tp_core::arena::set_obs_enabled(on);
-}
-
-/// Cached registry handles + span context of one instrumented engine.
+/// Cached registry handles + span context of one engine.
 /// Cheap to share (`Arc`); recording never locks the registry.
 pub(crate) struct EngineObs {
     /// Interned span-context id of this engine.
@@ -117,11 +96,8 @@ pub(crate) struct EngineObs {
 }
 
 impl EngineObs {
-    /// Builds the handles, or `None` when disabled.
-    pub fn from_config(cfg: &ObsConfig) -> Option<Arc<EngineObs>> {
-        if !cfg.enabled {
-            return None;
-        }
+    /// Resolves the handles once.
+    pub fn from_config(cfg: &ObsConfig) -> Arc<EngineObs> {
         let reg: &MetricsRegistry = match &cfg.registry {
             Some(r) => r,
             None => global(),
@@ -139,7 +115,7 @@ impl EngineObs {
                 reg.histogram("tp_stage_ns", &l)
             })
             .collect();
-        Some(Arc::new(EngineObs {
+        Arc::new(EngineObs {
             ctx: ctx_id(tenant.unwrap_or("engine")),
             advances: reg.counter("tp_advances_total", &labels),
             windows: reg.counter("tp_windows_total", &labels),
@@ -150,7 +126,7 @@ impl EngineObs {
             late: reg.counter("tp_late_dropped_total", &labels),
             advance_ns: reg.histogram("tp_advance_ns", &labels),
             stage_ns,
-        }))
+        })
     }
 
     /// Counts one late-dropped tuple.
@@ -166,18 +142,17 @@ impl EngineObs {
 
 /// The per-advance stage clock: each [`StageCursor::stage`] call closes
 /// the interval since the previous boundary, so the recorded stages tile
-/// the advance exactly. A disabled cursor (no [`EngineObs`]) is free —
-/// it never reads the clock.
+/// the advance exactly.
 pub(crate) struct StageCursor<'a> {
-    obs: Option<&'a EngineObs>,
+    obs: &'a EngineObs,
     t0: u64,
     cursor: u64,
 }
 
 impl<'a> StageCursor<'a> {
-    /// Starts the clock (reads it only when `obs` is live).
-    pub fn start(obs: Option<&'a EngineObs>) -> Self {
-        let t0 = if obs.is_some() { now_ns() } else { 0 };
+    /// Starts the clock.
+    pub fn start(obs: &'a EngineObs) -> Self {
+        let t0 = now_ns();
         StageCursor {
             obs,
             t0,
@@ -188,7 +163,7 @@ impl<'a> StageCursor<'a> {
     /// Closes the current stage interval as `STAGES[stage]` with payload
     /// `arg`, and starts the next one.
     pub fn stage(&mut self, stage: usize, arg: u64) {
-        let Some(obs) = self.obs else { return };
+        let obs = self.obs;
         let now = now_ns();
         let dur = now - self.cursor;
         record_span(STAGES[stage], "stage", self.cursor, dur, obs.ctx, arg);
@@ -199,7 +174,7 @@ impl<'a> StageCursor<'a> {
     /// Records the whole-advance span (exactly the union of the recorded
     /// stages) and folds the advance's counters into the registry.
     pub fn finish(self, stats: &AdvanceStats) {
-        let Some(obs) = self.obs else { return };
+        let obs = self.obs;
         let dur = self.cursor - self.t0;
         record_span(
             "advance",
@@ -338,23 +313,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_config_builds_no_handles() {
-        assert!(EngineObs::from_config(&ObsConfig {
-            enabled: false,
-            ..Default::default()
-        })
-        .is_none());
-    }
-
-    #[test]
     fn tenant_label_lands_on_metrics() {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = EngineObs::from_config(&ObsConfig {
-            enabled: true,
             tenant: Some("acme".into()),
             registry: Some(Arc::clone(&reg)),
-        })
-        .expect("enabled");
+        });
         obs.record_late();
         let text = reg.prometheus_text();
         assert!(
@@ -367,13 +331,11 @@ mod tests {
     fn stage_cursor_tiles_the_advance() {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = EngineObs::from_config(&ObsConfig {
-            enabled: true,
             tenant: Some("stage-cursor-test".into()),
             registry: Some(Arc::clone(&reg)),
-        })
-        .expect("enabled");
+        });
         let ctx = obs.ctx;
-        let mut cursor = StageCursor::start(Some(&obs));
+        let mut cursor = StageCursor::start(&obs);
         for stage in 0..STAGES.len() {
             cursor.stage(stage, 0);
         }

@@ -657,7 +657,7 @@ impl Node {
     }
 }
 
-/// Metric handles of an instrumented pipeline (`tp_pipeline_*`).
+/// Metric handles of an attached pipeline (`tp_pipeline_*`).
 struct PipelineObs {
     advance_ns: Arc<Histogram>,
     state_rows: Arc<Gauge>,
@@ -703,6 +703,8 @@ pub struct Pipeline {
     shared_nodes: usize,
     advances: u64,
     deltas_total: u64,
+    /// Resolved by [`Pipeline::init_obs`] when an engine attaches the
+    /// pipeline; `None` only for a pipeline compiled on its own.
     obs: Option<PipelineObs>,
 }
 
@@ -842,11 +844,8 @@ impl Pipeline {
         Ok(p)
     }
 
-    /// Resolves the `tp_pipeline_*` metric handles (no-op when disabled).
+    /// Resolves the `tp_pipeline_*` metric handles.
     pub(crate) fn init_obs(&mut self, cfg: &ObsConfig) {
-        if !cfg.enabled {
-            return;
-        }
         let reg: &MetricsRegistry = match &cfg.registry {
             Some(r) => r,
             None => global(),
@@ -939,9 +938,8 @@ impl Pipeline {
     /// per-operator sub-spans and `tp_pipeline_*` metrics. Returns the
     /// number of deltas operators processed. Called by the engine once per
     /// watermark advance, after the sweep emitted its deltas.
-    pub(crate) fn on_advance(&mut self, engine_obs: Option<&EngineObs>) -> u64 {
-        let instrumented = self.obs.is_some() || engine_obs.is_some();
-        let t0 = if instrumented { now_ns() } else { 0 };
+    pub(crate) fn on_advance(&mut self, engine_obs: &EngineObs) -> u64 {
+        let t0 = now_ns();
         let processed = self.propagate(engine_obs);
         self.advances += 1;
         self.deltas_total += processed;
@@ -954,14 +952,13 @@ impl Pipeline {
 
     /// Drains every inbox in topological order, routing each node's output
     /// to the views it feeds and to its downstream consumers.
-    fn propagate(&mut self, engine_obs: Option<&EngineObs>) -> u64 {
-        let instrumented = self.obs.is_some() || engine_obs.is_some();
+    fn propagate(&mut self, engine_obs: &EngineObs) -> u64 {
         let mut processed = 0u64;
         for i in 0..self.nodes.len() {
             let inbox = std::mem::take(&mut self.nodes[i].inbox);
             let mut out = Vec::new();
             if !inbox.is_empty() {
-                let node_t0 = if instrumented { now_ns() } else { 0 };
+                let node_t0 = now_ns();
                 processed += inbox.len() as u64;
                 if is_grouped(&self.nodes[i].op) {
                     self.nodes[i].apply_grouped(inbox, &mut out);
@@ -971,14 +968,10 @@ impl Pipeline {
                     }
                 }
                 self.nodes[i].emitted += out.len() as u64;
-                if instrumented {
-                    let dur = now_ns() - node_t0;
-                    if let Some(obs) = engine_obs {
-                        obs.sub_span(self.nodes[i].op.name(), node_t0, dur, out.len() as u64);
-                    }
-                    if let Some(p) = &self.obs {
-                        p.node_deltas[i].add(out.len() as u64);
-                    }
+                let dur = now_ns() - node_t0;
+                engine_obs.sub_span(self.nodes[i].op.name(), node_t0, dur, out.len() as u64);
+                if let Some(p) = &self.obs {
+                    p.node_deltas[i].add(out.len() as u64);
                 }
             }
             if out.is_empty() {

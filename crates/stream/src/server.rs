@@ -63,10 +63,10 @@ pub struct ServerConfig {
     /// Tenant shards of one watermark wave: how many tenants advance
     /// concurrently, each on its own scoped thread. 1 = fully serial.
     pub workers: usize,
-    /// Observability template applied to every tenant engine: `enabled`
-    /// and `registry` carry over per tenant; the `tenant` label is always
-    /// overwritten with the tenant's name, so each tenant's metrics and
-    /// spans stay attributable within the shared registry.
+    /// Observability template applied to every tenant engine: `registry`
+    /// carries over per tenant; the `tenant` label is always overwritten
+    /// with the tenant's name, so each tenant's metrics and spans stay
+    /// attributable within the shared registry.
     pub obs: ObsConfig,
 }
 
@@ -96,18 +96,15 @@ struct Tenant<S> {
     /// registration (the engine's own `late_dropped` only sees rows that
     /// reached it).
     late_rejected: u64,
-    /// Wave-latency histogram (`tp_wave_advance_ns{tenant=…}`); `None`
-    /// when observability is off.
-    wave_ns: Option<Arc<Histogram>>,
+    /// Wave-latency histogram (`tp_wave_advance_ns{tenant=…}`).
+    wave_ns: Arc<Histogram>,
 }
 
 impl<S: StreamSink> Tenant<S> {
     fn advance(&mut self, to: TimePoint) -> Result<AdvanceStats, StreamError> {
-        let t0 = self.wave_ns.as_ref().map(|_| crate::obs::now_ns());
+        let t0 = crate::obs::now_ns();
         let stats = self.engine.advance(to, &mut self.sink)?;
-        if let (Some(h), Some(t0)) = (&self.wave_ns, t0) {
-            h.record(crate::obs::now_ns() - t0);
-        }
+        self.wave_ns.record(crate::obs::now_ns() - t0);
         self.last = stats;
         Ok(stats)
     }
@@ -154,7 +151,8 @@ impl<S: StreamSink + Send> StreamServer<S> {
     /// ([`StreamEngine::with_plan`]): the tenant continuously maintains
     /// the plan's materialized view next to its delta sink, under the same
     /// bounded-memory regime as every other tenant. Read it back through
-    /// [`StreamServer::engine`] → [`StreamEngine::pipeline`].
+    /// [`StreamServer::engine`] → [`StreamEngine::pipeline`]. The
+    /// one-plan case of [`StreamServer::add_tenant_with_plans`].
     pub fn add_tenant_with_plan(
         &mut self,
         name: impl Into<String>,
@@ -162,10 +160,12 @@ impl<S: StreamSink + Send> StreamServer<S> {
         taps: &[SetOp],
         make_sink: impl FnOnce(&Arc<VarTable>) -> S,
     ) -> Result<TenantId, PipelineError> {
-        let name = name.into();
-        let (cfg, vars) = self.tenant_engine_config(&name);
-        let engine = StreamEngine::with_plan(cfg, plan, taps)?;
-        Ok(self.push_tenant(name, engine, vars, make_sink))
+        self.add_tenant_with_plans(
+            name,
+            std::slice::from_ref(plan),
+            &[taps.to_vec()],
+            make_sink,
+        )
     }
 
     /// Adds a tenant with **several standing plans** compiled into one
@@ -213,13 +213,11 @@ impl<S: StreamSink + Send> StreamServer<S> {
         vars: Arc<VarTable>,
         make_sink: impl FnOnce(&Arc<VarTable>) -> S,
     ) -> TenantId {
-        let wave_ns = self.cfg.obs.enabled.then(|| {
-            let reg: &MetricsRegistry = match &self.cfg.obs.registry {
-                Some(r) => r,
-                None => tp_obs::global(),
-            };
-            reg.histogram("tp_wave_advance_ns", &[("tenant", name.as_str())])
-        });
+        let reg: &MetricsRegistry = match &self.cfg.obs.registry {
+            Some(r) => r,
+            None => tp_obs::global(),
+        };
+        let wave_ns = reg.histogram("tp_wave_advance_ns", &[("tenant", name.as_str())]);
         let sink = make_sink(&vars);
         self.tenants.push(Tenant {
             name,

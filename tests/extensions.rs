@@ -1,11 +1,10 @@
-//! Integration tests for the extension surface beyond the paper's core:
-//! projection, interval sets, relation I/O, lineage transformations and
-//! conditional probabilities — exercised together through the public API.
+//! Integration tests for the surface beyond the paper's set operations:
+//! projection and relation I/O, exercised together with the set
+//! operations and the query layer through the public API.
 
 mod common;
 
 use common::supermarket_db;
-use tpdb::core::interval_set::IntervalSet;
 use tpdb::core::ops::project;
 use tpdb::prelude::*;
 
@@ -50,28 +49,6 @@ fn projection_composes_with_set_operations() {
 }
 
 #[test]
-fn interval_sets_mirror_set_operation_coverage() {
-    // Coverage algebra agrees with the TP operations when lineage is
-    // ignored: coverage(r op s) per fact equals the set-algebra of the
-    // coverages (for union/except; intersection coverage = both).
-    let db = supermarket_db();
-    let a = db.relation("a").unwrap();
-    let c = db.relation("c").unwrap();
-    for fact in ["milk", "chips", "dates"] {
-        let fact = Fact::single(fact);
-        let ca = IntervalSet::coverage_of(a, &fact);
-        let cc = IntervalSet::coverage_of(c, &fact);
-        assert_eq!(IntervalSet::coverage_of(&union(a, c), &fact), ca.union(&cc));
-        assert_eq!(
-            IntervalSet::coverage_of(&intersect(a, c), &fact),
-            ca.intersect(&cc)
-        );
-        // −Tp keeps *all* of r's coverage (probabilistic difference).
-        assert_eq!(IntervalSet::coverage_of(&except(a, c), &fact), ca);
-    }
-}
-
-#[test]
 fn relation_io_roundtrip_through_query() {
     // Dump base relations, reload into a fresh database, re-run the Fig. 1
     // query: same facts/intervals/probabilities.
@@ -97,38 +74,6 @@ fn relation_io_roundtrip_through_query() {
             .collect()
     };
     assert_eq!(profile(&db), profile(&db2));
-}
-
-#[test]
-fn nnf_of_query_lineage_preserves_probability() {
-    let db = supermarket_db();
-    let q = Query::parse("(a union b) except (a intersect c)").unwrap();
-    for t in q.eval(&db).unwrap().iter() {
-        let nnf = t.lineage.to_nnf();
-        assert!(nnf.is_nnf());
-        let p1 = prob::exact(&t.lineage, db.vars()).unwrap();
-        let p2 = prob::exact(&nnf, db.vars()).unwrap();
-        assert!((p1 - p2).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn conditional_probability_on_query_results() {
-    // P(in stock | bought): conditional over lineages of matching tuples.
-    let db = supermarket_db();
-    let a = db.relation("a").unwrap(); // bought
-    let c = db.relation("c").unwrap(); // stock
-    let both = intersect(c, a);
-    for t in both.iter() {
-        // Split and(λc, λa) back apart for the test.
-        let LineageKind::And(lc, la) = t.lineage.kind() else {
-            panic!("intersection lineage must be a conjunction");
-        };
-        let p_cond = prob::conditional(&lc, &la, db.vars()).unwrap();
-        // Base tuples are independent: P(c | a) = P(c).
-        let p_c = prob::exact(&lc, db.vars()).unwrap();
-        assert!((p_cond - p_c).abs() < 1e-12);
-    }
 }
 
 #[test]

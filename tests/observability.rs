@@ -1,7 +1,8 @@
 //! Observability suite: the tp-obs layer must never change what the engine
 //! computes, only describe it. The strongest oracle is differential — the
-//! same replay fully instrumented and with every layer force-disabled must
-//! emit **byte-identical** delta logs in every engine mode. On top of that:
+//! same replay recording into a private registry under a tenant label and
+//! into the global registry unlabeled must emit **byte-identical** delta
+//! logs in every engine mode. On top of that:
 //! histogram quantiles stay inside the exact answer's power-of-two bucket
 //! (property test), trace rings stay bounded under concurrent writers,
 //! stage spans tile each advance exactly, and both export formats parse.
@@ -162,10 +163,11 @@ fn trace_ring_is_bounded_under_concurrent_writers() {
 // The differential gate: instrumentation must be invisible in the output.
 // ---------------------------------------------------------------------------
 
-/// Every engine mode, instrumented (metrics + spans into a private
-/// registry) versus force-disabled, must emit byte-identical delta logs.
+/// Every engine mode, recording into a private registry under a tenant
+/// label versus into the global registry with no label, must emit
+/// byte-identical delta logs.
 #[test]
-fn instrumented_replay_is_byte_identical_to_uninstrumented() {
+fn private_registry_replay_is_byte_identical_to_global() {
     let script = sliding_script();
     let modes: Vec<(&str, EngineConfig)> = vec![
         ("sequential", EngineConfig::default()),
@@ -180,38 +182,23 @@ fn instrumented_replay_is_byte_identical_to_uninstrumented() {
     for (mode, cfg) in modes {
         let registry = Arc::new(MetricsRegistry::new());
         let tenant = format!("obs-test-diff-{mode}");
-        let instrumented = run(
+        let private = run(
             &script,
             EngineConfig {
                 obs: ObsConfig {
-                    enabled: true,
                     tenant: Some(tenant.clone()),
                     registry: Some(Arc::clone(&registry)),
                 },
                 ..cfg.clone()
             },
         );
-        // Force every layer dark for the baseline — engine and arena —
-        // then restore the default so concurrent tests keep their signals.
-        tp_stream::set_obs_enabled(false);
-        let baseline = run(
-            &script,
-            EngineConfig {
-                obs: ObsConfig {
-                    enabled: false,
-                    tenant: None,
-                    registry: None,
-                },
-                ..cfg
-            },
-        );
-        tp_stream::set_obs_enabled(true);
+        let global = run(&script, cfg);
         assert_delta_logs_identical(
-            &instrumented,
-            &baseline,
-            &format!("instrumented vs uninstrumented [{mode}]"),
+            &private,
+            &global,
+            &format!("private registry vs global registry [{mode}]"),
         );
-        // The instrumented run really was instrumented.
+        // The private run really recorded into its own registry.
         assert!(
             registry
                 .counter("tp_advances_total", &[("tenant", tenant.as_str())])
@@ -239,7 +226,6 @@ fn window_continuations_and_derivations_add_up_to_windows() {
     let mut vars = VarTable::new();
     let mut engine = tp_stream::StreamEngine::new(EngineConfig {
         obs: ObsConfig {
-            enabled: true,
             tenant: Some(tenant.to_string()),
             registry: Some(Arc::clone(&registry)),
         },
@@ -305,7 +291,6 @@ fn stage_spans_tile_every_advance() {
         EngineConfig {
             reclaim: Some(ReclaimConfig::default()),
             obs: ObsConfig {
-                enabled: true,
                 tenant: Some(label.to_string()),
                 registry: Some(registry),
             },
@@ -364,7 +349,6 @@ fn exports_are_well_formed_after_a_replay() {
         EngineConfig {
             reclaim: Some(ReclaimConfig::default()),
             obs: ObsConfig {
-                enabled: true,
                 tenant: Some(label.to_string()),
                 registry: Some(Arc::clone(&registry)),
             },
@@ -414,7 +398,6 @@ fn multi_tenant_spans_and_metrics_stay_attributable() {
     let mut server: StreamServer<MaterializingSink> = StreamServer::new(ServerConfig {
         workers: 2,
         obs: ObsConfig {
-            enabled: true,
             tenant: None, // overwritten per tenant
             registry: Some(Arc::clone(&registry)),
         },
