@@ -28,13 +28,10 @@
 //! flat, so a large segment over-allocates at most one chunk.
 //! [`LineageArena::retire`] reclaims a sealed segment's storage once the
 //! caller — in practice a reclaiming streaming engine — has proven
-//! that no live window, cached marginal or BDD memo references it.
+//! that no live window references it.
 //! Segment ids are never reused, so a stale ref can always be *detected*:
-//! any access to a retired segment panics ("use-after-retire"), and memo
-//! tables keyed by dead refs are merely unreachable garbage, never wrong
-//! answers (they are evicted in O(1) per segment — see
-//! [`crate::relation::MarginalCache::release_segment`] and
-//! [`crate::bdd::Bdd::release_segment`]).
+//! any access to a retired segment panics ("use-after-retire"), and a memo
+//! table keyed by dead refs holds unreachable garbage, never wrong answers.
 //!
 //! Reclamation is memory-safe even against a mis-behaving caller: chunk
 //! storage is `Arc`-shared with in-flight [`ArenaView`]s, views **pin**
@@ -113,8 +110,8 @@
 //!    conservative `false` only costs performance — probabilistic valuation
 //!    falls back to Shannon expansion, which is exact for every formula.
 //! 4. Valuation results depend on a [`crate::relation::VarTable`], so they
-//!    are **not** cached here: each `VarTable` owns its own marginal cache
-//!    keyed by `LineageRef`, segment-aware for O(1) eviction at retirement.
+//!    are **not** cached here; [`crate::prob`] memoizes them per call,
+//!    keyed by `LineageRef`.
 //!
 //! ## Scoped arenas
 //!
@@ -236,7 +233,7 @@ impl FastHasher {
 }
 
 /// `HashMap` keyed through [`FastHasher`]; the map type of every per-call
-/// memo, the intern tables, and the valuation caches.
+/// memo.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Number of lock stripes of the dedup table (node → ref). An intern holds
@@ -1029,9 +1026,6 @@ pub struct LineageArena {
     /// borrows stay valid for the arena's lifetime (retirement empties a
     /// segment's chunk list; it never frees the `Segment` header).
     dir: Box<[OnceLock<Box<[Segment]>>]>,
-    /// Process-unique arena identity (see [`LineageArena::id`]): lets
-    /// ref-keyed caches detect that a handle belongs to a different arena.
-    id: u64,
     /// Id of the open segment.
     open: AtomicU32,
     /// Smallest segment id that may still hold storage: the prefix below
@@ -1117,11 +1111,9 @@ impl LineageArena {
     /// [`LineageArena::shared`] + [`LineageArena::enter`] to route the
     /// `Lineage` API at it; raw [`LineageArena::intern`] works directly.
     pub fn with_shards(shards: usize) -> Self {
-        static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(1);
         let count = shards.clamp(1, MAX_SHARDS).next_power_of_two();
         let arena = LineageArena {
             dir: (0..DIR_SLOTS).map(|_| OnceLock::new()).collect(),
-            id: NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed),
             open: AtomicU32::new(0),
             scan_low: AtomicU32::new(0),
             retired_nodes: AtomicU64::new(0),
@@ -1135,14 +1127,6 @@ impl LineageArena {
         // Segment 0 exists from the start.
         let _ = arena.segment(0);
         arena
-    }
-
-    /// Process-unique identity of this arena (never 0). Ref-keyed caches
-    /// record it so a handle from a *different* arena reads as a miss
-    /// instead of aliasing a colliding `(segment, slot)` key — see
-    /// [`crate::relation::MarginalCache`].
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// A private arena wrapped for scoping (see [`LineageArena::enter`]).
@@ -2314,10 +2298,12 @@ mod tests {
             );
             assert_eq!(l.size(), 3);
             assert_eq!(private.stats().nodes, 3);
-            assert_eq!(LineageArena::with_current(|a| a.id()), private.id());
+            assert!(LineageArena::with_current(|a| std::ptr::eq(a, &*private)));
         }
-        let global_id = LineageArena::global().id();
-        assert_eq!(LineageArena::with_current(|a| a.id()), global_id);
+        assert!(LineageArena::with_current(|a| std::ptr::eq(
+            a,
+            LineageArena::global()
+        )));
         // Nothing leaked into the global arena from inside the scope.
         // (Other tests intern concurrently into the global arena, so only
         // assert the private count, plus monotonicity globally.)

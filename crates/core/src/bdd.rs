@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use crate::arena::{FastMap, LineageRef, SegmentId};
+use crate::arena::{FastMap, LineageRef};
 use crate::error::Result;
 use crate::lineage::{Lineage, LineageKind, TupleId};
 use crate::relation::VarTable;
@@ -44,11 +44,9 @@ pub struct Bdd {
     nodes: Vec<Node>,
     unique: HashMap<Node, NodeId>,
     apply_memo: HashMap<(u8, NodeId, NodeId), NodeId>,
-    /// Lineage handles already compiled into this arena, grouped by arena
-    /// segment: shared sublineages (hash-consed upstream) compile once per
-    /// `Bdd` instance, and [`Bdd::release_segment`] invalidates a retired
-    /// segment's handles in O(1).
-    compile_memo: FastMap<u32, FastMap<LineageRef, NodeId>>,
+    /// Lineage handles already compiled into this arena: shared
+    /// sublineages (hash-consed upstream) compile once per `Bdd` instance.
+    compile_memo: FastMap<LineageRef, NodeId>,
 }
 
 /// Boolean connectives for [`Bdd::apply`].
@@ -170,11 +168,7 @@ impl Bdd {
     /// reuses the existing sub-BDDs.
     pub fn compile(&mut self, lineage: &Lineage) -> NodeId {
         let r = lineage.node_ref();
-        if let Some(&root) = self
-            .compile_memo
-            .get(&r.segment().0)
-            .and_then(|m| m.get(&r))
-        {
+        if let Some(&root) = self.compile_memo.get(&r) {
             return root;
         }
         let root = match lineage.kind() {
@@ -193,26 +187,8 @@ impl Bdd {
                 self.apply(BoolOp::Or, ra, rb)
             }
         };
-        self.compile_memo
-            .entry(r.segment().0)
-            .or_default()
-            .insert(r, root);
+        self.compile_memo.insert(r, root);
         root
-    }
-
-    /// Drops the compile memo entries of one arena segment in O(1) — the
-    /// retirement hook of a long-lived `Bdd` shared across streaming
-    /// epochs. The BDD *nodes* themselves are keyed by [`TupleId`] and
-    /// survive; only the lineage-handle → root mapping of the retired
-    /// segment is dropped (those handles can never be queried again — refs
-    /// are not reused — so this is memory hygiene, not correctness).
-    pub fn release_segment(&mut self, seg: SegmentId) {
-        self.compile_memo.remove(&seg.0);
-    }
-
-    /// Number of memoized lineage-handle → root entries (diagnostics).
-    pub fn compile_memo_len(&self) -> usize {
-        self.compile_memo.values().map(|m| m.len()).sum()
     }
 
     /// Evaluates a root under a truth assignment.

@@ -23,7 +23,6 @@ use std::io::{BufRead, Write};
 use crate::error::{Error, Result};
 use crate::fact::Fact;
 use crate::interval::Interval;
-use crate::lineage::{Lineage, LineageKind, TupleId};
 use crate::relation::{TpRelation, VarTable};
 use crate::value::Value;
 
@@ -255,128 +254,6 @@ impl crate::db::Database {
     }
 }
 
-/// Serializes a lineage formula as a **topological node dump**: one line per
-/// unique node of the shared DAG, children before parents, the last line
-/// being the root. Local indices are dense (`0..n`), so the format is
-/// stable regardless of the process-global arena state:
-///
-/// ```text
-/// 0 var 5
-/// 1 var 7
-/// 2 or 0 1
-/// 3 var 9
-/// 4 not 2
-/// 5 and 3 4
-/// ```
-///
-/// Shared subformulas are written once and referenced by index, so the dump
-/// is linear in the number of *unique* nodes even when the tree expansion
-/// would be exponential.
-pub fn lineage_to_dump(lineage: &Lineage) -> String {
-    use std::collections::HashMap;
-    use std::fmt::Write as _;
-    let mut index: HashMap<Lineage, usize> = HashMap::new();
-    let mut out = String::new();
-    fn rec(l: Lineage, index: &mut HashMap<Lineage, usize>, out: &mut String) -> usize {
-        if let Some(&i) = index.get(&l) {
-            return i;
-        }
-        let line = match l.kind() {
-            LineageKind::Var(id) => format!("var {}", id.0),
-            LineageKind::Not(c) => {
-                let ci = rec(c, index, out);
-                format!("not {ci}")
-            }
-            LineageKind::And(a, b) => {
-                let (ai, bi) = (rec(a, index, out), rec(b, index, out));
-                format!("and {ai} {bi}")
-            }
-            LineageKind::Or(a, b) => {
-                let (ai, bi) = (rec(a, index, out), rec(b, index, out));
-                format!("or {ai} {bi}")
-            }
-        };
-        let i = index.len();
-        index.insert(l, i);
-        let _ = writeln!(out, "{i} {line}");
-        i
-    }
-    rec(*lineage, &mut index, &mut out);
-    out
-}
-
-/// Parses a topological node dump produced by [`lineage_to_dump`], interning
-/// every node back into the arena. The last line is the root. Blank lines
-/// and `#` comments are ignored.
-pub fn lineage_from_dump(text: &str) -> Result<Lineage> {
-    let mut nodes: Vec<Lineage> = Vec::new();
-    let mut root: Option<Lineage> = None;
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_ascii_whitespace();
-        let declared: usize = parts
-            .next()
-            .ok_or_else(|| Error::Io(format!("line {line_no}: missing node index")))?
-            .parse()
-            .map_err(|e| Error::Io(format!("line {line_no}: bad node index: {e}")))?;
-        if declared != nodes.len() {
-            return Err(Error::Io(format!(
-                "line {line_no}: node index {declared} out of order (expected {})",
-                nodes.len()
-            )));
-        }
-        let op = parts
-            .next()
-            .ok_or_else(|| Error::Io(format!("line {line_no}: missing node kind")))?;
-        let child = |parts: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<Lineage> {
-            let i: usize = parts
-                .next()
-                .ok_or_else(|| Error::Io(format!("line {line_no}: missing child index")))?
-                .parse()
-                .map_err(|e| Error::Io(format!("line {line_no}: bad child index: {e}")))?;
-            nodes.get(i).copied().ok_or_else(|| {
-                Error::Io(format!(
-                    "line {line_no}: child {i} references a node not yet defined"
-                ))
-            })
-        };
-        let l = match op {
-            "var" => {
-                let id: u64 = parts
-                    .next()
-                    .ok_or_else(|| Error::Io(format!("line {line_no}: missing variable id")))?
-                    .parse()
-                    .map_err(|e| Error::Io(format!("line {line_no}: bad variable id: {e}")))?;
-                Lineage::var(TupleId(id))
-            }
-            "not" => child(&mut parts)?.negate(),
-            "and" => {
-                let (a, b) = (child(&mut parts)?, child(&mut parts)?);
-                Lineage::and(&a, &b)
-            }
-            "or" => {
-                let (a, b) = (child(&mut parts)?, child(&mut parts)?);
-                Lineage::or(&a, &b)
-            }
-            other => {
-                return Err(Error::Io(format!(
-                    "line {line_no}: unknown node kind '{other}'"
-                )))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(Error::Io(format!("line {line_no}: trailing fields")));
-        }
-        nodes.push(l);
-        root = Some(l);
-    }
-    root.ok_or_else(|| Error::Io("empty lineage dump".into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,39 +409,5 @@ mod tests {
     #[test]
     fn load_from_missing_dir_fails() {
         assert!(crate::db::Database::load_from_dir("/definitely/not/here").is_err());
-    }
-
-    #[test]
-    fn lineage_dump_roundtrips_and_shares_nodes() {
-        let v = |i: u64| Lineage::var(TupleId(i));
-        let shared = Lineage::or(&v(1), &v(2));
-        let l = Lineage::and(&Lineage::and_not(&v(0), Some(&shared)), &shared);
-        let dump = lineage_to_dump(&l);
-        // The shared or-node appears exactly once in the dump.
-        assert_eq!(dump.matches(" or ").count(), 1);
-        let back = lineage_from_dump(&dump).unwrap();
-        assert_eq!(back, l, "round trip interns the identical handle");
-        // Deeply shared DAGs stay linear: and(x, x) chains double size but
-        // the dump grows by one line each.
-        let mut x = v(7);
-        for _ in 0..40 {
-            x = Lineage::and(&x, &x);
-        }
-        let dump = lineage_to_dump(&x);
-        assert_eq!(dump.lines().count(), 41);
-        assert_eq!(lineage_from_dump(&dump).unwrap(), x);
-    }
-
-    #[test]
-    fn lineage_dump_rejects_malformed_input() {
-        assert!(lineage_from_dump("").is_err());
-        assert!(lineage_from_dump("0 var x\n").is_err());
-        assert!(lineage_from_dump("1 var 3\n").is_err()); // index out of order
-        assert!(lineage_from_dump("0 var 1\n1 not 5\n").is_err()); // forward ref
-        assert!(lineage_from_dump("0 frob 1\n").is_err()); // unknown kind
-        assert!(lineage_from_dump("0 var 1 9\n").is_err()); // trailing field
-                                                            // Comments and blank lines are fine.
-        let ok = lineage_from_dump("# comment\n\n0 var 4\n").unwrap();
-        assert_eq!(ok, Lineage::var(TupleId(4)));
     }
 }

@@ -59,14 +59,14 @@
 //! | [`value`], [`fact`], [`interval`] | §III | attribute values, facts, time intervals, Allen relations |
 //! | [`arena`] | — | segmented hash-consed lineage forest: `Copy` handles, O(1) equality, one stripe lock per intern, seal/retire reclamation |
 //! | [`lineage`] | §III, Table I | Boolean lineage + concatenation functions, owned form [`lineage::LineageTree`] |
-//! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (with memoized valuation cache), catalog |
+//! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (sliding var cohorts), catalog |
 //! | [`snapshot`] | §IV | timeslice τᵖₜ + literal Def. 1–3 evaluation (the test oracle) |
 //! | [`window`] | §VI-A, Alg. 1 | lineage-aware temporal window + LAWA (O(1) lineage compare per window) |
 //! | [`ops`] | §V, §VI-B, Alg. 2–4 | `∪Tp`, `∩Tp`, `−Tp`, selection, projection |
 //! | [`query`], [`parser`] | §V-B, Def. 4 | TP set queries, 1OF/safety analysis, text parser |
-//! | [`prob`] | §III, §V-B | marginals: linear 1OF valuation, the columnar batch kernel, exact Shannon expansion, Monte-Carlo — memoized per arena node |
+//! | [`prob`] | §III, §V-B | marginals: linear 1OF valuation, the columnar batch kernel, exact Shannon expansion, Monte-Carlo — memoized per arena node within one call |
 //! | [`bdd`] | \[24\] | ROBDD compilation of lineage with per-handle compile memo |
-//! | [`io`] | — | text persistence of base relations + topological lineage-forest dumps |
+//! | [`io`] | — | text persistence of base relations |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

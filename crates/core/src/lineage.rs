@@ -129,7 +129,7 @@ impl Lineage {
     }
 
     /// The interned handle — the O(1) identity used by equality, hashing
-    /// and the valuation caches.
+    /// and the per-call valuation memos.
     pub fn node_ref(&self) -> LineageRef {
         self.0
     }

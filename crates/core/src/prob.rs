@@ -24,16 +24,12 @@
 //! ## Memoization
 //!
 //! Lineage is hash-consed (see [`crate::arena`]), so a formula's identity is
-//! its [`crate::arena::LineageRef`]. Exact marginals are memoized **per
-//! `(VarTable, node)`** in the table's valuation cache: across calls — e.g.
-//! the same sublineage appearing in many overlapping windows — a cached
-//! value is returned without touching the formula at all. The linear path
-//! stores every node of a 1OF formula; Shannon expansion stores the root,
-//! memoizing its conditioned subformulas per call. Only exact values
-//! enter the cache: the independence-assumption value of a *non-1OF*
-//! formula (where [`independent`] is approximate by contract) is never
-//! stored. [`marginal_batch`]'s columns and world enumeration neither read
-//! nor write the cache.
+//! its [`crate::arena::LineageRef`], and a shared subformula is one node.
+//! Every valuation memoizes within one call only: the linear path per node,
+//! Shannon expansion per conditioned subformula, [`marginal_batch`] per
+//! column slot. Nothing persists between calls, so a formula valued twice
+//! is computed twice, by the same deterministic arithmetic, and a formula
+//! over released variables errors however often it was valued before.
 
 use std::collections::HashMap;
 
@@ -51,93 +47,40 @@ use crate::relation::VarTable;
 /// independent. Exact iff the formula is in one-occurrence form; callers
 /// with possibly-repeating formulas should use [`marginal`].
 ///
-/// For 1OF formulas (where the independence value *is* the exact marginal)
-/// every node's value enters the table's persistent valuation cache; the
-/// arena lock and the cache lock are each taken **once per call**, not per
-/// node. Non-1OF formulas are valuated with a per-call memo only — an
-/// approximate value must never enter the exact cache.
+/// Each shared node is valued once per call (a per-call memo keyed by
+/// ref), and the arena and var-store locks are each taken **once per
+/// call**, not per node.
 pub fn independent(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
-    let root = lineage.node_ref();
-    if let Some(p) = vars.cached_marginal(root) {
-        if lineage.is_one_occurrence_form() {
-            return Ok(p);
-        }
-        // Cached value is the *exact* marginal of a repeating formula —
-        // not what this function promises; fall through and recompute
-        // under the independence assumption.
-    }
     LineageArena::with_current(|arena| {
         let view = arena.view();
-        // One lock acquisition per walk for the var store (and one for
-        // the cache), not one per node.
         let probs = vars.prob_reader();
-        if view.one_of(root) {
-            // A table whose cache is bound to a *different* arena cannot
-            // cache these refs (key aliasing); valuate with a per-call
-            // memo instead — correct, just uncached.
-            if let Some(mut cache) = vars.lock_marginal_cache_for(arena.id()) {
-                return independent_rec_cached(root, &view, &probs, &mut cache);
-            }
-        }
-        let mut local: FastMap<LineageRef, f64> = FastMap::default();
-        independent_rec_local(root, &view, &probs, &mut local)
+        let mut memo: FastMap<LineageRef, f64> = FastMap::default();
+        independent_rec(lineage.node_ref(), &view, &probs, &mut memo)
     })
 }
 
-/// Valuation of a 1OF formula: every subformula of a 1OF formula is 1OF, so
-/// every node's value is exact and lands in the persistent cache.
-fn independent_rec_cached(
+fn independent_rec(
     r: LineageRef,
     view: &ArenaView<'_>,
     probs: &crate::relation::ProbReader<'_>,
-    cache: &mut crate::relation::MarginalCache,
+    memo: &mut FastMap<LineageRef, f64>,
 ) -> Result<f64> {
-    if let Some(p) = cache.get(r) {
+    if let Some(&p) = memo.get(&r) {
         return Ok(p);
     }
     let p = match view.node(r) {
         LineageNode::Var(id) => probs.prob(id)?,
-        LineageNode::Not(c) => 1.0 - independent_rec_cached(c, view, probs, cache)?,
+        LineageNode::Not(c) => 1.0 - independent_rec(c, view, probs, memo)?,
         LineageNode::And(a, b) => {
-            independent_rec_cached(a, view, probs, cache)?
-                * independent_rec_cached(b, view, probs, cache)?
+            independent_rec(a, view, probs, memo)? * independent_rec(b, view, probs, memo)?
         }
         LineageNode::Or(a, b) => {
-            let pa = independent_rec_cached(a, view, probs, cache)?;
-            let pb = independent_rec_cached(b, view, probs, cache)?;
+            let pa = independent_rec(a, view, probs, memo)?;
+            let pb = independent_rec(b, view, probs, memo)?;
             1.0 - (1.0 - pa) * (1.0 - pb)
         }
     };
-    cache.set(r, p);
-    Ok(p)
-}
-
-/// Valuation under the independence assumption with a per-call memo only
-/// (the formula repeats variables, so the result is approximate and must
-/// not be cached as a marginal).
-fn independent_rec_local(
-    r: LineageRef,
-    view: &ArenaView<'_>,
-    probs: &crate::relation::ProbReader<'_>,
-    local: &mut FastMap<LineageRef, f64>,
-) -> Result<f64> {
-    if let Some(&p) = local.get(&r) {
-        return Ok(p);
-    }
-    let p = match view.node(r) {
-        LineageNode::Var(id) => probs.prob(id)?,
-        LineageNode::Not(c) => 1.0 - independent_rec_local(c, view, probs, local)?,
-        LineageNode::And(a, b) => {
-            independent_rec_local(a, view, probs, local)?
-                * independent_rec_local(b, view, probs, local)?
-        }
-        LineageNode::Or(a, b) => {
-            let pa = independent_rec_local(a, view, probs, local)?;
-            let pb = independent_rec_local(b, view, probs, local)?;
-            1.0 - (1.0 - pa) * (1.0 - pb)
-        }
-    };
-    local.insert(r, p);
+    memo.insert(r, p);
     Ok(p)
 }
 
@@ -152,8 +95,7 @@ const TREE_SHANNON_CAP: usize = 1 << 20;
 /// Exact marginal probability by Shannon expansion:
 /// `P(λ) = p(x)·P(λ|x=true) + (1−p(x))·P(λ|x=false)`,
 /// expanding on the smallest repeated variable and memoizing conditioned
-/// subformulas per call; the root's exact value persists in the `VarTable`
-/// cache.
+/// subformulas per call.
 ///
 /// The expansion works on a transient [`LineageTree`] copy of the formula,
 /// so its (worst-case exponentially many) conditioned scratch subformulas
@@ -165,33 +107,28 @@ const TREE_SHANNON_CAP: usize = 1 << 20;
 ///
 /// Worst-case exponential in the number of *repeated* variables.
 pub fn exact(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
-    if let Some(p) = vars.cached_marginal(lineage.node_ref()) {
-        return Ok(p);
-    }
     if lineage.is_one_occurrence_form() {
         return independent(lineage, vars);
     }
-    let p = if lineage.size() <= TREE_SHANNON_CAP {
+    if lineage.size() <= TREE_SHANNON_CAP {
         let tree = lineage.to_tree();
         if tree.is_one_occurrence_form() {
             // The interned flag was conservative; the formula is 1OF after
             // all. Exact via the legacy linear walker.
-            tree.independent_prob(vars)?
+            tree.independent_prob(vars)
         } else {
             let mut memo: HashMap<LineageTree, f64> = HashMap::new();
-            shannon_tree(&tree, vars, &mut memo)?
+            shannon_tree(&tree, vars, &mut memo)
         }
     } else if lineage.vars().len() == lineage.var_occurrences() {
         // Beyond the tree cap, but the linear DAG check proves the formula
         // genuinely 1OF despite a conservative interned flag: valuate
         // linearly instead of expanding.
-        independent(lineage, vars)?
+        independent(lineage, vars)
     } else {
         let mut local: FastMap<LineageRef, f64> = FastMap::default();
-        exact_rec_interned(*lineage, vars, &mut local)?
-    };
-    vars.store_marginal(lineage.node_ref(), p);
-    Ok(p)
+        exact_rec_interned(*lineage, vars, &mut local)
+    }
 }
 
 /// Shannon expansion over the transient tree, memoized on conditioned
@@ -234,13 +171,8 @@ fn exact_rec_interned(
     vars: &VarTable,
     local: &mut FastMap<LineageRef, f64>,
 ) -> Result<f64> {
-    if let Some(p) = vars.cached_marginal(l.node_ref()) {
-        return Ok(p);
-    }
     if l.is_one_occurrence_form() {
-        let p = independent(&l, vars)?;
-        vars.store_marginal(l.node_ref(), p);
-        return Ok(p);
+        return independent(&l, vars);
     }
     if let Some(&p) = local.get(&l.node_ref()) {
         return Ok(p);
@@ -257,7 +189,6 @@ fn exact_rec_interned(
     };
     let p = px * p_true + (1.0 - px) * p_false;
     local.insert(l.node_ref(), p);
-    vars.store_marginal(l.node_ref(), p);
     Ok(p)
 }
 
@@ -351,19 +282,8 @@ pub fn monte_carlo(
 
 /// The default exact valuation: linear-time for 1OF lineage (the guaranteed
 /// case for non-repeating TP set queries), Shannon expansion otherwise.
-/// The linear path stores every node's value in the table's valuation
-/// cache, so repeated calls on shared 1OF sublineages are O(1) after the
-/// first. Shannon expansion stores only the root's value (its conditioned
-/// subformulas are memoized per call; only a formula whose tree expansion
-/// exceeds 2^20 nodes stores them too), so a repeated call on the same
-/// root is O(1) but one on a repeating subformula is not.
+/// Many roots at once go through [`marginal_batch`].
 pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
-    // Fast path: the whole formula was valuated before — one lock, one
-    // probe (the cache only ever holds exact marginals, so no 1OF check is
-    // needed to trust it).
-    if let Some(p) = vars.cached_marginal(lineage.node_ref()) {
-        return Ok(p);
-    }
     if lineage.is_one_occurrence_form() {
         independent(lineage, vars)
     } else {
@@ -418,8 +338,7 @@ pub fn marginal(lineage: &Lineage, vars: &VarTable) -> Result<f64> {
 /// variable then occurs once, so the independence value of the cone is
 /// exact in that world, and the marginal is the world-weighted sum. The
 /// worlds are valued `LANE_COUNT` at a time. Scratch buffers are reused
-/// across the roots of one call; the path interns nothing and neither
-/// reads nor writes the table's valuation cache.
+/// across the roots of one call; the path interns nothing.
 ///
 /// A root whose cone has more than 64 unique nodes or more than 6
 /// repeated variables, a root whose variables fail to resolve
@@ -1097,36 +1016,6 @@ mod tests {
         // Independence evaluation would be wrong here.
         let indep = independent(&l, &vars).unwrap();
         assert!((indep - truth).abs() > 1e-3);
-    }
-
-    #[test]
-    fn independent_on_non_1of_does_not_pollute_the_cache() {
-        // The cache must only ever hold exact marginals: valuating a
-        // repeating formula under the independence assumption first must not
-        // change what `exact` returns afterwards.
-        let vars = vt(&[0.5, 0.4, 0.3]);
-        let l = Lineage::and(&Lineage::or(&v(0), &v(1)), &Lineage::or(&v(0), &v(2)));
-        let indep = independent(&l, &vars).unwrap();
-        let ex = exact(&l, &vars).unwrap();
-        assert!((indep - ex).abs() > 1e-3, "premise: paths disagree");
-        assert!((ex - brute_force(&l, &vars)).abs() < 1e-12);
-        // And the cached value is the exact one.
-        assert!((vars.cached_marginal(l.node_ref()).unwrap() - ex).abs() < 1e-15);
-    }
-
-    #[test]
-    fn repeated_marginals_hit_the_cache() {
-        let vars = vt(&[0.3, 0.6, 0.7]);
-        let shared = Lineage::or(&v(0), &v(1));
-        let l1 = Lineage::and_not(&v(2), Some(&shared));
-        let p1 = marginal(&l1, &vars).unwrap();
-        let cached = vars.valuation_cache_len();
-        assert!(cached > 0);
-        // Second valuation of a formula reusing the shared node adds only
-        // the new nodes to the cache and returns the same value.
-        let p1b = marginal(&l1, &vars).unwrap();
-        assert_eq!(p1, p1b);
-        assert_eq!(vars.valuation_cache_len(), cached);
     }
 
     #[test]

@@ -2,126 +2,11 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::RwLock;
 
-use crate::arena::{FastMap, LineageRef, SegmentId};
-
-/// Entries per cache page (4 KiB of `f64`).
-const CACHE_PAGE_BITS: u32 = 9;
-const CACHE_PAGE: usize = 1 << CACHE_PAGE_BITS;
-
-/// Pages of one arena segment: keyed by the high bits of the slot, `NaN`
-/// marks an absent entry.
-#[derive(Debug, Clone, Default)]
-struct SegmentPages {
-    pages: FastMap<u32, Box<[f64; CACHE_PAGE]>>,
-    filled: usize,
-}
-
-/// Segment-aware paged marginal store: per arena segment, fixed 4 KiB
-/// pages of `f64` keyed by the high bits of the slot (`NaN` = absent).
-/// Slots are dense per segment and a formula's nodes cluster by interning
-/// order, so lookups are two cheap map probes plus an array index — no
-/// per-node SipHash — while memory stays proportional to the refs actually
-/// touched. The segment level exists for the retirement path: when the
-/// streaming engine retires an arena segment, every cached marginal keyed
-/// into it is evicted in O(1) ([`MarginalCache::release_segment`]) instead
-/// of by scanning pages.
-///
-/// Refs are arena-relative, so the cache **binds to the first arena it
-/// stores for** ([`crate::arena::LineageArena::id`]): lookups and stores
-/// on behalf of a *different* arena become misses/no-ops instead of
-/// aliasing a colliding `(segment, slot)` key — a table that served the
-/// global arena and is then handed to a reclaim-mode stream stays
-/// correct, it just doesn't cache for the second arena
-/// ([`MarginalCache::clear`] unbinds).
-#[derive(Debug, Clone, Default)]
-pub struct MarginalCache {
-    segments: FastMap<u32, SegmentPages>,
-    filled: usize,
-    /// `LineageArena::id` of the arena whose refs are cached (0 = not
-    /// yet bound).
-    arena: u64,
-}
-
-impl MarginalCache {
-    /// Whether the cache already serves `arena_id` (read-side check).
-    #[inline]
-    pub(crate) fn serves(&self, arena_id: u64) -> bool {
-        self.arena == 0 || self.arena == arena_id
-    }
-
-    /// Binds the cache to `arena_id` if unbound; `false` means the cache
-    /// belongs to a different arena and must not be written.
-    #[inline]
-    pub(crate) fn bind(&mut self, arena_id: u64) -> bool {
-        if self.arena == 0 {
-            self.arena = arena_id;
-        }
-        self.arena == arena_id
-    }
-    /// The cached marginal of `r`, if stored.
-    #[inline]
-    pub fn get(&self, r: LineageRef) -> Option<f64> {
-        let slot = r.index() as u32;
-        let p = *self
-            .segments
-            .get(&r.segment().0)?
-            .pages
-            .get(&(slot >> CACHE_PAGE_BITS))?
-            .get(slot as usize & (CACHE_PAGE - 1))?;
-        (!p.is_nan()).then_some(p)
-    }
-
-    /// Stores the exact marginal of `r` (probabilities are finite by
-    /// construction, so `NaN` stays reserved as the absent sentinel).
-    pub fn set(&mut self, r: LineageRef, p: f64) {
-        debug_assert!(!p.is_nan(), "NaN cannot be cached");
-        let slot = r.index() as u32;
-        let seg = self.segments.entry(r.segment().0).or_default();
-        let page = seg
-            .pages
-            .entry(slot >> CACHE_PAGE_BITS)
-            .or_insert_with(|| Box::new([f64::NAN; CACHE_PAGE]));
-        let cell = &mut page[slot as usize & (CACHE_PAGE - 1)];
-        if cell.is_nan() {
-            seg.filled += 1;
-            self.filled += 1;
-        }
-        *cell = p;
-    }
-
-    /// Number of stored marginals.
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// Whether nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-
-    /// Drops every stored marginal and unbinds the cache from its arena.
-    pub fn clear(&mut self) {
-        self.segments.clear();
-        self.segments.shrink_to_fit();
-        self.filled = 0;
-        self.arena = 0;
-    }
-
-    /// Drops every marginal keyed into arena segment `seg` — the O(1)
-    /// invalidation hook of segment retirement. (Entries for a retired
-    /// segment could never be *queried* again — refs are not reused — so
-    /// this is memory hygiene, not correctness.)
-    pub fn release_segment(&mut self, seg: SegmentId) {
-        if let Some(dropped) = self.segments.remove(&seg.0) {
-            self.filled -= dropped.filled;
-        }
-    }
-}
 use crate::error::{Error, Result};
 use crate::fact::Fact;
-use crate::interval::{Interval, TimePoint};
+use crate::interval::Interval;
 use crate::lineage::{Lineage, TupleId};
 use crate::tuple::TpTuple;
 
@@ -153,23 +38,16 @@ pub struct ReleasedVars {
     pub cohorts: usize,
     /// Variables whose probabilities and labels were released.
     pub vars: u64,
-    /// Arena segments whose cached marginals were evicted alongside
-    /// (the segments bound via [`VarTable::bind_cohort_segment`]).
-    pub cache_segments: usize,
 }
 
 /// One cohort of the sliding var registry: the variables registered between
-/// two [`VarTable::seal_vars`] calls, plus the arena segments whose cached
-/// marginals retire with them.
+/// two [`VarTable::seal_vars`] calls.
 #[derive(Debug, Clone, Default)]
 struct VarCohort {
     /// First variable id of the cohort (ids are dense across cohorts).
     base: u64,
     probs: Vec<f64>,
     labels: Vec<String>,
-    /// Arena segments bound to this cohort; their marginal-cache rows are
-    /// dropped together with the cohort's probabilities and labels.
-    segments: Vec<SegmentId>,
     /// Released **in place** ([`VarTable::release_cohort`]): storage is
     /// gone, lookups error, but the cohort still occupies its deque slot so
     /// the dense id ↦ cohort mapping of the *later* cohorts stays intact.
@@ -271,12 +149,10 @@ impl VarStore {
 /// ([`crate::arena`]). [`VarTable::seal_vars`] closes the open cohort
 /// (returning its [`VarEpoch`]) and opens a fresh one;
 /// [`VarTable::release_vars_before`] drops every sealed cohort below an
-/// epoch in O(cohorts dropped) — probabilities, labels, and the marginal-
-/// cache rows of any arena segments bound to them
-/// ([`VarTable::bind_cohort_segment`]) go together.
+/// epoch in O(cohorts dropped) — probabilities and labels go together.
 /// [`VarTable::release_cohort`] is the **cohort-granular** form matching
 /// interior segment retirement: one sealed cohort releases in place the
-/// moment its bound segment retires, even while older cohorts are still
+/// moment its mirrored segment retires, even while older cohorts are still
 /// live. A lookup of a released variable returns
 /// [`Error::ReleasedVariable`] — a *detectable* error, never a silently
 /// wrong probability. A table that is never sealed keeps the classic
@@ -284,34 +160,21 @@ impl VarStore {
 ///
 /// The release **contract** matches the arena's: the caller must prove no
 /// live lineage still references the released variables. The streaming
-/// engine does so by releasing a cohort only when the arena segment bound
-/// to it retires (`tp-stream`'s reclaim mode), which in turn requires the
+/// engine does so by releasing a cohort only when the arena segment it
+/// mirrors retires (`tp-stream`'s reclaim mode), which in turn requires the
 /// live frontier to have passed the segment.
 ///
-/// The table also owns a **memoized valuation cache**: exact marginal
-/// probabilities per interned lineage node (keyed by
-/// [`crate::arena::LineageRef`]). The cache is sound because a variable's
-/// probability is immutable while registered and interned nodes are never
-/// invalidated; repeated [`crate::prob::marginal`] calls on shared
-/// sublineages — e.g. across the overlapping windows of a LAWA sweep —
-/// valuate each unique subformula once.
+/// The table holds no valuation state: [`crate::prob`] memoizes within one
+/// call only.
 #[derive(Debug, Default)]
 pub struct VarTable {
     store: RwLock<VarStore>,
-    /// Exact marginal per lineage node, filled lazily by [`crate::prob`].
-    marginal_cache: Mutex<MarginalCache>,
 }
 
 impl Clone for VarTable {
     fn clone(&self) -> Self {
         VarTable {
             store: RwLock::new(self.store.read().expect("var store poisoned").clone()),
-            marginal_cache: Mutex::new(
-                self.marginal_cache
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .clone(),
-            ),
         }
     }
 }
@@ -392,77 +255,33 @@ impl VarTable {
         Some(epoch)
     }
 
-    /// Binds an arena segment to a sealed cohort: when the cohort is
-    /// released, the segment's marginal-cache rows are dropped with it
-    /// (the "probabilities, labels and cache rows go together" contract of
-    /// the streaming engine). Binding to a released or unknown epoch is a
-    /// no-op — the rows are already gone or will be evicted by the caller's
-    /// own retirement hook.
-    pub fn bind_cohort_segment(&self, epoch: VarEpoch, seg: SegmentId) {
-        let mut store = self.store.write().expect("var store poisoned");
-        let front = store.front_epoch;
-        if epoch.0 < front {
-            return;
-        }
-        let idx = (epoch.0 - front) as usize;
-        if let Some(cohort) = store.cohorts.get_mut(idx) {
-            if cohort.released {
-                // The cohort already released in place: evict the rows now
-                // instead of parking the segment on a dead cohort.
-                drop(store);
-                self.release_marginals_for_segment(seg);
-                return;
-            }
-            cohort.segments.push(seg);
-        }
-    }
-
     /// Releases every sealed cohort with epoch `< before`: their
-    /// probabilities and labels are dropped in O(1) per cohort, and the
-    /// cached marginals of every arena segment bound to them are evicted
-    /// (O(1) per segment). The open cohort is never released. Lookups of a
-    /// released variable return [`Error::ReleasedVariable`].
+    /// probabilities and labels are dropped in O(1) per cohort. The open
+    /// cohort is never released. Lookups of a released variable return
+    /// [`Error::ReleasedVariable`], so valuing a formula over them errors
+    /// too, however often it was valued before.
     ///
     /// Caller contract (the streaming engine's reclaim schedule satisfies
     /// it): no live lineage may still reference the released variables —
     /// in reclaim mode that holds because a cohort is only released once
-    /// its bound arena segment retires, which requires the live frontier
+    /// its mirrored arena segment retires, which requires the live frontier
     /// to have passed it.
-    ///
-    /// Cache nuance: only *bound* segments' marginal rows are evicted. A
-    /// marginal cached under some other segment may outlive its variables
-    /// and keep answering for an already-valuated formula — that value is
-    /// still the **correct** exact marginal (probabilities are immutable
-    /// while registered), never a wrong one; only *fresh* valuation work
-    /// over released variables errors. The engine wiring binds every
-    /// cohort to its mirrored segment, so there the rows die together.
     pub fn release_vars_before(&self, before: VarEpoch) -> ReleasedVars {
         let mut released = ReleasedVars::default();
-        let mut segments: Vec<SegmentId> = Vec::new();
-        {
-            let mut store = self.store.write().expect("var store poisoned");
-            while store.cohorts.len() > 1 && store.front_epoch < before.0 {
-                let dead = store.cohorts.pop_front().expect("len checked");
-                if dead.released {
-                    // Already released in place by `release_cohort`; its
-                    // count migrates from the interior gauge into `floor`,
-                    // contributing nothing to *this* call's tally.
-                    store.interior_released -= dead.released_len;
-                } else {
-                    released.cohorts += 1;
-                    released.vars += dead.probs.len() as u64;
-                    segments.extend(dead.segments);
-                }
-                store.front_epoch += 1;
-                store.floor = store.cohorts.front().expect("open cohort remains").base;
+        let mut store = self.store.write().expect("var store poisoned");
+        while store.cohorts.len() > 1 && store.front_epoch < before.0 {
+            let dead = store.cohorts.pop_front().expect("len checked");
+            if dead.released {
+                // Already released in place by `release_cohort`; its
+                // count migrates from the interior gauge into `floor`,
+                // contributing nothing to *this* call's tally.
+                store.interior_released -= dead.released_len;
+            } else {
+                released.cohorts += 1;
+                released.vars += dead.probs.len() as u64;
             }
-        }
-        if !segments.is_empty() {
-            released.cache_segments = segments.len();
-            let mut cache = self.marginal_cache.lock().expect("cache lock poisoned");
-            for seg in segments {
-                cache.release_segment(seg);
-            }
+            store.front_epoch += 1;
+            store.floor = store.cohorts.front().expect("open cohort remains").base;
         }
         released
     }
@@ -471,16 +290,15 @@ impl VarTable {
     /// deque — the cohort-granular twin of [`VarTable::release_vars_before`]
     /// matching *interior* arena-segment retirement
     /// (`tp-stream`'s coverage-interval reclamation): a var cohort drops the
-    /// moment its bound segment retires, even while older cohorts are still
-    /// pinned live. Probabilities and labels are dropped immediately, the
-    /// cached marginals of every bound arena segment are evicted, lookups of
-    /// the cohort's ids return [`Error::ReleasedVariable`], and a
+    /// moment its mirrored segment retires, even while older cohorts are still
+    /// pinned live. Probabilities and labels are dropped immediately,
+    /// lookups of the cohort's ids return [`Error::ReleasedVariable`], and a
     /// fully-released prefix run compacts off the deque. Releasing the open
     /// cohort, an unknown epoch, or an already-released epoch is a no-op.
     ///
     /// Caller contract is the same as for [`VarTable::release_vars_before`]:
     /// no live lineage may still reference the cohort's variables — which
-    /// the engine guarantees by releasing exactly when the cohort's bound
+    /// the engine guarantees by releasing exactly when the cohort's mirrored
     /// segment leaves the merged live-ref coverage intervals.
     pub fn release_cohort(&self, epoch: VarEpoch) -> ReleasedVars {
         let mut released = ReleasedVars::default();
@@ -502,21 +320,12 @@ impl VarTable {
         cohort.released_len = cohort.probs.len() as u64;
         released.cohorts = 1;
         released.vars = cohort.released_len;
-        let segments = std::mem::take(&mut cohort.segments);
         // Drop the storage now (not just truncate): the whole point is
         // that the memory goes the moment the segment retires.
         cohort.probs = Vec::new();
         cohort.labels = Vec::new();
         store.interior_released += released.vars;
         store.compact_released_prefix();
-        drop(store);
-        if !segments.is_empty() {
-            released.cache_segments = segments.len();
-            let mut cache = self.marginal_cache.lock().expect("cache lock poisoned");
-            for seg in segments {
-                cache.release_segment(seg);
-            }
-        }
         released
     }
 
@@ -543,68 +352,9 @@ impl VarTable {
         store.floor + store.interior_released
     }
 
-    /// Cached exact marginal of an interned lineage node, if present.
-    /// Refs are resolved against the thread's *current* arena; a cache
-    /// bound to a different arena reads as a miss (never an alias).
-    pub fn cached_marginal(&self, node: LineageRef) -> Option<f64> {
-        let arena_id = crate::arena::LineageArena::with_current(|a| a.id());
-        let cache = self.marginal_cache.lock().expect("cache lock poisoned");
-        if !cache.serves(arena_id) {
-            return None;
-        }
-        cache.get(node)
-    }
-
-    /// Stores the exact marginal of an interned lineage node (binding the
-    /// cache to the current arena; a store on behalf of a different arena
-    /// is dropped — see [`MarginalCache`]).
-    pub fn store_marginal(&self, node: LineageRef, p: f64) {
-        let arena_id = crate::arena::LineageArena::with_current(|a| a.id());
-        let mut cache = self.marginal_cache.lock().expect("cache lock poisoned");
-        if cache.bind(arena_id) {
-            cache.set(node, p);
-        }
-    }
-
-    /// Locks the valuation cache once for a whole traversal over lineage
-    /// of the arena identified by `arena_id`; the valuation code in
-    /// [`crate::prob`] holds this across a formula walk instead of paying
-    /// one lock round trip per node. `None` when the cache is bound to a
-    /// different arena — the caller must fall back to a per-call memo.
-    pub(crate) fn lock_marginal_cache_for(
-        &self,
-        arena_id: u64,
-    ) -> Option<MutexGuard<'_, MarginalCache>> {
-        let mut cache = self.marginal_cache.lock().expect("cache lock poisoned");
-        cache.bind(arena_id).then_some(cache)
-    }
-
-    /// Number of memoized node marginals (diagnostics / benchmarks).
-    pub fn valuation_cache_len(&self) -> usize {
-        self.marginal_cache
-            .lock()
-            .expect("cache lock poisoned")
-            .len()
-    }
-
-    /// Drops all memoized node marginals.
-    pub fn clear_valuation_cache(&self) {
-        self.marginal_cache
-            .lock()
-            .expect("cache lock poisoned")
-            .clear();
-    }
-
-    /// Drops the memoized marginals keyed into arena segment `seg` in O(1)
-    /// — the retirement hook ([`crate::arena::LineageArena::retire`]):
-    /// once a segment's storage is reclaimed, its cached marginals can
-    /// never be queried again (refs are not reused) and are dead weight.
-    pub fn release_marginals_for_segment(&self, seg: SegmentId) {
-        self.marginal_cache
-            .lock()
-            .expect("cache lock poisoned")
-            .release_segment(seg);
-    }
+    /// Does nothing: valuation keeps no state between calls, so there is
+    /// nothing to clear.
+    pub fn clear_valuation_cache(&self) {}
 
     /// Marginal probability of a variable. Unknown ids yield
     /// [`Error::UnknownVariable`]; ids released from the sliding registry
@@ -900,31 +650,6 @@ fn check_duplicate_free_sorted(tuples: &[TpTuple]) -> Result<()> {
     Ok(())
 }
 
-/// A time point annotated with how many tuples start or end there; used by
-/// dataset statistics and Proposition 1 tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EndpointCount {
-    /// The time point.
-    pub at: TimePoint,
-    /// Tuples starting at `at`.
-    pub starts: usize,
-    /// Tuples ending at `at`.
-    pub ends: usize,
-}
-
-/// Counts the start/end points of a relation, sorted by time.
-pub fn endpoint_histogram(rel: &TpRelation) -> Vec<EndpointCount> {
-    use std::collections::BTreeMap;
-    let mut map: BTreeMap<TimePoint, (usize, usize)> = BTreeMap::new();
-    for t in rel.iter() {
-        map.entry(t.interval.start()).or_default().0 += 1;
-        map.entry(t.interval.end()).or_default().1 += 1;
-    }
-    map.into_iter()
-        .map(|(at, (starts, ends))| EndpointCount { at, starts, ends })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,22 +706,6 @@ mod tests {
         assert!(vt.register("x", f64::MIN_POSITIVE).is_ok());
         assert!(vt.register("x", 1.0).is_ok());
         assert!(vt.register("x", 0.0).is_err());
-    }
-
-    #[test]
-    fn vartable_valuation_cache_roundtrip() {
-        let mut vt = VarTable::new();
-        let id = vt.register("a1", 0.5).unwrap();
-        let l = Lineage::var(id);
-        assert_eq!(vt.cached_marginal(l.node_ref()), None);
-        vt.store_marginal(l.node_ref(), 0.5);
-        assert_eq!(vt.cached_marginal(l.node_ref()), Some(0.5));
-        assert_eq!(vt.valuation_cache_len(), 1);
-        // Clones carry the cache; clearing one side leaves the other.
-        let vt2 = vt.clone();
-        vt.clear_valuation_cache();
-        assert_eq!(vt.valuation_cache_len(), 0);
-        assert_eq!(vt2.cached_marginal(l.node_ref()), Some(0.5));
     }
 
     #[test]
@@ -1079,51 +788,6 @@ mod tests {
         assert_eq!(vt.release_vars_before(e2.next()).vars, 1); // cohort 2
         assert_eq!(vt.released_vars(), 4);
         assert_eq!(vt.live_vars(), 0);
-    }
-
-    #[test]
-    fn var_registry_interior_release_drops_bound_cache_rows() {
-        // An in-place release of an *interior* cohort (older cohort still
-        // live, so no prefix compaction) evicts the bound segment's cache
-        // rows, and a late bind to the released cohort evicts immediately.
-        let mut vt = VarTable::new();
-        let a = vt.register("a1", 0.5).unwrap();
-        vt.seal_vars().unwrap();
-        let b = vt.register("b1", 0.6).unwrap();
-        let e1 = vt.seal_vars().unwrap();
-        let la = Lineage::var(a);
-        let lb = Lineage::var(b);
-        vt.store_marginal(la.node_ref(), 0.5);
-        vt.store_marginal(lb.node_ref(), 0.6);
-        vt.bind_cohort_segment(e1, lb.node_ref().segment());
-        let released = vt.release_cohort(e1);
-        assert_eq!(released.cache_segments, 1);
-        // Both lineages share the global arena's open segment here, so the
-        // eviction drops the whole segment's rows — soundness over
-        // precision, same as the prefix path.
-        assert_eq!(vt.valuation_cache_len(), 0);
-        assert_eq!(vt.prob(a).unwrap(), 0.5, "older cohort untouched");
-        vt.store_marginal(lb.node_ref(), 0.6);
-        vt.bind_cohort_segment(e1, lb.node_ref().segment());
-        assert_eq!(vt.valuation_cache_len(), 0, "late bind must evict");
-    }
-
-    #[test]
-    fn var_registry_release_drops_bound_segment_cache_rows() {
-        // Cache rows of a segment bound to a cohort die with the cohort —
-        // probabilities, labels and marginals go together.
-        let mut vt = VarTable::new();
-        let a = vt.register("a1", 0.5).unwrap();
-        let l = Lineage::var(a);
-        vt.store_marginal(l.node_ref(), 0.5);
-        assert_eq!(vt.valuation_cache_len(), 1);
-        let e0 = vt.seal_vars().unwrap();
-        vt.bind_cohort_segment(e0, l.node_ref().segment());
-        let released = vt.release_vars_before(e0.next());
-        assert_eq!(released.cache_segments, 1);
-        assert_eq!(vt.valuation_cache_len(), 0);
-        // Binding to an already-released epoch is a harmless no-op.
-        vt.bind_cohort_segment(e0, l.node_ref().segment());
     }
 
     #[test]
@@ -1265,34 +929,6 @@ mod tests {
         let frag2 = TpTuple::new("a", Lineage::var(TupleId(0)), Interval::at(3, 7));
         let r: TpRelation = vec![frag1, frag2].into_iter().collect();
         assert!(!r.satisfies_change_preservation());
-    }
-
-    #[test]
-    fn endpoint_histogram_counts() {
-        let r: TpRelation = vec![tup("a", 1, 3, 0), tup("b", 1, 4, 1), tup("c", 3, 4, 2)]
-            .into_iter()
-            .collect();
-        let h = endpoint_histogram(&r);
-        assert_eq!(
-            h,
-            vec![
-                EndpointCount {
-                    at: 1,
-                    starts: 2,
-                    ends: 0
-                },
-                EndpointCount {
-                    at: 3,
-                    starts: 1,
-                    ends: 1
-                },
-                EndpointCount {
-                    at: 4,
-                    starts: 0,
-                    ends: 2
-                },
-            ]
-        );
     }
 
     #[test]

@@ -30,14 +30,6 @@ pub fn timeslice(rel: &TpRelation, t: TimePoint) -> TpRelation {
         .collect()
 }
 
-/// λ^{r,f}_t — the lineage of the (unique, by duplicate-freeness) tuple of
-/// `rel` with fact `f` valid at time point `t`, or `None` ("null").
-pub fn lineage_at<'a>(rel: &'a TpRelation, fact: &Fact, t: TimePoint) -> Option<&'a Lineage> {
-    rel.iter()
-        .find(|tup| tup.fact == *fact && tup.interval.contains(t))
-        .map(|tup| &tup.lineage)
-}
-
 /// Evaluates `r op s` literally by Definition 3: per time point, per fact,
 /// apply the lineage-concatenation function; then produce maximal intervals
 /// of equal lineage (Definition 2).
@@ -170,14 +162,6 @@ mod tests {
         let (a, _, _, _) = supermarket();
         assert!(timeslice(&a, 100).is_empty());
         assert!(timeslice(&a, 0).is_empty());
-    }
-
-    #[test]
-    fn lineage_at_finds_unique_tuple() {
-        let (a, _, _, _) = supermarket();
-        let milk = Fact::single("milk");
-        assert_eq!(lineage_at(&a, &milk, 5), Some(&Lineage::var(TupleId(0))));
-        assert_eq!(lineage_at(&a, &milk, 1), None);
     }
 
     #[test]

@@ -114,32 +114,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Returns the contained float, if this is a [`Value::Float`].
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(v.0),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained bool, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Name of the value's domain, used in error messages.
-    pub fn domain_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -232,8 +206,6 @@ mod tests {
         assert_eq!(Value::int(5).as_int(), Some(5));
         assert_eq!(Value::int(5).as_str(), None);
         assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert_eq!(Value::float(1.5).as_float(), Some(1.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
     }
 
     #[test]
@@ -250,13 +222,5 @@ mod tests {
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(2.0), Value::float(2.0));
         assert_eq!(Value::from(String::from("s")), Value::str("s"));
-    }
-
-    #[test]
-    fn domain_names() {
-        assert_eq!(Value::int(1).domain_name(), "int");
-        assert_eq!(Value::str("x").domain_name(), "str");
-        assert_eq!(Value::float(0.0).domain_name(), "float");
-        assert_eq!(Value::Bool(true).domain_name(), "bool");
     }
 }

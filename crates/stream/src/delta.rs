@@ -61,11 +61,8 @@ pub trait StreamSink {
     fn on_watermark(&mut self, _w: TimePoint) {}
 
     /// Called when a reclaiming engine retires an arena segment (bounded-
-    /// memory mode): lineage handles keyed into `seg` are dead — consumers
-    /// holding their own memo tables (a `VarTable` valuation cache, a
-    /// long-lived `Bdd`) should release that segment's entries here
-    /// (`VarTable::release_marginals_for_segment`, `Bdd::release_segment`
-    /// — both O(1)). Default: no-op.
+    /// memory mode): lineage handles keyed into `seg` are dead, and any
+    /// later traversal of them panics ("use-after-retire"). Default: no-op.
     fn on_retire(&mut self, _seg: SegmentId) {}
 }
 
@@ -337,10 +334,7 @@ pub struct ValuatedDelta {
 ///
 /// All callbacks forward to the wrapped sink (a [`CollectingSink`], a
 /// [`MaterializingSink`], an alerting monitor, ...), so the decorator
-/// composes with any consumer. On segment retirement it also evicts the
-/// registry's memoized marginals for that segment
-/// ([`tp_core::relation::VarTable::release_marginals_for_segment`]) — the
-/// valuation cache it populates is its responsibility to trim.
+/// composes with any consumer.
 ///
 /// `V` is anything that borrows the registry: `&VarTable` for
 /// caller-owned monitors, `Arc<VarTable>` for server-owned per-tenant
@@ -433,7 +427,6 @@ impl<V: std::borrow::Borrow<tp_core::relation::VarTable>, S: StreamSink> StreamS
     }
 
     fn on_retire(&mut self, seg: SegmentId) {
-        self.vars.borrow().release_marginals_for_segment(seg);
         self.inner.on_retire(seg);
     }
 }

@@ -136,7 +136,7 @@ pub enum WatermarkPolicy {
 /// runs within the engine's arena scope) or within `keep_epochs` further
 /// advances — after that their segments may retire and fresh traversals
 /// panic ("use-after-retire"). [`StreamSink::on_retire`] tells consumers
-/// when to drop their own per-segment memo entries.
+/// which segment retired.
 #[derive(Debug, Clone)]
 pub struct ReclaimConfig {
     /// A sealed segment is retired only after this many further advances
@@ -145,11 +145,10 @@ pub struct ReclaimConfig {
     pub keep_epochs: usize,
     /// Sliding var registry retired in lockstep with the arena: each
     /// advance seals the table's open var cohort next to the arena segment
-    /// it mirrors ([`VarTable::seal_vars`] /
-    /// [`VarTable::bind_cohort_segment`]), and when that segment retires —
+    /// it mirrors ([`VarTable::seal_vars`]), and when that segment retires —
     /// after the same `keep_epochs` grace window — the cohort's
-    /// probabilities, labels and marginal-cache rows are released together
-    /// ([`VarTable::release_vars_before`]). Lookups of released variables
+    /// probabilities and labels are released together
+    /// ([`VarTable::release_cohort`]). Lookups of released variables
     /// return `Error::ReleasedVariable`, never a wrong value.
     ///
     /// Contract: a variable must be registered in the same advance window
@@ -750,13 +749,7 @@ impl StreamEngine {
         // the previous seal, whose Var nodes were interned into `seg` at
         // push time (the registration contract of `ReclaimConfig::vars`).
         let sealed_seg = arena.seal();
-        let var_epoch = rc.vars.as_ref().and_then(|vars| {
-            let epoch = vars.seal_vars();
-            if let (Some(ep), Some(seg)) = (epoch, sealed_seg) {
-                vars.bind_cohort_segment(ep, seg);
-            }
-            epoch
-        });
+        let var_epoch = rc.vars.as_ref().and_then(|vars| vars.seal_vars());
         if let Some(seg) = sealed_seg {
             self.sealed.push_back(SealedSegment {
                 seg,

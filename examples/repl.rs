@@ -82,11 +82,7 @@ fn handle_command(db: &mut Database, line: &str) -> Result<bool> {
             }
             Some("arena") => {
                 let stats = LineageArena::global().stats();
-                let section = tp_stream::arena_section(&stats).row(
-                    "valuation cache",
-                    format!("{} memoized marginals", db.vars().valuation_cache_len()),
-                );
-                println!("{}", section.render());
+                println!("{}", tp_stream::arena_section(&stats).render());
             }
             Some("plan") => {
                 let (Some(left), Some(right)) = (parts.next(), parts.next()) else {

@@ -9,8 +9,7 @@
 //! runs in reclaim mode: it hosts lineage in a private segmented arena,
 //! seals one segment per watermark advance, and retires every segment the
 //! live window no longer reaches — so the arena residency plateaus no
-//! matter how long the stream runs, and the monitor's valuation cache is
-//! trimmed per retired segment (O(1)) through `on_retire`.
+//! matter how long the stream runs.
 //!
 //! ```text
 //! cargo run --release --example streaming_alerts
@@ -27,8 +26,7 @@ use tpdb::prelude::*;
 /// valuation is *not* done here tuple-by-tuple — the monitor is wrapped in
 /// a [`ValuatingSink`] which batches every alert insert of an advance into
 /// one columnar `valuate_batch` pass (inside the engine's arena scope — the
-/// reclaim-mode consumption contract) and also owns the per-segment
-/// valuation-cache eviction on retire.
+/// reclaim-mode consumption contract).
 struct AlertMonitor {
     alert_deltas: u64,
     agreement_deltas: u64,
@@ -159,14 +157,7 @@ fn main() -> Result<()> {
             .row("p99", format!("{} µs", advance_ns.p99() / 1_000)),
         tp_stream::Section::new("alerts")
             .row("alert deltas", monitor.alert_deltas)
-            .row("agreement deltas", monitor.agreement_deltas)
-            .row(
-                "valuation cache",
-                format!(
-                    "{} entries after per-segment release",
-                    vars.valuation_cache_len()
-                ),
-            ),
+            .row("agreement deltas", monitor.agreement_deltas),
     ];
     println!("{}", tp_stream::render_all(&sections));
 

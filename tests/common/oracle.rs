@@ -151,9 +151,9 @@ fn replay_checking_prefixes<S: StreamSink + Default>(
 /// Asserts that a marginal computed in a (possibly reclaiming) subject
 /// arena matches the formula's tree shape re-interned into the control
 /// (current, usually global) arena — the single-formula differential
-/// check of the arena-reclamation and var-registry suites. Two separate
-/// `VarTable`s with identical probabilities are required because a table's
-/// valuation cache is keyed by arena refs and must never serve two arenas.
+/// check of the arena-reclamation and var-registry suites. The control
+/// `VarTable` carries the subject's probabilities but is never released,
+/// so it still resolves variables the subject's registry has dropped.
 /// `tol` loosens the comparison for backends with their own rounding
 /// (e.g. BDD-based valuation).
 pub fn assert_formula_matches_control(

@@ -169,13 +169,12 @@ fn boundary_formula(rng: &mut StdRng, repeated: usize, nodes: usize, base: u64) 
     }
 }
 
-/// Values `roots` with `marginal_batch` on a cold cache and checks every
+/// Values `roots` with `marginal_batch` and checks every
 /// root against the ROBDD reference and Shannon expansion, that the
 /// batch interned nothing, and that exactly the roots over a cap left the
 /// kernel.
 fn check_batch(roots: &[Lineage], vars: &VarTable, arena: &LineageArena) {
     let over = roots.iter().filter(|l| over_a_cap(l)).count() as u64;
-    vars.clear_valuation_cache();
     let nodes = arena.stats().nodes;
     let fallback = fallback_roots();
     let got = prob::marginal_batch(roots, vars).unwrap();
@@ -326,7 +325,6 @@ fn cap_boundaries_soak() {
                 boundary_formula(&mut rng, repeated, nodes, base)
             })
             .collect();
-        vars.clear_valuation_cache();
         let over = roots.iter().filter(|l| over_a_cap(l)).count() as u64;
         let fallback = fallback_roots();
         let got = prob::marginal_batch(&roots, &vars).unwrap();

@@ -125,13 +125,8 @@ fn random_register_seal_release_interleavings_preserve_live_marginals() {
                 subject.prob(TupleId(floor - 1)),
                 Err(Error::ReleasedVariable(_))
             ));
-            // ...and at the valuation level: *fresh* valuation work over
-            // a released variable is an error, never a number. (A
-            // marginal cached before the release may keep answering — it
-            // is still the correct value, computed while the vars were
-            // live; the engine wiring evicts those rows with the bound
-            // segment. Clearing the cache here isolates the fresh path.)
-            subject.clear_valuation_cache();
+            // ...and at the valuation level: valuing a formula over a
+            // released variable is an error, never a number.
             let dead = random_formula(&mut rng, &[TupleId(0), TupleId(floor - 1)]);
             assert!(
                 prob::marginal(&dead, &subject).is_err(),
@@ -175,4 +170,43 @@ fn use_after_release_is_an_error_not_a_stale_probability() {
     }
     assert_eq!(vt.live_vars(), 10);
     assert_eq!(vt.released_vars(), 10);
+}
+
+#[test]
+fn formula_valued_before_its_cohort_is_released_errors_after() {
+    // Valuation keeps nothing between calls: a formula valued while its
+    // variables were live errors once their cohort is released, through
+    // the per-root and the batch entry point, on the 1OF and the
+    // repeating path alike.
+    let mut vt = VarTable::new();
+    let a = Lineage::var(vt.register("a1", 0.4).unwrap());
+    vt.seal_vars().unwrap();
+    let b = Lineage::var(vt.register("b1", 0.3).unwrap());
+    let c = Lineage::var(vt.register("b2", 0.6).unwrap());
+    let dead = vt.seal_vars().unwrap();
+    let roots = [
+        Lineage::or(&b, &c),
+        Lineage::and(&Lineage::or(&b, &a), &Lineage::or(&b, &c)),
+    ];
+    assert!(roots[0].is_one_occurrence_form());
+    assert!(!roots[1].is_one_occurrence_form());
+    for l in &roots {
+        prob::marginal(l, &vt).unwrap();
+    }
+    prob::marginal_batch(&roots, &vt).unwrap();
+    // An interior release: the older cohort of `a` stays live.
+    assert_eq!(vt.release_cohort(dead).vars, 2);
+    for l in &roots {
+        assert!(
+            matches!(prob::marginal(l, &vt), Err(Error::ReleasedVariable(_))),
+            "{l}: valued after release"
+        );
+        assert!(
+            matches!(
+                prob::marginal_batch(std::slice::from_ref(l), &vt),
+                Err(Error::ReleasedVariable(_))
+            ),
+            "{l}: batch-valued after release"
+        );
+    }
 }
