@@ -29,10 +29,6 @@ impl<'a> Encoded<'a> {
     pub fn ts_col(&self) -> usize {
         self.arity
     }
-    /// Column position of `te`.
-    pub fn te_col(&self) -> usize {
-        self.arity + 1
-    }
     /// Column position of `idx`.
     pub fn idx_col(&self) -> usize {
         self.arity + 2

@@ -23,7 +23,6 @@
 
 use std::collections::HashMap;
 
-use tp_core::lineage::Lineage;
 use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::tuple::TpTuple;
@@ -81,15 +80,8 @@ pub fn set_op(op: SetOp, r: &TpRelation, s: &TpRelation) -> TpRelation {
 
     let mut out: Vec<TpTuple> = Vec::new();
     for ((fact, ts, te), (fr, fs)) in groups {
-        let lineage = match op {
-            SetOp::Union => Lineage::or_opt(fr.map(|t| &t.lineage), fs.map(|t| &t.lineage)),
-            SetOp::Intersect => match (fr, fs) {
-                (Some(fr), Some(fs)) => Some(Lineage::and(&fr.lineage, &fs.lineage)),
-                _ => None,
-            },
-            SetOp::Except => fr.map(|fr| Lineage::and_not(&fr.lineage, fs.map(|t| &t.lineage))),
-        };
-        if let Some(lineage) = lineage {
+        let (lr, ls) = (fr.map(|t| &t.lineage), fs.map(|t| &t.lineage));
+        if let Some(lineage) = op.lineage(lr, ls, &mut None) {
             out.push(TpTuple::new(
                 fact,
                 lineage,

@@ -3,11 +3,10 @@
 //! One runner per table/figure of the paper's evaluation (§VII). The
 //! [`experiments`] module produces structured results; the `experiments`
 //! binary prints them in the shape of the paper's plots (one row per input
-//! size / parameter value, one column per approach), and the Criterion
-//! benches under `benches/` wrap the same workloads for statistically
-//! sound micro-measurements. The crate depends on the core, the baselines
-//! and the workload generators only; comparing commits by wall clock is the
-//! job of the repository benchmark under `perfbench/`.
+//! size / parameter value, one column per approach). The crate depends on
+//! the core, the baselines and the workload generators only; comparing
+//! commits by wall clock is the job of the repository benchmark under
+//! `perfbench/`.
 //!
 //! Experiment sizes default to a laptop-friendly fraction of the paper's
 //! (which used 64 GB machines and hours of runtime); set the `TP_SCALE`

@@ -41,7 +41,7 @@ pub enum Error {
     /// A lineage variable has no probability registered in the `VarTable`.
     UnknownVariable(u64),
     /// A lineage variable whose cohort was released from a sliding
-    /// `VarTable` registry (see `VarTable::release_vars_before`). Lookup of
+    /// `VarTable` registry (see `VarTable::release_cohort`). Lookup of
     /// a released variable is a *detectable* error by design — it must
     /// never resolve to a silently wrong probability.
     ReleasedVariable(u64),

@@ -1,4 +1,4 @@
-//! Time points, half-open intervals and Allen's interval relations.
+//! Time points and half-open intervals.
 //!
 //! The paper's temporal attribute `T` has domain `ΩT × ΩT` over a finite,
 //! ordered set of time points. We model time points as `i64` and intervals
@@ -19,7 +19,6 @@ pub type TimePoint = i64;
 /// Invariant: `start < end`. Empty intervals are unrepresentable, matching
 /// the paper's model where every tuple is valid for at least one time point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     start: TimePoint,
     end: TimePoint,
@@ -112,102 +111,6 @@ impl fmt::Display for Interval {
     }
 }
 
-/// Allen's thirteen interval relations (\[Allen 1983\], paper reference \[32\]).
-///
-/// The TPDB baseline grounds `∩Tp` with one deduction rule per *overlapping*
-/// relation (the six relations under which two intervals share a time point
-/// plus `Equals`, i.e. `Overlaps`, `OverlappedBy`, `During`, `Contains`,
-/// `Starts`, `StartedBy`, `Finishes`, `FinishedBy`, `Equals` — the paper
-/// counts 6 by treating the symmetric start/finish pairs together).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllenRelation {
-    /// `a` ends before `b` starts.
-    Before,
-    /// `a` starts after `b` ends.
-    After,
-    /// `a.end == b.start`.
-    Meets,
-    /// `b.end == a.start`.
-    MetBy,
-    /// `a` starts first, they overlap, `b` ends last.
-    Overlaps,
-    /// `b` starts first, they overlap, `a` ends last.
-    OverlappedBy,
-    /// `a` strictly inside `b`.
-    During,
-    /// `b` strictly inside `a`.
-    Contains,
-    /// Same start, `a` ends first.
-    Starts,
-    /// Same start, `b` ends first.
-    StartedBy,
-    /// Same end, `a` starts last.
-    Finishes,
-    /// Same end, `b` starts last.
-    FinishedBy,
-    /// Identical intervals.
-    Equals,
-}
-
-impl AllenRelation {
-    /// Classifies the relation of `a` with respect to `b`.
-    pub fn classify(a: &Interval, b: &Interval) -> AllenRelation {
-        use std::cmp::Ordering::*;
-        use AllenRelation::*;
-        match (a.start.cmp(&b.start), a.end.cmp(&b.end)) {
-            (Equal, Equal) => Equals,
-            (Equal, Less) => Starts,
-            (Equal, Greater) => StartedBy,
-            (Greater, Equal) => Finishes,
-            (Less, Equal) => FinishedBy,
-            (Greater, Less) => During,
-            (Less, Greater) => Contains,
-            (Less, Less) => {
-                if a.end < b.start {
-                    Before
-                } else if a.end == b.start {
-                    Meets
-                } else {
-                    Overlaps
-                }
-            }
-            (Greater, Greater) => {
-                if b.end < a.start {
-                    After
-                } else if b.end == a.start {
-                    MetBy
-                } else {
-                    OverlappedBy
-                }
-            }
-        }
-    }
-
-    /// The nine relations under which the intervals share a time point.
-    pub const OVERLAPPING: [AllenRelation; 9] = [
-        AllenRelation::Overlaps,
-        AllenRelation::OverlappedBy,
-        AllenRelation::During,
-        AllenRelation::Contains,
-        AllenRelation::Starts,
-        AllenRelation::StartedBy,
-        AllenRelation::Finishes,
-        AllenRelation::FinishedBy,
-        AllenRelation::Equals,
-    ];
-
-    /// Whether this relation implies a shared time point.
-    pub fn is_overlapping(&self) -> bool {
-        !matches!(
-            self,
-            AllenRelation::Before
-                | AllenRelation::After
-                | AllenRelation::Meets
-                | AllenRelation::MetBy
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,48 +188,5 @@ mod tests {
     #[test]
     fn interval_display() {
         assert_eq!(Interval::at(2, 10).to_string(), "[2,10)");
-    }
-
-    #[test]
-    fn allen_classification_all_thirteen() {
-        use AllenRelation::*;
-        let c = |a: (i64, i64), b: (i64, i64)| {
-            AllenRelation::classify(&Interval::at(a.0, a.1), &Interval::at(b.0, b.1))
-        };
-        assert_eq!(c((1, 2), (3, 4)), Before);
-        assert_eq!(c((3, 4), (1, 2)), After);
-        assert_eq!(c((1, 3), (3, 5)), Meets);
-        assert_eq!(c((3, 5), (1, 3)), MetBy);
-        assert_eq!(c((1, 4), (2, 6)), Overlaps);
-        assert_eq!(c((2, 6), (1, 4)), OverlappedBy);
-        assert_eq!(c((2, 3), (1, 5)), During);
-        assert_eq!(c((1, 5), (2, 3)), Contains);
-        assert_eq!(c((1, 3), (1, 5)), Starts);
-        assert_eq!(c((1, 5), (1, 3)), StartedBy);
-        assert_eq!(c((4, 5), (1, 5)), Finishes);
-        assert_eq!(c((1, 5), (4, 5)), FinishedBy);
-        assert_eq!(c((1, 5), (1, 5)), Equals);
-    }
-
-    #[test]
-    fn overlapping_relations_consistent_with_overlaps() {
-        // Exhaustive over a small grid: classify() is overlapping iff
-        // Interval::overlaps agrees.
-        for a0 in 0..5 {
-            for a1 in (a0 + 1)..6 {
-                for b0 in 0..5 {
-                    for b1 in (b0 + 1)..6 {
-                        let a = Interval::at(a0, a1);
-                        let b = Interval::at(b0, b1);
-                        let rel = AllenRelation::classify(&a, &b);
-                        assert_eq!(
-                            rel.is_overlapping(),
-                            a.overlaps(&b),
-                            "a={a} b={b} rel={rel:?}"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

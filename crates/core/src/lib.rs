@@ -56,7 +56,7 @@
 //!
 //! | module | paper section | content |
 //! |---|---|---|
-//! | [`value`], [`fact`], [`interval`] | §III | attribute values, facts, time intervals, Allen relations |
+//! | [`value`], [`fact`], [`interval`] | §III | attribute values, facts, time intervals |
 //! | [`arena`] | — | segmented hash-consed lineage forest: `Copy` handles, O(1) equality, one stripe lock per intern, seal/retire reclamation |
 //! | [`lineage`] | §III, Table I | Boolean lineage + concatenation functions, owned form [`lineage::LineageTree`] |
 //! | [`tuple`](mod@crate::tuple), [`relation`], [`db`] | §III | TP tuples, duplicate-free relations, variable table (sliding var cohorts), catalog |
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::db::Database;
     pub use crate::error::{Error, Result};
     pub use crate::fact::Fact;
-    pub use crate::interval::{AllenRelation, Interval, TimePoint};
+    pub use crate::interval::{Interval, TimePoint};
     pub use crate::lineage::{Lineage, LineageKind, LineageTree, TupleId};
     pub use crate::ops::{apply, except, intersect, project, select, select_attr_eq, union, SetOp};
     pub use crate::prob;

@@ -16,7 +16,8 @@
 //! ```
 //!
 //! "null" (no tuple valid) is modelled as `Option::None`; the functions are
-//! [`Lineage::and`], [`Lineage::and_not`] and [`Lineage::or_opt`].
+//! [`Lineage::and`], [`Lineage::and_not`] and [`Lineage::or_opt`], and
+//! [`crate::ops::SetOp::lineage`] picks an operation's one.
 //!
 //! Equivalence of lineage expressions — needed by change preservation
 //! (Def. 2) — is checked *syntactically* (structural equality), exactly as
@@ -45,7 +46,6 @@ use crate::arena::{FastMap, LineageArena, LineageNode, LineageRef};
 /// Identifier of a base tuple, acting as an independent Boolean random
 /// variable in lineage formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TupleId(pub u64);
 
 impl fmt::Display for TupleId {

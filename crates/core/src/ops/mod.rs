@@ -58,6 +58,32 @@ impl SetOp {
             SetOp::Except => "except",
         }
     }
+
+    /// Table I: the op's λ-filter and λ-function over one window's `(λr,
+    /// λs)` pair. `None` where the filter rejects the window, else the
+    /// output lineage: `or(λr, λs)`, `and(λr, λs)` or `andNot(λr, λs)`.
+    /// The `¬λs` node `andNot` interns on the way is stored in `not_s`.
+    /// The batch operators below and the stream engine both derive
+    /// through this one function.
+    #[inline]
+    pub fn lineage(
+        self,
+        lr: Option<&Lineage>,
+        ls: Option<&Lineage>,
+        not_s: &mut Option<Lineage>,
+    ) -> Option<Lineage> {
+        match self {
+            SetOp::Union => Lineage::or_opt(lr, ls),
+            SetOp::Intersect => Some(Lineage::and(lr?, ls?)),
+            SetOp::Except => {
+                let lr = lr?;
+                Some(match ls {
+                    None => *lr,
+                    Some(ls) => Lineage::and(lr, not_s.insert(ls.negate())),
+                })
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for SetOp {
@@ -88,7 +114,8 @@ pub fn union(r: &TpRelation, s: &TpRelation) -> TpRelation {
     let lawa = Lawa::new(&r_sorted, &s_sorted);
     let mut out = Vec::new();
     for w in lawa {
-        if let Some(lineage) = Lineage::or_opt(w.lambda_r.as_ref(), w.lambda_s.as_ref()) {
+        let (lr, ls) = (w.lambda_r.as_ref(), w.lambda_s.as_ref());
+        if let Some(lineage) = SetOp::Union.lineage(lr, ls, &mut None) {
             out.push(TpTuple::new(w.fact, lineage, w.interval));
         }
     }
@@ -109,12 +136,9 @@ pub fn intersect(r: &TpRelation, s: &TpRelation) -> TpRelation {
     let mut out = Vec::new();
     while !(lawa.left_exhausted() || lawa.right_exhausted()) {
         let Some(w) = lawa.next() else { break };
-        if let (Some(lr), Some(ls)) = (&w.lambda_r, &w.lambda_s) {
-            out.push(TpTuple::new(
-                w.fact.clone(),
-                Lineage::and(lr, ls),
-                w.interval,
-            ));
+        let (lr, ls) = (w.lambda_r.as_ref(), w.lambda_s.as_ref());
+        if let Some(lineage) = SetOp::Intersect.lineage(lr, ls, &mut None) {
+            out.push(TpTuple::new(w.fact, lineage, w.interval));
         }
     }
     TpRelation::from_tuples_unchecked(out)
@@ -132,12 +156,9 @@ pub fn except(r: &TpRelation, s: &TpRelation) -> TpRelation {
     let mut out = Vec::new();
     while !lawa.left_exhausted() {
         let Some(w) = lawa.next() else { break };
-        if let Some(lr) = &w.lambda_r {
-            out.push(TpTuple::new(
-                w.fact.clone(),
-                Lineage::and_not(lr, w.lambda_s.as_ref()),
-                w.interval,
-            ));
+        let (lr, ls) = (w.lambda_r.as_ref(), w.lambda_s.as_ref());
+        if let Some(lineage) = SetOp::Except.lineage(lr, ls, &mut None) {
+            out.push(TpTuple::new(w.fact, lineage, w.interval));
         }
     }
     TpRelation::from_tuples_unchecked(out)

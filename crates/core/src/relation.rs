@@ -17,9 +17,7 @@ use crate::tuple::TpTuple;
 pub struct VarEpoch(pub u64);
 
 impl VarEpoch {
-    /// The epoch after this one (release boundaries are exclusive:
-    /// `release_vars_before(e.next())` releases cohort `e` and everything
-    /// older).
+    /// The epoch after this one.
     pub fn next(self) -> VarEpoch {
         VarEpoch(self.0 + 1)
     }
@@ -31,7 +29,7 @@ impl fmt::Display for VarEpoch {
     }
 }
 
-/// What one [`VarTable::release_vars_before`] call reclaimed.
+/// What one [`VarTable::release_cohort`] call reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReleasedVars {
     /// Sealed cohorts dropped.
@@ -148,12 +146,10 @@ impl VarStore {
 /// *cohorts* mirroring the lineage arena's segment lifecycle
 /// ([`crate::arena`]). [`VarTable::seal_vars`] closes the open cohort
 /// (returning its [`VarEpoch`]) and opens a fresh one;
-/// [`VarTable::release_vars_before`] drops every sealed cohort below an
-/// epoch in O(cohorts dropped) — probabilities and labels go together.
-/// [`VarTable::release_cohort`] is the **cohort-granular** form matching
-/// interior segment retirement: one sealed cohort releases in place the
-/// moment its mirrored segment retires, even while older cohorts are still
-/// live. A lookup of a released variable returns
+/// [`VarTable::release_cohort`] drops one sealed cohort's probabilities
+/// and labels together, matching interior segment retirement: it releases
+/// in place the moment its mirrored segment retires, even while older
+/// cohorts are still live. A lookup of a released variable returns
 /// [`Error::ReleasedVariable`] — a *detectable* error, never a silently
 /// wrong probability. A table that is never sealed keeps the classic
 /// append-only behavior (one open cohort, no releases).
@@ -255,40 +251,8 @@ impl VarTable {
         Some(epoch)
     }
 
-    /// Releases every sealed cohort with epoch `< before`: their
-    /// probabilities and labels are dropped in O(1) per cohort. The open
-    /// cohort is never released. Lookups of a released variable return
-    /// [`Error::ReleasedVariable`], so valuing a formula over them errors
-    /// too, however often it was valued before.
-    ///
-    /// Caller contract (the streaming engine's reclaim schedule satisfies
-    /// it): no live lineage may still reference the released variables —
-    /// in reclaim mode that holds because a cohort is only released once
-    /// its mirrored arena segment retires, which requires the live frontier
-    /// to have passed it.
-    pub fn release_vars_before(&self, before: VarEpoch) -> ReleasedVars {
-        let mut released = ReleasedVars::default();
-        let mut store = self.store.write().expect("var store poisoned");
-        while store.cohorts.len() > 1 && store.front_epoch < before.0 {
-            let dead = store.cohorts.pop_front().expect("len checked");
-            if dead.released {
-                // Already released in place by `release_cohort`; its
-                // count migrates from the interior gauge into `floor`,
-                // contributing nothing to *this* call's tally.
-                store.interior_released -= dead.released_len;
-            } else {
-                released.cohorts += 1;
-                released.vars += dead.probs.len() as u64;
-            }
-            store.front_epoch += 1;
-            store.floor = store.cohorts.front().expect("open cohort remains").base;
-        }
-        released
-    }
-
     /// Releases **one** sealed cohort in place, wherever it sits in the
-    /// deque — the cohort-granular twin of [`VarTable::release_vars_before`]
-    /// matching *interior* arena-segment retirement
+    /// deque, matching *interior* arena-segment retirement
     /// (`tp-stream`'s coverage-interval reclamation): a var cohort drops the
     /// moment its mirrored segment retires, even while older cohorts are still
     /// pinned live. Probabilities and labels are dropped immediately,
@@ -296,10 +260,12 @@ impl VarTable {
     /// fully-released prefix run compacts off the deque. Releasing the open
     /// cohort, an unknown epoch, or an already-released epoch is a no-op.
     ///
-    /// Caller contract is the same as for [`VarTable::release_vars_before`]:
-    /// no live lineage may still reference the cohort's variables — which
-    /// the engine guarantees by releasing exactly when the cohort's mirrored
-    /// segment leaves the merged live-ref coverage intervals.
+    /// Lookups of a released variable return [`Error::ReleasedVariable`],
+    /// so valuing a formula over them errors too, however often it was
+    /// valued before. Caller contract: no live lineage may still reference
+    /// the cohort's variables — which the engine guarantees by releasing
+    /// exactly when the cohort's mirrored segment leaves the merged
+    /// live-ref coverage intervals.
     pub fn release_cohort(&self, epoch: VarEpoch) -> ReleasedVars {
         let mut released = ReleasedVars::default();
         let mut store = self.store.write().expect("var store poisoned");
@@ -658,6 +624,18 @@ mod tests {
         TpTuple::new(f, Lineage::var(TupleId(id)), Interval::at(s, e))
     }
 
+    /// Releases every cohort with epoch `< before`, one
+    /// [`VarTable::release_cohort`] call each, and sums what they reclaimed.
+    fn release_below(vt: &VarTable, before: VarEpoch) -> ReleasedVars {
+        (0..before.0).map(|e| vt.release_cohort(VarEpoch(e))).fold(
+            ReleasedVars::default(),
+            |sum, r| ReleasedVars {
+                cohorts: sum.cohorts + r.cohorts,
+                vars: sum.vars + r.vars,
+            },
+        )
+    }
+
     #[test]
     fn vartable_register_and_lookup() {
         let mut vt = VarTable::new();
@@ -725,7 +703,7 @@ mod tests {
         assert_eq!(vt.len(), 3);
         assert_eq!(vt.live_vars(), 3);
         // Release cohort 0: its vars error, later cohorts stay intact.
-        let released = vt.release_vars_before(e0.next());
+        let released = release_below(&vt, e0.next());
         assert_eq!(released.cohorts, 1);
         assert_eq!(released.vars, 2);
         assert!(matches!(vt.prob(a), Err(Error::ReleasedVariable(0))));
@@ -737,9 +715,9 @@ mod tests {
         assert_eq!(vt.released_vars(), 2);
         assert_eq!(vt.len(), 3); // ids stay dense, never reused
                                  // Releasing again is idempotent; the open cohort never releases.
-        assert_eq!(vt.release_vars_before(VarEpoch(99)).vars, 1); // cohort 1
+        assert_eq!(release_below(&vt, VarEpoch(99)).vars, 1); // cohort 1
         let d = vt.register_shared("c1", 0.6).unwrap();
-        assert_eq!(vt.release_vars_before(VarEpoch(99)).vars, 0); // open kept
+        assert_eq!(release_below(&vt, VarEpoch(99)).vars, 0); // open kept
         assert_eq!(vt.prob(d).unwrap(), 0.6);
         // Unknown ids stay UnknownVariable, not ReleasedVariable.
         assert!(matches!(
@@ -785,7 +763,7 @@ mod tests {
         assert!(matches!(vt.prob(a), Err(Error::ReleasedVariable(0))));
         assert_eq!(vt.prob(c).unwrap(), 0.5);
         // A later prefix release over the same range double-counts nothing.
-        assert_eq!(vt.release_vars_before(e2.next()).vars, 1); // cohort 2
+        assert_eq!(release_below(&vt, e2.next()).vars, 1); // cohort 2
         assert_eq!(vt.released_vars(), 4);
         assert_eq!(vt.live_vars(), 0);
     }
@@ -810,7 +788,7 @@ mod tests {
             }
             epochs.push(subject.seal_vars().unwrap());
         }
-        subject.release_vars_before(epochs[2].next());
+        release_below(&subject, epochs[2].next());
         let floor = subject.released_vars();
         assert_eq!(floor, 15);
         for id in floor..subject.len() as u64 {

@@ -155,16 +155,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) of the recorded samples,
     /// interpolated within its log2 bucket — always inside the same
     /// power-of-two bucket as the exact quantile. Returns 0 when empty.

@@ -19,7 +19,6 @@
 pub mod aggregate;
 pub mod incremental;
 pub mod ops;
-pub mod optimize;
 pub mod plan;
 pub mod predicate;
 pub mod relation;
@@ -30,7 +29,6 @@ pub use ops::{
     distinct, hash_join, left_outer_join_pairs, nested_loop_join, nested_loop_join_pairs, project,
     select, sort_by, sort_merge_join, union_all,
 };
-pub use optimize::{optimize, plan_size};
 pub use plan::Plan;
 pub use predicate::{CmpOp, Expr, Predicate};
 pub use relation::{Relation, Row, Schema};

@@ -283,20 +283,12 @@ struct Derived {
 }
 
 impl Derived {
-    /// Runs the λ-functions (Table I `or` / `and` / `andNot`) of `ops`
-    /// over one pair — the single implementation of the per-op semantics.
+    /// Runs the λ-functions of `ops` ([`SetOp::lineage`], Table I) over
+    /// one pair, keeping hold of the negation `andNot` interns.
     fn of(ops: &[SetOp], lr: Option<&Lineage>, ls: Option<&Lineage>) -> Derived {
         let mut d = Derived::default();
         for &op in ops {
-            d.ops[op_index(op)] = match op {
-                SetOp::Union => Lineage::or_opt(lr, ls),
-                SetOp::Intersect => lr.zip(ls).map(|(lr, ls)| Lineage::and(lr, ls)),
-                // `Lineage::and_not`, keeping hold of the negation.
-                SetOp::Except => lr.map(|lr| match ls {
-                    None => *lr,
-                    Some(ls) => Lineage::and(lr, d.not_s.insert(ls.negate())),
-                }),
-            };
+            d.ops[op_index(op)] = op.lineage(lr, ls, &mut d.not_s);
         }
         d
     }
@@ -528,15 +520,9 @@ impl StreamEngine {
         self.watermark
     }
 
-    /// The engine's private arena (reclaim mode only). Consumers that want
-    /// to traverse collected deltas *after* the driving call returned must
-    /// re-enter it ([`StreamEngine::enter_arena`]).
-    pub fn reclaim_arena(&self) -> Option<&Arc<LineageArena>> {
-        self.arena.as_ref()
-    }
-
     /// Enters the engine's private arena on this thread (no-op `None`
-    /// without reclaim mode).
+    /// without reclaim mode). Consumers that traverse collected deltas
+    /// *after* the driving call returned must enter it first.
     pub fn enter_arena(&self) -> Option<ArenaScope> {
         self.arena.as_ref().map(LineageArena::enter)
     }

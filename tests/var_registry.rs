@@ -97,8 +97,9 @@ fn random_register_seal_release_interleavings_preserve_live_marginals() {
                     let target = subject.open_var_epoch().0.saturating_sub(2);
                     if target > release_floor_epoch {
                         live.retain(|f| f.oldest_epoch >= target);
-                        let released = subject.release_vars_before(VarEpoch(target));
-                        total_released += released.vars;
+                        for epoch in release_floor_epoch..target {
+                            total_released += subject.release_cohort(VarEpoch(epoch)).vars;
+                        }
                         release_floor_epoch = target;
                     }
                 }
@@ -157,8 +158,8 @@ fn use_after_release_is_an_error_not_a_stale_probability() {
             vt.seal_vars().unwrap();
         }
     }
-    let released = vt.release_vars_before(VarEpoch(2));
-    assert_eq!(released.vars, 10);
+    let released: u64 = (0..2).map(|e| vt.release_cohort(VarEpoch(e)).vars).sum();
+    assert_eq!(released, 10);
     for id in 0..10u64 {
         assert!(
             matches!(vt.prob(TupleId(id)), Err(Error::ReleasedVariable(i)) if i == id),
